@@ -87,28 +87,73 @@ def _grid_layout(h: int, w: int, cfg: CorrConfig):
     return gy, gx, my, mx
 
 
-# Numerically, a windowed NCC value is computed from per-window sufficient
-# statistics (sum, sum of squares, cross sum against the normalized center
-# patch); windows of the second map are addressed as strided views of a
-# sliding-window view, so nothing near the full window tensor is ever
-# materialized. Variances below _VAR_FLOOR (relative) count as degenerate
-# and correlate as 0 with zero gradient.
+# A windowed NCC value is computed from per-window sufficient statistics
+# (sum, sum of squares, cross sum against the normalized center patch).
+# The RoIs of the second map are gathered once, channels last, as an
+# (n, gy, gx, r, r, c) array; with the normalized center patches it is all
+# the tape keeps besides per-entry statistics. Patch sums are p x p box
+# sums of its channel sums. Cross sums are p row-shifted multiply-adds,
+# each reducing a patch row's columns and channels over one contiguous run
+# of an RoI row, so no (d, d, p, p) window tensor is ever built. The
+# backward pass is the adjoint of these steps and produces the RoI
+# gradient one row at a time. Variances below _VAR_FLOOR (relative) count
+# as degenerate and correlate as 0 with zero gradient.
 _VAR_FLOOR = 1e-13
 
 
-def _scatter_patch(grad: np.ndarray, contrib: np.ndarray, y0: int, x0: int,
-                   stride: int, g_count: int, p: int) -> None:
-    """Add per-window patch gradients (n, c, gy, gx, p, p) onto the map.
+def _gather(x: np.ndarray, extent: int, y0: int, x0: int, stride: int,
+            gy: int, gx: int) -> np.ndarray:
+    """Channels-last (n, gy, gx, extent, extent, c) copy of the windows of
+    an (n, c, h, w) map whose corners sit on the grid from (y0, x0); always
+    a fresh array, so callers may write to it."""
+    view = np.lib.stride_tricks.sliding_window_view(x, (extent, extent),
+                                                    axis=(2, 3))
+    view = view[:, :, y0 : y0 + stride * (gy - 1) + 1 : stride,
+                x0 : x0 + stride * (gx - 1) + 1 : stride]
+    return view.transpose(0, 2, 3, 4, 5, 1).copy()
 
-    Within one (pi, pj) patch pixel the target positions are stride
-    separated, so the strided slice-add is alias free.
+
+def _fold(window_rows, y0: int, x0: int, stride: int, shape: tuple) -> np.ndarray:
+    """Adjoint of :func:`_gather`: the (n, c, h, w) sum of the windows
+    placed back where they were gathered, taking the windows one row at a
+    time as an iterable of (n, gy, gx, extent, c) arrays.
+
+    One window row of one grid column goes onto a contiguous run of a
+    channels-last map row; within one add the targets are stride rows
+    apart, so each strided slice-add is alias free.
     """
-    stop_y = y0 + stride * (g_count - 1) + 1
-    stop_x = x0 + stride * (g_count - 1) + 1
-    for pi in range(p):
-        for pj in range(p):
-            grad[:, :, y0 + pi : stop_y + pi : stride,
-                 x0 + pj : stop_x + pj : stride] += contrib[:, :, :, :, pi, pj]
+    n, c, h, w = shape
+    rows = np.zeros((n, h, w * c))
+    for i, window_row in enumerate(window_rows):
+        _, gy, gx, extent, _ = window_row.shape
+        target = rows[:, y0 + i : y0 + i + stride * (gy - 1) + 1 : stride]
+        for j in range(gx):
+            x = (x0 + stride * j) * c
+            target[:, :, x : x + extent * c] += (
+                window_row[:, :, j].reshape(n, gy, extent * c))
+    return np.ascontiguousarray(rows.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+
+
+def _moments(total: np.ndarray, energy: np.ndarray, k: int):
+    """Mean and inverse root variance of windows of k values from their
+    sums and sums of squares; degenerate windows get inverse 0."""
+    mu = total / k
+    var = np.maximum(energy - total * mu, 0.0)
+    good = var > _VAR_FLOOR * np.maximum(energy, 1e-300)
+    inv = np.where(good, 1.0 / np.sqrt(np.where(good, var, 1.0)), 0.0)
+    return mu, inv
+
+
+def _box_sum(x: np.ndarray, p: int) -> np.ndarray:
+    """p x p box sums over the last two axes: (..., r, r) -> (..., d, d)."""
+    d = x.shape[-1] - p + 1
+    rows = sum(x[..., i : i + d, :] for i in range(p))
+    return sum(rows[..., j : j + d] for j in range(p))
+
+
+def _box_sum_adjoint(y: np.ndarray, p: int) -> np.ndarray:
+    """Adjoint of :func:`_box_sum`, the full box sum: (..., d, d) -> (..., r, r)."""
+    return _box_sum(np.pad(y, [(0, 0)] * (y.ndim - 2) + [(p - 1, p - 1)] * 2), p)
 
 
 def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
@@ -127,106 +172,82 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
     if a.ndim != 4:
         raise ValueError(f"correlate needs (n, c, h, w) maps, got {a.shape}")
     n, c, h, w = a.shape
-    p = cfg.patch_extent
+    r, p, s = cfg.roi_extent, cfg.patch_extent, cfg.roi_stride
     d = cfg.displacement_extent
-    s = cfg.roi_stride
     gy, gx, my, mx = _grid_layout(h, w, cfg)
     k = c * p * p
-    center = (cfg.roi_extent - p) // 2
+    center = (r - p) // 2
     ncc = cfg.normalization == "ncc"
 
-    b_view = np.lib.stride_tricks.sliding_window_view(b.data, (p, p), axis=(2, 3))
-    a_view = np.lib.stride_tricks.sliding_window_view(a.data, (p, p), axis=(2, 3))
-
-    def window(view, oy, ox):
-        """Strided (n, c, gy, gx, p, p) view at grid offset (oy, ox)."""
-        return view[:, :, oy : oy + s * (gy - 1) + 1 : s,
-                    ox : ox + s * (gx - 1) + 1 : s]
-
-    # center windows of `a`, gathered once
-    a_win = np.ascontiguousarray(window(a_view, my + center, mx + center))
+    roi = _gather(b.data, r, my, mx, s, gy, gx)
+    ref = _gather(a.data, p, my + center, mx + center, s, gy, gx)
     if ncc:
-        s_a = np.einsum("ncijpq->nij", a_win)
-        s_aa = np.einsum("ncijpq,ncijpq->nij", a_win, a_win)
-        mu_a = s_a / k
-        var_a = np.maximum(s_aa - s_a * mu_a, 0.0)
-        good_a = var_a > _VAR_FLOOR * np.maximum(s_aa, 1e-300)
-        inv_a = np.where(good_a, 1.0 / np.sqrt(np.where(good_a, var_a, 1.0)), 0.0)
-        a_ref = (a_win - mu_a[:, None, :, :, None, None]) * (
-            inv_a[:, None, :, :, None, None]
-        )
-        sum_ref = np.einsum("ncijpq->nij", a_ref)  # ~0, kept for exactness
-    else:
-        a_ref = a_win
+        mu_a, inv_a = _moments(np.einsum("nijpqc->nij", ref),
+                               np.einsum("nijpqc,nijpqc->nij", ref, ref), k)
+        ref -= mu_a[..., None, None, None]
+        ref *= inv_a[..., None, None, None]
+        sum_ref = np.einsum("nijpqc->nij", ref)  # ~0, kept for exactness
+    # (n, gy, gx, r, d, p*c) view: at RoI row y and column offset v, the
+    # p*c values (p columns, all channels) that one patch row reads
+    rows = np.lib.stride_tricks.sliding_window_view(
+        roi.reshape(n, gy, gx, r, r * c), p * c, axis=-1)[..., ::c, :]
+    ref_rows = ref.reshape(n, gy, gx, p, p * c)
 
-    corr = np.empty((n, gy, gx, d, d))
+    corr = np.zeros((n, gy, gx, d, d))
+    for i in range(p):
+        corr += np.einsum("nijuvt,nijt->nijuv", rows[:, :, :, i : i + d],
+                          ref_rows[:, :, :, i])
     if ncc:
-        mu_b = np.empty((n, gy, gx, d, d))
-        inv_b = np.empty((n, gy, gx, d, d))
-    for u in range(d):
-        for v in range(d):
-            b_w = window(b_view, my + u, mx + v)
-            cross = np.einsum("ncijpq,ncijpq->nij", a_ref, b_w)
-            if not ncc:
-                corr[:, :, :, u, v] = cross
-                continue
-            s_b = np.einsum("ncijpq->nij", b_w)
-            s_bb = np.einsum("ncijpq,ncijpq->nij", b_w, b_w)
-            mu = s_b / k
-            var = np.maximum(s_bb - s_b * mu, 0.0)
-            good = var > _VAR_FLOOR * np.maximum(s_bb, 1e-300)
-            inv = np.where(good, 1.0 / np.sqrt(np.where(good, var, 1.0)), 0.0)
-            mu_b[:, :, :, u, v] = mu
-            inv_b[:, :, :, u, v] = inv
-            corr[:, :, :, u, v] = np.clip(inv * (cross - mu * sum_ref), -1.0, 1.0)
+        mu_b, inv_b = _moments(
+            _box_sum(np.einsum("nijyxc->nijyx", roi), p),
+            _box_sum(np.einsum("nijyxc,nijyxc->nijyx", roi, roi), p), k)
+        corr -= mu_b * sum_ref[..., None, None]
+        corr *= inv_b
+        np.clip(corr, -1.0, 1.0, out=corr)
 
     def vjp(g):
-        g5 = g.reshape(n, gy, gx, d, d)
-        grad_a = np.zeros(a.shape)
-        grad_b = np.zeros(b.shape)
-        da_acc = np.zeros_like(a_win)
-        stop_y = s * (gy - 1) + 1
-        stop_x = s * (gx - 1) + 1
-        # per (offset, patch pixel): small (n, c, gy, gx) updates on strided
-        # slices; within one slice the targets are stride separated
-        for u in range(d):
-            for v in range(d):
-                b_w = window(b_view, my + u, mx + v)
-                gv = g5[:, :, :, u, v]
-                if ncc:
-                    inv = inv_b[:, :, :, u, v]
-                    mu = mu_b[:, :, :, u, v]
-                    cor = corr[:, :, :, u, v]
-                    s1 = (gv * inv)[:, None]
-                    s2 = (gv * cor * inv * inv)[:, None]
-                    mu_s2 = (mu[:, None] * s2)
-                    t1 = (gv * inv * inv_a)[:, None]
-                    mu_t1 = mu[:, None] * t1
-                    for pi in range(p):
-                        for pj in range(p):
-                            bw_px = b_w[:, :, :, :, pi, pj]
-                            grad_b[:, :, my + u + pi : my + u + pi + stop_y : s,
-                                   mx + v + pj : mx + v + pj + stop_x : s] += (
-                                a_ref[:, :, :, :, pi, pj] * s1 - bw_px * s2 + mu_s2
-                            )
-                            da_acc[:, :, :, :, pi, pj] += bw_px * t1 - mu_t1
-                else:
-                    gve = gv[:, None]
-                    for pi in range(p):
-                        for pj in range(p):
-                            grad_b[:, :, my + u + pi : my + u + pi + stop_y : s,
-                                   mx + v + pj : mx + v + pj + stop_x : s] += (
-                                a_ref[:, :, :, :, pi, pj] * gve
-                            )
-                            da_acc[:, :, :, :, pi, pj] += (
-                                b_w[:, :, :, :, pi, pj] * gve
-                            )
+        g = g.reshape(n, gy, gx, d, d)
         if ncc:
-            # subtract the self term: corr-weighted normalized center patch
-            gc_sum = np.einsum("nijuv,nijuv->nij", g5, corr)
-            da_acc -= a_ref * (gc_sum * inv_a)[:, None, :, :, None, None]
-        _scatter_patch(grad_a, da_acc, my + center, mx + center, s, gy, p)
-        return grad_a, grad_b
+            s1 = g * inv_b
+            s2 = s1 * corr * inv_b
+            # per RoI pixel: weights of its own value (energy term) and of
+            # the patch means (mean term), summed over the patches holding it
+            energy = _box_sum_adjoint(s2, p)
+            mean = _box_sum_adjoint(mu_b * s2, p)
+        else:
+            s1 = g
+        # cross-term adjoint for the center patch: s1 against the RoI rows
+        g_ref = np.empty((n, gy, gx, p, p * c))
+        for i in range(p):
+            g_ref[:, :, :, i] = np.einsum("nijuvt,nijuv->nijt",
+                                          rows[:, :, :, i : i + d], s1)
+        g_ref = g_ref.reshape(ref.shape)
+        if ncc:
+            # the mean and self terms of the normalized center patch
+            g_ref -= np.einsum("nijuv,nijuv->nij", s1, mu_b)[..., None, None, None]
+            g_ref -= ref * np.einsum("nijuv,nijuv->nij", g, corr)[..., None, None, None]
+            g_ref *= inv_a[..., None, None, None]
+
+        # cross-term adjoint: band[..., u, x, j] = s1[..., u, x - j] (0 off
+        # the band), so band[..., u, :, :] @ ref[..., i, :, :] is what patch
+        # row i at row offset u adds to RoI row i + u
+        padded = np.pad(s1, [(0, 0)] * 4 + [(p - 1, p - 1)])
+        band = np.ascontiguousarray(
+            np.lib.stride_tricks.sliding_window_view(padded, p, axis=-1)[..., ::-1])
+
+        def roi_rows():
+            """Gradient of the gathered RoIs, one RoI row at a time."""
+            for y in range(r):
+                g_row = sum(band[:, :, :, y - i] @ ref[:, :, :, i]
+                            for i in range(max(0, y - d + 1), min(p, y + 1)))
+                if ncc:
+                    g_row -= roi[:, :, :, y] * energy[:, :, :, y, :, None]
+                    g_row += mean[:, :, :, y, :, None]
+                yield g_row
+
+        return (_fold(np.moveaxis(g_ref, 3, 0), my + center, mx + center, s,
+                      a.shape),
+                _fold(roi_rows(), my, mx, s, b.shape))
 
     return _node(corr, (a, b), vjp)
 

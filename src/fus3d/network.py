@@ -10,10 +10,10 @@ one) whose outputs are fused by averaging.
 
 Shape ladder (toy scale, 64px frames / paper shape, 256px frames):
 
-    stage1   16 x 32 x 32      64 x 128 x 128
+    stage1    8 x 32 x 32      64 x 128 x 128
     corr     (8 x 8 RoIs) x 5 x 5 displacements -> 25 channels on 8 x 8
-    stage2   32 x 16 x 16     128 x 64 x 64
-    stage3   48 x  8 x  8     256 x  8 x  8
+    stage2   16 x 16 x 16     128 x 64 x 64
+    stage3   32 x  8 x  8     256 x  8 x  8
     stage4   64 x  4 x  4     512 x  4 x  4
 
 The paper-shape config exists for shape checking only; the toy config is
@@ -118,7 +118,7 @@ class ModelConfig:
             extent //= ds
         if self.stage_extent(2) != self.corr_grid:
             raise ValueError(
-                f"stage-3 extent {self.stage_extent(3)} must match the "
+                f"stage-3 extent {self.stage_extent(2)} must match the "
                 f"{self.corr_grid}px correlation grid"
             )
 

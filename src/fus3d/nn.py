@@ -7,7 +7,9 @@ and the binary checkpoint format.
 
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -201,26 +203,42 @@ class LSTMCell(Module):
 # u32 rank, u32 extents, little-endian f64 payload.
 
 def save_checkpoint(path, arrays: dict, config: dict | None = None) -> None:
+    """Write a checkpoint atomically.
+
+    The bytes go to a temp file beside ``path``, are flushed to disk, and
+    the temp file is then renamed onto ``path``; a crash or failed write
+    leaves the previous checkpoint intact. A failed write removes the
+    temp file.
+    """
     config = config or {}
     config_text = "".join(f"{k}={config[k]}\n" for k in sorted(config))
     config_bytes = config_text.encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack("<I", CHECKPOINT_VERSION))
-        handle.write(struct.pack("<I", len(config_bytes)))
-        handle.write(config_bytes)
-        handle.write(struct.pack("<I", len(arrays)))
-        for name in arrays:
-            payload = np.asarray(arrays[name], dtype="<f8")
-            if payload.ndim and not payload.flags.c_contiguous:
-                payload = np.ascontiguousarray(payload)
-            encoded = name.encode("utf-8")
-            handle.write(struct.pack("<I", len(encoded)))
-            handle.write(encoded)
-            handle.write(struct.pack("<I", payload.ndim))
-            for extent in payload.shape:
-                handle.write(struct.pack("<I", extent))
-            handle.write(payload.tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(CHECKPOINT_MAGIC)
+            handle.write(struct.pack("<I", CHECKPOINT_VERSION))
+            handle.write(struct.pack("<I", len(config_bytes)))
+            handle.write(config_bytes)
+            handle.write(struct.pack("<I", len(arrays)))
+            for name in arrays:
+                payload = np.asarray(arrays[name], dtype="<f8")
+                if payload.ndim and not payload.flags.c_contiguous:
+                    payload = np.ascontiguousarray(payload)
+                encoded = name.encode("utf-8")
+                handle.write(struct.pack("<I", len(encoded)))
+                handle.write(encoded)
+                handle.write(struct.pack("<I", payload.ndim))
+                for extent in payload.shape:
+                    handle.write(struct.pack("<I", extent))
+                handle.write(payload.tobytes())
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import check_gradients
 
@@ -14,7 +16,7 @@ from fus3d.correlation import (
     write_mean_map_pgm,
 )
 from fus3d.pgm import read_pgm16
-from fus3d.tensor import Tensor
+from fus3d.tensor import Tensor, backward, mul, tensor_sum
 
 
 def brute_force_volume(a, b, cfg):
@@ -178,6 +180,132 @@ class TestGradients:
         arrays = [rng.uniform(-1, 1, (1, 2, 10, 10)),
                   rng.uniform(-1, 1, (1, 2, 10, 10))]
         check_gradients(lambda t: correlate_batch(t[0], t[1], cfg), arrays)
+
+
+class TestOverlappingRoiGradients:
+    @pytest.mark.parametrize("normalization", ["ncc", "dot"])
+    def test_toy_geometry_finite_difference(self, normalization):
+        # the toy network's RoI/patch extents: 3 x 3 RoIs, stride 3 < 9,
+        # so neighbouring RoIs share pixels, and two pairs in the batch
+        rng = np.random.default_rng(47)
+        cfg = CorrConfig(9, 5, 3, normalization)
+        arrays = [rng.uniform(-1, 1, (2, 2, 15, 15)),
+                  rng.uniform(-1, 1, (2, 2, 15, 15))]
+        check_gradients(lambda t: correlate_batch(t[0], t[1], cfg), arrays)
+
+    @pytest.mark.parametrize("normalization", ["ncc", "dot"])
+    def test_non_square_grid_finite_difference(self, normalization):
+        # a 2 x 3 RoI grid: row and column counts differ
+        rng = np.random.default_rng(53)
+        cfg = CorrConfig(7, 3, 3, normalization)
+        arrays = [rng.uniform(-1, 1, (1, 2, 10, 13)),
+                  rng.uniform(-1, 1, (1, 2, 10, 13))]
+        check_gradients(lambda t: correlate_batch(t[0], t[1], cfg), arrays)
+
+
+def patch_conditioning(a, b, cfg):
+    """(gy, gx, d, d) energy-to-variance ratio sum(x^2) / sum((x - mean)^2)
+    of the worse of each entry's two patches; inf where a patch is
+    constant over channels and area."""
+    c, h, w = a.shape
+    r, p, s = cfg.roi_extent, cfg.patch_extent, cfg.roi_stride
+    d = r - p + 1
+    gy = (h - r) // s + 1
+    gx = (w - r) // s + 1
+    my = (h - ((gy - 1) * s + r)) // 2
+    mx = (w - ((gx - 1) * s + r)) // 2
+    center = (r - p) // 2
+
+    def ratio(patch):
+        spread = ((patch - patch.mean()) ** 2).sum()
+        return np.inf if np.ptp(patch) == 0.0 else (patch**2).sum() / spread
+
+    out = np.zeros((gy, gx, d, d))
+    for i in range(gy):
+        for j in range(gx):
+            ty, tx = my + i * s, mx + j * s
+            ref = a[:, ty + center : ty + center + p, tx + center : tx + center + p]
+            for u in range(d):
+                for v in range(d):
+                    mov = b[:, ty + u : ty + u + p, tx + v : tx + v + p]
+                    out[i, j, u, v] = max(ratio(ref), ratio(mov))
+    return out
+
+
+class TestDegeneratePatches:
+    def setup_method(self):
+        rng = np.random.default_rng(59)
+        self.a = rng.standard_normal((1, 2, 16, 16))
+        self.b = rng.standard_normal((1, 2, 16, 16))
+        self.a[0, :, :8, :8] = 0.7    # constant center patches
+        self.b[0, :, 8:, 8:] = -0.3   # constant moving patches
+        self.mask = np.isinf(patch_conditioning(self.a[0], self.b[0], SMALL))[None]
+
+    def gradients(self, weights):
+        ta = Tensor(self.a, requires_grad=True)
+        tb = Tensor(self.b, requires_grad=True)
+        out = correlate_batch(ta, tb, SMALL)
+        backward(tensor_sum(mul(out, weights)))
+        return out.data, ta.grad, tb.grad
+
+    def test_both_maps_contribute_degenerate_entries(self):
+        # a ramp along x leaves no constant patch in b
+        ramp = self.b[0] + np.arange(16.0)
+        only_a = np.isinf(patch_conditioning(self.a[0], ramp, SMALL))
+        assert only_a.any() and (self.mask[0] & ~only_a).any()
+        assert not self.mask.all()
+
+    def test_degenerate_entries_are_zero_and_gradients_finite(self):
+        rng = np.random.default_rng(61)
+        corr, grad_a, grad_b = self.gradients(rng.standard_normal(self.mask.shape))
+        np.testing.assert_array_equal(corr[self.mask], 0.0)
+        assert np.all(corr[~self.mask] != 0.0)
+        assert np.isfinite(grad_a).all() and np.isfinite(grad_b).all()
+
+    def test_weighting_only_degenerate_entries_gives_zero_gradient(self):
+        rng = np.random.default_rng(67)
+        weights = np.where(self.mask, rng.standard_normal(self.mask.shape), 0.0)
+        _, grad_a, grad_b = self.gradients(weights)
+        np.testing.assert_array_equal(grad_a, 0.0)
+        np.testing.assert_array_equal(grad_b, 0.0)
+
+
+@st.composite
+def correlation_cases(draw):
+    """A small valid geometry, maps and normalization; with ``levels`` the
+    maps hold few distinct integers, so constant patches turn up."""
+    p = draw(st.sampled_from([1, 3, 5]))
+    r = draw(st.sampled_from([e for e in (3, 5, 7, 9) if e >= p]))
+    cfg = CorrConfig(r, p, draw(st.integers(1, 5)),
+                     draw(st.sampled_from(["ncc", "dot"])))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+             draw(st.integers(r, r + 7)), draw(st.integers(r, r + 7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([0, 2, 3]))
+    if levels:
+        return cfg, (rng.integers(0, levels, shape).astype(float),
+                     rng.integers(0, levels, shape).astype(float))
+    return cfg, (rng.standard_normal(shape), rng.standard_normal(shape))
+
+
+class TestProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(correlation_cases())
+    def test_batch_matches_oracle_and_ncc_is_bounded(self, case):
+        cfg, (a, b) = case
+        got = correlate_batch(Tensor(a), Tensor(b), cfg).data
+        for k in range(a.shape[0]):
+            want = brute_force_volume(a[k], b[k], cfg).reshape(got[k].shape)
+            tol = 1e-12
+            if cfg.normalization == "ncc":
+                # patch variances come from sums and sums of squares, which
+                # lose about eps * energy / variance; constant patches give
+                # exactly 0 on both sides
+                cond = patch_conditioning(a[k], b[k], cfg)
+                tol = np.where(np.isinf(cond), 0.0, 1e-12 + 1e-14 * cond)
+            assert np.all(np.abs(got[k] - want) <= tol)
+        if cfg.normalization == "ncc":
+            assert got.min() >= -1.0 and got.max() <= 1.0
 
 
 class TestMeanMap:

@@ -63,6 +63,17 @@ class TestGlaConfig:
                       global_channels=64, global_extent=4)
 
 
+class TestModelConfig:
+    def test_grid_mismatch_quotes_the_checked_extent(self):
+        # 128px frames halve to 64/32/16/8: stage 3 is 16px, not the 8px
+        # grid, while stage 4 happens to be 8px
+        with pytest.raises(ValueError) as info:
+            ModelConfig(frame_extent=128)
+        assert str(info.value) == (
+            "stage-3 extent 16 must match the 8px correlation grid"
+        )
+
+
 class TestLocalChannelAttention:
     def setup_method(self):
         self.gla = GlobalLocalAttention(TOY_GLA, np.random.default_rng(0))

@@ -190,3 +190,49 @@ class TestCheckpointFormat:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import builtins
+
+        import fus3d.nn
+
+        rng = np.random.default_rng(14)
+        before = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4)}
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, before, config={"step": "1"})
+
+        class FailAfterHeader:
+            """File handle whose writes fail once the header is written."""
+
+            def __init__(self, handle):
+                self.handle = handle
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 5:  # magic, version, config size, config, count
+                    raise OSError("no space left on device")
+                return self.handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+        monkeypatch.setattr(fus3d.nn, "open",
+                            lambda *args: FailAfterHeader(builtins.open(*args)),
+                            raising=False)
+        after = {"w": np.zeros((3, 4)), "b": np.ones(4)}
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, after, config={"step": "2"})
+        monkeypatch.undo()
+
+        loaded, config = load_checkpoint(path)
+        assert config == {"step": "1"}
+        for name in before:
+            np.testing.assert_array_equal(loaded[name], before[name])
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
