@@ -157,12 +157,10 @@ def cmd_train(args) -> int:
         raise UsageError("dataset too small for a train/validation split")
 
     if args.scale == "paper-shape":
-        model_config = ModelConfig.paper_shape(seq_len=args.seq_len,
-                                               use_gla=not args.no_gla)
+        model_config = ModelConfig.paper_shape(use_gla=not args.no_gla)
         default_batch = 14
     else:
-        model_config = ModelConfig.toy(seq_len=args.seq_len,
-                                       use_gla=not args.no_gla)
+        model_config = ModelConfig.toy(use_gla=not args.no_gla)
         default_batch = 4
     expected = model_config.frame_extent
     geom = train_scans[0].geometry

@@ -24,7 +24,7 @@ import numpy as np
 
 from .pose import ImageGeometry, TransformSE3, frame_grid_points
 
-__all__ = ["VolumeGrid", "compound", "fill_holes", "write_volume", "read_volume"]
+__all__ = ["VolumeGrid", "compound", "write_volume", "read_volume"]
 
 VOLUME_MAGIC = b"FVL1"
 
@@ -57,7 +57,7 @@ class VolumeGrid:
         return float((self.intensity * self.counts).sum())
 
 
-def _frame_points(frames_shape, geometry, transforms):
+def _frame_points(geometry, transforms):
     pixels = geometry.full_pixel_grid()
     return [frame_grid_points(t, geometry, pixels) for t in transforms]
 
@@ -77,7 +77,7 @@ def compound(frames: np.ndarray, transforms: Sequence[TransformSE3],
     if voxel_mm <= 0:
         raise ValueError("voxel size must be positive")
 
-    points = _frame_points(frames.shape, geometry, transforms)
+    points = _frame_points(geometry, transforms)
     if origin_mm is None or dims is None:
         lo = np.min([p.min(axis=0) for p in points], axis=0)
         hi = np.max([p.max(axis=0) for p in points], axis=0)
@@ -100,39 +100,6 @@ def compound(frames: np.ndarray, transforms: Sequence[TransformSE3],
     return VolumeGrid(intensity=intensity, counts=counts,
                       origin_mm=np.asarray(origin_mm, dtype=float),
                       voxel_mm=float(voxel_mm))
-
-
-def fill_holes(volume: VolumeGrid, radius_voxels: int) -> VolumeGrid:
-    """Fill empty voxels from filled neighbors within a Euclidean radius,
-    weighting contributions by inverse distance. Filled voxels are left
-    untouched; off by default in the pipeline."""
-    if radius_voxels < 1:
-        raise ValueError("radius must be at least 1 voxel")
-    filled = volume.counts > 0
-    weight_sum = np.zeros(volume.dims)
-    value_sum = np.zeros(volume.dims)
-    r = radius_voxels
-    for ox in range(-r, r + 1):
-        for oy in range(-r, r + 1):
-            for oz in range(-r, r + 1):
-                dist = np.sqrt(ox * ox + oy * oy + oz * oz)
-                if dist == 0.0 or dist > r:
-                    continue
-                src = [slice(max(0, -o), min(n, n - o))
-                       for o, n in zip((ox, oy, oz), volume.dims)]
-                dst = [slice(max(0, o), min(n, n + o))
-                       for o, n in zip((ox, oy, oz), volume.dims)]
-                src, dst = tuple(src), tuple(dst)
-                contrib = filled[src] / dist
-                weight_sum[dst] += contrib
-                value_sum[dst] += volume.intensity[src] * contrib
-    fillable = ~filled & (weight_sum > 0)
-    intensity = volume.intensity.copy()
-    counts = volume.counts.copy()
-    intensity[fillable] = value_sum[fillable] / weight_sum[fillable]
-    counts[fillable] = 1
-    return VolumeGrid(intensity=intensity, counts=counts,
-                      origin_mm=volume.origin_mm, voxel_mm=volume.voxel_mm)
 
 
 def write_volume(path, volume: VolumeGrid, provenance: dict | None = None) -> Path:

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pgm import write_pgm16
 from .tensor import Tensor, _node
 
-__all__ = ["CorrConfig", "CorrelationVolume", "correlate", "correlate_batch",
-           "mean_map", "write_mean_map_pgm"]
+__all__ = ["CorrConfig", "correlate_batch"]
 
 
 @dataclass(frozen=True)
@@ -168,9 +166,9 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
     if not isinstance(b, Tensor):
         b = Tensor(b)
     if a.shape != b.shape:
-        raise ValueError(f"correlate: shape mismatch {a.shape} vs {b.shape}")
+        raise ValueError(f"correlate_batch: shape mismatch {a.shape} vs {b.shape}")
     if a.ndim != 4:
-        raise ValueError(f"correlate needs (n, c, h, w) maps, got {a.shape}")
+        raise ValueError(f"correlate_batch needs (n, c, h, w) maps, got {a.shape}")
     n, c, h, w = a.shape
     r, p, s = cfg.roi_extent, cfg.patch_extent, cfg.roi_stride
     d = cfg.displacement_extent
@@ -250,52 +248,3 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
                 _fold(roi_rows(), my, mx, s, b.shape))
 
     return _node(corr, (a, b), vjp)
-
-
-@dataclass(frozen=True)
-class CorrelationVolume:
-    """Stacked correlation arrays: values (n_rois, d, d) on a RoI grid."""
-
-    values: Tensor
-    grid_shape: tuple
-
-    def __post_init__(self) -> None:
-        gy, gx = self.grid_shape
-        if self.values.shape[0] != gy * gx:
-            raise ValueError(
-                f"{self.values.shape[0]} arrays do not tile a {gy}x{gx} grid"
-            )
-
-    @property
-    def n_rois(self) -> int:
-        return self.values.shape[0]
-
-    def as_array(self) -> np.ndarray:
-        return self.values.data
-
-
-def correlate(a: Tensor, b: Tensor, cfg: CorrConfig) -> CorrelationVolume:
-    """Correlation volume for one (c, h, w) feature-map pair."""
-    if not isinstance(a, Tensor):
-        a = Tensor(a)
-    if not isinstance(b, Tensor):
-        b = Tensor(b)
-    if a.ndim != 3:
-        raise ValueError(f"correlate needs (c, h, w) maps, got {a.shape}")
-    from .tensor import reshape
-
-    batched = correlate_batch(reshape(a, (1,) + a.shape),
-                              reshape(b, (1,) + b.shape), cfg)
-    _, gy, gx, d, _ = batched.shape
-    values = reshape(batched, (gy * gx, d, d))
-    return CorrelationVolume(values=values, grid_shape=(gy, gx))
-
-
-def mean_map(volume: CorrelationVolume) -> np.ndarray:
-    """Per-RoI mean correlation over the RoI grid (diagnostics)."""
-    gy, gx = volume.grid_shape
-    return volume.as_array().mean(axis=(1, 2)).reshape(gy, gx)
-
-
-def write_mean_map_pgm(path, volume: CorrelationVolume) -> None:
-    write_pgm16(path, mean_map(volume), lo=-1.0, hi=1.0)

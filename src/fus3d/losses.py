@@ -140,22 +140,17 @@ def _label_cosine_matrix(motions: np.ndarray) -> np.ndarray:
     return cos
 
 
-def select_triplets(features: Sequence, motions) -> list:
+def select_triplets(motions) -> list:
     """(anchor, positive, negative) index triples for every anchor step.
 
     The positive is the step whose label is most cosine-similar to the
     anchor's, the negative the least similar; the anchor itself is
-    excluded and ties resolve to the lowest index. ``features`` only
-    fixes the expected step count.
+    excluded and ties resolve to the lowest index.
     """
     labels = _as_motion(motions).data
     n = labels.shape[0]
     if n < 3:
         raise ValueError(f"triplet selection needs at least 3 steps, got {n}")
-    if features is not None and len(features) != n:
-        raise ValueError(
-            f"feature count {len(features)} does not match {n} motion steps"
-        )
     cos = _label_cosine_matrix(labels)
     triples = []
     for a in range(n):

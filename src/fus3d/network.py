@@ -1,12 +1,13 @@
 """Global-local attention and the motion-estimation network.
 
-The network consumes two aligned B-mode sequences (frames i and i+1 of
-a scan), refines them through a shared first encoder stage, correlates
-the stage-1 feature maps patch-wise, pushes the concatenated features
-through three more residual stages, recalibrates mid/deep features with
-a global-local attention block, and regresses per-step 6-DoF motion
-with two LSTM estimators (one on the global summary, one on the local
-one) whose outputs are fused by averaging.
+The network consumes windows of consecutive B-mode frames of one scan
+and estimates the motion of every step (frame t to frame t+1). It
+encodes each frame once with the first encoder stage, correlates the
+stage-1 feature maps of each step's two frames patch-wise, pushes the
+concatenated features through three more residual stages, recalibrates
+mid/deep features with a global-local attention block, and regresses
+per-step 6-DoF motion with two LSTM estimators (one on the global
+summary, one on the local one) whose outputs are fused by averaging.
 
 Shape ladder (toy scale, 64px frames / paper shape, 256px frames):
 
@@ -37,7 +38,6 @@ from .tensor import Tensor
 __all__ = [
     "GlaConfig",
     "ModelConfig",
-    "MotionEstimate",
     "GlobalLocalAttention",
     "MotionNetwork",
     "export_attention_scores",
@@ -96,9 +96,7 @@ class ModelConfig:
     frame_extent: int = 64
     encoder_channels: tuple = (8, 16, 32, 64)
     downsample: tuple = (2, 2, 2, 2)
-    seq_len: int = 8  # s: windows hold s+1 frame pairs
     lstm_hidden: int = 32
-    fusion: str = "mean"
     use_gla: bool = True
     corr_roi: int = 9
     corr_patch: int = 5
@@ -107,8 +105,6 @@ class ModelConfig:
     mlp_reduction: int = 16
 
     def __post_init__(self) -> None:
-        if self.fusion != "mean":
-            raise ValueError(f"unknown fusion mode {self.fusion!r}")
         if len(self.encoder_channels) != 4 or len(self.downsample) != 4:
             raise ValueError("encoder needs 4 stages")
         extent = self.frame_extent
@@ -174,9 +170,7 @@ class ModelConfig:
             "frame_extent": str(self.frame_extent),
             "encoder_channels": ",".join(str(c) for c in self.encoder_channels),
             "downsample": ",".join(str(d) for d in self.downsample),
-            "seq_len": str(self.seq_len),
             "lstm_hidden": str(self.lstm_hidden),
-            "fusion": self.fusion,
             "use_gla": str(int(self.use_gla)),
             "corr_roi": str(self.corr_roi),
             "corr_patch": str(self.corr_patch),
@@ -192,9 +186,7 @@ class ModelConfig:
             frame_extent=int(text["frame_extent"]),
             encoder_channels=tuple(int(c) for c in text["encoder_channels"].split(",")),
             downsample=tuple(int(d) for d in text["downsample"].split(",")),
-            seq_len=int(text["seq_len"]),
             lstm_hidden=int(text["lstm_hidden"]),
-            fusion=text["fusion"],
             use_gla=bool(int(text["use_gla"])),
             corr_roi=int(text["corr_roi"]),
             corr_patch=int(text["corr_patch"]),
@@ -202,15 +194,6 @@ class ModelConfig:
             block_extent=int(text["block_extent"]),
             mlp_reduction=int(text["mlp_reduction"]),
         )
-
-
-@dataclass(frozen=True)
-class MotionEstimate:
-    """Per-step outputs: the two estimator branches and their fusion."""
-
-    global_motion: PoseVector
-    local_motion: PoseVector
-    fused: PoseVector
 
 
 class ResidualStage(Module):
@@ -248,15 +231,6 @@ def _tile_blocks(x: Tensor, block_extent: int) -> Tensor:
     return T.reshape(t, (n, gy * gx, c, block_extent, block_extent))
 
 
-def untile_blocks(blocks: Tensor, map_extent: int) -> Tensor:
-    """Inverse of the block tiling (used by tests and diagnostics)."""
-    n, nb, c, e, _ = blocks.shape
-    g = map_extent // e
-    t = T.reshape(blocks, (n, g, g, c, e, e))
-    t = T.transpose(t, (0, 3, 1, 4, 2, 5))
-    return T.reshape(t, (n, c, map_extent, map_extent))
-
-
 class GlobalLocalAttention(Module):
     """Channel attention on local blocks, channel+spatial attention on the
     global map, then cosine-similarity reweighting of each local block
@@ -280,8 +254,6 @@ class GlobalLocalAttention(Module):
 
     def local_channel_scores(self, e2: Tensor) -> Tensor:
         """Sigmoid-bounded per-channel score vector of the local map."""
-        if e2.ndim == 3:
-            e2 = T.reshape(e2, (1,) + e2.shape)
         if e2.shape[1] != self.cfg.local_channels:
             raise ValueError(
                 f"expected {self.cfg.local_channels} local channels, "
@@ -292,8 +264,6 @@ class GlobalLocalAttention(Module):
 
     def recalibrate_local(self, e2: Tensor, scores: Tensor) -> Tensor:
         """Channel-weighted local blocks, (n, n_blocks, c, e, e)."""
-        if e2.ndim == 3:
-            e2 = T.reshape(e2, (1,) + e2.shape)
         if scores.shape[-1] != e2.shape[1]:
             raise ValueError(
                 f"{scores.shape[-1]} scores cannot weight {e2.shape[1]} channels"
@@ -304,8 +274,6 @@ class GlobalLocalAttention(Module):
 
     def global_attention(self, e4: Tensor) -> Tensor:
         """Parallel channel and spatial recalibration of the global map."""
-        if e4.ndim == 3:
-            e4 = T.reshape(e4, (1,) + e4.shape)
         n, c, h, w = e4.shape
         if c != self.cfg.global_channels:
             raise ValueError(
@@ -334,10 +302,6 @@ class GlobalLocalAttention(Module):
 
     def __call__(self, e2: Tensor, e4: Tensor):
         """Returns (local summary L, global summary G, block scores)."""
-        if e2.ndim == 3:
-            e2 = T.reshape(e2, (1,) + e2.shape)
-        if e4.ndim == 3:
-            e4 = T.reshape(e4, (1,) + e4.shape)
         cfg = self.cfg
         n = e2.shape[0]
         local_scores = self.local_channel_scores(e2)
@@ -372,7 +336,7 @@ class PlainPoolingHead(Module):
 
 
 class MotionNetwork(Module):
-    """Full assembly: shared stage-1 encoder on both sequences, patch
+    """Full assembly: shared stage-1 encoder on every frame, patch
     correlation, stages 2-4, attention, dual LSTM estimators, fusion."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -398,19 +362,27 @@ class MotionNetwork(Module):
 
     def forward_window(self, frames, diagnostics: bool = False,
                        state=None, return_state: bool = False):
-        """Run consecutive-frame windows, encoding each frame once.
+        """Run a batch of consecutive-frame windows.
 
-        ``frames`` is (batch, steps+1, h, w); pair t is (frame t, frame
-        t+1). Numerically identical to forward(frames[:, :-1],
-        frames[:, 1:]) but the stage-1 encoder runs once per distinct
-        frame instead of twice.
+        ``frames`` is (batch, steps+1, h, w); step t is (frame t, frame
+        t+1), and the stage-1 encoder runs once per frame. Returns a dict
+        with fused / per-branch motion tensors (batch, steps, 6), triplet
+        embeddings and, when ``diagnostics`` is set, per-step attention
+        scores. ``state`` carries LSTM context across chunks of one long
+        sequence.
         """
         frames = frames if isinstance(frames, Tensor) else Tensor(np.asarray(frames))
         if frames.ndim != 4 or frames.shape[1] < 2:
             raise ValueError(
                 f"expected (batch, steps+1, h, w) with >= 2 frames, got {frames.shape}"
             )
-        self._check_frames(frames)
+        if frames.shape[-1] != frames.shape[-2]:
+            raise ValueError(f"frames must be square, got {frames.shape}")
+        if frames.shape[-1] != self.config.frame_extent:
+            raise ValueError(
+                f"model expects {self.config.frame_extent}px frames, "
+                f"got {frames.shape[-1]}px"
+            )
         b, total, h, w = frames.shape
         steps = total - 1
         e1 = self.stage1(T.reshape(frames, (b * total, 1, h, w)))
@@ -418,63 +390,6 @@ class MotionNetwork(Module):
         e1 = T.reshape(e1, (b, total, c1, eh, ew))
         e1a = T.reshape(e1[:, :-1], (b * steps, c1, eh, ew))
         e1b = T.reshape(e1[:, 1:], (b * steps, c1, eh, ew))
-        return self._head(e1a, e1b, b, steps, diagnostics, state, return_state)
-
-    # -- encoder ---------------------------------------------------------
-    def _check_frames(self, seq: Tensor) -> None:
-        if seq.shape[-1] != seq.shape[-2]:
-            raise ValueError(f"frames must be square, got {seq.shape}")
-        if seq.shape[-1] != self.config.frame_extent:
-            raise ValueError(
-                f"model expects {self.config.frame_extent}px frames, "
-                f"got {seq.shape[-1]}px"
-            )
-
-    def encode_pairs(self, seq_a: Tensor, seq_b: Tensor):
-        """Per-pair features: (local map, deep map, attention outputs)."""
-        e1a = self.stage1(seq_a)
-        e1b = self.stage1(seq_b)
-        return self._attend(e1a, e1b)
-
-    def _attend(self, e1a: Tensor, e1b: Tensor):
-        corr = correlate_batch(e1a, e1b, self.config.corr_config)
-        n, gy, gx, d, _ = corr.shape
-        corr_maps = T.transpose(
-            T.reshape(corr, (n, gy * gx, d * d)), (0, 2, 1)
-        )
-        corr_maps = T.reshape(corr_maps, (n, d * d, gy, gx))
-        e2 = self.stage2(T.concat([e1a, e1b], axis=1))
-        e3 = self.stage3(e2)
-        e4 = self.stage4(T.concat([corr_maps, e3], axis=1))
-        return self.attention(e2, e4)
-
-    # -- sequence forward --------------------------------------------------
-    def forward(self, seq_a, seq_b, diagnostics: bool = False,
-                state=None, return_state: bool = False):
-        """Run a batch of aligned windows.
-
-        ``seq_a``/``seq_b`` are (batch, steps, h, w): frame i and frame
-        i+1 of each pair. Returns a dict with fused / per-branch motion
-        tensors (batch, steps, 6), triplet embeddings and, when
-        ``diagnostics`` is set, per-step attention scores. ``state``
-        carries LSTM context across chunks of one long sequence.
-        """
-        seq_a = seq_a if isinstance(seq_a, Tensor) else Tensor(np.asarray(seq_a))
-        seq_b = seq_b if isinstance(seq_b, Tensor) else Tensor(np.asarray(seq_b))
-        if seq_a.shape != seq_b.shape:
-            raise ValueError(
-                f"sequence shapes differ: {seq_a.shape} vs {seq_b.shape}"
-            )
-        if seq_a.ndim != 4:
-            raise ValueError(f"expected (batch, steps, h, w), got {seq_a.shape}")
-        self._check_frames(seq_a)
-        b, steps, h, w = seq_a.shape
-        e1a = self.stage1(T.reshape(seq_a, (b * steps, 1, h, w)))
-        e1b = self.stage1(T.reshape(seq_b, (b * steps, 1, h, w)))
-        return self._head(e1a, e1b, b, steps, diagnostics, state, return_state)
-
-    def _head(self, e1a: Tensor, e1b: Tensor, b: int, steps: int,
-              diagnostics: bool, state, return_state: bool):
         local, global_, scores = self._attend(e1a, e1b)
         feat = self.config.encoder_channels[3] * self.config.stage_extent(3) ** 2
         gf = T.reshape(global_, (b, steps, feat))
@@ -516,29 +431,17 @@ class MotionNetwork(Module):
             out["state"] = (hg, cg, hl, cl)
         return out
 
-    def estimate(self, seq_a, seq_b) -> list:
-        """Single-window convenience wrapper returning MotionEstimate
-        objects, one per step."""
-        seq_a = np.asarray(seq_a, dtype=float)
-        seq_b = np.asarray(seq_b, dtype=float)
-        if seq_a.ndim != 3 or seq_b.ndim != 3:
-            raise ValueError("estimate() takes (steps, h, w) sequences")
-        if seq_a.shape[0] != seq_b.shape[0]:
-            raise ValueError(
-                f"mismatched sequence lengths: {seq_a.shape[0]} vs {seq_b.shape[0]}"
-            )
-        with T.no_grad():
-            out = self.forward(seq_a[None], seq_b[None])
-        estimates = []
-        for t in range(seq_a.shape[0]):
-            estimates.append(
-                MotionEstimate(
-                    global_motion=PoseVector.from_array(out["global6"].data[0, t]),
-                    local_motion=PoseVector.from_array(out["local6"].data[0, t]),
-                    fused=PoseVector.from_array(out["fused"].data[0, t]),
-                )
-            )
-        return estimates
+    def _attend(self, e1a: Tensor, e1b: Tensor):
+        corr = correlate_batch(e1a, e1b, self.config.corr_config)
+        n, gy, gx, d, _ = corr.shape
+        corr_maps = T.transpose(
+            T.reshape(corr, (n, gy * gx, d * d)), (0, 2, 1)
+        )
+        corr_maps = T.reshape(corr_maps, (n, d * d, gy, gx))
+        e2 = self.stage2(T.concat([e1a, e1b], axis=1))
+        e3 = self.stage3(e2)
+        e4 = self.stage4(T.concat([corr_maps, e3], axis=1))
+        return self.attention(e2, e4)
 
     def infer_scan(self, frames: np.ndarray, chunk: int = 16,
                    diagnostics: bool = False):

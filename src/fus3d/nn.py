@@ -242,25 +242,36 @@ def save_checkpoint(path, arrays: dict, config: dict | None = None) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint, returning (arrays, config)."""
+    """Read a checkpoint, returning (arrays, config).
+
+    Raises EOFError when the file ends before a field its header promises.
+    """
     with open(path, "rb") as handle:
         blob = handle.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    offset = 4
+    offset = 0
+
+    def take(size: int) -> int:
+        """Offset of the next ``size`` bytes, which must lie in the file."""
+        nonlocal offset
+        if offset + size > len(blob):
+            raise EOFError(f"{path}: truncated, expected at least "
+                           f"{offset + size} bytes, got {len(blob)}")
+        offset += size
+        return offset - size
 
     def read_u32() -> int:
-        nonlocal offset
-        (value,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
+        (value,) = struct.unpack_from("<I", blob, take(4))
         return value
 
+    take(4)
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
     version = read_u32()
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     config_len = read_u32()
-    config_text = blob[offset : offset + config_len].decode("utf-8")
-    offset += config_len
+    start = take(config_len)
+    config_text = blob[start : offset].decode("utf-8")
     config = {}
     for line in config_text.splitlines():
         if line:
@@ -268,13 +279,12 @@ def load_checkpoint(path):
             config[key] = value
     arrays = {}
     for _ in range(read_u32()):
-        name_len = read_u32()
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
+        start = take(read_u32())
+        name = blob[start : offset].decode("utf-8")
         rank = read_u32()
         shape = tuple(read_u32() for _ in range(rank))
         count = int(np.prod(shape)) if shape else 1
-        payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
+        payload = np.frombuffer(blob, dtype="<f8", count=count,
+                                offset=take(count * 8))
         arrays[name] = payload.reshape(shape).astype(np.float64)
     return arrays, config

@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 FRAMES_MAGIC = b"FUS1"
+FRAMES_HEADER_BYTES = 28
 DEFAULT_PITCH_MM = 0.1484
 DEFAULT_FRAME_RATE_HZ = 20.0
 # Rayleigh envelope from fully developed speckle: mean/std = sqrt(pi/(4-pi))
@@ -332,13 +333,22 @@ def write_scan(directory, scan: ScanSequence, force: bool = False) -> Path:
 
 def read_scan(directory) -> ScanSequence:
     directory = Path(directory)
-    with open(directory / "frames.bin", "rb") as handle:
+    path = directory / "frames.bin"
+    with open(path, "rb") as handle:
         blob = handle.read()
+    if len(blob) < FRAMES_HEADER_BYTES:
+        raise EOFError(f"{path}: truncated, expected at least "
+                       f"{FRAMES_HEADER_BYTES} bytes, got {len(blob)}")
     if blob[:4] != FRAMES_MAGIC:
-        raise ValueError(f"{directory}/frames.bin: bad magic")
+        raise ValueError(f"{path}: bad magic")
     n, rows, cols = struct.unpack_from("<III", blob, 4)
+    expected = FRAMES_HEADER_BYTES + 4 * n * rows * cols
+    if len(blob) < expected:
+        raise EOFError(f"{path}: truncated, expected {expected} bytes for "
+                       f"{n} {rows}x{cols} frames, got {len(blob)}")
     pitch_a, pitch_l, rate = struct.unpack_from("<fff", blob, 16)
-    frames = np.frombuffer(blob, dtype="<f4", count=n * rows * cols, offset=28)
+    frames = np.frombuffer(blob, dtype="<f4", count=n * rows * cols,
+                           offset=FRAMES_HEADER_BYTES)
     frames = frames.reshape(n, rows, cols).astype(np.float64)
     poses = read_pose_csv(directory / "poses.csv")
     transforms = [pose_to_transform(p) for p in poses]

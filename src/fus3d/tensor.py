@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "no_grad",
-    "is_grad_enabled",
     "add",
     "sub",
     "mul",
@@ -37,8 +36,6 @@ __all__ = [
     "tensor_abs",
     "sqrt",
     "conv2d",
-    "max_pool2d",
-    "avg_pool2d",
     "adaptive_avg_pool2d",
     "cosine_similarity",
     "backward",
@@ -57,10 +54,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 class Tensor:
@@ -536,58 +529,6 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         return dx, dw
 
     return _node(data, parents, vjp)
-
-
-def _pool_windows(x: np.ndarray, extent: int, stride: int):
-    n, c, h, w = x.shape
-    ho = (h - extent) // stride + 1
-    wo = (w - extent) // stride + 1
-    view = np.lib.stride_tricks.sliding_window_view(x, (extent, extent), axis=(2, 3))
-    return view[:, :, ::stride, ::stride], ho, wo
-
-
-def max_pool2d(x, extent: int, stride: int | None = None) -> Tensor:
-    x = _as_tensor(x)
-    if x.ndim != 4:
-        raise ValueError(f"max_pool2d needs a 4-d input, got {x.shape}")
-    stride = extent if stride is None else stride
-    windows, ho, wo = _pool_windows(x.data, extent, stride)
-    flat = windows.reshape(*windows.shape[:4], extent * extent)
-    arg = flat.argmax(axis=-1)
-    data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-
-    def vjp(g):
-        n, c = x.shape[0], x.shape[1]
-        grad = np.zeros(x.shape)
-        ki, kj = np.unravel_index(arg, (extent, extent))
-        rows = (np.arange(ho) * stride)[None, None, :, None] + ki
-        cols = (np.arange(wo) * stride)[None, None, None, :] + kj
-        bi = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        np.add.at(grad, (bi, ci, rows, cols), g)
-        return (grad,)
-
-    return _node(data, (x,), vjp)
-
-
-def avg_pool2d(x, extent: int, stride: int | None = None) -> Tensor:
-    x = _as_tensor(x)
-    if x.ndim != 4:
-        raise ValueError(f"avg_pool2d needs a 4-d input, got {x.shape}")
-    stride = extent if stride is None else stride
-    windows, ho, wo = _pool_windows(x.data, extent, stride)
-    data = windows.mean(axis=(-2, -1))
-    scale = 1.0 / (extent * extent)
-
-    def vjp(g):
-        grad = np.zeros(x.shape)
-        gs = g * scale
-        for i in range(extent):
-            for j in range(extent):
-                grad[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gs
-        return (grad,)
-
-    return _node(data, (x,), vjp)
 
 
 def adaptive_avg_pool2d(x, target: int | tuple) -> Tensor:

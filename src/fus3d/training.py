@@ -40,7 +40,6 @@ __all__ = [
     "window_motions",
     "validation_mmae",
     "validation_report",
-    "constant_predictor_report",
     "infer_trajectory",
 ]
 
@@ -148,7 +147,7 @@ def _batch_loss(model: MotionNetwork, scans, batch, config: TrainConfig):
         emb = out["embeddings"][b]
         hinges = [
             triplet_loss(emb[a], emb[p], emb[n])
-            for a, p, n in select_triplets(None, truth[b])
+            for a, p, n in select_triplets(truth[b])
         ]
         t_terms.append(T.tensor_mean(T.stack(hinges)))
     parts = (
@@ -157,6 +156,23 @@ def _batch_loss(model: MotionNetwork, scans, batch, config: TrainConfig):
         T.tensor_mean(T.stack(t_terms)),
     )
     return total_loss(parts, config.loss_weights), parts
+
+
+def _train_step(model: MotionNetwork, optimizer: Adam, scans, batch,
+                config: TrainConfig, step: int) -> tuple:
+    """One optimizer step on one batch; returns the (mmae, corr, triplet,
+    total) loss values as floats, so the step's autodiff graph is freed
+    before the next step builds its own."""
+    loss, parts = _batch_loss(model, scans, batch, config)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise FloatingPointError(
+            f"non-finite training loss at step {step}: {value}"
+        )
+    model.zero_grad()
+    T.backward(loss)
+    optimizer.step()
+    return parts[0].item(), parts[1].item(), parts[2].item(), value
 
 
 def _val_windows(scan: ScanSequence, config: TrainConfig):
@@ -250,21 +266,11 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
             optimizer.set_epoch(epoch)
             batches = _epoch_batches(train_scans, config, epoch)
             while batch_idx < len(batches) and step < config.steps:
-                loss, parts = _batch_loss(
-                    model, train_scans, batches[batch_idx], config
-                )
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise FloatingPointError(
-                        f"non-finite training loss at step {step}: {value}"
-                    )
-                model.zero_grad()
-                T.backward(loss)
-                optimizer.step()
+                losses = _train_step(model, optimizer, train_scans,
+                                     batches[batch_idx], config, step)
                 step += 1
                 batch_idx += 1
-                row = (step, parts[0].item(), parts[1].item(),
-                       parts[2].item(), value, optimizer.lr)
+                row = (step, *losses, optimizer.lr)
                 log_rows.append(row)
                 if log_handle is not None:
                     log_handle.write(
@@ -319,29 +325,3 @@ def validation_report(model: MotionNetwork, val_scans) -> dict:
         for key in per_scan[0]
     }
     return {"per_scan": per_scan, "mean": mean}
-
-
-def constant_predictor_report(motion: np.ndarray, scans) -> dict:
-    """Metrics of a constant-motion predictor (zero or dataset mean)."""
-    pose_step = np.asarray(motion, dtype=float)
-    per_scan = []
-    for scan in scans:
-        from .pose import PoseVector
-
-        rel = [PoseVector.from_array(pose_step)] * (scan.n_frames - 1)
-        trajectory = accumulate([pose_to_transform(p) for p in rel])
-        report, _ = evaluate_trajectories(scan.truth, trajectory, scan.geometry)
-        per_scan.append(report.as_json_dict())
-    mean = {
-        key: float(np.mean([r[key] for r in per_scan]))
-        for key in per_scan[0]
-    }
-    return {"per_scan": per_scan, "mean": mean}
-
-
-def mean_training_motion(train_scans) -> np.ndarray:
-    """Component-wise mean relative motion over a set of scans."""
-    rows = []
-    for scan in train_scans:
-        rows.extend(p.as_array() for p in scan.truth_relative_poses())
-    return np.mean(rows, axis=0)

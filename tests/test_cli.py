@@ -1,6 +1,7 @@
 """CLI contract tests: command wiring, schemas, exit codes, determinism."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import simulate_scan
 
 from fus3d.cli import main
 from fus3d.compound import read_volume
+from fus3d.network import ModelConfig, MotionNetwork, save_model
 from fus3d.pose import read_pose_csv
 from fus3d.simulate import TrajectorySpec, read_scan, write_scan
 
@@ -105,6 +107,43 @@ class TestInfer:
         rel = read_pose_csv(tmp_path / "pred" / "pred_relative.csv")
         assert len(rel) == 23
         assert all(p.rx == 0.0 and p.ry == 0.0 and p.rz == 0.0 for p in rel)
+
+
+class TestTruncatedInputs:
+    @pytest.mark.parametrize("keep", [10, 1000])
+    def test_short_frames_file_is_runtime_error(self, scan_dir, tmp_path,
+                                                capsys, keep):
+        # 10 bytes end inside the 28-byte header, 1000 inside the frames
+        shutil.copytree(scan_dir, tmp_path / "scan")
+        frames = tmp_path / "scan" / "frames.bin"
+        blob = frames.read_bytes()
+        assert len(blob) == 28 + 4 * 24 * 64 * 64
+        frames.write_bytes(blob[:keep])
+        code = run("infer", "--scan", tmp_path / "scan", "--identity-debug",
+                   "--out", tmp_path / "pred")
+        assert code == 1
+        expected = (
+            "at least 28 bytes" if keep < 28
+            else f"{len(blob)} bytes for 24 64x64 frames"
+        )
+        assert (f"error: {frames}: truncated, expected {expected}, got {keep}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("cut", ["header", "payload"])
+    def test_short_checkpoint_is_runtime_error(self, scan_dir, tmp_path,
+                                               capsys, cut):
+        path = tmp_path / "model.ckpt"
+        save_model(path, MotionNetwork(ModelConfig.toy(), seed=0))
+        blob = path.read_bytes()
+        # 10 bytes end inside the u32 config length at bytes 8-11; the
+        # last record's payload ends the file
+        keep, needed = (10, 12) if cut == "header" else (len(blob) - 8, len(blob))
+        path.write_bytes(blob[:keep])
+        code = run("infer", "--scan", scan_dir, "--checkpoint", path,
+                   "--out", tmp_path / "pred")
+        assert code == 1
+        assert (f"error: {path}: truncated, expected at least {needed} bytes, "
+                f"got {keep}" in capsys.readouterr().err)
 
 
 class TestEvaluate:

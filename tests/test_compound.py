@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fus3d.compound import VolumeGrid, compound, fill_holes, read_volume, write_volume
+from fus3d.compound import VolumeGrid, compound, read_volume, write_volume
 from fus3d.pose import ImageGeometry, PoseVector, TransformSE3, pose_to_transform
 
 GEOM = ImageGeometry(8, 8, 0.1, 0.1)
@@ -106,43 +106,6 @@ class TestCompound:
     def test_bad_voxel_rejected(self):
         with pytest.raises(ValueError, match="voxel"):
             compound(np.zeros((1, 8, 8)), [TransformSE3.identity()], GEOM, 0.0)
-
-
-class TestFillHoles:
-    def test_dense_volume_unchanged(self):
-        rng = np.random.default_rng(6)
-        intensity = rng.uniform(0.1, 1.0, (4, 4, 4))
-        vol = VolumeGrid(intensity, np.ones((4, 4, 4), dtype=np.int64),
-                         np.zeros(3), 0.1)
-        filled = fill_holes(vol, radius_voxels=1)
-        np.testing.assert_array_equal(filled.intensity, vol.intensity)
-
-    def test_single_gap_between_equal_neighbors(self):
-        intensity = np.zeros((1, 1, 3))
-        counts = np.zeros((1, 1, 3), dtype=np.int64)
-        intensity[0, 0, 0] = intensity[0, 0, 2] = 0.7
-        counts[0, 0, 0] = counts[0, 0, 2] = 1
-        vol = VolumeGrid(intensity, counts, np.zeros(3), 0.1)
-        filled = fill_holes(vol, radius_voxels=1)
-        assert filled.intensity[0, 0, 1] == pytest.approx(0.7)
-        assert filled.counts[0, 0, 1] == 1
-
-    def test_alternating_slab_gaps_close(self):
-        # frames every 2 voxels leave empty slabs; radius-1 fill closes them
-        rng = np.random.default_rng(7)
-        frames = random_frames(rng, 5)
-        transforms = [pose_to_transform(PoseVector(tz=0.2 * i)) for i in range(5)]
-        vol = compound(frames, transforms, GEOM, voxel_mm=0.1)
-        filled = fill_holes(vol, radius_voxels=1)
-        # interior of the swept box (margins excluded)
-        core = (slice(1, -1), slice(1, -1), slice(1, -1))
-        assert (filled.counts[core] > 0).mean() >= 0.99
-
-    def test_radius_validated(self):
-        vol = VolumeGrid(np.zeros((2, 2, 2)), np.zeros((2, 2, 2), dtype=np.int64),
-                         np.zeros(3), 0.1)
-        with pytest.raises(ValueError, match="radius"):
-            fill_holes(vol, 0)
 
 
 class TestVolumeIO:

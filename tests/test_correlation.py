@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from gradcheck import check_gradients
 
-from fus3d.correlation import (
-    CorrConfig,
-    CorrelationVolume,
-    correlate,
-    correlate_batch,
-    mean_map,
-    write_mean_map_pgm,
-)
+from fus3d.correlation import CorrConfig, correlate_batch
 from fus3d.pgm import read_pgm16
 from fus3d.tensor import Tensor, backward, mul, tensor_sum
+
+
+def volume(a, b, cfg):
+    """(gy * gx, d, d) correlation arrays of one (c, h, w) map pair."""
+    out = correlate_batch(Tensor(a[None]), Tensor(b[None]), cfg).data
+    _, gy, gx, d, _ = out.shape
+    return out.reshape(gy * gx, d, d)
 
 
 def brute_force_volume(a, b, cfg):
@@ -67,9 +67,9 @@ class TestConfig:
 
     def test_default_grid_is_8x8_on_64px_maps(self):
         cfg = CorrConfig()
-        vol = correlate(np.zeros((1, 64, 64)), np.zeros((1, 64, 64)), cfg)
-        assert vol.grid_shape == (8, 8)
-        assert vol.n_rois == 64
+        out = correlate_batch(Tensor(np.zeros((1, 1, 64, 64))),
+                              Tensor(np.zeros((1, 1, 64, 64))), cfg)
+        assert out.shape[1:3] == (8, 8)
         assert cfg.displacement_extent == 5
 
     def test_for_map_extent(self):
@@ -79,7 +79,7 @@ class TestConfig:
 
     def test_roi_larger_than_map_rejected(self):
         with pytest.raises(ValueError, match="larger than feature map"):
-            correlate(np.zeros((1, 5, 5)), np.zeros((1, 5, 5)), SMALL)
+            volume(np.zeros((1, 5, 5)), np.zeros((1, 5, 5)), SMALL)
 
 
 class TestAgainstOracle:
@@ -90,7 +90,7 @@ class TestAgainstOracle:
         for _ in range(4):
             a = rng.standard_normal((2, 14, 16))
             b = rng.standard_normal((2, 14, 16))
-            got = correlate(a, b, cfg).as_array()
+            got = volume(a, b, cfg)
             np.testing.assert_allclose(got, brute_force_volume(a, b, cfg), atol=1e-12)
 
     def test_batch_equals_per_pair(self):
@@ -99,7 +99,7 @@ class TestAgainstOracle:
         b = rng.standard_normal((3, 2, 14, 14))
         batch = correlate_batch(Tensor(a), Tensor(b), SMALL).data
         for n in range(3):
-            single = correlate(a[n], b[n], SMALL).as_array()
+            single = volume(a[n], b[n], SMALL)
             gy, gx, d, _ = batch.shape[1:]
             np.testing.assert_array_equal(batch[n].reshape(gy * gx, d, d), single)
 
@@ -108,7 +108,7 @@ class TestSelfCorrelation:
     def test_center_peak_is_one(self):
         rng = np.random.default_rng(19)
         a = rng.standard_normal((2, 16, 16))
-        vol = correlate(a, a, SMALL).as_array()
+        vol = volume(a, a, SMALL)
         d = SMALL.displacement_extent
         center = (d - 1) // 2
         np.testing.assert_allclose(vol[:, center, center], 1.0, atol=1e-9)
@@ -117,7 +117,7 @@ class TestSelfCorrelation:
 
     def test_constant_maps_yield_zero(self):
         a = np.ones((1, 16, 16))
-        vol = correlate(a, a, SMALL).as_array()
+        vol = volume(a, a, SMALL)
         np.testing.assert_array_equal(vol, 0.0)
 
 
@@ -139,8 +139,7 @@ class TestShiftEquivariance:
             src[axis] = slice(-shift, None)
         b[tuple(dst)] = a[tuple(src)]
 
-        vol = correlate(a, b, SMALL)
-        arrays = vol.as_array()
+        arrays = volume(a, b, SMALL)
         oracle = brute_force_volume(a, b, SMALL)
         np.testing.assert_allclose(arrays, oracle, atol=1e-12)
 
@@ -158,7 +157,7 @@ class TestStatistics:
         for _ in range(50):
             a = rng.standard_normal((1, 14, 14))
             b = rng.standard_normal((1, 14, 14))
-            vol = correlate(a, b, SMALL).as_array()
+            vol = volume(a, b, SMALL)
             assert vol.max() <= 1.0 + 1e-12 and vol.min() >= -1.0 - 1e-12
 
     def test_independent_noise_is_weakly_correlated(self):
@@ -168,7 +167,7 @@ class TestStatistics:
         while len(values) < 64:
             a = rng.standard_normal((1, 24, 24))
             b = rng.standard_normal((1, 24, 24))
-            values.extend(np.abs(correlate(a, b, cfg).as_array()).ravel())
+            values.extend(np.abs(volume(a, b, cfg)).ravel())
         assert np.mean(values) < 0.2
 
 
@@ -309,22 +308,28 @@ class TestProperties:
 
 
 class TestMeanMap:
+    @staticmethod
+    def mean_map(a, b):
+        """Per-RoI mean correlation on the (gy, gx) RoI grid."""
+        return correlate_batch(Tensor(a[None]), Tensor(b[None]), SMALL).data[0].mean(
+            axis=(2, 3)
+        )
+
     def test_identical_inputs_give_constant_map(self):
         # content periodic with the RoI stride: every RoI sees the same
         # patch, so the stationary-pair map is exactly constant
         rng = np.random.default_rng(37)
         tile = rng.standard_normal((2, SMALL.roi_stride, SMALL.roi_stride))
         a = np.tile(tile, (1, 6, 6))[:, :16, :16]
-        vol = correlate(a, a, SMALL)
-        grid = mean_map(vol)
-        assert grid.shape == vol.grid_shape
+        grid = self.mean_map(a, a)
+        assert grid.shape == (4, 4)
         np.testing.assert_allclose(grid, grid.flat[0], atol=1e-12)
 
     def test_decorrelated_inputs_near_zero(self):
         rng = np.random.default_rng(41)
         a = rng.standard_normal((2, 20, 20))
         b = rng.standard_normal((2, 20, 20))
-        grid = mean_map(correlate(a, b, SMALL))
+        grid = self.mean_map(a, b)
         assert np.abs(grid).max() < 0.25
 
     def test_pgm_value_mapping(self, tmp_path):
@@ -335,20 +340,3 @@ class TestMeanMap:
         img = read_pgm16(path)
         # [-1, 1] maps affinely onto [0, 65535]; outside values clip
         np.testing.assert_array_equal(img, [[0, 32768, 65535], [0, 65535, 32768]])
-
-    def test_pgm_export_shape(self, tmp_path):
-        rng = np.random.default_rng(43)
-        a = rng.standard_normal((1, 16, 16))
-        vol = correlate(a, a, SMALL)
-        path = tmp_path / "map.pgm"
-        write_mean_map_pgm(path, vol)
-        img = read_pgm16(path)
-        assert img.shape == vol.grid_shape
-        expected = np.round(np.clip((mean_map(vol) + 1.0) / 2.0, 0, 1) * 65535)
-        np.testing.assert_array_equal(img, expected.astype(np.uint16))
-
-
-class TestVolumeType:
-    def test_grid_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            CorrelationVolume(values=Tensor(np.zeros((5, 3, 3))), grid_shape=(2, 2))

@@ -143,14 +143,14 @@ class TestTripletLoss:
 class TestSelectTriplets:
     def test_constructed_case(self):
         v = np.array([1.0, 0, 0, 0, 0, 0])
-        triples = select_triplets(None, np.stack([v, v, -v]))
+        triples = select_triplets(np.stack([v, v, -v]))
         assert triples[0] == (0, 1, 2)
 
     def test_ties_break_to_lowest_index(self):
         v = np.array([0, 1.0, 0, 0, 0, 0])
         # indices 1 and 2 tie as positives for anchor 0; 3 and 4 tie as negatives
         motions = np.stack([v, v, v, -v, -v])
-        a, p, n = select_triplets(None, motions)[0]
+        a, p, n = select_triplets(motions)[0]
         assert (p, n) == (1, 3)
 
     def test_random_batches_positive_at_least_negative(self):
@@ -159,17 +159,13 @@ class TestSelectTriplets:
             motions = rng.standard_normal((9, 6))
             norms = np.linalg.norm(motions, axis=1, keepdims=True)
             cos = (motions @ motions.T) / (norms * norms.T)
-            for a, p, n in select_triplets(None, motions):
+            for a, p, n in select_triplets(motions):
                 assert p != a and n != a
                 assert cos[a, p] >= cos[a, n]
 
     def test_needs_three_steps(self):
         with pytest.raises(ValueError, match="at least 3"):
-            select_triplets(None, np.zeros((2, 6)))
-
-    def test_feature_count_checked(self):
-        with pytest.raises(ValueError, match="does not match"):
-            select_triplets([0, 1], np.zeros((3, 6)))
+            select_triplets(np.zeros((2, 6)))
 
 
 class TestTotalLoss:

@@ -11,12 +11,10 @@ from fus3d.network import (
     GlaConfig,
     GlobalLocalAttention,
     ModelConfig,
-    MotionEstimate,
     MotionNetwork,
     export_attention_scores,
     load_model,
     save_model,
-    untile_blocks,
 )
 from fus3d.pgm import read_pgm16
 from fus3d.tensor import Tensor, backward
@@ -33,7 +31,6 @@ def tiny_model_config():
         frame_extent=8,
         encoder_channels=(2, 2, 2, 4),
         downsample=(2, 1, 2, 1),
-        seq_len=0,
         lstm_hidden=4,
         corr_roi=3,
         corr_patch=1,
@@ -119,8 +116,9 @@ class TestRecalibrateLocal:
         ones = Tensor(np.ones((2, 16)))
         blocks = self.gla.recalibrate_local(self.e2, ones)
         assert blocks.shape == (2, 16, 16, 4, 4)
-        rebuilt = untile_blocks(blocks, 16)
-        np.testing.assert_array_equal(rebuilt.data, self.e2.data)
+        # (n, gy * gx, c, e, e) back to (n, c, gy * e, gx * e)
+        rebuilt = blocks.data.reshape(2, 4, 4, 16, 4, 4).transpose(0, 3, 1, 4, 2, 5)
+        np.testing.assert_array_equal(rebuilt.reshape(2, 16, 16, 16), self.e2.data)
 
     def test_zero_scores_zero_blocks(self):
         zeros = Tensor(np.zeros((2, 16)))
@@ -239,37 +237,34 @@ class TestMotionNetwork:
     @pytest.mark.parametrize("s", [0, 4, 9])
     def test_output_count_matches_sequence_length(self, model, s):
         rng = np.random.default_rng(s)
-        seq_a = rng.uniform(0, 1, (s + 1, 64, 64))
-        seq_b = rng.uniform(0, 1, (s + 1, 64, 64))
-        estimates = model.estimate(seq_a, seq_b)
-        assert len(estimates) == s + 1
-        assert all(isinstance(e, MotionEstimate) for e in estimates)
+        frames = rng.uniform(0, 1, (s + 2, 64, 64))
+        out = model.forward_window(frames[None])
+        for key in ("fused", "global6", "local6"):
+            assert out[key].shape == (1, s + 1, 6)
 
     def test_fusion_is_mean_of_branches(self, model):
         rng = np.random.default_rng(20)
         seq = rng.uniform(0, 1, (3, 64, 64))
-        for est in model.estimate(seq, seq):
-            np.testing.assert_allclose(
-                est.fused.as_array(),
-                0.5 * (est.global_motion.as_array() + est.local_motion.as_array()),
-                atol=1e-12,
-            )
+        out = model.forward_window(seq[None])
+        np.testing.assert_allclose(
+            out["fused"].data,
+            0.5 * (out["global6"].data + out["local6"].data),
+            atol=1e-12,
+        )
 
     def test_sequence_reversal_changes_outputs(self, model):
+        # the same last step after the earlier frames in reverse order: the
+        # LSTM context differs, so the estimate does too
         rng = np.random.default_rng(21)
-        seq_a = rng.uniform(0, 1, (5, 64, 64))
-        seq_b = rng.uniform(0, 1, (5, 64, 64))
-        fwd = model.estimate(seq_a, seq_b)
-        rev = model.estimate(seq_a[::-1], seq_b[::-1])
-        assert not np.allclose(fwd[-1].fused.as_array(), rev[0].fused.as_array())
-
-    def test_mismatched_lengths_rejected(self, model):
-        with pytest.raises(ValueError, match="mismatch"):
-            model.estimate(np.zeros((3, 64, 64)), np.zeros((4, 64, 64)))
+        seq = rng.uniform(0, 1, (5, 64, 64))
+        rev = np.concatenate([seq[2::-1], seq[3:]])
+        fwd = model.forward_window(seq[None])["fused"].data
+        back = model.forward_window(rev[None])["fused"].data
+        assert not np.allclose(fwd[0, -1], back[0, -1])
 
     def test_non_square_frames_rejected(self, model):
         with pytest.raises(ValueError, match="square"):
-            model.forward(np.zeros((1, 2, 64, 32)), np.zeros((1, 2, 64, 32)))
+            model.forward_window(np.zeros((1, 2, 64, 32)))
 
     def test_shared_first_stage_is_one_parameter_set(self, model):
         names = [n for n, _ in model.named_parameters()]
@@ -293,16 +288,10 @@ class TestMotionNetwork:
         rng = np.random.default_rng(23)
         seq_a = rng.uniform(0, 1, (1, 3, 64, 64))
         seq_b = rng.uniform(0, 1, (1, 3, 64, 64))
-        out1 = MotionNetwork(ModelConfig.toy(), seed=3).forward(seq_a, seq_b)
-        out2 = MotionNetwork(ModelConfig.toy(), seed=3).forward(seq_a, seq_b)
+        frames = np.concatenate([seq_a, seq_b], axis=1)
+        out1 = MotionNetwork(ModelConfig.toy(), seed=3).forward_window(frames)
+        out2 = MotionNetwork(ModelConfig.toy(), seed=3).forward_window(frames)
         np.testing.assert_array_equal(out1["fused"].data, out2["fused"].data)
-
-    def test_window_forward_equals_pair_forward(self, model):
-        rng = np.random.default_rng(24)
-        frames = rng.uniform(0, 1, (2, 5, 64, 64))
-        paired = model.forward(frames[:, :-1], frames[:, 1:])
-        windowed = model.forward_window(frames)
-        np.testing.assert_array_equal(paired["fused"].data, windowed["fused"].data)
 
     def test_infer_scan_chunking_invariant(self, model):
         rng = np.random.default_rng(25)
@@ -330,10 +319,11 @@ class TestFullModelGradients:
         rng = np.random.default_rng(27)
         seq_a = rng.uniform(0.0, 1.0, (1, 1, 8, 8))
         seq_b = rng.uniform(0.0, 1.0, (1, 1, 8, 8))
+        frames = np.concatenate([seq_a, seq_b], axis=1)
         weights = rng.standard_normal(6)
 
         def loss_value():
-            out = model.forward(seq_a, seq_b)
+            out = model.forward_window(frames)
             return T.tensor_sum(T.mul(out["fused"], weights))
 
         model.zero_grad()
@@ -393,3 +383,20 @@ class TestModelCheckpoint:
             model.forward_window(frames)["fused"].data,
             loaded.forward_window(frames)["fused"].data,
         )
+
+    def test_loads_checkpoints_with_retired_config_keys(self, tmp_path):
+        # older checkpoints also carry seq_len and fusion, which the model
+        # config no longer has; loading ignores them
+        model = MotionNetwork(ModelConfig.toy(), seed=12)
+        path = tmp_path / "old.ckpt"
+        save_model(path, model, extra_config={"seq_len": "8", "fusion": "mean"})
+        loaded, _, config = load_model(path)
+        assert (config["seq_len"], config["fusion"]) == ("8", "mean")
+        assert loaded.config == model.config
+        rng = np.random.default_rng(31)
+        frames = rng.uniform(0, 1, (1, 4, 64, 64))
+        for key in ("fused", "global6", "local6"):
+            np.testing.assert_array_equal(
+                model.forward_window(frames)[key].data,
+                loaded.forward_window(frames)[key].data,
+            )

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import GEOM64, simulate_scan
 
-from fus3d.correlation import CorrConfig, correlate, mean_map
+from fus3d.correlation import CorrConfig, correlate_batch
 from fus3d.pose import (
     ImageGeometry,
     PoseVector,
@@ -26,6 +26,7 @@ from fus3d.simulate import (
     slice_phantom,
     write_scan,
 )
+from fus3d.tensor import Tensor
 
 
 def frame_ncc(a: np.ndarray, b: np.ndarray) -> float:
@@ -178,8 +179,9 @@ class TestCorrelationOnSpeckle:
         ]
         frames = slice_phantom(small_phantom, Trajectory(tuple(transforms)), GEOM64)
         cfg = CorrConfig()
-        near = mean_map(correlate(frames[0][None], frames[1][None], cfg)).mean()
-        far = mean_map(correlate(frames[0][None], frames[2][None], cfg)).mean()
+        maps = frames[:, None]  # (3, 1, 64, 64)
+        near = correlate_batch(Tensor(maps[:1]), Tensor(maps[1:2]), cfg).data.mean()
+        far = correlate_batch(Tensor(maps[:1]), Tensor(maps[2:]), cfg).data.mean()
         assert far < near
 
 

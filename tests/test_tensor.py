@@ -50,16 +50,6 @@ class TestForwardSemantics:
         with pytest.raises(ValueError, match=r"\(2, 3\) vs \(4, 2\)"):
             T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
 
-    def test_max_pool_values(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-        out = T.max_pool2d(x, 2)
-        np.testing.assert_array_equal(out.data.reshape(2, 2), [[5, 7], [13, 15]])
-
-    def test_avg_pool_values(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-        out = T.avg_pool2d(x, 2)
-        np.testing.assert_array_equal(out.data.reshape(2, 2), [[2.5, 4.5], [10.5, 12.5]])
-
     def test_adaptive_pool_matches_full_mean(self):
         rng = np.random.default_rng(2)
         x = Tensor(rand(rng, 2, 3, 6, 6))
@@ -258,14 +248,6 @@ class TestPrimitiveGradients:
         check_gradients(
             lambda t: T.conv2d(t[0], t[1]),
             [rand(self.rng, 1, 2, 4, 4), rand(self.rng, 3, 2, 2, 2)],
-        )
-
-    def test_max_pool(self):
-        check_gradients(lambda t: T.max_pool2d(t[0], 2), [rand(self.rng, 2, 2, 4, 4)])
-
-    def test_avg_pool(self):
-        check_gradients(
-            lambda t: T.avg_pool2d(t[0], 2, stride=1), [rand(self.rng, 1, 2, 4, 4)]
         )
 
     def test_adaptive_avg_pool_divisible(self):

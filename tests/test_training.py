@@ -1,19 +1,22 @@
 """Training-harness tests: dataset splits, sampling determinism, loss
 descent on a short run, bit-exact resume, and log format."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from conftest import simulate_scan
 
+from fus3d import training
 from fus3d.losses import LossWeights
 from fus3d.network import ModelConfig, MotionNetwork, load_model
 from fus3d.simulate import TrajectorySpec
+from fus3d.tensor import Tensor
 from fus3d.training import (
     ScanDataset,
     TrainConfig,
     _epoch_batches,
-    mean_training_motion,
     train,
     validation_mmae,
     window_motions,
@@ -192,8 +195,20 @@ class TestHelpers:
         value = validation_mmae(model, small_dataset[3:], quick_config())
         assert value > 0.0
 
-    def test_mean_training_motion(self, small_dataset):
-        mean = mean_training_motion(small_dataset)
-        assert mean.shape == (6,)
-        # linear elevational scans: mean elevational step is positive
-        assert mean[2] > 0.1
+
+class TestStepMemory:
+    def test_previous_step_graph_is_released(self, small_dataset, monkeypatch):
+        # live tensors as each step starts building its loss: a step's
+        # autodiff graph must be gone once its log row is written
+        counts = []
+        batch_loss = training._batch_loss
+
+        def counting_batch_loss(*args):
+            counts.append(sum(isinstance(o, Tensor) for o in gc.get_objects()))
+            return batch_loss(*args)
+
+        monkeypatch.setattr(training, "_batch_loss", counting_batch_loss)
+        model = MotionNetwork(ModelConfig.toy(), seed=2)
+        train(model, small_dataset[:3], small_dataset[3:], quick_config(steps=4))
+        assert len(counts) == 4
+        assert max(counts[1:]) <= counts[0]
