@@ -196,7 +196,7 @@ def calibrate(pairs, patch_grid: tuple = DEFAULT_PATCH_GRID,
 
 def calibration_pairs_from_scan(scan, lags=(1, 2, 3, 4)) -> list:
     """Held-out calibration pairs from a simulated scan with known poses."""
-    centers = np.stack([t.translation for t in scan.truth])
+    centers = scan.truth.translations
     out = []
     for lag in lags:
         for i in range(0, scan.n_frames - lag, max(1, lag)):

@@ -9,6 +9,7 @@ its outputs so runs can be reproduced exactly. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -276,8 +277,9 @@ def cmd_evaluate(args) -> int:
     truth = _trajectory_from_csv(args.truth)
     pred = _trajectory_from_csv(args.pred)
     scan = read_scan(args.scan)
-    report, _ = evaluate_trajectories(truth, pred, scan.geometry)
+    report, breakdown = evaluate_trajectories(truth, pred, scan.geometry)
     payload = report.as_json_dict()
+    payload["breakdown"] = dataclasses.asdict(breakdown)
     with open(out / "report.json", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -27,6 +27,7 @@ from .pose import ImageGeometry, TransformSE3, frame_grid_points
 __all__ = ["VolumeGrid", "compound", "write_volume", "read_volume"]
 
 VOLUME_MAGIC = b"FVL1"
+VOLUME_HEADER_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,21 @@ def read_volume(path):
     path = Path(path)
     with open(path, "rb") as handle:
         blob = handle.read()
+    if len(blob) < VOLUME_HEADER_BYTES:
+        raise EOFError(f"{path}: truncated, expected at least "
+                       f"{VOLUME_HEADER_BYTES} bytes, got {len(blob)}")
     if blob[:4] != VOLUME_MAGIC:
         raise ValueError(f"{path}: bad volume magic")
     dims = struct.unpack_from("<III", blob, 4)
+    count = dims[0] * dims[1] * dims[2]
+    expected = VOLUME_HEADER_BYTES + 4 * count
+    if len(blob) < expected:
+        raise EOFError(f"{path}: truncated, expected {expected} bytes for a "
+                       f"{dims[0]}x{dims[1]}x{dims[2]} volume, got {len(blob)}")
     (voxel_mm,) = struct.unpack_from("<f", blob, 16)
     origin = np.array(struct.unpack_from("<fff", blob, 20))
-    count = dims[0] * dims[1] * dims[2]
-    voxels = np.frombuffer(blob, dtype="<f4", count=count, offset=32)
+    voxels = np.frombuffer(blob, dtype="<f4", count=count,
+                           offset=VOLUME_HEADER_BYTES)
     intensity = voxels.reshape(dims, order="F").astype(np.float64)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     sidecar = {}

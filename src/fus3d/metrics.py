@@ -20,11 +20,10 @@ import numpy as np
 
 from .pose import (
     ImageGeometry,
-    PoseVector,
     TransformSE3,
-    frame_grid_points,
-    relative_transform,
-    transform_to_pose,
+    pose_arrays,
+    relative_arrays,
+    stack_transforms,
 )
 
 __all__ = [
@@ -85,24 +84,40 @@ class MetricsBreakdown:
     aae_rotation_deg: float
 
 
-def _pose_matrix(poses: Sequence[PoseVector]) -> np.ndarray:
+def _pose_matrix(poses) -> np.ndarray:
+    if isinstance(poses, np.ndarray):
+        return poses
     return np.stack([p.as_array() for p in poses])
 
 
-def relative_errors(true_rel: Sequence[PoseVector],
-                    pred_rel: Sequence[PoseVector]) -> float:
-    """rAE: mean absolute error over all steps and all six components."""
+def relative_errors(true_rel, pred_rel) -> float:
+    """rAE: mean absolute error over all steps and all six components.
+
+    Each argument is an (n, 6) array of pose vectors or a sequence of
+    :class:`PoseVector`.
+    """
     if len(true_rel) != len(pred_rel):
         raise ValueError(
             f"length mismatch: {len(true_rel)} true vs {len(pred_rel)} predicted"
         )
-    if not true_rel:
+    if len(true_rel) == 0:
         raise ValueError("relative_errors needs at least one step")
     return float(np.abs(_pose_matrix(true_rel) - _pose_matrix(pred_rel)).mean())
 
 
-def _grid(geometry: ImageGeometry) -> np.ndarray:
-    return geometry.corner_and_center_pixels()
+def _plane(geometry: ImageGeometry) -> np.ndarray:
+    """In-plane mm coordinates of the five grid points of a frame."""
+    return geometry.pixel_to_plane(geometry.corner_and_center_pixels())
+
+
+def _point_errors(true, pred, plane: np.ndarray) -> np.ndarray:
+    """Mean grid-point distance per frame between two (rotations,
+    translations) stacks."""
+    (rot_t, tra_t), (rot_p, tra_p) = true, pred
+    diff = (plane @ np.swapaxes(rot_t, 1, 2) + tra_t[:, None, :]) - (
+        plane @ np.swapaxes(rot_p, 1, 2) + tra_p[:, None, :]
+    )
+    return np.linalg.norm(diff, axis=2).mean(axis=1)
 
 
 def frame_error_series(true_abs: Sequence[TransformSE3],
@@ -113,27 +128,16 @@ def frame_error_series(true_abs: Sequence[TransformSE3],
         raise ValueError(
             f"trajectory lengths differ: {len(true_abs)} vs {len(pred_abs)}"
         )
-    pixels = _grid(geometry)
-    out = np.empty(len(true_abs))
-    for i, (t, p) in enumerate(zip(true_abs, pred_abs)):
-        dt = frame_grid_points(t, geometry, pixels) - frame_grid_points(
-            p, geometry, pixels
-        )
-        out[i] = np.linalg.norm(dt, axis=1).mean()
-    return out
+    return _point_errors(stack_transforms(true_abs), stack_transforms(pred_abs),
+                         _plane(geometry))
 
 
-def _centers(transforms: Sequence[TransformSE3]) -> np.ndarray:
-    return np.stack([t.translation for t in transforms])
-
-
-def _trajectory_correlation(true_abs, pred_abs) -> float:
+def _trajectory_correlation(centers_true: np.ndarray,
+                            centers_pred: np.ndarray) -> float:
     """Cosine similarity of the mean-centered frame-center series,
     flattened over frames and axes. Zero-norm series give 0."""
-    ct = _centers(true_abs)
-    cp = _centers(pred_abs)
-    ct = (ct - ct.mean(axis=0)).ravel()
-    cp = (cp - cp.mean(axis=0)).ravel()
+    ct = (centers_true - centers_true.mean(axis=0)).ravel()
+    cp = (centers_pred - centers_pred.mean(axis=0)).ravel()
     # a single square root of the product is exactly ct @ ct for identical
     # series, so truth against itself gives corr 1.0, not 1 - 1 ulp
     denom = np.sqrt((ct @ ct) * (cp @ cp))
@@ -153,36 +157,27 @@ def accumulated_errors(true_abs: Sequence[TransformSE3],
         )
     if len(true_abs) < 2:
         raise ValueError("accumulated metrics need at least two frames")
+    true, pred = stack_transforms(true_abs), stack_transforms(pred_abs)
 
-    true_poses = _pose_matrix([transform_to_pose(t) for t in true_abs])
-    pred_poses = _pose_matrix([transform_to_pose(t) for t in pred_abs])
-    abs_err = np.abs(true_poses - pred_poses)
+    abs_err = np.abs(pose_arrays(*true) - pose_arrays(*pred))
     aae = float(abs_err.mean())
     aae_t = float(abs_err[:, :3].mean())
     aae_r = float(abs_err[:, 3:].mean())
 
-    pixels = _grid(geometry)
-    rfe_terms = []
-    for i in range(len(true_abs) - 1):
-        rel_t = relative_transform(true_abs[i], true_abs[i + 1])
-        rel_p = relative_transform(pred_abs[i], pred_abs[i + 1])
-        diff = frame_grid_points(rel_t, geometry, pixels) - frame_grid_points(
-            rel_p, geometry, pixels
-        )
-        rfe_terms.append(np.linalg.norm(diff, axis=1).mean())
-    rfe = float(np.mean(rfe_terms))
+    rfe = float(_point_errors(relative_arrays(*true), relative_arrays(*pred),
+                              _plane(geometry)).mean())
 
     series = frame_error_series(true_abs, pred_abs, geometry)
     afe = float(series.mean())
     fd = float(series[-1])
 
-    centers = _centers(true_abs)
+    centers = true[1]
     path_length = float(np.linalg.norm(np.diff(centers, axis=0), axis=1).sum())
     if path_length == 0.0:
         raise ValueError("true trajectory has zero length; fdr is undefined")
     fdr = 100.0 * fd / path_length
 
-    corr = _trajectory_correlation(true_abs, pred_abs)
+    corr = _trajectory_correlation(centers, pred[1])
     return (aae, rfe, afe, fd, fdr, corr), (aae_t, aae_r)
 
 
@@ -194,16 +189,10 @@ def evaluate_trajectories(true_abs: Sequence[TransformSE3],
     Relative poses are derived per step from the trajectories. Returns
     (MetricsReport, MetricsBreakdown).
     """
-    true_rel = [
-        transform_to_pose(relative_transform(true_abs[i], true_abs[i + 1]))
-        for i in range(len(true_abs) - 1)
-    ]
-    pred_rel = [
-        transform_to_pose(relative_transform(pred_abs[i], pred_abs[i + 1]))
-        for i in range(len(pred_abs) - 1)
-    ]
+    true_rel = pose_arrays(*relative_arrays(*stack_transforms(true_abs)))
+    pred_rel = pose_arrays(*relative_arrays(*stack_transforms(pred_abs)))
     rae = relative_errors(true_rel, pred_rel)
-    rel_err = np.abs(_pose_matrix(true_rel) - _pose_matrix(pred_rel))
+    rel_err = np.abs(true_rel - pred_rel)
     (aae, rfe, afe, fd, fdr, corr), (aae_t, aae_r) = accumulated_errors(
         true_abs, pred_abs, geometry
     )

@@ -29,7 +29,9 @@ __all__ = [
     "ImageGeometry",
     "pose_to_transform",
     "transform_to_pose",
-    "relative_transform",
+    "stack_transforms",
+    "relative_arrays",
+    "pose_arrays",
     "accumulate",
     "extract_relatives",
     "frame_grid_points",
@@ -51,6 +53,12 @@ def _wrap_deg(angle: float) -> float:
     if wrapped <= 0.0:
         wrapped += 360.0
     return wrapped - 180.0
+
+
+def _wrap_deg_array(angles: np.ndarray) -> np.ndarray:
+    """:func:`_wrap_deg` elementwise, with the same operations."""
+    wrapped = np.fmod(angles + 180.0, 360.0)
+    return np.where(wrapped <= 0.0, wrapped + 360.0, wrapped) - 180.0
 
 
 @dataclass(frozen=True)
@@ -138,6 +146,16 @@ class TransformSE3:
     def identity(cls) -> "TransformSE3":
         return cls(np.eye(3), np.zeros(3))
 
+    @classmethod
+    def _unchecked(cls, rotation: np.ndarray,
+                   translation: np.ndarray) -> "TransformSE3":
+        """An instance over read-only rows of a stack that already passed
+        :func:`_check_stack`."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "rotation", rotation)
+        object.__setattr__(obj, "translation", translation)
+        return obj
+
     def compose(self, other: "TransformSE3") -> "TransformSE3":
         """Return self after other: (self ∘ other) p = R_s (R_o p + t_o) + t_s."""
         return TransformSE3(
@@ -174,35 +192,99 @@ class TransformSE3:
 
     def reorthonormalized(self) -> "TransformSE3":
         """Snap the rotation back onto SO(3) via polar decomposition."""
-        u, _, vt = np.linalg.svd(self.rotation)
+        return TransformSE3(_polar(self.rotation), self.translation)
+
+
+def _polar(rotation: np.ndarray) -> np.ndarray:
+    """The rotation nearest to a 3x3 matrix (polar decomposition)."""
+    u, _, vt = np.linalg.svd(rotation)
+    rot = u @ vt
+    if np.linalg.det(rot) < 0.0:
+        u = u.copy()
+        u[:, -1] = -u[:, -1]
         rot = u @ vt
-        if np.linalg.det(rot) < 0.0:
-            u = u.copy()
-            u[:, -1] = -u[:, -1]
-            rot = u @ vt
-        return TransformSE3(rot, self.translation)
+    return rot
 
 
-@dataclass(frozen=True)
+def _check_stack(rotations: np.ndarray, translations: np.ndarray) -> None:
+    """The :class:`TransformSE3` checks on (n, 3, 3) rotations and (n, 3)
+    translations at once. Transforms the batched test flags are rebuilt
+    in order, so the first invalid one raises its constructor's error."""
+    finite = (np.isfinite(rotations).all(axis=(1, 2))
+              & np.isfinite(translations).all(axis=1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = np.swapaxes(rotations, 1, 2) @ rotations
+        err = np.abs(gram - np.eye(3)).max(axis=(1, 2))
+        det = np.linalg.det(rotations)
+    bad = ~finite | (err > _ROT_TOL) | (np.abs(det - 1.0) > _ROT_TOL)
+    for index in np.flatnonzero(bad):
+        TransformSE3(rotations[index], translations[index])
+
+
 class Trajectory:
-    """Absolute transforms per frame; element 0 is always the identity."""
+    """Absolute transforms per frame; element 0 is always the identity.
 
-    transforms: tuple
+    The transforms are held as stacked, read-only (n, 3, 3)
+    ``rotations`` and (n, 3) ``translations``; indexing and iterating
+    yield :class:`TransformSE3` views of their rows.
+    """
 
-    def __post_init__(self) -> None:
-        seq = tuple(self.transforms)
+    def __init__(self, transforms):
+        seq = tuple(transforms)
         if not seq:
             raise ValueError("trajectory must contain at least one transform")
-        first = seq[0]
+        self._store(*stack_transforms(seq))
+
+    @classmethod
+    def from_arrays(cls, rotations: np.ndarray,
+                    translations: np.ndarray) -> "Trajectory":
+        """A trajectory over stacked transforms, checked as
+        :class:`TransformSE3` checks each one."""
+        rotations = np.array(rotations, dtype=float)
+        translations = np.array(translations, dtype=float)
+        if rotations.ndim != 3 or rotations.shape[1:] != (3, 3) or (
+            translations.shape != (rotations.shape[0], 3)
+        ):
+            raise ValueError(f"expected (n, 3, 3) rotations and (n, 3) "
+                             f"translations, got {rotations.shape} and "
+                             f"{translations.shape}")
+        if rotations.shape[0] == 0:
+            raise ValueError("trajectory must contain at least one transform")
+        _check_stack(rotations, translations)
+        return cls._checked(rotations, translations)
+
+    @classmethod
+    def _checked(cls, rotations: np.ndarray,
+                 translations: np.ndarray) -> "Trajectory":
+        """A trajectory taking ownership of stacks that passed
+        :func:`_check_stack`."""
+        obj = cls.__new__(cls)
+        obj._store(rotations, translations)
+        return obj
+
+    def _store(self, rotations: np.ndarray, translations: np.ndarray) -> None:
         if (
-            np.abs(first.rotation - np.eye(3)).max() > _ROT_TOL
-            or np.abs(first.translation).max() > _ROT_TOL
+            np.abs(rotations[0] - np.eye(3)).max() > _ROT_TOL
+            or np.abs(translations[0]).max() > _ROT_TOL
         ):
             raise ValueError("trajectory element 0 must be the identity transform")
-        object.__setattr__(self, "transforms", seq)
+        rotations.flags.writeable = False
+        translations.flags.writeable = False
+        self.rotations = rotations
+        self.translations = translations
+        self._transforms = None
+
+    @property
+    def transforms(self) -> tuple:
+        if self._transforms is None:
+            self._transforms = tuple(
+                TransformSE3._unchecked(r, t)
+                for r, t in zip(self.rotations, self.translations)
+            )
+        return self._transforms
 
     def __len__(self) -> int:
-        return len(self.transforms)
+        return self.rotations.shape[0]
 
     def __getitem__(self, index):
         return self.transforms[index]
@@ -211,7 +293,7 @@ class Trajectory:
         return iter(self.transforms)
 
     def poses(self) -> list:
-        return [transform_to_pose(t) for t in self.transforms]
+        return _pose_vectors(self.rotations, self.translations)
 
 
 def pose_to_transform(pose: PoseVector) -> TransformSE3:
@@ -223,6 +305,22 @@ def pose_to_transform(pose: PoseVector) -> TransformSE3:
     return TransformSE3(rot, np.array([pose.tx, pose.ty, pose.tz]))
 
 
+def _euler_deg(r) -> tuple:
+    """(rx, ry, rz) in degrees, not yet wrapped, and the gimbal-lock flag
+    of a rotation given as its 9 row-major entries."""
+    cy = math.hypot(r[0], r[3])
+    ry = math.atan2(-r[6], cy)
+    if cy <= _GIMBAL_CY:
+        rx = 0.0
+        rz = math.atan2(-r[1], r[4])
+        locked = True
+    else:
+        rx = math.atan2(r[7], r[8])
+        rz = math.atan2(r[3], r[0])
+        locked = False
+    return math.degrees(rx), math.degrees(ry), math.degrees(rz), locked
+
+
 def transform_to_pose(transform: TransformSE3) -> PoseVector:
     """Extract the pose from a rigid transform.
 
@@ -230,55 +328,95 @@ def transform_to_pose(transform: TransformSE3) -> PoseVector:
     exactly. At |ry| = 90 deg the factorization is not unique; rx is set to
     0, the remaining rotation folds into rz and the result is flagged.
     """
-    r = transform.rotation
-    cy = math.hypot(r[0, 0], r[1, 0])
-    ry = math.atan2(-r[2, 0], cy)
-    if cy <= _GIMBAL_CY:
-        rx = 0.0
-        rz = math.atan2(-r[0, 1], r[1, 1])
-        locked = True
-    else:
-        rx = math.atan2(r[2, 1], r[2, 2])
-        rz = math.atan2(r[1, 0], r[0, 0])
-        locked = False
+    rx, ry, rz, locked = _euler_deg(transform.rotation.ravel().tolist())
     t = transform.translation
-    return PoseVector(
-        t[0], t[1], t[2],
-        math.degrees(rx), math.degrees(ry), math.degrees(rz),
-        gimbal_locked=locked,
-    )
+    return PoseVector(t[0], t[1], t[2], rx, ry, rz, gimbal_locked=locked)
 
 
-def relative_transform(t_i: TransformSE3, t_next: TransformSE3) -> TransformSE3:
-    """Step transform between adjacent frames: t_next ∘ t_i^-1."""
-    return t_next.compose(t_i.inverse())
+def _pose_vectors(rotations: np.ndarray, translations: np.ndarray) -> list:
+    """:func:`transform_to_pose` of each stacked transform."""
+    poses = []
+    for r, (tx, ty, tz) in zip(rotations.reshape(-1, 9).tolist(),
+                               translations.tolist()):
+        rx, ry, rz, locked = _euler_deg(r)
+        poses.append(PoseVector(tx, ty, tz, rx, ry, rz, gimbal_locked=locked))
+    return poses
+
+
+def pose_arrays(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
+    """(n, 6) pose vectors of stacked transforms: row i equals
+    ``transform_to_pose(t_i).as_array()`` bit for bit."""
+    angles = np.array(
+        [_euler_deg(r)[:3] for r in rotations.reshape(-1, 9).tolist()],
+        dtype=float,
+    ).reshape(-1, 3)
+    return np.concatenate([translations, _wrap_deg_array(angles)], axis=1)
+
+
+def stack_transforms(transforms) -> tuple:
+    """(n, 3, 3) rotations and (n, 3) translations of a sequence of
+    transforms; a :class:`Trajectory` hands over its own stacks."""
+    if isinstance(transforms, Trajectory):
+        return transforms.rotations, transforms.translations
+    seq = list(transforms)
+    if not seq:
+        return np.empty((0, 3, 3)), np.empty((0, 3))
+    return (np.stack([t.rotation for t in seq]),
+            np.stack([t.translation for t in seq]))
+
+
+def relative_arrays(rotations: np.ndarray, translations: np.ndarray) -> tuple:
+    """Step transforms t[i+1] ∘ t[i]^-1 of stacked transforms, as (n-1, 3, 3)
+    rotations and (n-1, 3) translations.
+
+    The products are those of ``t_next.compose(t_i.inverse())`` with the
+    same operand layouts, so each step is bit-identical to that form.
+    """
+    inv_rot = np.swapaxes(rotations[:-1], 1, 2)
+    inv_tra = -(inv_rot @ translations[:-1, :, None])
+    rot = rotations[1:] @ np.ascontiguousarray(inv_rot)
+    tra = (rotations[1:] @ inv_tra)[..., 0] + translations[1:]
+    return rot, tra
 
 
 def accumulate(relatives: Sequence[TransformSE3]) -> Trajectory:
     """Chain relative transforms into absolute ones.
 
     Element n+1 is rel[n] ∘ ... ∘ rel[0] ∘ I. The running product is
-    re-orthonormalized every 64 compositions to bound drift.
+    re-orthonormalized every 64 compositions to bound drift. Every product
+    passes the :class:`TransformSE3` checks, taken before
+    re-orthonormalization.
     """
     rels = list(relatives)
     if not rels:
         raise ValueError("accumulate needs at least one relative transform")
-    out = [TransformSE3.identity()]
-    current = out[0]
-    for n, rel in enumerate(rels, start=1):
-        current = rel.compose(current)
-        if n % _REORTHO_EVERY == 0:
-            current = current.reorthonormalized()
-        out.append(current)
-    return Trajectory(tuple(out))
+    rel_rot, rel_tra = stack_transforms(rels)
+    rot = np.empty((len(rels) + 1, 3, 3))
+    tra = np.empty((len(rels) + 1, 3))
+    rot[0] = np.eye(3)
+    tra[0] = 0.0
+    unsnapped = {}
+    for n in range(1, len(rels) + 1):
+        product = rel_rot[n - 1] @ rot[n - 1]
+        tra[n] = rel_rot[n - 1] @ tra[n - 1] + rel_tra[n - 1]
+        if n % _REORTHO_EVERY == 0 and np.isfinite(product).all():
+            unsnapped[n] = product
+            product = _polar(product)
+        rot[n] = product
+    checked = rot.copy()
+    for n, product in unsnapped.items():
+        checked[n] = product
+    _check_stack(checked, tra)
+    return Trajectory._checked(rot, tra)
 
 
 def extract_relatives(trajectory: Trajectory) -> list:
     """Per-step relatives of a trajectory (inverse of :func:`accumulate`)."""
-    return [
-        relative_transform(trajectory[i], trajectory[i + 1])
-        for i in range(len(trajectory) - 1)
-    ]
+    rot, tra = relative_arrays(*stack_transforms(trajectory))
+    _check_stack(rot, tra)
+    rot.flags.writeable = False
+    tra.flags.writeable = False
+    return [TransformSE3._unchecked(r, t) for r, t in zip(rot, tra)]
 
 
 @dataclass(frozen=True)

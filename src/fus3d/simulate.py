@@ -26,17 +26,18 @@ from .pose import (
     ImageGeometry,
     PoseVector,
     Trajectory,
-    TransformSE3,
     extract_relatives,
     frame_grid_points,
+    pose_arrays,
     pose_to_transform,
     read_pose_csv,
+    relative_arrays,
+    stack_transforms,
     transform_to_pose,
     write_pose_csv,
 )
 
 __all__ = [
-    "InclusionSpec",
     "PhantomSpec",
     "Phantom",
     "TrajectorySpec",
@@ -67,30 +68,11 @@ class FrameOutOfBoundsError(ValueError):
 
 
 @dataclass(frozen=True)
-class InclusionSpec:
-    """Embedded structure: 'ellipsoid' uses radii_mm per axis, 'tube' is a
-    cylinder along the elevational axis with radius radii_mm[0]. The
-    scatterer amplitude inside is scaled by ``amplitude`` (0 = anechoic)."""
-
-    kind: str
-    center_mm: tuple
-    radii_mm: tuple
-    amplitude: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("ellipsoid", "tube"):
-            raise ValueError(f"unknown inclusion kind {self.kind!r}")
-        if self.amplitude < 0:
-            raise ValueError("inclusion amplitude must be nonnegative")
-
-
-@dataclass(frozen=True)
 class PhantomSpec:
     extent_mm: tuple = (20.0, 20.0, 40.0)
     voxel_mm: float = 0.05
     psf_mm: tuple = (0.10, 0.18, 0.30)
     origin_mm: tuple | None = None
-    inclusions: tuple = ()
 
     def __post_init__(self) -> None:
         if any(e <= 0 for e in self.extent_mm):
@@ -107,8 +89,7 @@ class PhantomSpec:
     @classmethod
     def for_scan(cls, geometry: ImageGeometry, scan_length_mm: float,
                  margin_mm: float = 1.5, voxel_mm: float = 0.05,
-                 psf_mm: tuple = (0.10, 0.18, 0.30),
-                 inclusions: tuple = ()) -> "PhantomSpec":
+                 psf_mm: tuple = (0.10, 0.18, 0.30)) -> "PhantomSpec":
         """Size a phantom to cover frames of ``geometry`` swept from
         elevational 0 to ``scan_length_mm`` plus in-plane wiggle margin."""
         ex = geometry.n_rows * geometry.pitch_axial_mm + 2 * margin_mm
@@ -116,7 +97,7 @@ class PhantomSpec:
         ez = scan_length_mm + 2 * margin_mm
         origin = (-ex / 2.0, -ey / 2.0, -margin_mm)
         return cls(extent_mm=(ex, ey, ez), voxel_mm=voxel_mm, psf_mm=psf_mm,
-                   origin_mm=origin, inclusions=tuple(inclusions))
+                   origin_mm=origin)
 
 
 @dataclass(frozen=True)
@@ -131,32 +112,6 @@ class Phantom:
         return (np.asarray(points_mm, dtype=float) - self.origin_mm) / self.voxel_mm
 
 
-def _amplitude_map(spec: PhantomSpec, dims, origin) -> np.ndarray | None:
-    if not spec.inclusions:
-        return None
-    x = origin[0] + spec.voxel_mm * np.arange(dims[0])
-    y = origin[1] + spec.voxel_mm * np.arange(dims[1])
-    z = origin[2] + spec.voxel_mm * np.arange(dims[2])
-    amp = np.ones(dims)
-    for inc in spec.inclusions:
-        cx, cy, cz = inc.center_mm
-        if inc.kind == "ellipsoid":
-            rx, ry, rz = inc.radii_mm
-            mask = (
-                ((x[:, None, None] - cx) / rx) ** 2
-                + ((y[None, :, None] - cy) / ry) ** 2
-                + ((z[None, None, :] - cz) / rz) ** 2
-            ) <= 1.0
-        else:  # tube along the elevational axis
-            radius = inc.radii_mm[0]
-            mask = (
-                (x[:, None, None] - cx) ** 2 + (y[None, :, None] - cy) ** 2
-            ) <= radius**2
-            mask = np.broadcast_to(mask, dims)
-        amp = np.where(mask, inc.amplitude, amp)
-    return amp
-
-
 def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     """Fully developed speckle: complex white scatterers blurred by the
     anisotropic kernel, envelope-detected and scaled into [0, 1]."""
@@ -167,20 +122,15 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     else:
         origin = np.asarray(spec.origin_mm, dtype=float)
 
-    amp = _amplitude_map(spec, dims, origin)
     sigmas = tuple(s / spec.voxel_mm for s in spec.psf_mm)
     real = rng.standard_normal(dims)
     imag = rng.standard_normal(dims)
-    if amp is not None:
-        real *= amp
-        imag *= amp
     real = gaussian_filter(real, sigmas, mode="constant")
     imag = gaussian_filter(imag, sigmas, mode="constant")
     envelope = np.hypot(real, imag)
     # scale so the speckle mean sits at 0.25; the Rayleigh tail beyond 1
     # is ~1e-6 of voxels and is clipped
-    reference = envelope.mean() if amp is None else envelope[amp == 1.0].mean()
-    envelope = np.clip(envelope * (0.25 / reference), 0.0, 1.0)
+    envelope = np.clip(envelope * (0.25 / envelope.mean()), 0.0, 1.0)
     return Phantom(field=envelope, voxel_mm=spec.voxel_mm, origin_mm=origin)
 
 
@@ -242,20 +192,31 @@ def make_trajectory(spec: TrajectorySpec):
     )
     rot = rot + noise_r
 
-    raw = [
+    raw_rot, raw_tra = stack_transforms(
         pose_to_transform(PoseVector(tx[i], ty[i], tz[i], *rot[i]))
         for i in range(n)
-    ]
-    inv0 = raw[0].inverse()
-    absolute = [TransformSE3.identity()] + [t.compose(inv0) for t in raw[1:]]
-    trajectory = Trajectory(tuple(absolute))
+    )
+    # every frame after the first, composed with the first frame's inverse
+    inv0 = raw_rot[0].T
+    inv0_tra = -(inv0 @ raw_tra[0])
+    abs_rot = np.concatenate(
+        [np.eye(3)[None], raw_rot[1:] @ np.ascontiguousarray(inv0)]
+    )
+    abs_tra = np.concatenate(
+        [np.zeros((1, 3)), raw_rot[1:] @ inv0_tra + raw_tra[1:]]
+    )
+    trajectory = Trajectory.from_arrays(abs_rot, abs_tra)
     relatives = [transform_to_pose(t) for t in extract_relatives(trajectory)]
     return trajectory, relatives
 
 
 @dataclass(frozen=True)
 class ScanSequence:
-    """Frames plus geometry, frame rate and ground truth."""
+    """Frames plus geometry, frame rate and ground truth.
+
+    ``truth_motions`` holds the (n-1, 6) true relative pose vectors,
+    computed once from ``truth`` (read-only).
+    """
 
     frames: np.ndarray
     geometry: ImageGeometry
@@ -263,6 +224,7 @@ class ScanSequence:
     truth: Trajectory
     subject: str = ""
     meta: dict = field(default_factory=dict, compare=False)
+    truth_motions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.frames.ndim != 3:
@@ -275,6 +237,9 @@ class ScanSequence:
             raise ValueError("frame shape does not match geometry")
         if self.frames.min() < 0.0 or self.frames.max() > 1.0:
             raise ValueError("frame intensities must lie in [0, 1]")
+        motions = pose_arrays(*relative_arrays(*stack_transforms(self.truth)))
+        motions.flags.writeable = False
+        object.__setattr__(self, "truth_motions", motions)
 
     @property
     def n_frames(self) -> int:

@@ -11,6 +11,7 @@ counters for exact resume.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +45,8 @@ __all__ = [
 ]
 
 TRAIN_LOG_HEADER = "step,mmae,corr,triplet,total,lr"
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -105,9 +108,12 @@ class ScanDataset:
 
 
 def window_motions(scan: ScanSequence, start: int, pairs: int) -> np.ndarray:
-    """True relative motions (pairs, 6) for frames [start, start+pairs]."""
-    rel = scan.truth_relative_poses()
-    return np.stack([rel[i].as_array() for i in range(start, start + pairs)])
+    """True relative motions (pairs, 6) for frames [start, start+pairs],
+    a read-only slice of the scan's cached truth motions."""
+    if start < 0 or start + pairs > len(scan.truth_motions):
+        raise IndexError(f"window of {pairs} steps from frame {start} leaves "
+                         f"a scan of {scan.n_frames} frames")
+    return scan.truth_motions[start : start + pairs]
 
 
 def _epoch_batches(train_scans, config: TrainConfig, epoch: int):
@@ -216,9 +222,20 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
 
     ``resume_extra`` is the non-parameter record dict of a checkpoint
     produced by this function (optimizer moments plus counters); model
-    parameters must already be loaded.
+    parameters must already be loaded. Training scans shorter than a
+    window are skipped with one warning; none long enough is an error.
     """
+    window = config.seq_len + 2
     train_scans = list(train_scans)
+    usable = [scan for scan in train_scans if scan.n_frames >= window]
+    if not usable:
+        raise ValueError(f"every training scan is shorter than a "
+                         f"{window}-frame window")
+    if len(usable) < len(train_scans):
+        logger.warning("skipping %d of %d training scans shorter than a "
+                       "%d-frame window", len(train_scans) - len(usable),
+                       len(train_scans), window)
+    train_scans = usable
     val_scans = list(val_scans)
     optimizer = Adam(
         model.parameters(),

@@ -1,5 +1,6 @@
 """CLI contract tests: command wiring, schemas, exit codes, determinism."""
 
+import dataclasses
 import json
 import shutil
 
@@ -153,7 +154,12 @@ class TestEvaluate:
                    "--out", tmp_path / "eval")
         assert code == 0
         payload = json.loads((tmp_path / "eval" / "report.json").read_text())
-        assert set(payload) == {"rAE", "aAE", "rFE", "aFE", "corr", "fd", "fdr"}
+        assert set(payload) == {"rAE", "aAE", "rFE", "aFE", "corr", "fd", "fdr",
+                                "breakdown"}
+        assert payload["breakdown"] == {
+            "rae_translation_mm": 0.0, "rae_rotation_deg": 0.0,
+            "aae_translation_mm": 0.0, "aae_rotation_deg": 0.0,
+        }
         assert payload["rAE"] == 0.0
         assert payload["fd"] == 0.0
         assert payload["corr"] == 1.0
@@ -181,13 +187,16 @@ class TestEvaluate:
         assert code == 0
         payload = json.loads((tmp_path / "eval" / "report.json").read_text())
         scan = read_scan(scan_dir)
-        expected, _ = evaluate_trajectories(
+        expected, breakdown = evaluate_trajectories(
             [pose_to_transform(p) for p in truth],
             [pose_to_transform(p) for p in noisy],
             scan.geometry,
         )
         for key, value in expected.as_json_dict().items():
             assert payload[key] == pytest.approx(value, abs=1e-12)
+        assert payload["breakdown"] == pytest.approx(
+            dataclasses.asdict(breakdown), abs=1e-12
+        )
 
     def test_csv_row(self, scan_dir, tmp_path):
         run("evaluate", "--truth", scan_dir / "poses.csv",

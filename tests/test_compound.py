@@ -144,3 +144,17 @@ class TestVolumeIO:
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
             read_volume(path)
+
+    @pytest.mark.parametrize("keep", [20, 100])
+    def test_truncated_volume_raises_eof(self, tmp_path, keep):
+        vol = VolumeGrid(np.ones((4, 4, 4)), np.ones((4, 4, 4), dtype=np.int64),
+                         np.zeros(3), 0.5)
+        path = tmp_path / "cut.fvl"
+        write_volume(path, vol)
+        path.write_bytes(path.read_bytes()[:keep])
+        expected = ("at least 32 bytes" if keep < 32
+                    else "288 bytes for a 4x4x4 volume")
+        with pytest.raises(EOFError) as caught:
+            read_volume(path)
+        assert str(caught.value) == (f"{path}: truncated, expected {expected}, "
+                                     f"got {keep}")

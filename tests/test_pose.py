@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fus3d.pose import (
     ImageGeometry,
@@ -13,12 +15,15 @@ from fus3d.pose import (
     accumulate,
     extract_relatives,
     frame_grid_points,
+    pose_arrays,
     pose_to_transform,
     read_pose_csv,
-    relative_transform,
+    relative_arrays,
+    stack_transforms,
     transform_to_pose,
     write_pose_csv,
 )
+from fus3d.simulate import ScanSequence
 
 
 def axis_angle_matrix(axis, angle_rad):
@@ -158,23 +163,29 @@ class TestTransformSE3:
         )
 
 
+def relative_step(t_a, t_b):
+    """The step transform t_b ∘ t_a^-1 through the batched relative."""
+    rot, tra = relative_arrays(*stack_transforms([t_a, t_b]))
+    return TransformSE3(rot[0], tra[0])
+
+
 class TestRelativeTransform:
     def test_same_transform_gives_identity(self):
         t = pose_to_transform(PoseVector(1, 2, 3, 4, 5, 6))
         np.testing.assert_allclose(
-            relative_transform(t, t).matrix(), np.eye(4), atol=1e-12
+            relative_step(t, t).matrix(), np.eye(4), atol=1e-12
         )
 
     def test_from_identity_gives_target(self):
         t = pose_to_transform(PoseVector(1, 2, 3, 4, 5, 6))
-        rel = relative_transform(TransformSE3.identity(), t)
+        rel = relative_step(TransformSE3.identity(), t)
         np.testing.assert_allclose(rel.matrix(), t.matrix(), atol=1e-12)
 
     def test_multiply_back(self):
         rng = np.random.default_rng(11)
         for p_a, p_b in zip(random_poses(rng, 30), random_poses(rng, 30)):
             t_a, t_b = pose_to_transform(p_a), pose_to_transform(p_b)
-            rel = relative_transform(t_a, t_b)
+            rel = relative_step(t_a, t_b)
             np.testing.assert_allclose(
                 rel.compose(t_a).matrix(), t_b.matrix(), atol=1e-9
             )
@@ -299,3 +310,97 @@ class TestPoseCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             read_pose_csv(path)
+
+
+# ry values at and near gimbal lock, on both sides of the 1e-7 deg cut-off
+NEAR_LOCK_RY = [90.0, -90.0, 90.0 - 1e-9, -90.0 + 1e-8, 90.0 - 1e-7,
+                90.0 - 1e-6, -89.9999, 89.9]
+
+
+@st.composite
+def pose_chains(draw, min_steps=1, max_steps=300):
+    """Seeded relative poses; some steps sit at or near |ry| = 90 deg."""
+    n = draw(st.integers(min_steps, max_steps))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trans, rot = draw(st.sampled_from([(0.2, 1.0), (2.0, 30.0), (40.0, 179.0)]))
+    arr = np.column_stack([rng.uniform(-trans, trans, (n, 3)),
+                           rng.uniform(-rot, rot, (n, 3))])
+    locked = rng.random(n) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    arr[locked, 4] = rng.choice(NEAR_LOCK_RY, int(locked.sum()))
+    return [PoseVector.from_array(row) for row in arr]
+
+
+def assert_poses_identical(got, want):
+    np.testing.assert_array_equal(np.array([p.as_array() for p in got]),
+                                  np.array([p.as_array() for p in want]))
+    assert [p.gimbal_locked for p in got] == [p.gimbal_locked for p in want]
+
+
+class TestArrayPathProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(pose_chains(min_steps=2))
+    def test_extract_relatives_inverts_accumulate(self, chain):
+        rels = [pose_to_transform(p) for p in chain]
+        back = extract_relatives(accumulate(rels))
+        assert len(back) == len(rels)
+        for a, b in zip(rels, back):
+            assert np.abs(a.rotation - b.rotation).max() <= 1e-9
+            assert np.abs(a.translation - b.translation).max() <= 1e-9
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(pose_chains())
+    def test_poses_match_per_transform_extraction(self, chain):
+        absolute = Trajectory(
+            [TransformSE3.identity()] + [pose_to_transform(p) for p in chain]
+        )
+        assert_poses_identical(absolute.poses(),
+                               [transform_to_pose(t) for t in absolute])
+        np.testing.assert_array_equal(
+            pose_arrays(absolute.rotations, absolute.translations),
+            np.array([transform_to_pose(t).as_array() for t in absolute]),
+        )
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(pose_chains())
+    def test_cached_truth_motions_match_per_transform_relatives(self, chain):
+        truth = accumulate([pose_to_transform(p) for p in chain])
+        scan = ScanSequence(np.zeros((len(truth), 2, 2)),
+                            ImageGeometry(2, 2, 0.1, 0.1), 20.0, truth)
+        # the per-object relative t[i+1] ∘ t[i]^-1
+        want = [transform_to_pose(truth[i + 1].compose(truth[i].inverse()))
+                for i in range(len(chain))]
+        np.testing.assert_array_equal(scan.truth_motions,
+                                      np.array([p.as_array() for p in want]))
+        assert_poses_identical(scan.truth_relative_poses(), want)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(pose_chains(max_steps=200), st.data())
+    def test_accumulate_rejects_non_finite_relative(self, chain, data):
+        rels = [pose_to_transform(p) for p in chain]
+        at = data.draw(st.integers(0, len(rels) - 1))
+        rot, tra = rels[at].rotation.copy(), rels[at].translation.copy()
+        if data.draw(st.booleans()):
+            rot[data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))] = np.nan
+        else:
+            tra[data.draw(st.integers(0, 2))] = np.inf
+        # a stack row is handed out without re-checking, as extract_relatives does
+        rels[at] = TransformSE3._unchecked(rot, tra)
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+            ValueError, match="transform entries must be finite"
+        ):
+            accumulate(rels)
+
+    def test_accumulate_rejects_overflowing_chain(self):
+        step = TransformSE3(np.eye(3), np.array([1e308, 0.0, 0.0]))
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+            ValueError, match="transform entries must be finite"
+        ):
+            accumulate([step] * 3)
+
+    def test_accumulate_reports_first_failing_product(self):
+        off = TransformSE3._unchecked(np.diag([1.0, 1.0, 1.0 + 1e-6]), np.zeros(3))
+        bad = TransformSE3._unchecked(np.eye(3), np.array([np.nan, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            accumulate([TransformSE3.identity(), off, bad])
+        with pytest.raises(ValueError, match="must be finite"):
+            accumulate([bad, off])

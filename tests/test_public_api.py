@@ -24,7 +24,6 @@ SOURCES = {
 UNCALLED_BY_DESIGN = {
     "read_pgm16": "reads the PGM files write_pgm16 writes; tests verify the writer with it",
     "read_volume": "reads the FVL1 files write_volume writes; tests verify the writer with it",
-    "InclusionSpec": "element type of PhantomSpec.inclusions, which make_phantom reads",
 }
 
 

@@ -11,7 +11,8 @@ from conftest import simulate_scan
 from fus3d import training
 from fus3d.losses import LossWeights
 from fus3d.network import ModelConfig, MotionNetwork, load_model
-from fus3d.simulate import TrajectorySpec
+from fus3d.pose import Trajectory
+from fus3d.simulate import ScanSequence, TrajectorySpec
 from fus3d.tensor import Tensor
 from fus3d.training import (
     ScanDataset,
@@ -100,6 +101,38 @@ class TestSampling:
         cfg = quick_config(seq_len=50)
         with pytest.raises(ValueError, match="shorter"):
             _epoch_batches(small_dataset, cfg, epoch=0)
+
+
+class TestShortScans:
+    @staticmethod
+    def short_copy(scan, n_frames):
+        return ScanSequence(scan.frames[:n_frames], scan.geometry,
+                            scan.frame_rate_hz,
+                            Trajectory(tuple(scan.truth)[:n_frames]),
+                            subject=scan.subject)
+
+    def test_short_scan_skipped_with_one_warning(self, small_dataset, caplog):
+        cfg = quick_config(steps=3, batch_size=1)
+        short = self.short_copy(small_dataset[2], cfg.seq_len + 1)
+        plain = train(MotionNetwork(ModelConfig.toy(), seed=2),
+                      small_dataset[:2], small_dataset[3:], cfg)
+        with caplog.at_level("WARNING", logger="fus3d.training"):
+            mixed = train(MotionNetwork(ModelConfig.toy(), seed=2),
+                          [short, *small_dataset[:2]], small_dataset[3:], cfg)
+        warnings = [r for r in caplog.records if r.name == "fus3d.training"]
+        assert [r.getMessage() for r in warnings] == [
+            "skipping 1 of 3 training scans shorter than a 5-frame window"
+        ]
+        # the short scan takes no part: the run equals one without it
+        assert mixed.log_rows == plain.log_rows
+        assert mixed.final_val_mmae == plain.final_val_mmae
+
+    def test_only_short_scans_rejected(self, small_dataset):
+        cfg = quick_config()
+        short = self.short_copy(small_dataset[0], cfg.seq_len + 1)
+        with pytest.raises(ValueError, match="every training scan is shorter"):
+            train(MotionNetwork(ModelConfig.toy(), seed=2), [short],
+                  small_dataset[3:], cfg)
 
 
 class TestTrainLoop:
