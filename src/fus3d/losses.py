@@ -17,6 +17,7 @@ predictions / features.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,23 +94,29 @@ def mmae(true, pred, epsilon: float = DEFAULT_EPSILON) -> Tensor:
     return tensor_sum(mul(err, weights)) / (6.0 * t.shape[0])
 
 
-def correlation_loss(true, pred) -> Tensor:
+def correlation_loss(true, pred, degenerate: Counter | None = None) -> Tensor:
     """Per-component (1 - cosine) over the motion time series, averaged
     over the six components. Invariant under positive scaling of the
-    predictions; a zero-norm component series contributes exactly 1."""
+    predictions; a zero-norm component series contributes exactly 1.
+
+    Zero-norm components are logged as one warning per call, or, when
+    ``degenerate`` is given, counted there under the tuple of their
+    indices, so a caller looping over many windows can warn once."""
     t, p = _as_motion(true), _as_motion(pred)
     if t.shape != p.shape:
         raise ValueError(f"length mismatch: true {t.shape} vs pred {p.shape}")
     if t.shape[0] < 2:
         raise ValueError("correlation loss needs a series of at least 2 steps")
-    degenerate = [
+    zero = [
         k for k in range(6)
         if not np.any(t.data[:, k]) or not np.any(p.data[:, k])
     ]
-    if degenerate:
+    if zero and degenerate is not None:
+        degenerate[tuple(zero)] += 1
+    elif zero:
         logger.warning(
             "correlation loss: zero-norm series for component(s) %s; "
-            "their cosine is defined as 0", degenerate
+            "their cosine is defined as 0", zero
         )
     cos = cosine_similarity(transpose(t, (1, 0)), transpose(p, (1, 0)), axis=1)
     return tensor_mean(sub(1.0, cos))

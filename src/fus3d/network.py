@@ -400,10 +400,12 @@ class MotionNetwork(Module):
             hl, cl = self.lstm_local.initial_state(b)
         else:
             hg, cg, hl, cl = state
+        gates_g = self.lstm_global.project(gf)
+        gates_l = self.lstm_local.project(lf)
         out_g, out_l = [], []
         for t in range(steps):
-            hg, cg = self.lstm_global(gf[:, t], hg, cg)
-            hl, cl = self.lstm_local(lf[:, t], hl, cl)
+            hg, cg = self.lstm_global(gates_g[:, t], hg, cg)
+            hl, cl = self.lstm_local(gates_l[:, t], hl, cl)
             out_g.append(self.head_global(hg))
             out_l.append(self.head_local(hl))
         global6 = T.stack(out_g, axis=1)

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .tensor import Tensor, concat, matmul, mul, sigmoid, tanh, conv2d, add
+from .tensor import Tensor, add, conv2d, matmul, mul, reshape, sigmoid, tanh
 
 __all__ = [
     "Parameter",
@@ -159,16 +159,16 @@ class Conv2d(Module):
                       padding=self.padding)
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor,
-              w_ih: Tensor, w_hh: Tensor, bias: Tensor | None = None):
-    """One LSTM step. Gate order along the 4H axis: input, forget, cell, output.
+def lstm_cell(gates_x: Tensor, h: Tensor, c: Tensor, w_hh: Tensor):
+    """One LSTM step on projected input gates.
 
-    x is (batch, in), h and c are (batch, hidden); returns (h', c').
+    ``gates_x`` is the step's input projection ``x @ W_ihᵀ + b`` (batch,
+    4*hidden), see :meth:`LSTMCell.project`; h and c are (batch, hidden).
+    Gate order along the 4H axis: input, forget, cell, output. Returns
+    (h', c').
     """
     hidden = h.shape[-1]
-    gates = add(matmul(x, w_ih.transpose(1, 0)), matmul(h, w_hh.transpose(1, 0)))
-    if bias is not None:
-        gates = add(gates, bias)
+    gates = add(gates_x, matmul(h, w_hh.transpose(1, 0)))
     gi = sigmoid(gates[:, 0 * hidden : 1 * hidden])
     gf = sigmoid(gates[:, 1 * hidden : 2 * hidden])
     gc = tanh(gates[:, 2 * hidden : 3 * hidden])
@@ -179,6 +179,10 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor,
 
 
 class LSTMCell(Module):
+    """LSTM cell split for sequences: :meth:`project` computes the input
+    term of every step in one matmul before the time loop, and each call
+    then adds only the recurrent term ``h @ W_hhᵀ``."""
+
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.w_ih = Parameter(
             kaiming_uniform(rng, (4 * hidden_size, input_size), input_size)
@@ -187,9 +191,15 @@ class LSTMCell(Module):
         self.bias = Parameter(np.zeros(4 * hidden_size))
         self.hidden_size = hidden_size
 
-    def __call__(self, x: Tensor, h: Tensor, c: Tensor):
-        return lstm_cell(x, h, c, self.w_ih.tensor, self.w_hh.tensor,
-                         self.bias.tensor)
+    def project(self, x: Tensor) -> Tensor:
+        """Input gates ``x @ W_ihᵀ + b`` for all steps: (..., in) -> (..., 4H)."""
+        lead = x.shape[:-1]
+        flat = reshape(x, (-1, x.shape[-1]))
+        gates = add(matmul(flat, self.w_ih.tensor.transpose(1, 0)), self.bias.tensor)
+        return reshape(gates, lead + (4 * self.hidden_size,))
+
+    def __call__(self, gates_x: Tensor, h: Tensor, c: Tensor):
+        return lstm_cell(gates_x, h, c, self.w_hh.tensor)
 
     def initial_state(self, batch: int):
         return (Tensor(np.zeros((batch, self.hidden_size))),

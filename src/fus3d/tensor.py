@@ -5,6 +5,11 @@ whose backward closure knows how to push gradients to its parents.
 Everything is stored as contiguous numpy float64; there is no graph
 optimization and no implicit dtype promotion. Determinism: identical
 inputs and seeds give bit-identical outputs and gradients.
+
+Memory: each closure keeps what its backward reads. ``conv2d`` is the
+largest such entry: one GEMM per call over a ``(C*kh*kw, N*Ho*Wo)``
+patch matrix, which lives as long as the graph that holds it; the op
+takes and returns NCHW arrays.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor",
@@ -464,41 +470,26 @@ def sqrt(x) -> Tensor:
 
 # -- convolution and pooling ----------------------------------------------------
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """Patch matrix in (n, c*kh*kw, ho*wo) layout (no transposes)."""
-    n, c, h, w = x.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    hp, wp = x.shape[2], x.shape[3]
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    cols = np.empty((n, c, kh, kw, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i : i + stride * ho : stride,
-                                 j : j + stride * wo : stride]
-    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
-
-
-def _col2im(dcols: np.ndarray, x_shape, kh, kw, stride, padding):
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    dx = np.zeros((n, c, hp, wp))
-    d6 = dcols.reshape(n, c, kh, kw, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            # rows i, i+stride, ... are distinct, so slice-add is alias free
-            dx[:, :, i : i + stride * ho : stride,
-               j : j + stride * wo : stride] += d6[:, :, i, j]
-    if padding:
-        dx = dx[:, :, padding:-padding, padding:-padding]
-    return dx
-
-
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation), NCHW layout."""
+    """2-D convolution (cross-correlation), NCHW layout.
+
+    One GEMM per call over a patch matrix ``cols`` of shape
+    ``(C*kh*kw, N*Ho*Wo)``: rows run over (channel, kernel row, kernel
+    column), columns over (image, output row, output column). It is
+    copied in one pass from a strided window view of a channel-major,
+    zero-padded ``(C, N, Hp, Wp)`` copy of the input. The forward is
+    ``W.reshape(F, -1) @ cols`` followed by one transpose back to NCHW.
+    Inputs and outputs stay NCHW; the channel-major layout never leaves
+    this function.
+
+    The tape keeps ``cols`` (kh*kw times the input) and the weight
+    matrix, nothing larger. The backward forms the upstream gradient as
+    ``g_f`` of shape ``(F, N*Ho*Wo)``; then ``dW = g_f @ cols.T``, and,
+    only when ``x`` requires gradients, ``dcols = W.T @ g_f`` is added
+    back into a ``(C, N, Hp, Wp)`` buffer with kh*kw strided slice adds
+    (the adjoint of the patch copy). An input without ``requires_grad``,
+    such as the frames, gets ``None`` in its gradient slot.
+    """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError(
@@ -507,25 +498,48 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     f, cw, kh, kw = weight.shape
     if x.shape[1] != cw:
         raise ValueError(f"conv2d: shape mismatch {x.shape} vs {weight.shape}")
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
-    wmat = weight.data.reshape(f, cw * kh * kw)
-    n = x.shape[0]
-    data = (wmat @ cols).reshape(n, f, ho, wo)
+    n, c, h, w = x.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    xt = np.zeros((c, n, hp, wp))
+    xt[:, :, padding : padding + h, padding : padding + w] = x.data.transpose(1, 0, 2, 3)
+    # (c, n, ho, wo, kh, kw) read-only view of every patch; one copy
+    # reorders it into the patch matrix
+    patches = sliding_window_view(xt, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = np.ascontiguousarray(patches.transpose(0, 4, 5, 1, 2, 3))
+    cols = cols.reshape(c * kh * kw, n * ho * wo)
+    wmat = weight.data.reshape(f, c * kh * kw)
+    data = np.ascontiguousarray(
+        (wmat @ cols).reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
+    )
     parents = [x, weight]
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (f,):
             raise ValueError(f"conv2d: shape mismatch {bias.shape} vs ({f},)")
-        data = data + bias.data.reshape(1, f, 1, 1)
+        data += bias.data.reshape(1, f, 1, 1)
         parents.append(bias)
+    needs_dx = x.requires_grad
 
     def vjp(g):
-        g3 = g.reshape(n, f, ho * wo)
-        dw = np.tensordot(g3, cols, axes=([0, 2], [0, 2])).reshape(weight.shape)
-        dcols = wmat.T @ g3  # (n, c*kh*kw, ho*wo)
-        dx = _col2im(dcols, x.shape, kh, kw, stride, padding)
+        g_f = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
+        dw = (g_f @ cols.T).reshape(f, c, kh, kw)
+        dx = None
+        if needs_dx:
+            dcols = (wmat.T @ g_f).reshape(c, kh, kw, n, ho, wo)
+            dxt = np.zeros((c, n, hp, wp))
+            for i in range(kh):
+                for j in range(kw):
+                    # rows i, i+stride, ... are distinct: the add is alias free
+                    dxt[:, :, i : i + stride * ho : stride,
+                        j : j + stride * wo : stride] += dcols[:, i, j]
+            dx = np.ascontiguousarray(
+                dxt[:, :, padding : padding + h, padding : padding + w]
+                .transpose(1, 0, 2, 3)
+            )
         if bias is not None:
-            return dx, dw, g.sum(axis=(0, 2, 3))
+            return dx, dw, g_f.sum(axis=1)
         return dx, dw
 
     return _node(data, parents, vjp)

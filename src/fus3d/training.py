@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from . import tensor as T
 from .losses import (
     LossWeights,
     correlation_loss,
+    logger as losses_logger,
     mmae,
     select_triplets,
     total_loss,
@@ -138,7 +140,8 @@ def _epoch_batches(train_scans, config: TrainConfig, epoch: int):
     return batches
 
 
-def _batch_loss(model: MotionNetwork, scans, batch, config: TrainConfig):
+def _batch_loss(model: MotionNetwork, scans, batch, config: TrainConfig,
+                degenerate: Counter):
     window = config.seq_len + 2
     frames = np.stack([scans[i].frames[s : s + window] for i, s in batch])
     truth = np.stack(
@@ -149,7 +152,7 @@ def _batch_loss(model: MotionNetwork, scans, batch, config: TrainConfig):
     for b in range(len(batch)):
         m_terms.append(mmae(truth[b], out["fused"][b],
                             epsilon=config.loss_weights.epsilon))
-        c_terms.append(correlation_loss(truth[b], out["fused"][b]))
+        c_terms.append(correlation_loss(truth[b], out["fused"][b], degenerate))
         emb = out["embeddings"][b]
         hinges = [
             triplet_loss(emb[a], emb[p], emb[n])
@@ -165,11 +168,12 @@ def _batch_loss(model: MotionNetwork, scans, batch, config: TrainConfig):
 
 
 def _train_step(model: MotionNetwork, optimizer: Adam, scans, batch,
-                config: TrainConfig, step: int) -> tuple:
+                config: TrainConfig, step: int, degenerate: Counter) -> tuple:
     """One optimizer step on one batch; returns the (mmae, corr, triplet,
     total) loss values as floats, so the step's autodiff graph is freed
-    before the next step builds its own."""
-    loss, parts = _batch_loss(model, scans, batch, config)
+    before the next step builds its own. Windows with zero-norm motion
+    series are counted into ``degenerate``."""
+    loss, parts = _batch_loss(model, scans, batch, config, degenerate)
     value = loss.item()
     if not math.isfinite(value):
         raise FloatingPointError(
@@ -224,6 +228,9 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
     produced by this function (optimizer moments plus counters); model
     parameters must already be loaded. Training scans shorter than a
     window are skipped with one warning; none long enough is an error.
+    Windows whose correlation loss meets a zero-norm series (scans without
+    rotation) are counted, and one ``fus3d.losses`` warning at the end of
+    the run gives the count and the components.
     """
     window = config.seq_len + 2
     train_scans = list(train_scans)
@@ -278,13 +285,14 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
             save_model(target.with_name("best_" + target.name), model)
 
     final_val = init_val
+    degenerate = Counter()
     try:
         while step < config.steps:
             optimizer.set_epoch(epoch)
             batches = _epoch_batches(train_scans, config, epoch)
             while batch_idx < len(batches) and step < config.steps:
                 losses = _train_step(model, optimizer, train_scans,
-                                     batches[batch_idx], config, step)
+                                     batches[batch_idx], config, step, degenerate)
                 step += 1
                 batch_idx += 1
                 row = (step, *losses, optimizer.lr)
@@ -305,6 +313,12 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
     finally:
         if log_handle is not None:
             log_handle.close()
+    if degenerate:
+        losses_logger.warning(
+            "correlation loss: zero-norm series in %d training window(s), "
+            "component(s) %s; their cosine is defined as 0",
+            sum(degenerate.values()), sorted(set().union(*degenerate)),
+        )
 
     return TrainResult(
         steps_done=step,

@@ -41,11 +41,11 @@ class TestLayers:
 
     def test_lstm_cell_gradients(self):
         rng = np.random.default_rng(2)
-        shapes = [(2, 3), (2, 4), (2, 4), (16, 3), (16, 4), (16,)]
+        shapes = [(2, 16), (2, 4), (2, 4), (16, 4)]
         arrays = [rng.uniform(-0.5, 0.5, s) for s in shapes]
 
         def op(t):
-            h, c = lstm_cell(t[0], t[1], t[2], t[3], t[4], t[5])
+            h, c = lstm_cell(t[0], t[1], t[2], t[3])
             return T.concat([h, c], axis=1)
 
         check_gradients(op, arrays)
@@ -54,9 +54,60 @@ class TestLayers:
         rng = np.random.default_rng(3)
         cell = LSTMCell(6, 4, rng)
         h, c = cell.initial_state(batch=3)
-        h2, c2 = cell(Tensor(rng.standard_normal((3, 6))), h, c)
+        gates = cell.project(Tensor(rng.standard_normal((3, 6))))
+        h2, c2 = cell(gates, h, c)
         assert h2.shape == (3, 4) and c2.shape == (3, 4)
         assert np.abs(h2.data).max() > 0.0
+
+    def test_lstm_projected_sequence_gradients(self):
+        """project once, then three recurrent steps, against finite
+        differences for the inputs and all three parameters."""
+        rng = np.random.default_rng(7)
+        cell = LSTMCell(3, 4, rng)
+        cell.bias.data = rng.uniform(-0.5, 0.5, 16)
+        arrays = [rng.uniform(-0.5, 0.5, (2, 3, 3)), rng.uniform(-0.5, 0.5, (2, 4)),
+                  rng.uniform(-0.5, 0.5, (2, 4)), cell.w_ih.data, cell.w_hh.data,
+                  cell.bias.data]
+
+        def op(t):
+            cell.w_ih.tensor, cell.w_hh.tensor, cell.bias.tensor = t[3], t[4], t[5]
+            gates = cell.project(t[0])
+            h, c = t[1], t[2]
+            outs = []
+            for step in range(3):
+                h, c = cell(gates[:, step], h, c)
+                outs.append(T.concat([h, c], axis=1))
+            return T.stack(outs, axis=1)
+
+        check_gradients(op, arrays)
+
+    def test_lstm_hoisted_projection_matches_per_step_formula(self):
+        """The projected loop equals the per-step gates
+        x_t @ W_ihᵀ + h @ W_hhᵀ + b written out in numpy."""
+        rng = np.random.default_rng(8)
+        batch, steps, n_in, hidden = 3, 5, 7, 4
+        cell = LSTMCell(n_in, hidden, rng)
+        cell.bias.data = rng.uniform(-0.5, 0.5, 4 * hidden)
+        x = rng.standard_normal((batch, steps, n_in))
+        gates = cell.project(Tensor(x))
+        h, c = cell.initial_state(batch)
+        hs = []
+        for t in range(steps):
+            h, c = cell(gates[:, t], h, c)
+            hs.append(h.data)
+
+        def sig(z):
+            return 1.0 / (1.0 + np.exp(-z))
+
+        w_ih, w_hh, b = cell.w_ih.data, cell.w_hh.data, cell.bias.data
+        h_ref, c_ref = np.zeros((batch, hidden)), np.zeros((batch, hidden))
+        for t in range(steps):
+            z = x[:, t] @ w_ih.T + h_ref @ w_hh.T + b
+            zi, zf, zc, zo = np.split(z, 4, axis=1)
+            c_ref = sig(zf) * c_ref + sig(zi) * np.tanh(zc)
+            h_ref = sig(zo) * np.tanh(c_ref)
+            np.testing.assert_allclose(hs[t], h_ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(c.data, c_ref, rtol=0.0, atol=1e-12)
 
     def test_orthogonal_init(self):
         rng = np.random.default_rng(4)

@@ -281,3 +281,72 @@ class TestCosineHandDerived:
         backward(T.cosine_similarity(a, b))
         np.testing.assert_allclose(a.grad, [0.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(b.grad, [1.0, 0.0], atol=1e-12)
+
+
+def conv2d_reference(x, w, b, stride, padding):
+    """Cross-correlation as nested loops over output pixels."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, f, ho, wo))
+    for img in range(n):
+        for k in range(f):
+            for y in range(ho):
+                for x_ in range(wo):
+                    patch = xp[img, :, y * stride : y * stride + kh,
+                               x_ * stride : x_ * stride + kw]
+                    out[img, k, y, x_] = (patch * w[k]).sum() + b[k]
+    return out
+
+
+CONV_CASES = [
+    # (input shape, weight shape, stride, padding)
+    ((2, 3, 7, 5), (4, 3, 3, 3), 1, 0),
+    ((2, 3, 7, 5), (4, 3, 3, 3), 1, 1),
+    ((2, 3, 7, 5), (4, 3, 3, 3), 2, 0),
+    ((2, 3, 7, 5), (4, 3, 3, 3), 2, 1),
+    ((2, 3, 7, 5), (4, 3, 1, 1), 1, 0),  # the 1x1 projection layers
+    ((2, 3, 6, 8), (4, 3, 2, 2), 2, 0),
+]
+
+
+class TestConv2d:
+    """The patch-matrix kernel: gradients, a loop reference, and the
+    input-without-gradient path."""
+
+    @pytest.mark.parametrize("xs, ws, stride, padding", CONV_CASES)
+    def test_gradients(self, xs, ws, stride, padding):
+        rng = np.random.default_rng(31)
+        check_gradients(
+            lambda t: T.conv2d(t[0], t[1], t[2], stride=stride, padding=padding),
+            [rand(rng, *xs), rand(rng, *ws), rand(rng, ws[0])],
+        )
+
+    @pytest.mark.parametrize("xs, ws, stride, padding", CONV_CASES)
+    def test_forward_matches_loop_reference(self, xs, ws, stride, padding):
+        rng = np.random.default_rng(32)
+        x, w, b = rand(rng, *xs), rand(rng, *ws), rand(rng, ws[0])
+        out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+                       padding=padding)
+        np.testing.assert_allclose(out.data, conv2d_reference(x, w, b, stride, padding),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_input_without_grad_gets_no_gradient(self):
+        rng = np.random.default_rng(33)
+        x, w, b = rand(rng, 2, 3, 7, 5), rand(rng, 4, 3, 3, 3), rand(rng, 4)
+        g = rand(rng, 2, 4, 4, 3)
+        grads = {}
+        for x_grad in (False, True):
+            xt = Tensor(x, requires_grad=x_grad)
+            wt = Tensor(w, requires_grad=True)
+            bt = Tensor(b, requires_grad=True)
+            out = T.conv2d(xt, wt, bt, stride=2, padding=1)
+            slots = out._vjp(g)
+            assert (slots[0] is None) is not x_grad
+            backward(T.tensor_sum(T.mul(out, g)))
+            grads[x_grad] = (wt.grad, bt.grad)
+            assert (xt.grad is None) is not x_grad
+        np.testing.assert_array_equal(grads[False][0], grads[True][0])
+        np.testing.assert_array_equal(grads[False][1], grads[True][1])

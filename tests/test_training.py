@@ -135,6 +135,36 @@ class TestShortScans:
                   small_dataset[3:], cfg)
 
 
+class TestDegenerateSeriesWarning:
+    def test_rotation_free_scans_warn_once_per_run(self, small_dataset, caplog,
+                                                   monkeypatch):
+        # small_dataset has no rotation: truth components 3-5 are zero in
+        # every window, so each correlation loss meets zero-norm series
+        cfg = quick_config(steps=3)
+
+        def run():
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="fus3d.losses"):
+                result = train(MotionNetwork(ModelConfig.toy(), seed=2),
+                               small_dataset[:3], small_dataset[3:], cfg)
+            return result, [r.getMessage() for r in caplog.records
+                            if r.name == "fus3d.losses"]
+
+        counted, messages = run()
+        assert len(messages) == 1
+        assert messages[0].startswith("correlation loss: zero-norm series in 5 "
+                                      "training window(s), component(s) [3, 4, 5]")
+
+        # the same run warning per window, as correlation_loss does on its
+        # own: one warning for each window counted, and the same log rows
+        real = training.correlation_loss
+        monkeypatch.setattr(training, "correlation_loss",
+                            lambda true, pred, degenerate: real(true, pred))
+        per_window, messages = run()
+        assert len(messages) == 5
+        assert per_window.log_rows == counted.log_rows
+
+
 class TestTrainLoop:
     def test_loss_decreases_on_short_run(self, small_dataset):
         model = MotionNetwork(ModelConfig.toy(), seed=2)
