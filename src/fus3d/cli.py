@@ -3,7 +3,8 @@ calibrate-baseline.
 
 Every run writes a manifest (config plus seeds, no timestamps) next to
 its outputs so runs can be reproduced exactly. Exit codes: 0 success,
-1 runtime failure, 2 usage/config error.
+1 runtime failure, 2 usage/config error. With ``FUS3D_DEBUG=1`` set, a
+failure prints its traceback before the ``error:`` line.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
+import traceback
 from pathlib import Path
 
 from .baseline import (
@@ -430,26 +433,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: BaseException, code: int) -> int:
+    """Report a failure on stderr, with its traceback first when
+    ``FUS3D_DEBUG=1`` is set, and return the exit code."""
+    if os.environ.get("FUS3D_DEBUG") == "1":
+        traceback.print_exception(exc, file=sys.stderr)
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         _apply_config_defaults(parser, argv)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     except (ValueError, FileNotFoundError, FileExistsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ValueError) else 1
+        return _fail(exc, 2 if isinstance(exc, ValueError) else 1)
     except Exception as exc:  # runtime failures
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
 
 
 def _apply_config_defaults(parser, argv) -> None:

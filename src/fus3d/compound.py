@@ -58,16 +58,19 @@ class VolumeGrid:
         return float((self.intensity * self.counts).sum())
 
 
-def _frame_points(geometry, transforms):
-    pixels = geometry.full_pixel_grid()
-    return [frame_grid_points(t, geometry, pixels) for t in transforms]
-
-
 def compound(frames: np.ndarray, transforms: Sequence[TransformSE3],
              geometry: ImageGeometry, voxel_mm: float,
              origin_mm: np.ndarray | None = None,
              dims: tuple | None = None) -> VolumeGrid:
-    """Splat frames into a voxel grid along their absolute transforms."""
+    """Splat frames into a voxel grid along their absolute transforms.
+
+    Live at once: the world points and voxel indices of all frames
+    (three values per pixel each), the flat indices and values of the
+    in-grid pixels, and the grid-sized sums, counts and intensity. Sums
+    and counts each come from one ``np.bincount`` over all frames in
+    frame-major order; it must stay one call, since partial sums per
+    block of frames would regroup the additions and change the bits.
+    """
     frames = np.asarray(frames, dtype=float)
     if frames.ndim != 3 or frames.shape[0] == 0:
         raise ValueError(f"need a non-empty (n, h, w) frame stack, got {frames.shape}")
@@ -78,24 +81,27 @@ def compound(frames: np.ndarray, transforms: Sequence[TransformSE3],
     if voxel_mm <= 0:
         raise ValueError("voxel size must be positive")
 
-    points = _frame_points(geometry, transforms)
+    pixels = geometry.full_pixel_grid()
+    points = np.stack([frame_grid_points(t, geometry, pixels) for t in transforms])
+    # one (n, h*w) view per world axis: numpy reduces and compares whole
+    # columns several times faster than it does 3-element rows
+    axes = np.moveaxis(points, -1, 0)
     if origin_mm is None or dims is None:
-        lo = np.min([p.min(axis=0) for p in points], axis=0)
-        hi = np.max([p.max(axis=0) for p in points], axis=0)
+        lo = np.array([a.min() for a in axes])
+        hi = np.array([a.max() for a in axes])
         origin_mm = lo - voxel_mm  # one-voxel margin
         dims = tuple(np.rint((hi - origin_mm) / voxel_mm).astype(int) + 2)
     else:
         origin_mm = np.asarray(origin_mm, dtype=float)
         dims = tuple(int(d) for d in dims)
 
-    sums = np.zeros(dims)
-    counts = np.zeros(dims, dtype=np.int64)
-    for frame, pts in zip(frames, points):
-        idx = np.rint((pts - origin_mm) / voxel_mm).astype(int)
-        valid = np.all((idx >= 0) & (idx < np.array(dims)), axis=1)
-        ix, iy, iz = idx[valid, 0], idx[valid, 1], idx[valid, 2]
-        np.add.at(sums, (ix, iy, iz), frame.reshape(-1)[valid])
-        np.add.at(counts, (ix, iy, iz), 1)
+    idx = [np.rint((a - o) / voxel_mm).astype(int) for a, o in zip(axes, origin_mm)]
+    valid = np.logical_and.reduce([(i >= 0) & (i < d) for i, d in zip(idx, dims)])
+    flat = np.ravel_multi_index([i[valid] for i in idx], dims)
+    size = int(np.prod(dims))
+    sums = np.bincount(flat, weights=frames.reshape(valid.shape)[valid],
+                       minlength=size).reshape(dims)
+    counts = np.bincount(flat, minlength=size).reshape(dims)
     intensity = np.divide(sums, counts, out=np.zeros(dims),
                           where=counts > 0)
     return VolumeGrid(intensity=intensity, counts=counts,

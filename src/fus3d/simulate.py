@@ -56,6 +56,9 @@ DEFAULT_PITCH_MM = 0.1484
 DEFAULT_FRAME_RATE_HZ = 20.0
 # Rayleigh envelope from fully developed speckle: mean/std = sqrt(pi/(4-pi))
 RAYLEIGH_SNR = float(np.sqrt(np.pi / (4.0 - np.pi)))
+# points sampled per map_coordinates call in slice_phantom: 256 frames
+# of 64x64 pixels, so a 250-frame sweep is one call
+SLICE_BLOCK_POINTS = 1 << 20
 
 
 class FrameOutOfBoundsError(ValueError):
@@ -114,7 +117,13 @@ class Phantom:
 
 def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     """Fully developed speckle: complex white scatterers blurred by the
-    anisotropic kernel, envelope-detected and scaled into [0, 1]."""
+    anisotropic kernel, envelope-detected and scaled into [0, 1].
+
+    At most two field-sized arrays are live: the real and imaginary
+    scatterer fields, each blurred in place (``correlate1d`` buffers
+    every line, so in-place filtering is exact). The envelope is written
+    over the real part, then scaled and clipped in place.
+    """
     rng = np.random.default_rng(seed)
     dims = tuple(int(np.ceil(e / spec.voxel_mm)) + 1 for e in spec.extent_mm)
     if spec.origin_mm is None:
@@ -125,12 +134,14 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     sigmas = tuple(s / spec.voxel_mm for s in spec.psf_mm)
     real = rng.standard_normal(dims)
     imag = rng.standard_normal(dims)
-    real = gaussian_filter(real, sigmas, mode="constant")
-    imag = gaussian_filter(imag, sigmas, mode="constant")
-    envelope = np.hypot(real, imag)
+    gaussian_filter(real, sigmas, mode="constant", output=real)
+    gaussian_filter(imag, sigmas, mode="constant", output=imag)
+    envelope = np.hypot(real, imag, out=real)
+    del imag
     # scale so the speckle mean sits at 0.25; the Rayleigh tail beyond 1
     # is ~1e-6 of voxels and is clipped
-    envelope = np.clip(envelope * (0.25 / envelope.mean()), 0.0, 1.0)
+    envelope *= 0.25 / envelope.mean()
+    np.clip(envelope, 0.0, 1.0, out=envelope)
     return Phantom(field=envelope, voxel_mm=spec.voxel_mm, origin_mm=origin)
 
 
@@ -251,17 +262,34 @@ class ScanSequence:
 
 def slice_phantom(phantom: Phantom, trajectory: Trajectory,
                   geometry: ImageGeometry) -> np.ndarray:
-    """Trilinear samples of the phantom on every transformed frame grid."""
-    dims = phantom.field.shape
+    """Trilinear samples of the phantom on every transformed frame grid.
+
+    Frames are mapped, bounds-checked and sampled in blocks of about
+    ``SLICE_BLOCK_POINTS`` points, with one ``map_coordinates`` call per
+    block. Raises :class:`FrameOutOfBoundsError` naming the first frame
+    with a voxel coordinate below 0 or above ``dims - 1``. Samples are
+    clipped to [0, 1], the range of the simulated field: the trilinear
+    weights can sum to 1 + 2^-52, so a sample among voxels clipped at 1
+    can read 1.0000000000000002.
+    """
+    upper = np.array(phantom.field.shape) - 1
     pixels = geometry.full_pixel_grid()
-    frames = np.empty((len(trajectory), geometry.n_rows, geometry.n_cols))
-    for i, transform in enumerate(trajectory):
-        world = frame_grid_points(transform, geometry, pixels)
-        coords = phantom.world_to_voxel(world)
-        if coords.min() < 0.0 or np.any(coords.max(axis=0) > np.array(dims) - 1):
-            raise FrameOutOfBoundsError(i)
-        sampled = map_coordinates(phantom.field, coords.T, order=1, mode="nearest")
-        frames[i] = sampled.reshape(geometry.n_rows, geometry.n_cols)
+    transforms = list(trajectory)
+    frames = np.empty((len(transforms), geometry.n_rows, geometry.n_cols))
+    step = max(1, SLICE_BLOCK_POINTS // len(pixels))
+    for start in range(0, len(transforms), step):
+        block = transforms[start:start + step]
+        coords = phantom.world_to_voxel(
+            np.stack([frame_grid_points(t, geometry, pixels) for t in block])
+        )
+        outside = np.any((coords < 0.0) | (coords > upper), axis=(1, 2))
+        if outside.any():
+            raise FrameOutOfBoundsError(start + int(np.argmax(outside)))
+        sampled = map_coordinates(phantom.field, coords.reshape(-1, 3).T,
+                                  order=1, mode="nearest")
+        np.clip(sampled, 0.0, 1.0, out=sampled)
+        frames[start:start + len(block)] = sampled.reshape(
+            len(block), geometry.n_rows, geometry.n_cols)
     return frames
 
 

@@ -147,6 +147,41 @@ class TestTruncatedInputs:
                 f"got {keep}" in capsys.readouterr().err)
 
 
+class TestDebugTraceback:
+    @pytest.fixture
+    def truncated_scan(self, scan_dir, tmp_path):
+        shutil.copytree(scan_dir, tmp_path / "scan")
+        frames = tmp_path / "scan" / "frames.bin"
+        blob = frames.read_bytes()
+        frames.write_bytes(blob[:1000])
+        line = (f"error: {frames}: truncated, expected {len(blob)} bytes for "
+                f"24 64x64 frames, got 1000\n")
+        return tmp_path / "scan", line
+
+    def infer(self, scan, tmp_path) -> int:
+        return run("infer", "--scan", scan, "--identity-debug",
+                   "--out", tmp_path / "pred")
+
+    def test_error_line_alone_by_default(self, truncated_scan, tmp_path,
+                                         capsys, monkeypatch):
+        monkeypatch.delenv("FUS3D_DEBUG", raising=False)
+        scan, line = truncated_scan
+        assert self.infer(scan, tmp_path) == 1
+        assert capsys.readouterr().err == line
+
+    def test_traceback_before_error_line(self, truncated_scan, tmp_path,
+                                         capsys, monkeypatch):
+        monkeypatch.setenv("FUS3D_DEBUG", "1")
+        scan, line = truncated_scan
+        assert self.infer(scan, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("\n" + line)
+        trace = err[: -len(line)]
+        assert "in read_scan" in trace
+        assert f"EOFError: {line[len('error: '):]}" in trace
+
+
 class TestEvaluate:
     def test_truth_vs_itself_is_zero(self, scan_dir, tmp_path, capsys):
         code = run("evaluate", "--truth", scan_dir / "poses.csv",

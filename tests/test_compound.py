@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from fus3d.compound import VolumeGrid, compound, read_volume, write_volume
-from fus3d.pose import ImageGeometry, PoseVector, TransformSE3, pose_to_transform
+from fus3d.pose import (
+    ImageGeometry,
+    PoseVector,
+    TransformSE3,
+    frame_grid_points,
+    pose_to_transform,
+)
 
 GEOM = ImageGeometry(8, 8, 0.1, 0.1)
 
@@ -106,6 +112,54 @@ class TestCompound:
     def test_bad_voxel_rejected(self):
         with pytest.raises(ValueError, match="voxel"):
             compound(np.zeros((1, 8, 8)), [TransformSE3.identity()], GEOM, 0.0)
+
+
+class TestSplat:
+    @staticmethod
+    def sweep(rng, n=9):
+        frames = random_frames(rng, n)
+        transforms = [
+            pose_to_transform(
+                PoseVector(rng.normal(0, 0.1), rng.normal(0, 0.1), 0.05 * i,
+                           rng.normal(0, 5), rng.normal(0, 5), rng.normal(0, 5))
+            )
+            for i in range(n)
+        ]
+        return frames, transforms
+
+    def test_clipped_grid_matches_add_at_reference(self):
+        rng = np.random.default_rng(9)
+        frames, transforms = self.sweep(rng)
+        voxel, origin, dims = 0.3, np.array([-0.35, -0.5, 0.05]), (3, 4, 2)
+        vol = compound(frames, transforms, GEOM, voxel, origin_mm=origin,
+                       dims=dims)
+        # reference: np.add.at frame by frame, in frame order
+        sums = np.zeros(dims)
+        counts = np.zeros(dims, dtype=np.int64)
+        pixels = GEOM.full_pixel_grid()
+        for frame, transform in zip(frames, transforms):
+            pts = frame_grid_points(transform, GEOM, pixels)
+            idx = np.rint((pts - origin) / voxel).astype(int)
+            valid = np.all((idx >= 0) & (idx < np.array(dims)), axis=1)
+            np.add.at(sums, tuple(idx[valid].T), frame.reshape(-1)[valid])
+            np.add.at(counts, tuple(idx[valid].T), 1)
+        intensity = np.divide(sums, counts, out=np.zeros(dims), where=counts > 0)
+        # the grid clips part of every sweep and stacks many pixels per voxel
+        assert 0 < counts.sum() < frames.size
+        assert counts.max() >= 20
+        np.testing.assert_array_equal(vol.counts, counts)
+        np.testing.assert_array_equal(vol.intensity, intensity)
+        assert vol.counts.dtype == np.int64
+
+    def test_grid_missing_every_frame_is_empty(self):
+        rng = np.random.default_rng(10)
+        frames, transforms = self.sweep(rng)
+        vol = compound(frames, transforms, GEOM, 0.1,
+                       origin_mm=np.array([50.0, 50.0, 50.0]), dims=(4, 5, 6))
+        assert vol.dims == (4, 5, 6)
+        np.testing.assert_array_equal(vol.counts, np.zeros((4, 5, 6)))
+        np.testing.assert_array_equal(vol.intensity, np.zeros((4, 5, 6)))
+        assert vol.mass() == 0.0
 
 
 class TestVolumeIO:

@@ -1,5 +1,7 @@
 """Simulator tests: speckle statistics, trajectories, slicing, container IO."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from fus3d.pose import (
 from fus3d.simulate import (
     RAYLEIGH_SNR,
     FrameOutOfBoundsError,
+    Phantom,
     PhantomSpec,
     TrajectorySpec,
     make_phantom,
@@ -57,6 +60,19 @@ class TestPhantom:
     def test_values_in_unit_range(self, small_phantom):
         assert small_phantom.field.min() >= 0.0
         assert small_phantom.field.max() <= 1.0
+
+    def test_peak_memory_is_two_fields(self):
+        # numpy reports its allocations to tracemalloc; the real and
+        # imaginary scatterer fields are the only field-sized arrays
+        spec = PhantomSpec(extent_mm=(12.45, 12.45, 7.95), voxel_mm=0.1)
+        tracemalloc.start()
+        try:
+            phantom = make_phantom(spec, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert phantom.field.shape == (126, 126, 81)
+        assert peak <= 2.1 * phantom.field.nbytes
 
 
 class TestTrajectory:
@@ -153,6 +169,55 @@ class TestSlicing:
             slice_phantom(
                 small_phantom, Trajectory((TransformSE3.identity(), far)), GEOM64
             )
+
+    def test_samples_stay_in_unit_range(self):
+        # the trilinear weights at voxel coordinate 1.2 on every axis sum
+        # to 1 + 2**-52, so an unclipped sample of a field of ones reads
+        # 1.0000000000000002, which ScanSequence rejects
+        phantom = Phantom(field=np.ones((4, 4, 4)), voxel_mm=1.0,
+                          origin_mm=np.full(3, -1.2))
+        frames = slice_phantom(phantom, Trajectory((TransformSE3.identity(),)),
+                               ImageGeometry(1, 1, 1.0, 1.0))
+        assert frames.max() == 1.0
+
+
+class TestSliceBounds:
+    """Exact voxel coordinates: a 17^3 phantom of 0.25 mm voxels at
+    origin -2 mm and 5x5 frames of 0.25 mm pixels, so an identity frame
+    at translation t covers voxel coordinates (t +- 0.5 + 2) / 0.25."""
+
+    GEOM = ImageGeometry(5, 5, 0.25, 0.25)
+
+    @pytest.fixture(scope="class")
+    def phantom(self):
+        phantom = make_phantom(
+            PhantomSpec(extent_mm=(4.0, 4.0, 4.0), voxel_mm=0.25), seed=3)
+        assert phantom.field.shape == (17, 17, 17)
+        return phantom
+
+    @staticmethod
+    def at(tx=0.0, ty=0.0, tz=0.0):
+        return TransformSE3(np.eye(3), np.array([tx, ty, tz]))
+
+    def test_first_leaving_frame_is_named(self, phantom):
+        frames = [self.at(), self.at(), self.at(tx=-1.75), self.at(),
+                  self.at(tz=2.25)]
+        with pytest.raises(FrameOutOfBoundsError, match="frame 2 ") as info:
+            slice_phantom(phantom, Trajectory(tuple(frames)), self.GEOM)
+        assert info.value.frame_index == 2
+
+    def test_past_upper_bound_of_one_axis_raises(self, phantom):
+        # axial coordinates reach 17 > 16; lateral and elevational stay inside
+        frames = (self.at(), self.at(tx=1.75))
+        with pytest.raises(FrameOutOfBoundsError, match="frame 1 "):
+            slice_phantom(phantom, Trajectory(frames), self.GEOM)
+
+    def test_coordinates_on_the_bounds_are_accepted(self, phantom):
+        # axial coordinates end at exactly 16 = dims - 1 and the
+        # elevational coordinate is exactly 0
+        frames = slice_phantom(
+            phantom, Trajectory((self.at(), self.at(tx=1.5, tz=-2.0))), self.GEOM)
+        np.testing.assert_array_equal(frames[1], phantom.field[12:17, 6:11, 0])
 
 
 class TestCorrelationOnSpeckle:
