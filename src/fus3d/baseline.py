@@ -5,7 +5,8 @@ frames (integer search plus 3-point parabolic subpixel refinement);
 out-of-plane translation comes from a calibrated lookup that maps the
 residual patch NCC, after in-plane alignment, to an elevational
 distance. Rotations are reported as zero; this is a translation-only
-sanity baseline, not a 6-DoF competitor.
+sanity baseline, not a 6-DoF competitor, with one fixed patch grid and
+search range.
 """
 
 from __future__ import annotations
@@ -21,17 +22,15 @@ from .pose import PoseVector
 __all__ = [
     "CalibrationError",
     "DecorrModel",
-    "BaselineStep",
     "mean_patch_ncc",
     "calibrate",
     "calibration_pairs_from_scan",
     "estimate_step",
-    "estimate_step_detailed",
 ]
 
-DEFAULT_PATCH_GRID = (5, 5)
-DEFAULT_PATCH_EXTENT = 32
-DEFAULT_SEARCH_PX = 6
+PATCH_GRID = (5, 5)
+PATCH_EXTENT = 32
+SEARCH_PX = 6
 _PERFECT = 1.0 - 1e-12
 
 
@@ -48,21 +47,20 @@ def _ncc(a: np.ndarray, b: np.ndarray) -> float:
     return float((ac * bc).sum() / denom)
 
 
-def mean_patch_ncc(a: np.ndarray, b: np.ndarray,
-                   grid: tuple = DEFAULT_PATCH_GRID,
-                   extent: int = DEFAULT_PATCH_EXTENT) -> float:
-    """Mean NCC over a grid of patches spread across the frames."""
+def mean_patch_ncc(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean NCC over a PATCH_GRID of PATCH_EXTENT-pixel patches spread
+    across the frames; frames smaller than a patch correlate whole."""
     if a.shape != b.shape:
         raise ValueError(f"frame shapes differ: {a.shape} vs {b.shape}")
     h, w = a.shape
-    gy, gx = grid
-    if h < extent or w < extent:
+    gy, gx = PATCH_GRID
+    e = PATCH_EXTENT
+    if h < e or w < e:
         return _ncc(a, b)
-    tops_y = np.linspace(0, h - extent, gy).round().astype(int)
-    tops_x = np.linspace(0, w - extent, gx).round().astype(int)
+    tops_y = np.linspace(0, h - e, gy).round().astype(int)
+    tops_x = np.linspace(0, w - e, gx).round().astype(int)
     values = [
-        _ncc(a[ty : ty + extent, tx : tx + extent],
-             b[ty : ty + extent, tx : tx + extent])
+        _ncc(a[ty : ty + e, tx : tx + e], b[ty : ty + e, tx : tx + e])
         for ty in tops_y
         for tx in tops_x
     ]
@@ -83,8 +81,6 @@ class DecorrModel:
 
     gap_mm: np.ndarray
     ncc: np.ndarray
-    patch_grid: tuple = DEFAULT_PATCH_GRID
-    patch_extent: int = DEFAULT_PATCH_EXTENT
 
     def __post_init__(self) -> None:
         gaps = np.asarray(self.gap_mm, dtype=float)
@@ -104,14 +100,13 @@ class DecorrModel:
     def ncc_floor(self) -> float:
         return float(self.ncc[-1])
 
-    def lookup(self, ncc_value: float):
-        """Gap for an NCC value; returns (gap_mm, clamped)."""
+    def lookup(self, ncc_value: float) -> float:
+        """Elevational gap (mm) for an NCC value."""
         if ncc_value >= self.ncc[0]:
-            return float(self.gap_mm[0]), False
+            return float(self.gap_mm[0])
         if ncc_value <= self.ncc_floor:
-            return float(self.gap_mm[-1]), True
-        gap = np.interp(ncc_value, self.ncc[::-1], self.gap_mm[::-1])
-        return float(gap), False
+            return float(self.gap_mm[-1])
+        return float(np.interp(ncc_value, self.ncc[::-1], self.gap_mm[::-1]))
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="\n", encoding="utf-8") as handle:
@@ -156,8 +151,7 @@ def _pool_violators(knots) -> tuple:
             np.array([b[2] for b in blocks], dtype=float))
 
 
-def calibrate(pairs, patch_grid: tuple = DEFAULT_PATCH_GRID,
-              patch_extent: int = DEFAULT_PATCH_EXTENT) -> DecorrModel:
+def calibrate(pairs) -> DecorrModel:
     """Fit the NCC-vs-gap table from (frame_a, frame_b, gap_mm) pairs.
 
     The patch NCC of each pair is first averaged per distinct gap (gaps
@@ -178,9 +172,7 @@ def calibrate(pairs, patch_grid: tuple = DEFAULT_PATCH_GRID,
     for f_a, f_b, gap in pairs:
         if gap < 0:
             raise ValueError("calibration gaps must be nonnegative")
-        by_gap.setdefault(round(float(gap), 9), []).append(
-            mean_patch_ncc(f_a, f_b, patch_grid, patch_extent)
-        )
+        by_gap.setdefault(round(float(gap), 9), []).append(mean_patch_ncc(f_a, f_b))
     gaps, nccs = _pool_violators(
         (g, len(by_gap[g]), np.mean(by_gap[g])) for g in sorted(by_gap) if g > 0
     )
@@ -190,8 +182,7 @@ def calibrate(pairs, patch_grid: tuple = DEFAULT_PATCH_GRID,
             "below the (0, 1) anchor"
         )
     return DecorrModel(gap_mm=np.concatenate([[0.0], gaps]),
-                       ncc=np.concatenate([[1.0], nccs]),
-                       patch_grid=patch_grid, patch_extent=patch_extent)
+                       ncc=np.concatenate([[1.0], nccs]))
 
 
 def calibration_pairs_from_scan(scan, lags=(1, 2, 3, 4)) -> list:
@@ -229,25 +220,23 @@ def _parabolic_offset(c_minus: float, c_0: float, c_plus: float) -> float:
     return float(np.clip(offset, -0.5, 0.5))
 
 
-@dataclass(frozen=True)
-class BaselineStep:
-    pose: PoseVector
-    mean_ncc: float
-    peak_ncc: float
-    clamped: bool
+def estimate_step(f_i: np.ndarray, f_next: np.ndarray, model: DecorrModel,
+                  pitch_mm: tuple) -> PoseVector:
+    """Translation-only motion estimate between consecutive frames.
 
-
-def estimate_step_detailed(f_i: np.ndarray, f_next: np.ndarray,
-                           model: DecorrModel,
-                           max_shift_px: int = DEFAULT_SEARCH_PX,
-                           pitch_mm: tuple = (0.1484, 0.1484)) -> BaselineStep:
+    In-plane translation is the integer NCC peak over shifts of up to
+    SEARCH_PX pixels, refined by a 3-point parabola per axis unless the
+    peak is a perfect match, times ``pitch_mm`` (axial, lateral). The
+    elevational translation is ``model``'s gap for the residual patch
+    NCC after integer alignment. Rotations are zero.
+    """
     if f_i.shape != f_next.shape:
         raise ValueError(f"frame shapes differ: {f_i.shape} vs {f_next.shape}")
-    surface = _shift_ncc_surface(f_next, f_i, max_shift_px)
+    surface = _shift_ncc_surface(f_next, f_i, SEARCH_PX)
     iy, ix = np.unravel_index(surface.argmax(), surface.shape)
     peak = surface[iy, ix]
-    ky = iy - max_shift_px
-    kx = ix - max_shift_px
+    ky = iy - SEARCH_PX
+    kx = ix - SEARCH_PX
 
     # subpixel refinement, skipped on a perfect match so that exact pixel
     # shifts (and identical frames) come back exactly
@@ -262,23 +251,10 @@ def estimate_step_detailed(f_i: np.ndarray, f_next: np.ndarray,
     h, w = f_i.shape
     cy0, cy1 = max(0, -ky), min(h, h - ky)
     cx0, cx1 = max(0, -kx), min(w, w - kx)
-    aligned_cur = f_next[cy0:cy1, cx0:cx1]
-    aligned_ref = f_i[cy0 + ky : cy1 + ky, cx0 + kx : cx1 + kx]
-    residual = mean_patch_ncc(aligned_cur, aligned_ref,
-                              model.patch_grid, model.patch_extent)
-    tz, clamped = model.lookup(residual)
-
-    pose = PoseVector(
+    residual = mean_patch_ncc(f_next[cy0:cy1, cx0:cx1],
+                              f_i[cy0 + ky : cy1 + ky, cx0 + kx : cx1 + kx])
+    return PoseVector(
         tx=(ky + dy) * pitch_mm[0],
         ty=(kx + dx) * pitch_mm[1],
-        tz=tz,
+        tz=model.lookup(residual),
     )
-    return BaselineStep(pose=pose, mean_ncc=residual, peak_ncc=float(peak),
-                        clamped=clamped)
-
-
-def estimate_step(f_i: np.ndarray, f_next: np.ndarray, model: DecorrModel,
-                  max_shift_px: int = DEFAULT_SEARCH_PX,
-                  pitch_mm: tuple = (0.1484, 0.1484)) -> PoseVector:
-    """Translation-only motion estimate between consecutive frames."""
-    return estimate_step_detailed(f_i, f_next, model, max_shift_px, pitch_mm).pose

@@ -35,6 +35,8 @@ from .pose import (
     write_pose_csv,
 )
 from .simulate import (
+    DEFAULT_FRAME_RATE_HZ,
+    DEFAULT_PITCH_MM,
     PhantomSpec,
     ScanSequence,
     TrajectorySpec,
@@ -50,10 +52,6 @@ from .training import (
     train,
     validation_report,
 )
-
-DEFAULT_PITCH_MM = 0.1484
-DEFAULT_FRAME_RATE = 20.0
-
 
 class UsageError(ValueError):
     """Configuration problems: mapped to exit code 2."""
@@ -135,7 +133,7 @@ def cmd_simulate(args) -> int:
     scan = ScanSequence(
         frames=frames,
         geometry=geometry,
-        frame_rate_hz=DEFAULT_FRAME_RATE,
+        frame_rate_hz=DEFAULT_FRAME_RATE_HZ,
         truth=trajectory,
         subject=args.subject,
         meta={"seed": args.seed, "shape": args.shape},
@@ -166,12 +164,19 @@ def cmd_train(args) -> int:
     else:
         model_config = ModelConfig.toy(use_gla=not args.no_gla)
         default_batch = 4
-    expected = model_config.frame_extent
+    resume_extra = None
+    if args.resume:
+        model, resume_extra, _ = load_model(args.resume)
+        source = f"resumed model {args.resume}"
+    else:
+        model = MotionNetwork(model_config, seed=args.seed)
+        source = f"{args.scale} model"
+    expected = model.config.frame_extent
     geom = train_scans[0].geometry
     if (geom.n_rows, geom.n_cols) != (expected, expected):
         raise UsageError(
             f"scan frames are {geom.n_rows}x{geom.n_cols} but the "
-            f"{args.scale} model expects {expected}x{expected}"
+            f"{source} expects {expected}x{expected}"
         )
 
     config = TrainConfig(
@@ -184,12 +189,6 @@ def cmd_train(args) -> int:
         seed=args.seed,
         val_every_epochs=args.val_every,
     )
-
-    resume_extra = None
-    if args.resume:
-        model, resume_extra, _ = load_model(args.resume)
-    else:
-        model = MotionNetwork(model_config, seed=args.seed)
 
     result = train(
         model,
@@ -461,31 +460,33 @@ def main(argv=None) -> int:
 
 
 def _apply_config_defaults(parser, argv) -> None:
-    if "--config" in argv:
-        probe, _ = parser.parse_known_args(argv)
-        if probe.config:
-            defaults = _load_config_defaults(probe.config)
-            subparser = parser._subparsers._group_actions[0].choices[probe.command]
-            typed = {}
-            for action in subparser._actions:
-                if action.dest in defaults:
-                    raw = defaults[action.dest]
-                    if action.nargs in ("+", 3):
-                        typed[action.dest] = [
-                            (action.type or str)(v) for v in raw.split(",")
-                        ]
-                    elif isinstance(action.const, bool) or isinstance(
-                        action.default, bool
-                    ):
-                        typed[action.dest] = raw.lower() in ("1", "true", "yes")
-                    else:
-                        typed[action.dest] = (action.type or str)(raw)
-            unknown = set(defaults) - {a.dest for a in subparser._actions}
-            if unknown:
-                raise UsageError(
-                    f"unknown config keys: {', '.join(sorted(unknown))}"
-                )
-            subparser.set_defaults(**typed)
+    """Make a ``--config`` file's values the subcommand's defaults; the
+    probe finds the option in every spelling argparse accepts."""
+    probe, _ = parser.parse_known_args(argv)
+    if not probe.config:
+        return
+    defaults = _load_config_defaults(probe.config)
+    subparser = parser._subparsers._group_actions[0].choices[probe.command]
+    typed = {}
+    for action in subparser._actions:
+        if action.dest in defaults:
+            raw = defaults[action.dest]
+            if action.nargs in ("+", 3):
+                typed[action.dest] = [
+                    (action.type or str)(v) for v in raw.split(",")
+                ]
+            elif isinstance(action.const, bool) or isinstance(
+                action.default, bool
+            ):
+                typed[action.dest] = raw.lower() in ("1", "true", "yes")
+            else:
+                typed[action.dest] = (action.type or str)(raw)
+    unknown = set(defaults) - {a.dest for a in subparser._actions}
+    if unknown:
+        raise UsageError(
+            f"unknown config keys: {', '.join(sorted(unknown))}"
+        )
+    subparser.set_defaults(**typed)
 
 
 if __name__ == "__main__":

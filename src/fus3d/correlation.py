@@ -6,12 +6,10 @@ patch position inside the RoI of the second map, giving a d x d array
 per RoI (d = roi_extent - patch_extent + 1). Stacking the arrays over
 the RoI grid yields the correlation volume.
 
-Normalization options:
-
-* ``ncc``: patches are zero-meaned and unit-normalized over channels x
-  patch area, so values live in [-1, 1] and a stationary pair peaks at
-  exactly 1 at the center. Zero-variance patches correlate as 0.
-* ``dot``: raw inner products.
+Each value is a normalized cross-correlation (NCC): both patches are
+zero-meaned and unit-normalized over channels x patch area, so values
+live in [-1, 1] and a stationary pair peaks at exactly 1 at the center.
+Zero-variance patches correlate as 0.
 
 The operation is differentiable and registered on the autodiff tape.
 """
@@ -39,7 +37,6 @@ class CorrConfig:
     roi_extent: int = 9
     patch_extent: int = 5
     roi_stride: int = 7
-    normalization: str = "ncc"
 
     def __post_init__(self) -> None:
         if self.roi_extent % 2 == 0 or self.patch_extent % 2 == 0:
@@ -50,8 +47,6 @@ class CorrConfig:
             )
         if self.roi_stride < 1:
             raise ValueError("roi_stride must be positive")
-        if self.normalization not in ("ncc", "dot"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
 
     @property
     def displacement_extent(self) -> int:
@@ -59,8 +54,7 @@ class CorrConfig:
 
     @classmethod
     def for_map_extent(cls, extent: int, grid: int = 8, roi_extent: int = 9,
-                       patch_extent: int = 5, normalization: str = "ncc"
-                       ) -> "CorrConfig":
+                       patch_extent: int = 5) -> "CorrConfig":
         """Pick the stride that fits a grid x grid RoI layout on a map."""
         if grid < 2:
             raise ValueError("grid must be at least 2")
@@ -70,7 +64,7 @@ class CorrConfig:
                 f"map extent {extent} cannot hold a {grid}x{grid} grid of "
                 f"{roi_extent}px RoIs"
             )
-        return cls(roi_extent, patch_extent, stride, normalization)
+        return cls(roi_extent, patch_extent, stride)
 
 
 def _grid_layout(h: int, w: int, cfg: CorrConfig):
@@ -175,16 +169,14 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
     gy, gx, my, mx = _grid_layout(h, w, cfg)
     k = c * p * p
     center = (r - p) // 2
-    ncc = cfg.normalization == "ncc"
 
     roi = _gather(b.data, r, my, mx, s, gy, gx)
     ref = _gather(a.data, p, my + center, mx + center, s, gy, gx)
-    if ncc:
-        mu_a, inv_a = _moments(np.einsum("nijpqc->nij", ref),
-                               np.einsum("nijpqc,nijpqc->nij", ref, ref), k)
-        ref -= mu_a[..., None, None, None]
-        ref *= inv_a[..., None, None, None]
-        sum_ref = np.einsum("nijpqc->nij", ref)  # ~0, kept for exactness
+    mu_a, inv_a = _moments(np.einsum("nijpqc->nij", ref),
+                           np.einsum("nijpqc,nijpqc->nij", ref, ref), k)
+    ref -= mu_a[..., None, None, None]
+    ref *= inv_a[..., None, None, None]
+    sum_ref = np.einsum("nijpqc->nij", ref)  # ~0, kept for exactness
     # (n, gy, gx, r, d, p*c) view: at RoI row y and column offset v, the
     # p*c values (p columns, all channels) that one patch row reads
     rows = np.lib.stride_tricks.sliding_window_view(
@@ -195,36 +187,31 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
     for i in range(p):
         corr += np.einsum("nijuvt,nijt->nijuv", rows[:, :, :, i : i + d],
                           ref_rows[:, :, :, i])
-    if ncc:
-        mu_b, inv_b = _moments(
-            _box_sum(np.einsum("nijyxc->nijyx", roi), p),
-            _box_sum(np.einsum("nijyxc,nijyxc->nijyx", roi, roi), p), k)
-        corr -= mu_b * sum_ref[..., None, None]
-        corr *= inv_b
-        np.clip(corr, -1.0, 1.0, out=corr)
+    mu_b, inv_b = _moments(
+        _box_sum(np.einsum("nijyxc->nijyx", roi), p),
+        _box_sum(np.einsum("nijyxc,nijyxc->nijyx", roi, roi), p), k)
+    corr -= mu_b * sum_ref[..., None, None]
+    corr *= inv_b
+    np.clip(corr, -1.0, 1.0, out=corr)
 
     def vjp(g):
         g = g.reshape(n, gy, gx, d, d)
-        if ncc:
-            s1 = g * inv_b
-            s2 = s1 * corr * inv_b
-            # per RoI pixel: weights of its own value (energy term) and of
-            # the patch means (mean term), summed over the patches holding it
-            energy = _box_sum_adjoint(s2, p)
-            mean = _box_sum_adjoint(mu_b * s2, p)
-        else:
-            s1 = g
+        s1 = g * inv_b
+        s2 = s1 * corr * inv_b
+        # per RoI pixel: weights of its own value (energy term) and of
+        # the patch means (mean term), summed over the patches holding it
+        energy = _box_sum_adjoint(s2, p)
+        mean = _box_sum_adjoint(mu_b * s2, p)
         # cross-term adjoint for the center patch: s1 against the RoI rows
         g_ref = np.empty((n, gy, gx, p, p * c))
         for i in range(p):
             g_ref[:, :, :, i] = np.einsum("nijuvt,nijuv->nijt",
                                           rows[:, :, :, i : i + d], s1)
         g_ref = g_ref.reshape(ref.shape)
-        if ncc:
-            # the mean and self terms of the normalized center patch
-            g_ref -= np.einsum("nijuv,nijuv->nij", s1, mu_b)[..., None, None, None]
-            g_ref -= ref * np.einsum("nijuv,nijuv->nij", g, corr)[..., None, None, None]
-            g_ref *= inv_a[..., None, None, None]
+        # the mean and self terms of the normalized center patch
+        g_ref -= np.einsum("nijuv,nijuv->nij", s1, mu_b)[..., None, None, None]
+        g_ref -= ref * np.einsum("nijuv,nijuv->nij", g, corr)[..., None, None, None]
+        g_ref *= inv_a[..., None, None, None]
 
         # cross-term adjoint: band[..., u, x, j] = s1[..., u, x - j] (0 off
         # the band), so band[..., u, :, :] @ ref[..., i, :, :] is what patch
@@ -238,9 +225,8 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
             for y in range(r):
                 g_row = sum(band[:, :, :, y - i] @ ref[:, :, :, i]
                             for i in range(max(0, y - d + 1), min(p, y + 1)))
-                if ncc:
-                    g_row -= roi[:, :, :, y] * energy[:, :, :, y, :, None]
-                    g_row += mean[:, :, :, y, :, None]
+                g_row -= roi[:, :, :, y] * energy[:, :, :, y, :, None]
+                g_row += mean[:, :, :, y, :, None]
                 yield g_row
 
         return (_fold(np.moveaxis(g_ref, 3, 0), my + center, mx + center, s,

@@ -23,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .pose import PoseVector
 from .tensor import (
     Tensor,
     cosine_similarity,
@@ -71,13 +70,8 @@ class LossWeights:
 
 
 def _as_motion(values) -> Tensor:
-    """Coerce pose lists / arrays / tensors into an (n, 6) tensor."""
-    if isinstance(values, Tensor):
-        t = values
-    elif len(values) > 0 and isinstance(values[0], PoseVector):
-        t = Tensor(np.stack([p.as_array() for p in values]))
-    else:
-        t = Tensor(np.asarray(values, dtype=float))
+    """Coerce an (n, 6) array or tensor into an (n, 6) tensor."""
+    t = values if isinstance(values, Tensor) else Tensor(np.asarray(values, dtype=float))
     if t.ndim != 2 or t.shape[1] != 6:
         raise ValueError(f"expected (n, 6) motions, got shape {t.shape}")
     return t

@@ -84,17 +84,10 @@ class MetricsBreakdown:
     aae_rotation_deg: float
 
 
-def _pose_matrix(poses) -> np.ndarray:
-    if isinstance(poses, np.ndarray):
-        return poses
-    return np.stack([p.as_array() for p in poses])
-
-
 def relative_errors(true_rel, pred_rel) -> float:
     """rAE: mean absolute error over all steps and all six components.
 
-    Each argument is an (n, 6) array of pose vectors or a sequence of
-    :class:`PoseVector`.
+    Each argument is an (n, 6) array of pose vectors.
     """
     if len(true_rel) != len(pred_rel):
         raise ValueError(
@@ -102,7 +95,7 @@ def relative_errors(true_rel, pred_rel) -> float:
         )
     if len(true_rel) == 0:
         raise ValueError("relative_errors needs at least one step")
-    return float(np.abs(_pose_matrix(true_rel) - _pose_matrix(pred_rel)).mean())
+    return float(np.abs(true_rel - pred_rel).mean())
 
 
 def _plane(geometry: ImageGeometry) -> np.ndarray:

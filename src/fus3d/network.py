@@ -82,17 +82,12 @@ class GlaConfig:
     def n_blocks(self) -> int:
         return (self.local_extent // self.block_extent) ** 2
 
-    @property
-    def grid_extent(self) -> int:
-        return self.local_extent // self.block_extent
-
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Network hyperparameters; ``toy`` is the trainable desk-scale setup,
     ``paper_shape`` reproduces the published tensor shapes untrained."""
 
-    scale: str = "toy"
     frame_extent: int = 64
     encoder_channels: tuple = (8, 16, 32, 64)
     downsample: tuple = (2, 2, 2, 2)
@@ -125,7 +120,6 @@ class ModelConfig:
     @classmethod
     def paper_shape(cls, **overrides) -> "ModelConfig":
         base = dict(
-            scale="paper",
             frame_extent=256,
             encoder_channels=(64, 128, 256, 512),
             downsample=(2, 2, 8, 2),
@@ -159,14 +153,9 @@ class ModelConfig:
             mlp_reduction=self.mlp_reduction,
         )
 
-    @property
-    def embedding_size(self) -> int:
-        return 2 * self.encoder_channels[3]
-
     # -- flat key=value serialization ------------------------------------
     def to_text_dict(self) -> dict:
         return {
-            "scale": self.scale,
             "frame_extent": str(self.frame_extent),
             "encoder_channels": ",".join(str(c) for c in self.encoder_channels),
             "downsample": ",".join(str(d) for d in self.downsample),
@@ -182,7 +171,6 @@ class ModelConfig:
     @classmethod
     def from_text_dict(cls, text: dict) -> "ModelConfig":
         return cls(
-            scale=text["scale"],
             frame_extent=int(text["frame_extent"]),
             encoder_channels=tuple(int(c) for c in text["encoder_channels"].split(",")),
             downsample=tuple(int(d) for d in text["downsample"].split(",")),
@@ -473,8 +461,7 @@ class MotionNetwork(Module):
         return poses, scores
 
 
-def export_attention_scores(scores: np.ndarray, directory,
-                            prefix: str = "attention") -> list:
+def export_attention_scores(scores: np.ndarray, directory) -> list:
     """Write per-step block-score grids as 16-bit PGM images.
 
     ``scores`` is (steps, n_blocks); each row becomes a sqrt(n_blocks)
@@ -491,7 +478,7 @@ def export_attention_scores(scores: np.ndarray, directory,
         raise ValueError(f"{nb} block scores do not form a square grid")
     paths = []
     for t in range(steps):
-        path = directory / f"{prefix}_{t:04d}.pgm"
+        path = directory / f"attention_{t:04d}.pgm"
         write_pgm16(path, scores[t].reshape(grid, grid), lo=-1.0, hi=1.0)
         paths.append(path)
     return paths

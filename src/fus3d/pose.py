@@ -190,10 +190,6 @@ class TransformSE3:
             raise ValueError("last row must be [0, 0, 0, 1]")
         return cls(m[:3, :3], m[:3, 3])
 
-    def reorthonormalized(self) -> "TransformSE3":
-        """Snap the rotation back onto SO(3) via polar decomposition."""
-        return TransformSE3(_polar(self.rotation), self.translation)
-
 
 def _polar(rotation: np.ndarray) -> np.ndarray:
     """The rotation nearest to a 3x3 matrix (polar decomposition)."""

@@ -88,9 +88,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() needs a single element, shape is {self.shape}")
@@ -102,10 +99,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def detach(self) -> "Tensor":
-        out = Tensor(self.data)
-        return out
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -12,7 +12,6 @@ from fus3d.baseline import (
     calibrate,
     calibration_pairs_from_scan,
     estimate_step,
-    estimate_step_detailed,
     mean_patch_ncc,
 )
 from fus3d.simulate import TrajectorySpec
@@ -126,27 +125,32 @@ class TestCalibration:
 
     def test_interior_lookup_stays_in_range(self, decorr_model):
         interior = 0.5 * (decorr_model.ncc[0] + decorr_model.ncc[-1])
-        gap, clamped = decorr_model.lookup(interior)
-        assert not clamped
+        gap = decorr_model.lookup(interior)
         assert decorr_model.gap_mm[0] < gap < decorr_model.gap_mm[-1]
 
     def test_lookup_monotone(self, decorr_model):
         values = np.linspace(-0.2, 1.1, 200)
-        gaps = [decorr_model.lookup(v)[0] for v in values]
+        gaps = [decorr_model.lookup(v) for v in values]
         assert np.all(np.diff(gaps) <= 0)  # higher ncc, smaller gap
 
     def test_floor_clamps_and_flags(self, decorr_model):
-        gap, clamped = decorr_model.lookup(decorr_model.ncc_floor - 0.1)
-        assert clamped
+        gap = decorr_model.lookup(decorr_model.ncc_floor - 0.1)
         assert gap == decorr_model.gap_mm[-1]
 
-    def test_csv_round_trip(self, decorr_model, tmp_path):
+    def test_csv_round_trip(self, decorr_model, linear_scan, tmp_path):
         path = tmp_path / "calibration.csv"
         decorr_model.save_csv(path)
         loaded = DecorrModel.load_csv(path)
         np.testing.assert_array_equal(loaded.gap_mm, decorr_model.gap_mm)
         np.testing.assert_array_equal(loaded.ncc, decorr_model.ncc)
         assert path.read_text().splitlines()[0] == "ncc,gap_mm"
+        # the loaded table estimates exactly what the fitted one does
+        frames = linear_scan.frames
+        for i in range(0, linear_scan.n_frames - 1, 6):
+            args = (frames[i], frames[i + 1])
+            assert (estimate_step(*args, loaded, pitch_mm=PITCH).as_array().tobytes()
+                    == estimate_step(*args, decorr_model,
+                                     pitch_mm=PITCH).as_array().tobytes())
 
 
 def _known_ncc_pair(cos_sin):
@@ -227,10 +231,10 @@ class TestElevational:
         rel = scan.truth_relative_poses()
         errors = []
         for i in range(scan.n_frames - 1):
-            step = estimate_step_detailed(scan.frames[i], scan.frames[i + 1],
-                                          decorr_model, pitch_mm=PITCH)
-            assert not step.clamped
-            errors.append(abs(step.pose.tz - rel[i].tz))
+            step = estimate_step(scan.frames[i], scan.frames[i + 1],
+                                 decorr_model, pitch_mm=PITCH)
+            assert step.tz < decorr_model.gap_mm[-1]
+            errors.append(abs(step.tz - rel[i].tz))
         assert np.mean(errors) < 0.25 * 0.2
 
     def test_larger_gap_never_reads_smaller(self, decorr_model, small_phantom):

@@ -12,8 +12,9 @@ from conftest import simulate_scan
 from fus3d.cli import main
 from fus3d.compound import read_volume
 from fus3d.network import ModelConfig, MotionNetwork, save_model
-from fus3d.pose import read_pose_csv
+from fus3d.pose import ImageGeometry, read_pose_csv
 from fus3d.simulate import TrajectorySpec, read_scan, write_scan
+from fus3d.training import ScanDataset, TrainConfig, train
 
 
 def run(*argv) -> int:
@@ -300,6 +301,32 @@ class TestTrainCommand:
         assert run("train", "--dataset", single, "--out", tmp_path / "run",
                    "--steps", 1) == 2
 
+    def test_resume_checks_frames_against_the_checkpoint(self, tmp_path):
+        # a 32 px model resumed on 32 px scans, with --scale left at toy
+        # (64 px): the resumed model's frame extent is what counts
+        geometry = ImageGeometry(32, 32, 0.1484, 0.1484)
+        root = tmp_path / "data32"
+        for k in range(3):
+            spec = TrajectorySpec(
+                shape="linear", length_mm=0.16 * 13, n_frames=14,
+                noise_translation_mm=(0.02, 0.02, 0.01), seed=300 + k,
+            )
+            scan = simulate_scan(spec, geometry, phantom_seed=400 + k,
+                                 subject=f"s{k:02d}")
+            write_scan(root / f"scan{k:02d}", scan)
+        scans = ScanDataset.from_directory(root).scans
+        config = ModelConfig(frame_extent=32, corr_grid=4, block_extent=2)
+        ckpt = tmp_path / "first.ckpt"
+        train(MotionNetwork(config, seed=1), scans[:2], scans[2:],
+              TrainConfig(steps=1, batch_size=2, seq_len=3, seed=1),
+              checkpoint_path=ckpt)
+        code = run("train", "--dataset", root, "--out", tmp_path / "run",
+                   "--resume", ckpt, "--steps", 2, "--seq-len", 3,
+                   "--batch", 2, "--val-fraction", 0.34, "--seed", 1)
+        assert code == 0
+        report = json.loads((tmp_path / "run" / "val_report.json").read_text())
+        assert report["steps"] == 2
+
 
 class TestConfigFile:
     def test_defaults_from_config(self, tmp_path):
@@ -314,6 +341,16 @@ class TestConfigFile:
         cfg.write_text("frames=9\nlength-mm=1.2\n")
         run("simulate", "--config", cfg, "--frames", 7,
             "--out", tmp_path / "scan")
+        assert read_scan(tmp_path / "scan").n_frames == 7
+
+    @pytest.mark.parametrize("spelling", [
+        ("--config", "{}"), ("--config={}",), ("--conf", "{}"),
+    ], ids=["separate", "equals", "prefix"])
+    def test_every_spelling_reads_the_file(self, tmp_path, spelling):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("frames=7\nlength-mm=1.2\n")
+        option = [part.format(cfg) for part in spelling]
+        assert run("simulate", *option, "--out", tmp_path / "scan") == 0
         assert read_scan(tmp_path / "scan").n_frames == 7
 
     def test_unknown_key_rejected(self, tmp_path):

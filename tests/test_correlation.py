@@ -37,17 +37,14 @@ def brute_force_volume(a, b, cfg):
             for u in range(d):
                 for v in range(d):
                     mov = b[:, ty + u : ty + u + p, tx + v : tx + v + p]
-                    if cfg.normalization == "dot":
-                        out[i, j, u, v] = float((ref * mov).sum())
+                    rc = ref - ref.mean()
+                    mc = mov - mov.mean()
+                    nr = np.sqrt((rc * rc).sum())
+                    nm = np.sqrt((mc * mc).sum())
+                    if nr == 0.0 or nm == 0.0:
+                        out[i, j, u, v] = 0.0
                     else:
-                        rc = ref - ref.mean()
-                        mc = mov - mov.mean()
-                        nr = np.sqrt((rc * rc).sum())
-                        nm = np.sqrt((mc * mc).sum())
-                        if nr == 0.0 or nm == 0.0:
-                            out[i, j, u, v] = 0.0
-                        else:
-                            out[i, j, u, v] = float((rc * mc).sum() / (nr * nm))
+                        out[i, j, u, v] = float((rc * mc).sum() / (nr * nm))
     return out.reshape(gy * gx, d, d)
 
 
@@ -83,10 +80,9 @@ class TestConfig:
 
 
 class TestAgainstOracle:
-    @pytest.mark.parametrize("normalization", ["ncc", "dot"])
-    def test_random_instances_match_brute_force(self, normalization):
+    @pytest.mark.parametrize("cfg", [CorrConfig(7, 3, 3)], ids=["ncc"])
+    def test_random_instances_match_brute_force(self, cfg):
         rng = np.random.default_rng(13)
-        cfg = CorrConfig(7, 3, 3, normalization)
         for _ in range(4):
             a = rng.standard_normal((2, 14, 16))
             b = rng.standard_normal((2, 14, 16))
@@ -172,31 +168,28 @@ class TestStatistics:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("normalization", ["ncc", "dot"])
-    def test_finite_difference(self, normalization):
+    @pytest.mark.parametrize("cfg", [CorrConfig(7, 3, 2)], ids=["ncc"])
+    def test_finite_difference(self, cfg):
         rng = np.random.default_rng(31)
-        cfg = CorrConfig(7, 3, 2, normalization)
         arrays = [rng.uniform(-1, 1, (1, 2, 10, 10)),
                   rng.uniform(-1, 1, (1, 2, 10, 10))]
         check_gradients(lambda t: correlate_batch(t[0], t[1], cfg), arrays)
 
 
 class TestOverlappingRoiGradients:
-    @pytest.mark.parametrize("normalization", ["ncc", "dot"])
-    def test_toy_geometry_finite_difference(self, normalization):
+    @pytest.mark.parametrize("cfg", [CorrConfig(9, 5, 3)], ids=["ncc"])
+    def test_toy_geometry_finite_difference(self, cfg):
         # the toy network's RoI/patch extents: 3 x 3 RoIs, stride 3 < 9,
         # so neighbouring RoIs share pixels, and two pairs in the batch
         rng = np.random.default_rng(47)
-        cfg = CorrConfig(9, 5, 3, normalization)
         arrays = [rng.uniform(-1, 1, (2, 2, 15, 15)),
                   rng.uniform(-1, 1, (2, 2, 15, 15))]
         check_gradients(lambda t: correlate_batch(t[0], t[1], cfg), arrays)
 
-    @pytest.mark.parametrize("normalization", ["ncc", "dot"])
-    def test_non_square_grid_finite_difference(self, normalization):
+    @pytest.mark.parametrize("cfg", [CorrConfig(7, 3, 3)], ids=["ncc"])
+    def test_non_square_grid_finite_difference(self, cfg):
         # a 2 x 3 RoI grid: row and column counts differ
         rng = np.random.default_rng(53)
-        cfg = CorrConfig(7, 3, 3, normalization)
         arrays = [rng.uniform(-1, 1, (1, 2, 10, 13)),
                   rng.uniform(-1, 1, (1, 2, 10, 13))]
         check_gradients(lambda t: correlate_batch(t[0], t[1], cfg), arrays)
@@ -271,12 +264,11 @@ class TestDegeneratePatches:
 
 @st.composite
 def correlation_cases(draw):
-    """A small valid geometry, maps and normalization; with ``levels`` the
-    maps hold few distinct integers, so constant patches turn up."""
+    """A small valid geometry and maps; with ``levels`` the maps hold few
+    distinct integers, so constant patches turn up."""
     p = draw(st.sampled_from([1, 3, 5]))
     r = draw(st.sampled_from([e for e in (3, 5, 7, 9) if e >= p]))
-    cfg = CorrConfig(r, p, draw(st.integers(1, 5)),
-                     draw(st.sampled_from(["ncc", "dot"])))
+    cfg = CorrConfig(r, p, draw(st.integers(1, 5)))
     shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)),
              draw(st.integers(r, r + 7)), draw(st.integers(r, r + 7)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -295,16 +287,13 @@ class TestProperties:
         got = correlate_batch(Tensor(a), Tensor(b), cfg).data
         for k in range(a.shape[0]):
             want = brute_force_volume(a[k], b[k], cfg).reshape(got[k].shape)
-            tol = 1e-12
-            if cfg.normalization == "ncc":
-                # patch variances come from sums and sums of squares, which
-                # lose about eps * energy / variance; constant patches give
-                # exactly 0 on both sides
-                cond = patch_conditioning(a[k], b[k], cfg)
-                tol = np.where(np.isinf(cond), 0.0, 1e-12 + 1e-14 * cond)
+            # patch variances come from sums and sums of squares, which
+            # lose about eps * energy / variance; constant patches give
+            # exactly 0 on both sides
+            cond = patch_conditioning(a[k], b[k], cfg)
+            tol = np.where(np.isinf(cond), 0.0, 1e-12 + 1e-14 * cond)
             assert np.all(np.abs(got[k] - want) <= tol)
-        if cfg.normalization == "ncc":
-            assert got.min() >= -1.0 and got.max() <= 1.0
+        assert got.min() >= -1.0 and got.max() <= 1.0
 
 
 class TestMeanMap:

@@ -11,7 +11,6 @@ from fus3d.losses import (
     total_loss,
     triplet_loss,
 )
-from fus3d.pose import PoseVector
 from fus3d.tensor import Tensor, backward
 
 
@@ -24,8 +23,8 @@ class TestMmae:
     def test_hand_case(self):
         # one step, unit error on one component, eps 0.1:
         # (1/6) * (1 + 0.1) * 1 = 0.1833...
-        true = [PoseVector(1, 0, 0, 0, 0, 0)]
-        pred = [PoseVector()]
+        true = np.array([[1.0, 0, 0, 0, 0, 0]])
+        pred = np.zeros((1, 6))
         value = mmae(true, pred, epsilon=0.1).item()
         assert value == pytest.approx(11.0 / 60.0, abs=1e-12)
 

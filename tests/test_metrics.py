@@ -122,28 +122,29 @@ def oracle_metrics(true_abs, pred_abs, geom):
 class TestRelativeErrors:
     def test_identical_is_zero(self):
         rng = np.random.default_rng(0)
-        poses = [PoseVector.from_array(rng.standard_normal(6)) for _ in range(5)]
+        poses = rng.standard_normal((5, 6))
         assert relative_errors(poses, poses) == 0.0
 
     def test_constant_offset_single_component(self):
-        true = [PoseVector() for _ in range(4)]
-        pred = [PoseVector(tx=0.1) for _ in range(4)]
+        true = np.zeros((4, 6))
+        pred = np.zeros((4, 6))
+        pred[:, 0] = 0.1
         assert relative_errors(true, pred) == pytest.approx(0.1 / 6.0, abs=1e-15)
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(1)
-        true = [PoseVector.from_array(rng.standard_normal(6)) for _ in range(9)]
-        pred = [PoseVector.from_array(rng.standard_normal(6)) for _ in range(9)]
+        true = rng.standard_normal((9, 6))
+        pred = rng.standard_normal((9, 6))
         expected = 0.0
         for a, b in zip(true, pred):
-            for x, y in zip(a.as_array(), b.as_array()):
+            for x, y in zip(a, b):
                 expected += abs(x - y)
         expected /= 9 * 6
         assert relative_errors(true, pred) == pytest.approx(expected, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            relative_errors([PoseVector()], [PoseVector(), PoseVector()])
+            relative_errors(np.zeros((1, 6)), np.zeros((2, 6)))
 
 
 class TestPerfectPrediction:

@@ -375,7 +375,7 @@ class TestModelCheckpoint:
         path = tmp_path / "model.ckpt"
         save_model(path, model, extra_config={"note": "test"})
         loaded, extra, config = load_model(path)
-        assert config["scale"] == "toy"
+        assert loaded.config == model.config
         assert config["note"] == "test"
         rng = np.random.default_rng(30)
         frames = rng.uniform(0, 1, (1, 3, 64, 64))
@@ -385,13 +385,15 @@ class TestModelCheckpoint:
         )
 
     def test_loads_checkpoints_with_retired_config_keys(self, tmp_path):
-        # older checkpoints also carry seq_len and fusion, which the model
-        # config no longer has; loading ignores them
+        # older checkpoints also carry scale, seq_len and fusion, which the
+        # model config no longer has; loading ignores them
         model = MotionNetwork(ModelConfig.toy(), seed=12)
         path = tmp_path / "old.ckpt"
-        save_model(path, model, extra_config={"seq_len": "8", "fusion": "mean"})
+        save_model(path, model, extra_config={"scale": "toy", "seq_len": "8",
+                                              "fusion": "mean"})
         loaded, _, config = load_model(path)
-        assert (config["seq_len"], config["fusion"]) == ("8", "mean")
+        assert (config["scale"], config["seq_len"], config["fusion"]) == (
+            "toy", "8", "mean")
         assert loaded.config == model.config
         rng = np.random.default_rng(31)
         frames = rng.uniform(0, 1, (1, 4, 64, 64))

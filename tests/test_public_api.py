@@ -2,8 +2,9 @@
 
 Each ``__all__`` entry of a ``fus3d`` module must resolve to a module
 attribute and be used (loaded as a name or an attribute) somewhere in
-``src/fus3d`` outside its own definition. ``UNCALLED_BY_DESIGN`` lists
-the exceptions, each with its reason.
+``src/fus3d`` outside its own definition. So must every public method
+and property of a public class. ``UNCALLED_BY_DESIGN`` and
+``UNCALLED_MEMBERS`` list the exceptions, each with its reason.
 """
 
 import ast
@@ -24,6 +25,14 @@ SOURCES = {
 UNCALLED_BY_DESIGN = {
     "read_pgm16": "reads the PGM files write_pgm16 writes; tests verify the writer with it",
     "read_volume": "reads the FVL1 files write_volume writes; tests verify the writer with it",
+}
+
+# Class.member -> why it is public without a caller in the package
+UNCALLED_MEMBERS = {
+    "TransformSE3.identity": "reference transform for the pose tests",
+    "TransformSE3.from_matrix": "reference constructor for the pose tests",
+    "VolumeGrid.mass": "the benchmark's reconstruct check compares it with the splatted mass",
+    "PoseVector.as_array": "the benchmark's pose checks and the tests read pose values with it",
 }
 
 
@@ -65,12 +74,29 @@ def has_use(name: str, module: str, span) -> bool:
     return False
 
 
+def public_members(module: str) -> dict:
+    """``Class.member`` -> definition span of each public method or
+    property of the module's public classes."""
+    members = {}
+    names = set(public_names(module))
+    for node in SOURCES[module].body:
+        if isinstance(node, ast.ClassDef) and node.name in names:
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    members[f"{node.name}.{item.name}"] = (item.lineno,
+                                                           item.end_lineno)
+    return members
+
+
 MODULES = [module for module in SOURCES if public_names(module)]
 
 
 def test_allowlisted_names_are_public():
     public = {name for module in MODULES for name in public_names(module)}
     assert set(UNCALLED_BY_DESIGN) <= public
+    members = {m for module in MODULES for m in public_members(module)}
+    assert set(UNCALLED_MEMBERS) <= members
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -87,4 +113,14 @@ def test_public_names_have_callers(module):
         assert span is not None, f"{module}.{name} is not defined at top level"
         if name not in UNCALLED_BY_DESIGN and not has_use(name, module, span):
             uncalled.append(name)
+    assert uncalled == [], f"public in fus3d.{module} but unused in the package"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_members_have_callers(module):
+    uncalled = [
+        member for member, span in public_members(module).items()
+        if member not in UNCALLED_MEMBERS
+        and not has_use(member.split(".")[1], module, span)
+    ]
     assert uncalled == [], f"public in fus3d.{module} but unused in the package"
