@@ -158,19 +158,14 @@ def cmd_train(args) -> int:
     if not train_scans or not val_scans:
         raise UsageError("dataset too small for a train/validation split")
 
-    if args.scale == "paper-shape":
-        model_config = ModelConfig.paper_shape(use_gla=not args.no_gla)
-        default_batch = 14
-    else:
-        model_config = ModelConfig.toy(use_gla=not args.no_gla)
-        default_batch = 4
     resume_extra = None
     if args.resume:
         model, resume_extra, _ = load_model(args.resume)
         source = f"resumed model {args.resume}"
     else:
-        model = MotionNetwork(model_config, seed=args.seed)
-        source = f"{args.scale} model"
+        model = MotionNetwork(ModelConfig.toy(use_gla=not args.no_gla),
+                              seed=args.seed)
+        source = "toy model"
     expected = model.config.frame_extent
     geom = train_scans[0].geometry
     if (geom.n_rows, geom.n_cols) != (expected, expected):
@@ -181,7 +176,7 @@ def cmd_train(args) -> int:
 
     config = TrainConfig(
         steps=args.steps,
-        batch_size=args.batch if args.batch else default_batch,
+        batch_size=args.batch,
         seq_len=args.seq_len,
         learning_rate=args.lr,
         loss_weights=LossWeights(args.alpha_mmae, args.alpha_corr,
@@ -237,7 +232,7 @@ def cmd_infer(args) -> int:
     out = _ensure_out(args.out, args.force, "pred_relative.csv")
     scan = read_scan(args.scan)
     if args.identity_debug:
-        rel_poses = scan.truth_relative_poses()
+        rel_poses = scan.truth.relative_poses()
     elif args.baseline:
         model = DecorrModel.load_csv(args.baseline)
         pitch = (scan.geometry.pitch_axial_mm, scan.geometry.pitch_lateral_mm)
@@ -373,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-dataset", type=Path, default=None)
     p.add_argument("--val-fraction", type=float, default=0.25)
     p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=0,
-                   help="batch size (default 4 toy / 14 paper-shape)")
+    p.add_argument("--batch", type=int, default=4, help="batch size")
     p.add_argument("--seq-len", type=int, default=8)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--alpha-mmae", type=float, default=1.0)
@@ -383,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--val-every", type=int, default=10,
                    help="validate every N epochs")
-    p.add_argument("--scale", choices=["toy", "paper-shape"], default="toy")
     p.add_argument("--no-gla", action="store_true",
                    help="replace the attention block with plain pooling")
     p.add_argument("--resume", type=Path, default=None)

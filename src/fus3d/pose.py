@@ -11,6 +11,20 @@ metrics and all CSV files):
   boundary and radians internally.
 * At gimbal lock (|ry| = 90 deg) the extraction sets rx = 0, folds the
   remaining rotation into rz, and flags the result.
+
+Stacks inside, objects at the edges: the batched paths work on (n, 3, 3)
+rotations, (n, 3) translations and (n, 6) pose rows, and
+:class:`PoseVector` and :class:`TransformSE3` objects are built only where
+a caller asks for them. Every batched path is bit-identical to its
+per-object form:
+
+* Trigonometry runs through ``math`` (``math.atan2``, ``math.hypot``,
+  ``math.cos``, ``math.sin``) mapped over ``tolist()`` columns;
+  ``np.arctan2`` and ``np.hypot`` round differently on some inputs.
+  Degree and radian conversions, angle wrapping and the determinant are
+  single IEEE operations in a fixed order, so numpy and ``math`` agree.
+* Rotation products are numpy matmuls, stacked or not; products formed
+  from Python floats round differently.
 """
 
 from __future__ import annotations
@@ -28,6 +42,7 @@ __all__ = [
     "Trajectory",
     "ImageGeometry",
     "pose_to_transform",
+    "poses_to_stacks",
     "transform_to_pose",
     "stack_transforms",
     "relative_arrays",
@@ -45,6 +60,8 @@ _ROT_TOL = 1e-9
 # cy below this corresponds to |ry| within 1e-7 degrees of 90.
 _GIMBAL_CY = math.sin(math.radians(1e-7))
 _REORTHO_EVERY = 64
+_IDENTITY = np.eye(3)
+_IDENTITY.flags.writeable = False
 
 
 def _wrap_deg(angle: float) -> float:
@@ -76,13 +93,19 @@ class PoseVector:
     gimbal_locked: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        values = (self.tx, self.ty, self.tz, self.rx, self.ry, self.rz)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"pose components must be finite, got {values}")
-        for name in ("rx", "ry", "rz"):
-            object.__setattr__(self, name, _wrap_deg(float(getattr(self, name))))
-        for name in ("tx", "ty", "tz"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        tx, ty, tz, rx, ry, rz = self.tx, self.ty, self.tz, self.rx, self.ry, self.rz
+        if not (math.isfinite(tx) and math.isfinite(ty) and math.isfinite(tz)
+                and math.isfinite(rx) and math.isfinite(ry)
+                and math.isfinite(rz)):
+            raise ValueError(f"pose components must be finite, got "
+                             f"{(tx, ty, tz, rx, ry, rz)}")
+        setattr_ = object.__setattr__
+        setattr_(self, "tx", float(tx))
+        setattr_(self, "ty", float(ty))
+        setattr_(self, "tz", float(tz))
+        setattr_(self, "rx", _wrap_deg(float(rx)))
+        setattr_(self, "ry", _wrap_deg(float(ry)))
+        setattr_(self, "rz", _wrap_deg(float(rz)))
 
     @classmethod
     def from_array(cls, values: Sequence[float]) -> "PoseVector":
@@ -98,19 +121,21 @@ class PoseVector:
         return np.array([self.tx, self.ty, self.tz])
 
 
-def _rot_x(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+def _det3(a, b, c, d, e, f, g, h, i):
+    """Determinant of the row-major 3x3 matrix [[a, b, c], [d, e, f],
+    [g, h, i]] by cofactors; floats and arrays give the same bits."""
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _rot_y(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _rot_z(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _factors(ax: float, ay: float, az: float) -> np.ndarray:
+    """The elementary rotations Rz(az), Ry(ay) and Rx(ax) of radian
+    angles, as one (3, 3, 3) array."""
+    cx, sx = math.cos(ax), math.sin(ax)
+    cy, sy = math.cos(ay), math.sin(ay)
+    cz, sz = math.cos(az), math.sin(az)
+    return np.array([cz, -sz, 0.0, sz, cz, 0.0, 0.0, 0.0, 1.0,
+                     cy, 0.0, sy, 0.0, 1.0, 0.0, -sy, 0.0, cy,
+                     1.0, 0.0, 0.0, 0.0, cx, -sx, 0.0, sx, cx]).reshape(3, 3, 3)
 
 
 @dataclass(frozen=True)
@@ -129,12 +154,13 @@ class TransformSE3:
         tra = np.array(self.translation, dtype=float).reshape(3)
         if rot.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {rot.shape}")
-        if not (np.isfinite(rot).all() and np.isfinite(tra).all()):
+        entries = rot.ravel().tolist()
+        if not all(map(math.isfinite, entries + tra.tolist())):
             raise ValueError("transform entries must be finite")
-        err = np.abs(rot.T @ rot - np.eye(3)).max()
+        err = np.abs(rot.T @ rot - _IDENTITY).max()
         if err > _ROT_TOL:
             raise ValueError(f"rotation not orthonormal: max |R'R - I| = {err:.3e}")
-        det = np.linalg.det(rot)
+        det = _det3(*entries)
         if abs(det - 1.0) > _ROT_TOL:
             raise ValueError(f"rotation determinant {det} != 1")
         rot.flags.writeable = False
@@ -210,8 +236,8 @@ def _check_stack(rotations: np.ndarray, translations: np.ndarray) -> None:
               & np.isfinite(translations).all(axis=1))
     with np.errstate(invalid="ignore", over="ignore"):
         gram = np.swapaxes(rotations, 1, 2) @ rotations
-        err = np.abs(gram - np.eye(3)).max(axis=(1, 2))
-        det = np.linalg.det(rotations)
+        err = np.abs(gram - _IDENTITY).max(axis=(1, 2))
+        det = _det3(*rotations.reshape(-1, 9).T)
     bad = ~finite | (err > _ROT_TOL) | (np.abs(det - 1.0) > _ROT_TOL)
     for index in np.flatnonzero(bad):
         TransformSE3(rotations[index], translations[index])
@@ -260,7 +286,7 @@ class Trajectory:
 
     def _store(self, rotations: np.ndarray, translations: np.ndarray) -> None:
         if (
-            np.abs(rotations[0] - np.eye(3)).max() > _ROT_TOL
+            np.abs(rotations[0] - _IDENTITY).max() > _ROT_TOL
             or np.abs(translations[0]).max() > _ROT_TOL
         ):
             raise ValueError("trajectory element 0 must be the identity transform")
@@ -291,30 +317,67 @@ class Trajectory:
     def poses(self) -> list:
         return _pose_vectors(self.rotations, self.translations)
 
+    def relative_poses(self) -> list:
+        """The pose of each step of :func:`extract_relatives`."""
+        return _pose_vectors(*stack_transforms(extract_relatives(self)))
+
 
 def pose_to_transform(pose: PoseVector) -> TransformSE3:
     """Build the rigid transform for a pose (R = Rz @ Ry @ Rx)."""
-    ax = math.radians(pose.rx)
-    ay = math.radians(pose.ry)
-    az = math.radians(pose.rz)
-    rot = _rot_z(az) @ _rot_y(ay) @ _rot_x(ax)
+    rz, ry, rx = _factors(math.radians(pose.rx), math.radians(pose.ry),
+                          math.radians(pose.rz))
+    rot = rz @ ry @ rx
     return TransformSE3(rot, np.array([pose.tx, pose.ty, pose.tz]))
 
 
-def _euler_deg(r) -> tuple:
-    """(rx, ry, rz) in degrees, not yet wrapped, and the gimbal-lock flag
-    of a rotation given as its 9 row-major entries."""
-    cy = math.hypot(r[0], r[3])
-    ry = math.atan2(-r[6], cy)
-    if cy <= _GIMBAL_CY:
-        rx = 0.0
-        rz = math.atan2(-r[1], r[4])
-        locked = True
-    else:
-        rx = math.atan2(r[7], r[8])
-        rz = math.atan2(r[3], r[0])
-        locked = False
-    return math.degrees(rx), math.degrees(ry), math.degrees(rz), locked
+def _rot_stack(angles: list, axis: int) -> np.ndarray:
+    """The elementary rotation about axis 0 (x), 1 (y) or 2 (z) of each
+    radian angle, stacked, with the entries :func:`_factors` gives it."""
+    i, j = ((1, 2), (2, 0), (0, 1))[axis]
+    cos = list(map(math.cos, angles))
+    out = np.zeros((len(angles), 3, 3))
+    out[:, axis, axis] = 1.0
+    out[:, i, i] = cos
+    out[:, j, j] = cos
+    out[:, j, i] = list(map(math.sin, angles))
+    out[:, i, j] = -out[:, j, i]
+    return out
+
+
+def poses_to_stacks(poses: np.ndarray) -> tuple:
+    """(n, 3, 3) rotations and (n, 3) translations of (n, 6) pose rows.
+
+    Row i is ``pose_to_transform(PoseVector.from_array(poses[i]))`` bit
+    for bit, angle wrapping included, and the stacks pass the
+    :class:`TransformSE3` checks."""
+    poses = np.asarray(poses, dtype=float)
+    if poses.ndim != 2 or poses.shape[1] != 6:
+        raise ValueError(f"expected (n, 6) poses, got {poses.shape}")
+    bad = ~np.isfinite(poses).all(axis=1)
+    if bad.any():
+        raise ValueError(f"pose components must be finite, got "
+                         f"{tuple(poses[bad.argmax()].tolist())}")
+    ax, ay, az = np.radians(_wrap_deg_array(poses[:, 3:])).T.tolist()
+    rot = (_rot_stack(az, 2) @ _rot_stack(ay, 1)) @ _rot_stack(ax, 0)
+    tra = poses[:, :3].copy()
+    _check_stack(rot, tra)
+    return rot, tra
+
+
+def _euler_deg(rotations: np.ndarray) -> tuple:
+    """(n, 3) Euler angles (rx, ry, rz) in degrees, not yet wrapped, and
+    the (n,) gimbal-lock flags of (n, 3, 3) rotations."""
+    m = rotations.reshape(-1, 9)
+    r0, r1, r3, r4, r7, r8 = (m[:, k].tolist() for k in (0, 1, 3, 4, 7, 8))
+    cy = list(map(math.hypot, r0, r3))
+    ry = list(map(math.atan2, (-m[:, 6]).tolist(), cy))
+    rx = list(map(math.atan2, r7, r8))
+    rz = list(map(math.atan2, r3, r0))
+    locked = np.array(cy) <= _GIMBAL_CY
+    for i in np.flatnonzero(locked).tolist():
+        rx[i] = 0.0
+        rz[i] = math.atan2(-r1[i], r4[i])
+    return np.degrees(np.array([rx, ry, rz]).T), locked
 
 
 def transform_to_pose(transform: TransformSE3) -> PoseVector:
@@ -324,28 +387,24 @@ def transform_to_pose(transform: TransformSE3) -> PoseVector:
     exactly. At |ry| = 90 deg the factorization is not unique; rx is set to
     0, the remaining rotation folds into rz and the result is flagged.
     """
-    rx, ry, rz, locked = _euler_deg(transform.rotation.ravel().tolist())
-    t = transform.translation
-    return PoseVector(t[0], t[1], t[2], rx, ry, rz, gimbal_locked=locked)
+    return _pose_vectors(transform.rotation[None],
+                         transform.translation[None])[0]
 
 
 def _pose_vectors(rotations: np.ndarray, translations: np.ndarray) -> list:
     """:func:`transform_to_pose` of each stacked transform."""
-    poses = []
-    for r, (tx, ty, tz) in zip(rotations.reshape(-1, 9).tolist(),
-                               translations.tolist()):
-        rx, ry, rz, locked = _euler_deg(r)
-        poses.append(PoseVector(tx, ty, tz, rx, ry, rz, gimbal_locked=locked))
-    return poses
+    angles, locked = _euler_deg(rotations)
+    return [
+        PoseVector(tx, ty, tz, rx, ry, rz, lock)
+        for (tx, ty, tz), (rx, ry, rz), lock in zip(
+            translations.tolist(), angles.tolist(), locked.tolist())
+    ]
 
 
 def pose_arrays(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
     """(n, 6) pose vectors of stacked transforms: row i equals
     ``transform_to_pose(t_i).as_array()`` bit for bit."""
-    angles = np.array(
-        [_euler_deg(r)[:3] for r in rotations.reshape(-1, 9).tolist()],
-        dtype=float,
-    ).reshape(-1, 3)
+    angles, _ = _euler_deg(rotations)
     return np.concatenate([translations, _wrap_deg_array(angles)], axis=1)
 
 
@@ -389,7 +448,7 @@ def accumulate(relatives: Sequence[TransformSE3]) -> Trajectory:
     rel_rot, rel_tra = stack_transforms(rels)
     rot = np.empty((len(rels) + 1, 3, 3))
     tra = np.empty((len(rels) + 1, 3))
-    rot[0] = np.eye(3)
+    rot[0] = _IDENTITY
     tra[0] = 0.0
     unsnapped = {}
     for n in range(1, len(rels) + 1):
@@ -473,15 +532,16 @@ def frame_grid_points(
 
 
 def write_pose_csv(path, poses: Iterable[PoseVector]) -> None:
-    """Write poses as CSV: frame,tx_mm,ty_mm,tz_mm,rx_deg,ry_deg,rz_deg."""
+    """Write poses as CSV: frame,tx_mm,ty_mm,tz_mm,rx_deg,ry_deg,rz_deg.
+
+    Each field is the ``repr`` of its value, written unquoted as
+    ``csv.writer`` writes it, one line per pose."""
+    lines = [",".join(POSE_CSV_HEADER)]
+    lines.extend(f"{index},{p.tx!r},{p.ty!r},{p.tz!r},{p.rx!r},{p.ry!r},{p.rz!r}"
+                 for index, p in enumerate(poses))
+    lines.append("")
     with open(path, "w", newline="\n", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(POSE_CSV_HEADER)
-        for index, pose in enumerate(poses):
-            writer.writerow(
-                [index, repr(pose.tx), repr(pose.ty), repr(pose.tz),
-                 repr(pose.rx), repr(pose.ry), repr(pose.rz)]
-            )
+        handle.write("\n".join(lines))
 
 
 def read_pose_csv(path) -> list:
@@ -496,5 +556,7 @@ def read_pose_csv(path) -> list:
                 continue
             if len(row) != 7:
                 raise ValueError(f"malformed pose CSV row: {row}")
-            poses.append(PoseVector.from_array([float(v) for v in row[1:]]))
+            _, tx, ty, tz, rx, ry, rz = row
+            poses.append(PoseVector(float(tx), float(ty), float(tz),
+                                    float(rx), float(ry), float(rz)))
     return poses

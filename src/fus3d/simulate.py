@@ -24,16 +24,14 @@ from scipy.ndimage import gaussian_filter, map_coordinates
 
 from .pose import (
     ImageGeometry,
-    PoseVector,
     Trajectory,
-    extract_relatives,
     frame_grid_points,
     pose_arrays,
     pose_to_transform,
+    poses_to_stacks,
     read_pose_csv,
     relative_arrays,
     stack_transforms,
-    transform_to_pose,
     write_pose_csv,
 )
 
@@ -203,10 +201,7 @@ def make_trajectory(spec: TrajectorySpec):
     )
     rot = rot + noise_r
 
-    raw_rot, raw_tra = stack_transforms(
-        pose_to_transform(PoseVector(tx[i], ty[i], tz[i], *rot[i]))
-        for i in range(n)
-    )
+    raw_rot, raw_tra = poses_to_stacks(np.column_stack([tx, ty, tz, rot]))
     # every frame after the first, composed with the first frame's inverse
     inv0 = raw_rot[0].T
     inv0_tra = -(inv0 @ raw_tra[0])
@@ -217,8 +212,7 @@ def make_trajectory(spec: TrajectorySpec):
         [np.zeros((1, 3)), raw_rot[1:] @ inv0_tra + raw_tra[1:]]
     )
     trajectory = Trajectory.from_arrays(abs_rot, abs_tra)
-    relatives = [transform_to_pose(t) for t in extract_relatives(trajectory)]
-    return trajectory, relatives
+    return trajectory, trajectory.relative_poses()
 
 
 @dataclass(frozen=True)
@@ -255,9 +249,6 @@ class ScanSequence:
     @property
     def n_frames(self) -> int:
         return self.frames.shape[0]
-
-    def truth_relative_poses(self) -> list:
-        return [transform_to_pose(t) for t in extract_relatives(self.truth)]
 
 
 def slice_phantom(phantom: Phantom, trajectory: Trajectory,

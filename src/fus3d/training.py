@@ -268,7 +268,8 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
     if log_path is not None:
         mode = "a" if resume_extra else "w"
         log_handle = open(log_path, mode, encoding="utf-8", newline="\n")
-        if not resume_extra:
+        # a resumed run appends to its log, or starts one in a new place
+        if log_handle.tell() == 0:
             log_handle.write(TRAIN_LOG_HEADER + "\n")
 
     def save(best: bool) -> None:

@@ -228,7 +228,7 @@ class TestElevational:
                               noise_translation_mm=(0.02, 0.02, 0.01),
                               noise_rotation_deg=(0.05, 0.05, 0.05), seed=35)
         scan = simulate_scan(spec, phantom_seed=45, subject="eval")
-        rel = scan.truth_relative_poses()
+        rel = scan.truth.relative_poses()
         errors = []
         for i in range(scan.n_frames - 1):
             step = estimate_step(scan.frames[i], scan.frames[i + 1],

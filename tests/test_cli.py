@@ -302,8 +302,8 @@ class TestTrainCommand:
                    "--steps", 1) == 2
 
     def test_resume_checks_frames_against_the_checkpoint(self, tmp_path):
-        # a 32 px model resumed on 32 px scans, with --scale left at toy
-        # (64 px): the resumed model's frame extent is what counts
+        # a 32 px model resumed on 32 px scans: the resumed model's frame
+        # extent counts, not the 64 px of the toy model a fresh run builds
         geometry = ImageGeometry(32, 32, 0.1484, 0.1484)
         root = tmp_path / "data32"
         for k in range(3):

@@ -1,6 +1,9 @@
 """Geometry tests: pose/transform round trips, accumulation, grid mapping."""
 
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +17,11 @@ from fus3d.pose import (
     TransformSE3,
     accumulate,
     extract_relatives,
+    _check_stack,
     frame_grid_points,
     pose_arrays,
     pose_to_transform,
+    poses_to_stacks,
     read_pose_csv,
     relative_arrays,
     stack_transforms,
@@ -371,7 +376,7 @@ class TestArrayPathProperties:
                 for i in range(len(chain))]
         np.testing.assert_array_equal(scan.truth_motions,
                                       np.array([p.as_array() for p in want]))
-        assert_poses_identical(scan.truth_relative_poses(), want)
+        assert_poses_identical(scan.truth.relative_poses(), want)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(pose_chains(max_steps=200), st.data())
@@ -404,3 +409,203 @@ class TestArrayPathProperties:
             accumulate([TransformSE3.identity(), off, bad])
         with pytest.raises(ValueError, match="must be finite"):
             accumulate([bad, off])
+
+
+# -- batched paths against per-pose references kept here ---------------------
+
+# angles at the wrap point, at gimbal lock and signed zeros; tiny values
+# that the (-180, 180] wrap rounds away
+SPECIAL_DEG = [180.0, -180.0, 90.0, -90.0, 0.0, -0.0, 270.0, -270.0, 360.0,
+               540.0, 1e-300, -1e-300]
+
+
+def same_bits(a, b) -> bool:
+    """Equality that tells -0.0 from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_rotation(ax, ay, az):
+    """Rz @ Ry @ Rx of radian angles from three separate 3x3 factors."""
+    cx, sx = math.cos(ax), math.sin(ax)
+    cy, sy = math.cos(ay), math.sin(ay)
+    cz, sz = math.cos(az), math.sin(az)
+    rot_x = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    rot_y = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+    rot_z = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+    return rot_z @ rot_y @ rot_x
+
+
+def reference_pose(transform):
+    """Per-transform Euler extraction, one ``math`` call per angle: the
+    pose row (rx, ry, rz wrapped) and the gimbal-lock flag."""
+    r = transform.rotation.ravel().tolist()
+    cy = math.hypot(r[0], r[3])
+    ry = math.atan2(-r[6], cy)
+    locked = cy <= math.sin(math.radians(1e-7))
+    if locked:
+        rx, rz = 0.0, math.atan2(-r[1], r[4])
+    else:
+        rx, rz = math.atan2(r[7], r[8]), math.atan2(r[3], r[0])
+    angles = [math.degrees(a) for a in (rx, ry, rz)]
+    wrapped = []
+    for a in angles:
+        w = math.fmod(a + 180.0, 360.0)
+        wrapped.append((w + 360.0 if w <= 0.0 else w) - 180.0)
+    return [float(v) for v in transform.translation] + wrapped, locked
+
+
+def reference_csv(path, poses):
+    """The pose CSV as ``csv.writer`` writes it."""
+    with open(path, "w", newline="\n", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["frame", "tx_mm", "ty_mm", "tz_mm", "rx_deg",
+                         "ry_deg", "rz_deg"])
+        for index, pose in enumerate(poses):
+            writer.writerow([index, repr(pose.tx), repr(pose.ty), repr(pose.tz),
+                             repr(pose.rx), repr(pose.ry), repr(pose.rz)])
+
+
+@st.composite
+def pose_rows(draw, max_rows=200):
+    """Seeded (n, 6) pose rows; some entries are in SPECIAL_DEG."""
+    n = draw(st.integers(1, max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.column_stack([rng.uniform(-40.0, 40.0, (n, 3)),
+                            rng.uniform(-400.0, 400.0, (n, 3))])
+    special = rng.random((n, 6)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rows[special] = rng.choice(SPECIAL_DEG, int(special.sum()))
+    return rows
+
+
+class TestBatchedMatchesPerPose:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(pose_rows())
+    def test_poses_to_stacks_matches_pose_to_transform(self, rows):
+        rotations, translations = poses_to_stacks(rows)
+        for row, rot, tra in zip(rows, rotations, translations):
+            pose = PoseVector.from_array(row)
+            single = pose_to_transform(pose)
+            want = reference_rotation(math.radians(pose.rx),
+                                      math.radians(pose.ry),
+                                      math.radians(pose.rz))
+            assert same_bits(single.rotation, want)
+            assert same_bits(rot, want)
+            assert same_bits(tra, single.translation)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.one_of(pose_rows(), pose_chains().map(
+        lambda chain: np.array([p.as_array() for p in chain]))))
+    def test_euler_extraction_matches_per_transform_reference(self, rows):
+        # absolute frames: the rows themselves after the identity
+        rotations, translations = poses_to_stacks(
+            np.concatenate([np.zeros((1, 6)), rows]))
+        trajectory = Trajectory.from_arrays(rotations, translations)
+        want = [reference_pose(t) for t in trajectory]
+        arrays = pose_arrays(trajectory.rotations, trajectory.translations)
+        assert same_bits(arrays, [row for row, _ in want])
+        for got, (row, locked) in zip(trajectory.poses(), want):
+            assert same_bits(got.as_array(), row)
+            assert got.gimbal_locked == locked
+        for t, (row, locked) in zip(trajectory, want):
+            got = transform_to_pose(t)
+            assert same_bits(got.as_array(), row)
+            assert got.gimbal_locked == locked
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(pose_rows(max_rows=50))
+    def test_csv_bytes_match_csv_writer(self, rows):
+        poses = [PoseVector.from_array(row) for row in rows]
+        poses.append(PoseVector(1e20, -1e-20, 123456789.125, 1e-5, -0.5, 0.1))
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, theirs = Path(tmp) / "ours.csv", Path(tmp) / "theirs.csv"
+            write_pose_csv(ours, iter(poses))
+            reference_csv(theirs, poses)
+            assert ours.read_bytes() == theirs.read_bytes()
+            back = read_pose_csv(ours)
+        assert all(same_bits(a.as_array(), b.as_array())
+                   for a, b in zip(back, poses))
+
+    def test_poses_to_stacks_rejects_bad_rows(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            poses_to_stacks([[0.0] * 6, [0.0, 0.0, 0.0, math.nan, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            poses_to_stacks([[math.inf, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="expected"):
+            poses_to_stacks(np.zeros((3, 5)))
+
+
+# -- the constructor checks and the stacked checks ----------------------------
+
+ROTATION = pose_to_transform(PoseVector(1.0, 2.0, 3.0, 10.0, 20.0, 30.0)).rotation
+
+
+def _perturbed(delta):
+    rot = ROTATION.copy()
+    rot[0, 1] += delta
+    return rot
+
+
+def _with(array, index, value):
+    out = np.array(array, dtype=float)
+    out[index] = value
+    return out
+
+
+CHECK_CASES = {
+    "valid": (ROTATION, np.array([1.0, 2.0, 3.0]), None),
+    "reflection": (np.diag([1.0, 1.0, -1.0]), np.zeros(3), "determinant"),
+    "scaled": (np.eye(3) * 1.001, np.zeros(3), "not orthonormal"),
+    "perturbed_1e-8": (_perturbed(1e-8), np.zeros(3), "not orthonormal"),
+    "perturbed_1e-11": (_perturbed(1e-11), np.zeros(3), None),
+    "nan_rotation": (_with(ROTATION, (1, 2), math.nan), np.zeros(3),
+                     "must be finite"),
+    "inf_rotation": (_with(ROTATION, (2, 0), -math.inf), np.zeros(3),
+                     "must be finite"),
+    "nan_translation": (ROTATION, _with(np.zeros(3), 1, math.nan),
+                        "must be finite"),
+    "inf_translation": (ROTATION, _with(np.zeros(3), 2, math.inf),
+                        "must be finite"),
+}
+
+
+class TestChecks:
+    @pytest.mark.parametrize("case", sorted(CHECK_CASES))
+    def test_constructor_and_stack_check_agree(self, case):
+        rotation, translation, message = CHECK_CASES[case]
+        if message is None:
+            TransformSE3(rotation, translation)
+            _check_stack(rotation[None], translation[None])
+            return
+        with pytest.raises(ValueError, match=message) as single:
+            TransformSE3(rotation, translation)
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+            ValueError, match=message
+        ) as stacked:
+            _check_stack(rotation[None], translation[None])
+        assert str(stacked.value) == str(single.value)
+
+    def test_stack_check_reports_first_invalid_row(self):
+        names = ["valid", "perturbed_1e-11", "scaled", "reflection"]
+        rotations = np.stack([CHECK_CASES[n][0] for n in names])
+        translations = np.stack([CHECK_CASES[n][1] for n in names])
+        with pytest.raises(ValueError, match="not orthonormal"):
+            _check_stack(rotations, translations)
+
+    @pytest.mark.parametrize("position", range(6))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_pose_vector_rejects_non_finite(self, position, value):
+        values = [0.0] * 6
+        values[position] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            PoseVector(*values)
+
+    @pytest.mark.parametrize("value", ["1.0", None, [1.0]])
+    def test_pose_vector_rejects_non_numeric(self, value):
+        with pytest.raises(TypeError):
+            PoseVector(0.0, value, 0.0, 0.0, 0.0, 0.0)
+
+    def test_pose_vector_stores_floats(self):
+        pose = PoseVector(np.float64(1.5), 2, np.int64(3), np.float32(0.5), 0, 0)
+        assert {type(getattr(pose, name))
+                for name in ("tx", "ty", "tz", "rx", "ry", "rz")} == {float}

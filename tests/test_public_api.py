@@ -25,6 +25,8 @@ SOURCES = {
 UNCALLED_BY_DESIGN = {
     "read_pgm16": "reads the PGM files write_pgm16 writes; tests verify the writer with it",
     "read_volume": "reads the FVL1 files write_volume writes; tests verify the writer with it",
+    "transform_to_pose": "the one-transform form of Trajectory.poses(); the package extracts "
+                         "poses in stacks, tests invert pose_to_transform with it",
 }
 
 # Class.member -> why it is public without a caller in the package
@@ -33,6 +35,7 @@ UNCALLED_MEMBERS = {
     "TransformSE3.from_matrix": "reference constructor for the pose tests",
     "VolumeGrid.mass": "the benchmark's reconstruct check compares it with the splatted mass",
     "PoseVector.as_array": "the benchmark's pose checks and the tests read pose values with it",
+    "ModelConfig.paper_shape": "the published tensor shapes, checked by the network tests",
 }
 
 

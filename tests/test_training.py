@@ -93,7 +93,7 @@ class TestSampling:
     def test_window_motions_match_truth(self, small_dataset):
         scan = small_dataset[0]
         motions = window_motions(scan, start=2, pairs=3)
-        rel = scan.truth_relative_poses()
+        rel = scan.truth.relative_poses()
         np.testing.assert_array_equal(motions[0], rel[2].as_array())
         np.testing.assert_array_equal(motions[2], rel[4].as_array())
 
@@ -226,6 +226,25 @@ class TestTrainLoop:
         for (name, pa), (_, pb) in zip(straight.named_parameters(),
                                        resumed.named_parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
+
+    def test_resumed_log_has_one_header(self, small_dataset, tmp_path):
+        log, ckpt = tmp_path / "train_log.csv", tmp_path / "checkpoint.ckpt"
+        train(MotionNetwork(ModelConfig.toy(), seed=9), small_dataset[:3],
+              small_dataset[3:], quick_config(steps=2), log_path=log,
+              checkpoint_path=ckpt)
+
+        def resume(path):
+            model, extra, _ = load_model(ckpt)
+            train(model, small_dataset[:3], small_dataset[3:],
+                  quick_config(steps=3), log_path=path, resume_extra=extra)
+            lines = path.read_text().splitlines()
+            assert lines[0] == "step,mmae,corr,triplet,total,lr"
+            return [line.split(",")[0] for line in lines[1:]]
+
+        # into a new file: the header, then the resumed step
+        assert resume(tmp_path / "fresh.csv") == ["3"]
+        # onto the existing log: no second header
+        assert resume(log) == ["1", "2", "3"]
 
     def test_determinism_across_runs(self, small_dataset):
         cfg = quick_config(steps=5)
