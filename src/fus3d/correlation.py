@@ -81,16 +81,32 @@ def _grid_layout(h: int, w: int, cfg: CorrConfig):
 
 # A windowed NCC value is computed from per-window sufficient statistics
 # (sum, sum of squares, cross sum against the normalized center patch).
-# The RoIs of the second map are gathered once, channels last, as an
-# (n, gy, gx, r, r, c) array; with the normalized center patches it is all
-# the tape keeps besides per-entry statistics. Patch sums are p x p box
-# sums of its channel sums. Cross sums are p row-shifted multiply-adds,
-# each reducing a patch row's columns and channels over one contiguous run
-# of an RoI row, so no (d, d, p, p) window tensor is ever built. The
-# backward pass is the adjoint of these steps and produces the RoI
-# gradient one row at a time. Variances below _VAR_FLOOR (relative) count
-# as degenerate and correlate as 0 with zero gradient.
+# The second map's window sums and sums of squares come from the map
+# itself: one p x p box sum of its channel sums (and of its channel sums
+# of squares), read at the RoI grid through a strided d x d window view.
+# Its RoIs are gathered once, channels last, as an (n, gy, gx, r, r, c)
+# array that serves only the cross sums: p row-shifted multiply-adds,
+# each reducing a patch row's columns and channels over one contiguous
+# run of an RoI row, so no (d, d, p, p) window tensor is ever built. The
+# backward pass is the adjoint of these steps. The cross term produces
+# the RoI gradient one row at a time and folds it onto the map; the
+# energy and mean terms are per-pixel scalars, scattered onto the grid of
+# window corners and spread by one full box sum over the map. Variances
+# below _VAR_FLOOR (relative) count as degenerate and correlate as 0 with
+# zero gradient; variances below _RECENTRE (relative) lose too many
+# digits to energy - sum^2 / k and are taken again from centred values.
 _VAR_FLOOR = 1e-13
+_RECENTRE = 1e-6
+
+
+def _corner_grid(x: np.ndarray, extent: int, y0: int, x0: int, stride: int,
+                 gy: int, gx: int) -> np.ndarray:
+    """(..., gy, gx, extent, extent) view of the windows of an (..., h, w)
+    array whose corners sit on the grid from (y0, x0)."""
+    view = np.lib.stride_tricks.sliding_window_view(x, (extent, extent),
+                                                    axis=(-2, -1))
+    return view[..., y0 : y0 + stride * (gy - 1) + 1 : stride,
+                x0 : x0 + stride * (gx - 1) + 1 : stride, :, :]
 
 
 def _gather(x: np.ndarray, extent: int, y0: int, x0: int, stride: int,
@@ -98,11 +114,8 @@ def _gather(x: np.ndarray, extent: int, y0: int, x0: int, stride: int,
     """Channels-last (n, gy, gx, extent, extent, c) copy of the windows of
     an (n, c, h, w) map whose corners sit on the grid from (y0, x0); always
     a fresh array, so callers may write to it."""
-    view = np.lib.stride_tricks.sliding_window_view(x, (extent, extent),
-                                                    axis=(2, 3))
-    view = view[:, :, y0 : y0 + stride * (gy - 1) + 1 : stride,
-                x0 : x0 + stride * (gx - 1) + 1 : stride]
-    return view.transpose(0, 2, 3, 4, 5, 1).copy()
+    return _corner_grid(x, extent, y0, x0, stride, gy, gx).transpose(
+        0, 2, 3, 4, 5, 1).copy()
 
 
 def _fold(window_rows, y0: int, x0: int, stride: int, shape: tuple) -> np.ndarray:
@@ -126,25 +139,47 @@ def _fold(window_rows, y0: int, x0: int, stride: int, shape: tuple) -> np.ndarra
     return np.ascontiguousarray(rows.reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
 
-def _moments(total: np.ndarray, energy: np.ndarray, k: int):
+def _corner_grid_adjoint(y: np.ndarray, y0: int, x0: int, stride: int,
+                         shape: tuple) -> np.ndarray:
+    """Adjoint of :func:`_corner_grid`: the (..., gy, gx, d, d) values
+    added onto a zero array of ``shape`` at the corners they were read
+    from. One add per offset (u, v); its targets are stride apart, so
+    each strided slice-add is alias free."""
+    *_, gy, gx, d, _ = y.shape
+    out = np.zeros(shape)
+    for u in range(d):
+        for v in range(d):
+            out[..., y0 + u : y0 + u + stride * (gy - 1) + 1 : stride,
+                x0 + v : x0 + v + stride * (gx - 1) + 1 : stride] += y[..., u, v]
+    return out
+
+
+def _moments(total: np.ndarray, energy: np.ndarray, k: int, centred):
     """Mean and inverse root variance of windows of k values from their
-    sums and sums of squares; degenerate windows get inverse 0."""
+    sums and sums of squares; degenerate windows get inverse 0.
+
+    ``centred(mask, mu)`` returns the sum of squared deviations from
+    ``mu`` of the windows selected by ``mask``; it is asked only for the
+    few windows whose variance nearly cancels in energy - sum^2 / k."""
     mu = total / k
     var = np.maximum(energy - total * mu, 0.0)
+    redo = (var > 0.0) & (var <= _RECENTRE * energy)
+    if redo.any():
+        var[redo] = centred(redo, mu[redo])
     good = var > _VAR_FLOOR * np.maximum(energy, 1e-300)
     inv = np.where(good, 1.0 / np.sqrt(np.where(good, var, 1.0)), 0.0)
     return mu, inv
 
 
 def _box_sum(x: np.ndarray, p: int) -> np.ndarray:
-    """p x p box sums over the last two axes: (..., r, r) -> (..., d, d)."""
-    d = x.shape[-1] - p + 1
-    rows = sum(x[..., i : i + d, :] for i in range(p))
-    return sum(rows[..., j : j + d] for j in range(p))
+    """p x p box sums over the last two axes: (..., h, w) -> (..., h-p+1, w-p+1)."""
+    dy, dx = x.shape[-2] - p + 1, x.shape[-1] - p + 1
+    rows = sum(x[..., i : i + dy, :] for i in range(p))
+    return sum(rows[..., j : j + dx] for j in range(p))
 
 
 def _box_sum_adjoint(y: np.ndarray, p: int) -> np.ndarray:
-    """Adjoint of :func:`_box_sum`, the full box sum: (..., d, d) -> (..., r, r)."""
+    """Adjoint of :func:`_box_sum`, the full box sum: (..., h, w) -> (..., h+p-1, w+p-1)."""
     return _box_sum(np.pad(y, [(0, 0)] * (y.ndim - 2) + [(p - 1, p - 1)] * 2), p)
 
 
@@ -172,8 +207,13 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
 
     roi = _gather(b.data, r, my, mx, s, gy, gx)
     ref = _gather(a.data, p, my + center, mx + center, s, gy, gx)
+
+    def ref_centred(mask, mu):
+        return np.square(ref[mask] - mu[:, None, None, None]).sum(axis=(1, 2, 3))
+
     mu_a, inv_a = _moments(np.einsum("nijpqc->nij", ref),
-                           np.einsum("nijpqc,nijpqc->nij", ref, ref), k)
+                           np.einsum("nijpqc,nijpqc->nij", ref, ref), k,
+                           ref_centred)
     ref -= mu_a[..., None, None, None]
     ref *= inv_a[..., None, None, None]
     sum_ref = np.einsum("nijpqc->nij", ref)  # ~0, kept for exactness
@@ -187,9 +227,20 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
     for i in range(p):
         corr += np.einsum("nijuvt,nijt->nijuv", rows[:, :, :, i : i + d],
                           ref_rows[:, :, :, i])
-    mu_b, inv_b = _moments(
-        _box_sum(np.einsum("nijyxc->nijyx", roi), p),
-        _box_sum(np.einsum("nijyxc,nijyxc->nijyx", roi, roi), p), k)
+
+    def b_centred(mask, mu):
+        where = np.nonzero(mask)
+        ys = my + s * where[1] + where[3]
+        xs = mx + s * where[2] + where[4]
+        windows = np.lib.stride_tricks.sliding_window_view(
+            b.data, (p, p), axis=(2, 3))[where[0], :, ys, xs]
+        return np.square(windows - mu[:, None, None, None]).sum(axis=(1, 2, 3))
+
+    # window sums and sums of squares of the second map, (n, gy, gx, d, d)
+    sums = _box_sum(np.stack([b.data.sum(axis=1),
+                              np.einsum("nchw,nchw->nhw", b.data, b.data)]), p)
+    mu_b, inv_b = _moments(*_corner_grid(sums, d, my, mx, s, gy, gx), k,
+                           b_centred)
     corr -= mu_b * sum_ref[..., None, None]
     corr *= inv_b
     np.clip(corr, -1.0, 1.0, out=corr)
@@ -198,10 +249,10 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
         g = g.reshape(n, gy, gx, d, d)
         s1 = g * inv_b
         s2 = s1 * corr * inv_b
-        # per RoI pixel: weights of its own value (energy term) and of
-        # the patch means (mean term), summed over the patches holding it
-        energy = _box_sum_adjoint(s2, p)
-        mean = _box_sum_adjoint(mu_b * s2, p)
+        # per map pixel: weights of its own value (energy term) and of the
+        # patch means (mean term), summed over the windows holding it
+        energy, mean = _box_sum_adjoint(_corner_grid_adjoint(
+            np.stack([s2, mu_b * s2]), my, mx, s, (2, n, h - p + 1, w - p + 1)), p)
         # cross-term adjoint for the center patch: s1 against the RoI rows
         g_ref = np.empty((n, gy, gx, p, p * c))
         for i in range(p):
@@ -219,18 +270,13 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
         padded = np.pad(s1, [(0, 0)] * 4 + [(p - 1, p - 1)])
         band = np.ascontiguousarray(
             np.lib.stride_tricks.sliding_window_view(padded, p, axis=-1)[..., ::-1])
-
-        def roi_rows():
-            """Gradient of the gathered RoIs, one RoI row at a time."""
-            for y in range(r):
-                g_row = sum(band[:, :, :, y - i] @ ref[:, :, :, i]
-                            for i in range(max(0, y - d + 1), min(p, y + 1)))
-                g_row -= roi[:, :, :, y] * energy[:, :, :, y, :, None]
-                g_row += mean[:, :, :, y, :, None]
-                yield g_row
-
+        roi_rows = (sum(band[:, :, :, y - i] @ ref[:, :, :, i]
+                        for i in range(max(0, y - d + 1), min(p, y + 1)))
+                    for y in range(r))
+        g_b = _fold(roi_rows, my, mx, s, b.shape)
+        g_b -= b.data * energy[:, None]
+        g_b += mean[:, None]
         return (_fold(np.moveaxis(g_ref, 3, 0), my + center, mx + center, s,
-                      a.shape),
-                _fold(roi_rows(), my, mx, s, b.shape))
+                      a.shape), g_b)
 
     return _node(corr, (a, b), vjp)

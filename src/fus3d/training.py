@@ -186,27 +186,54 @@ def _train_step(model: MotionNetwork, optimizer: Adam, scans, batch,
 
 
 def _val_windows(scan: ScanSequence, config: TrainConfig):
-    """Fixed, evenly spaced validation windows."""
+    """Fixed, evenly spaced validation windows; none for a scan shorter
+    than a window."""
     window = config.seq_len + 2
     last = scan.n_frames - window
+    if last < 0:
+        return []
     count = min(config.val_windows_per_scan, last + 1)
     return sorted({int(round(p)) for p in np.linspace(0, last, count)})
 
 
 def validation_mmae(model: MotionNetwork, val_scans, config: TrainConfig) -> float:
-    """Mean motion-weighted error over the fixed validation windows."""
+    """Mean motion-weighted error over the fixed validation windows, one
+    batched forward pass per scan. Scans shorter than a window take no
+    part; none long enough is an error."""
+    window = config.seq_len + 2
     values = []
     with T.no_grad():
         for scan in val_scans:
-            for start in _val_windows(scan, config):
-                frames = scan.frames[start : start + config.seq_len + 2]
+            starts = _val_windows(scan, config)
+            if not starts:
+                continue
+            out = model.forward_window(
+                np.stack([scan.frames[s : s + window] for s in starts]))
+            for b, start in enumerate(starts):
                 truth = window_motions(scan, start, config.seq_len + 1)
-                out = model.forward_window(frames[None])
                 values.append(
-                    mmae(truth, out["fused"][0],
+                    mmae(truth, out["fused"][b],
                          epsilon=config.loss_weights.epsilon).item()
                 )
+    if not values:
+        raise ValueError(f"every validation scan is shorter than a "
+                         f"{window}-frame window")
     return float(np.mean(values))
+
+
+def _long_enough(scans, window: int, kind: str) -> list:
+    """The scans that hold a window; the others are skipped with one
+    warning, and none long enough is an error."""
+    scans = list(scans)
+    usable = [scan for scan in scans if scan.n_frames >= window]
+    if not usable:
+        raise ValueError(f"every {kind} scan is shorter than a "
+                         f"{window}-frame window")
+    if len(usable) < len(scans):
+        logger.warning("skipping %d of %d %s scans shorter than a "
+                       "%d-frame window", len(scans) - len(usable),
+                       len(scans), kind, window)
+    return usable
 
 
 @dataclass
@@ -226,24 +253,16 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
 
     ``resume_extra`` is the non-parameter record dict of a checkpoint
     produced by this function (optimizer moments plus counters); model
-    parameters must already be loaded. Training scans shorter than a
-    window are skipped with one warning; none long enough is an error.
+    parameters must already be loaded. Training and validation scans
+    shorter than a window are skipped with one warning each; none long
+    enough, in either set, is an error raised before the first step.
     Windows whose correlation loss meets a zero-norm series (scans without
     rotation) are counted, and one ``fus3d.losses`` warning at the end of
     the run gives the count and the components.
     """
     window = config.seq_len + 2
-    train_scans = list(train_scans)
-    usable = [scan for scan in train_scans if scan.n_frames >= window]
-    if not usable:
-        raise ValueError(f"every training scan is shorter than a "
-                         f"{window}-frame window")
-    if len(usable) < len(train_scans):
-        logger.warning("skipping %d of %d training scans shorter than a "
-                       "%d-frame window", len(train_scans) - len(usable),
-                       len(train_scans), window)
-    train_scans = usable
-    val_scans = list(val_scans)
+    train_scans = _long_enough(train_scans, window, "training")
+    val_scans = _long_enough(val_scans, window, "validation")
     optimizer = Adam(
         model.parameters(),
         lr=config.learning_rate,
@@ -272,7 +291,10 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
         if log_handle.tell() == 0:
             log_handle.write(TRAIN_LOG_HEADER + "\n")
 
+    saved_step = None
+
     def save(best: bool) -> None:
+        nonlocal saved_step
         if checkpoint_path is None:
             return
         extra = optimizer.state_arrays()
@@ -282,6 +304,7 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
         extra["_train.best_val"] = np.array(best_val)
         target = Path(checkpoint_path)
         save_model(target, model, extra_arrays=extra)
+        saved_step = step
         if best:
             save_model(target.with_name("best_" + target.name), model)
 
@@ -310,7 +333,9 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
                 if final_val < best_val:
                     best_val = final_val
                     save(best=True)
-        save(best=False)
+        # a best checkpoint at the last step is already the final one
+        if saved_step != step:
+            save(best=False)
     finally:
         if log_handle is not None:
             log_handle.close()

@@ -195,6 +195,33 @@ class TestOverlappingRoiGradients:
         check_gradients(lambda t: correlate_batch(t[0], t[1], cfg), arrays)
 
 
+class TestNonSquareMapGradients:
+    @pytest.mark.parametrize("cfg", [CorrConfig(9, 5, 3)], ids=["toy"])
+    def test_toy_geometry_on_non_square_map(self, cfg):
+        # window statistics are box sums over the whole map: a map with
+        # more columns than rows checks both axes of the box sum
+        rng = np.random.default_rng(71)
+        arrays = [rng.uniform(-1, 1, (2, 2, 12, 17)),
+                  rng.uniform(-1, 1, (2, 2, 12, 17))]
+        check_gradients(lambda t: correlate_batch(t[0], t[1], cfg), arrays)
+
+
+class TestNearlyConstantPatches:
+    @pytest.mark.parametrize("cfg", [SMALL, CorrConfig(9, 5, 3)],
+                             ids=["small", "toy"])
+    def test_tiny_spread_on_a_large_mean_matches_oracle(self, cfg):
+        # patch variance is about 1e-12 of the energy, far above the
+        # degenerate floor, but energy - sum^2 / k keeps only ~4 digits
+        rng = np.random.default_rng(73)
+        a = 1.0 + 1e-6 * rng.standard_normal((2, 16, 16))
+        b = 1.0 + 1e-6 * rng.standard_normal((2, 16, 16))
+        b[:, :, 8:] = a[:, :, 8:] + 1e-7 * rng.standard_normal((2, 16, 8))
+        got = volume(a, b, cfg)
+        want = brute_force_volume(a, b, cfg)
+        assert np.abs(want).max() > 0.5
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+
 def patch_conditioning(a, b, cfg):
     """(gy, gx, d, d) energy-to-variance ratio sum(x^2) / sum((x - mean)^2)
     of the worse of each entry's two patches; inf where a patch is

@@ -333,6 +333,31 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, conv2d_reference(x, w, b, stride, padding),
                                    rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_gradient_grid(self, kernel, stride, padding):
+        # odd extents leave a row and a column that a stride-2 kernel
+        # never reaches; kernel 1 with padding 1 crops the stride-1 dx
+        rng = np.random.default_rng(34)
+        ws = (3, 2, kernel, kernel)
+        check_gradients(
+            lambda t: T.conv2d(t[0], t[1], t[2], stride=stride, padding=padding),
+            [rand(rng, 2, 2, 7, 5), rand(rng, *ws), rand(rng, ws[0])],
+        )
+
+    def test_dx_is_the_adjoint_at_stage_one_shape(self):
+        # <conv(x), g> = <x, dx> for the stage-1 residual convolution
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal((40, 8, 32, 32))
+        w = rng.standard_normal((8, 8, 3, 3))
+        xt = Tensor(x, requires_grad=True)
+        out = T.conv2d(xt, Tensor(w), padding=1)
+        g = rng.standard_normal(out.shape)
+        backward(T.tensor_sum(T.mul(out, g)))
+        np.testing.assert_allclose(np.vdot(x, xt.grad), np.vdot(out.data, g),
+                                   rtol=1e-12)
+
     def test_input_without_grad_gets_no_gradient(self):
         rng = np.random.default_rng(33)
         x, w, b = rand(rng, 2, 3, 7, 5), rand(rng, 4, 3, 3, 3), rand(rng, 4)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import simulate_scan
 
-from fus3d import training
+from fus3d import network, training
 from fus3d.losses import LossWeights
 from fus3d.network import ModelConfig, MotionNetwork, load_model
 from fus3d.pose import Trajectory
@@ -133,6 +133,60 @@ class TestShortScans:
         with pytest.raises(ValueError, match="every training scan is shorter"):
             train(MotionNetwork(ModelConfig.toy(), seed=2), [short],
                   small_dataset[3:], cfg)
+
+
+class TestShortValidationScans:
+    short_copy = staticmethod(TestShortScans.short_copy)
+
+    def test_window_minus_one_frames_skipped_with_one_warning(self, small_dataset,
+                                                              caplog):
+        cfg = quick_config(steps=2, batch_size=1)
+        short = self.short_copy(small_dataset[2], cfg.seq_len + 1)
+        plain = train(MotionNetwork(ModelConfig.toy(), seed=2),
+                      small_dataset[:2], small_dataset[3:], cfg)
+        with caplog.at_level("WARNING", logger="fus3d.training"):
+            mixed = train(MotionNetwork(ModelConfig.toy(), seed=2),
+                          small_dataset[:2], [short, small_dataset[3]], cfg)
+        warnings = [r for r in caplog.records if r.name == "fus3d.training"]
+        assert [r.getMessage() for r in warnings] == [
+            "skipping 1 of 2 validation scans shorter than a 5-frame window"
+        ]
+        assert mixed.init_val_mmae == plain.init_val_mmae
+        assert mixed.final_val_mmae == plain.final_val_mmae
+
+    def test_much_shorter_scan_skipped_not_crashing(self, small_dataset, caplog):
+        cfg = quick_config(steps=1, batch_size=1)
+        short = self.short_copy(small_dataset[2], 2)
+        model = MotionNetwork(ModelConfig.toy(), seed=2)
+        alone = validation_mmae(model, small_dataset[3:], cfg)
+        assert validation_mmae(model, [short, small_dataset[3]], cfg) == alone
+        with caplog.at_level("WARNING", logger="fus3d.training"):
+            result = train(MotionNetwork(ModelConfig.toy(), seed=2),
+                           small_dataset[:2], [small_dataset[3], short], cfg)
+        assert result.init_val_mmae == alone
+        warnings = [r for r in caplog.records if r.name == "fus3d.training"]
+        assert [r.getMessage() for r in warnings] == [
+            "skipping 1 of 2 validation scans shorter than a 5-frame window"
+        ]
+
+    def test_only_short_scans_rejected_before_step_one(self, small_dataset,
+                                                       monkeypatch, tmp_path):
+        cfg = quick_config()
+        shorts = [self.short_copy(small_dataset[3], n)
+                  for n in (cfg.seq_len + 1, 2)]
+
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(training, "_train_step", no_step)
+        with pytest.raises(ValueError, match="every validation scan is "
+                                             "shorter than a 5-frame window"):
+            train(MotionNetwork(ModelConfig.toy(), seed=2), small_dataset[:3],
+                  shorts, cfg, log_path=tmp_path / "log.csv",
+                  checkpoint_path=tmp_path / "checkpoint.ckpt")
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(ValueError, match="5-frame window"):
+            validation_mmae(MotionNetwork(ModelConfig.toy(), seed=2), shorts, cfg)
 
 
 class TestDegenerateSeriesWarning:
@@ -269,6 +323,35 @@ class TestTrainLoop:
               quick_config(steps=4), checkpoint_path=ckpt)
         assert ckpt.exists()
         assert (tmp_path / "best_checkpoint.ckpt").exists()
+
+
+class TestCheckpointWrites:
+    @pytest.mark.parametrize("vals, expected", [
+        # every validation improves: the last best save is the final one
+        ([3.0, 2.0, 1.0], [("checkpoint.ckpt", 2), ("best_checkpoint.ckpt", None),
+                           ("checkpoint.ckpt", 4), ("best_checkpoint.ckpt", None)]),
+        # the last validation does not improve: one final save
+        ([3.0, 1.0, 2.0], [("checkpoint.ckpt", 2), ("best_checkpoint.ckpt", None),
+                           ("checkpoint.ckpt", 4)]),
+    ], ids=["last-improves", "last-worse"])
+    def test_each_checkpoint_written_once_per_step(self, small_dataset,
+                                                   monkeypatch, tmp_path,
+                                                   vals, expected):
+        values = iter(vals)
+        monkeypatch.setattr(training, "validation_mmae",
+                            lambda *args: next(values))
+        writes = []
+
+        def counting_save(path, arrays, config=None):
+            step = arrays.get("_train.step")
+            writes.append((path.name, None if step is None else int(step)))
+
+        monkeypatch.setattr(network, "save_checkpoint", counting_save)
+        # 3 training scans, batch 2: an epoch is 2 steps, validated after each
+        train(MotionNetwork(ModelConfig.toy(), seed=2), small_dataset[:3],
+              small_dataset[3:], quick_config(steps=4),
+              checkpoint_path=tmp_path / "checkpoint.ckpt")
+        assert writes == expected
 
 
 class TestHelpers:
