@@ -147,6 +147,17 @@ def cmd_simulate(args) -> int:
 # -- train ---------------------------------------------------------------------
 
 def cmd_train(args) -> int:
+    # a bad setting fails here, before any scan is read or step is run
+    config = TrainConfig(
+        steps=args.steps,
+        batch_size=args.batch,
+        seq_len=args.seq_len,
+        learning_rate=args.lr,
+        loss_weights=LossWeights(args.alpha_mmae, args.alpha_corr,
+                                 args.alpha_triplet, args.epsilon),
+        seed=args.seed,
+        val_every_epochs=args.val_every,
+    )
     out = _ensure_out(args.out, args.force, "checkpoint.ckpt", "train_log.csv")
     dataset = ScanDataset.from_directory(args.dataset)
     if args.val_dataset:
@@ -173,17 +184,6 @@ def cmd_train(args) -> int:
             f"scan frames are {geom.n_rows}x{geom.n_cols} but the "
             f"{source} expects {expected}x{expected}"
         )
-
-    config = TrainConfig(
-        steps=args.steps,
-        batch_size=args.batch,
-        seq_len=args.seq_len,
-        learning_rate=args.lr,
-        loss_weights=LossWeights(args.alpha_mmae, args.alpha_corr,
-                                 args.alpha_triplet, args.epsilon),
-        seed=args.seed,
-        val_every_epochs=args.val_every,
-    )
 
     result = train(
         model,

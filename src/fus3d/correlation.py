@@ -84,17 +84,25 @@ def _grid_layout(h: int, w: int, cfg: CorrConfig):
 # The second map's window sums and sums of squares come from the map
 # itself: one p x p box sum of its channel sums (and of its channel sums
 # of squares), read at the RoI grid through a strided d x d window view.
-# Its RoIs are gathered once, channels last, as an (n, gy, gx, r, r, c)
-# array that serves only the cross sums: p row-shifted multiply-adds,
-# each reducing a patch row's columns and channels over one contiguous
-# run of an RoI row, so no (d, d, p, p) window tensor is ever built. The
-# backward pass is the adjoint of these steps. The cross term produces
-# the RoI gradient one row at a time and folds it onto the map; the
-# energy and mean terms are per-pixel scalars, scattered onto the grid of
-# window corners and spread by one full box sum over the map. Variances
-# below _VAR_FLOOR (relative) count as degenerate and correlate as 0 with
-# zero gradient; variances below _RECENTRE (relative) lose too many
-# digits to energy - sum^2 / k and are taken again from centred values.
+# Its RoIs are gathered channels last, as an (n, gy, gx, r, r, c) array
+# that serves only the cross sums: p row-shifted multiply-adds, each
+# reducing a patch row's columns and channels over one contiguous run of
+# an RoI row, so no (d, d, p, p) window tensor is ever built. The tape
+# keeps neither the RoIs (r*r/(s*s) times the map) nor the normalized
+# centre patches: the backward gathers both again from the maps, which
+# the tape holds as parents, and normalizes the patches with the kept
+# per-window mean and inverse root variance, so they are the forward's
+# bits. What stays on the tape is per window: those two scalars of the
+# first map, the mean and inverse root variance of every second-map
+# window, and the clipped correlation. Under no_grad nothing outlives the
+# call. The backward pass is the adjoint of these steps. The cross term
+# produces the RoI gradient one row at a time and folds it onto the map;
+# the energy and mean terms are per-pixel scalars, scattered onto the
+# grid of window corners and spread by one full box sum over the map.
+# Variances below _VAR_FLOOR (relative) count as degenerate and
+# correlate as 0 with zero gradient; variances below _RECENTRE (relative)
+# lose too many digits to energy - sum^2 / k and are taken again from
+# centred values.
 _VAR_FLOOR = 1e-13
 _RECENTRE = 1e-6
 
@@ -205,8 +213,18 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
     k = c * p * p
     center = (r - p) // 2
 
-    roi = _gather(b.data, r, my, mx, s, gy, gx)
-    ref = _gather(a.data, p, my + center, mx + center, s, gy, gx)
+    def centre_patches() -> np.ndarray:
+        return _gather(a.data, p, my + center, mx + center, s, gy, gx)
+
+    def roi_row_view() -> np.ndarray:
+        """(n, gy, gx, r, d, p*c) view of freshly gathered RoIs: at RoI
+        row y and column offset v, the p*c values (p columns, all
+        channels) that one patch row reads."""
+        roi = _gather(b.data, r, my, mx, s, gy, gx)
+        return np.lib.stride_tricks.sliding_window_view(
+            roi.reshape(n, gy, gx, r, r * c), p * c, axis=-1)[..., ::c, :]
+
+    ref = centre_patches()
 
     def ref_centred(mask, mu):
         return np.square(ref[mask] - mu[:, None, None, None]).sum(axis=(1, 2, 3))
@@ -214,19 +232,21 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
     mu_a, inv_a = _moments(np.einsum("nijpqc->nij", ref),
                            np.einsum("nijpqc,nijpqc->nij", ref, ref), k,
                            ref_centred)
-    ref -= mu_a[..., None, None, None]
-    ref *= inv_a[..., None, None, None]
-    sum_ref = np.einsum("nijpqc->nij", ref)  # ~0, kept for exactness
-    # (n, gy, gx, r, d, p*c) view: at RoI row y and column offset v, the
-    # p*c values (p columns, all channels) that one patch row reads
-    rows = np.lib.stride_tricks.sliding_window_view(
-        roi.reshape(n, gy, gx, r, r * c), p * c, axis=-1)[..., ::c, :]
-    ref_rows = ref.reshape(n, gy, gx, p, p * c)
 
+    def normalized(ref: np.ndarray) -> np.ndarray:
+        ref -= mu_a[..., None, None, None]
+        ref *= inv_a[..., None, None, None]
+        return ref
+
+    ref = normalized(ref)
+    sum_ref = np.einsum("nijpqc->nij", ref)  # ~0, kept for exactness
+    rows = roi_row_view()
+    ref_rows = ref.reshape(n, gy, gx, p, p * c)
     corr = np.zeros((n, gy, gx, d, d))
     for i in range(p):
         corr += np.einsum("nijuvt,nijt->nijuv", rows[:, :, :, i : i + d],
                           ref_rows[:, :, :, i])
+    del ref, ref_rows, rows
 
     def b_centred(mask, mu):
         where = np.nonzero(mask)
@@ -254,10 +274,13 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
         energy, mean = _box_sum_adjoint(_corner_grid_adjoint(
             np.stack([s2, mu_b * s2]), my, mx, s, (2, n, h - p + 1, w - p + 1)), p)
         # cross-term adjoint for the center patch: s1 against the RoI rows
+        rows = roi_row_view()
         g_ref = np.empty((n, gy, gx, p, p * c))
         for i in range(p):
             g_ref[:, :, :, i] = np.einsum("nijuvt,nijuv->nijt",
                                           rows[:, :, :, i : i + d], s1)
+        del rows
+        ref = normalized(centre_patches())
         g_ref = g_ref.reshape(ref.shape)
         # the mean and self terms of the normalized center patch
         g_ref -= np.einsum("nijuv,nijuv->nij", s1, mu_b)[..., None, None, None]

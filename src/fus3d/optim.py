@@ -18,6 +18,8 @@ class Adam:
     def __init__(self, params, lr: float = 1e-5, betas=(0.9, 0.999),
                  eps: float = 1e-8, decay_factor: float = 0.8,
                  decay_every: int = 100):
+        if decay_every < 1:
+            raise ValueError(f"decay_every must be at least 1, got {decay_every}")
         self.params = list(params)
         self.base_lr = float(lr)
         self.beta1, self.beta2 = betas

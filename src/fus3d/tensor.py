@@ -6,10 +6,10 @@ Everything is stored as contiguous numpy float64; there is no graph
 optimization and no implicit dtype promotion. Determinism: identical
 inputs and seeds give bit-identical outputs and gradients.
 
-Memory: each closure keeps what its backward reads. ``conv2d`` is the
-largest such entry: one GEMM per call over a ``(C*kh*kw, N*Ho*Wo)``
-patch matrix, which lives as long as the graph that holds it; the op
-takes and returns NCHW arrays.
+Memory: each closure keeps what its backward reads. Copies that are
+many times their input, such as ``conv2d``'s ``(C*kh*kw, N*Ho*Wo)``
+patch matrix, are not kept: the backward rebuilds them from the parents'
+data, which the tape holds anyway, and drops them once used.
 """
 
 from __future__ import annotations
@@ -498,9 +498,11 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     Inputs and outputs stay NCHW; the channel-major layout never leaves
     this function.
 
-    The tape keeps ``cols`` (kh*kw times the input) and the weight
-    matrix, nothing larger. The backward forms the upstream gradient as
-    ``g_f`` of shape ``(F, N*Ho*Wo)``; then ``dW = g_f @ cols.T``. Only
+    The tape keeps no ``cols``: it is kh*kw times the input. The
+    backward forms the upstream gradient as ``g_f`` of shape ``(F,
+    N*Ho*Wo)``, copies ``cols`` again, bit for bit, from the input's
+    data, which the tape holds as a parent, and drops it as soon as
+    ``dW = g_f @ cols.T`` is formed. Only
     when ``x`` requires gradients is ``dx`` formed; an input without
     ``requires_grad``, such as the frames, gets ``None`` in its gradient
     slot. At stride 1, ``dx`` is a transposed convolution done as one
@@ -528,10 +530,14 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     hp, wp = h + 2 * padding, w + 2 * padding
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    cols = _patch_matrix(_channel_major(x.data, padding, padding), kh, kw, stride)
     wmat = weight.data.reshape(f, c * kh * kw)
+
+    def patches() -> np.ndarray:
+        return _patch_matrix(_channel_major(x.data, padding, padding), kh, kw,
+                             stride)
+
     data = np.ascontiguousarray(
-        (wmat @ cols).reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
+        (wmat @ patches()).reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
     )
     parents = [x, weight]
     if bias is not None:
@@ -544,7 +550,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     def vjp(g):
         g_f = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
-        dw = (g_f @ cols.T).reshape(f, c, kh, kw)
+        dw = (g_f @ patches().T).reshape(f, c, kh, kw)
         dx = None
         if needs_dx and stride == 1:
             g_cols = _patch_matrix(_channel_major(g, kh - 1 - padding,

@@ -69,6 +69,14 @@ class TrainConfig:
             raise ValueError("steps and batch size must be positive")
         if self.seq_len < 1:
             raise ValueError("sequence length must be positive")
+        if not self.learning_rate > 0.0:
+            raise ValueError(
+                f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("lr_decay_every", "val_every_epochs",
+                     "val_windows_per_scan"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 class ScanDataset:

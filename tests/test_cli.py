@@ -9,6 +9,7 @@ import pytest
 
 from conftest import simulate_scan
 
+from fus3d import training
 from fus3d.cli import main
 from fus3d.compound import read_volume
 from fus3d.network import ModelConfig, MotionNetwork, save_model
@@ -291,6 +292,19 @@ class TestTrainCommand:
         assert code == 0
         rel = read_pose_csv(tmp_path / "pred" / "pred_relative.csv")
         assert len(rel) == 13
+
+    def test_zero_validation_period_fails_before_any_step(
+            self, dataset_dir, tmp_path, monkeypatch, capsys):
+        steps = []
+        monkeypatch.setattr(training, "_train_step",
+                            lambda *args: steps.append(args))
+        code = run("train", "--dataset", dataset_dir, "--out",
+                   tmp_path / "run", "--steps", 2, "--seq-len", 3,
+                   "--batch", 2, "--val-every", 0)
+        assert code == 2
+        assert steps == []
+        assert not (tmp_path / "run").exists()
+        assert "val_every_epochs must be at least 1" in capsys.readouterr().err
 
     def test_too_small_dataset_is_usage_error(self, tmp_path, dataset_dir):
         single = tmp_path / "single"

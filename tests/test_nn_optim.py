@@ -168,6 +168,11 @@ class TestAdam:
         opt.set_epoch(250)
         assert opt.lr == pytest.approx(6.4e-6)
 
+    @pytest.mark.parametrize("decay_every", [0, -3])
+    def test_decay_period_must_be_positive(self, decay_every):
+        with pytest.raises(ValueError, match="decay_every"):
+            Adam([Parameter(np.zeros(1), name="p")], decay_every=decay_every)
+
     def test_missing_grad_is_an_error(self):
         opt = Adam([Parameter(np.zeros(1), name="p")], lr=0.1)
         with pytest.raises(RuntimeError, match="no gradient"):
