@@ -120,7 +120,9 @@ class DecorrModel:
         nccs, gaps = [], []
         with open(path, "r", newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
-            header = next(reader)
+            header = next(reader, None)
+            if header is None:
+                raise EOFError(f"{path}: empty, expected a calibration header")
             if header != ["ncc", "gap_mm"]:
                 raise ValueError(f"unexpected calibration header: {header}")
             for row in reader:

@@ -367,15 +367,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--val-dataset", type=Path, default=None)
     p.add_argument("--val-fraction", type=float, default=0.25)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=4, help="batch size")
-    p.add_argument("--seq-len", type=int, default=8)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--alpha-mmae", type=float, default=1.0)
-    p.add_argument("--alpha-corr", type=float, default=0.5)
-    p.add_argument("--alpha-triplet", type=float, default=0.1)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--val-every", type=int, default=10,
+    p.add_argument("--steps", type=int, default=TrainConfig.steps)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size,
+                   help="batch size")
+    p.add_argument("--seq-len", type=int, default=TrainConfig.seq_len)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--alpha-mmae", type=float, default=LossWeights.alpha_mmae)
+    p.add_argument("--alpha-corr", type=float, default=LossWeights.alpha_corr)
+    p.add_argument("--alpha-triplet", type=float,
+                   default=LossWeights.alpha_triplet)
+    p.add_argument("--epsilon", type=float, default=LossWeights.epsilon)
+    p.add_argument("--val-every", type=int, default=TrainConfig.val_every_epochs,
                    help="validate every N epochs")
     p.add_argument("--no-gla", action="store_true",
                    help="replace the attention block with plain pooling")

@@ -55,7 +55,11 @@ class CorrConfig:
     @classmethod
     def for_map_extent(cls, extent: int, grid: int = 8, roi_extent: int = 9,
                        patch_extent: int = 5) -> "CorrConfig":
-        """Pick the stride that fits a grid x grid RoI layout on a map."""
+        """Pick the stride that fits a grid x grid RoI layout on a map.
+
+        The largest stride that fits ``grid`` RoIs lays out the fewest;
+        when even it lays out more, no stride gives the grid, and that is
+        an error."""
         if grid < 2:
             raise ValueError("grid must be at least 2")
         stride = (extent - roi_extent) // (grid - 1)
@@ -63,6 +67,13 @@ class CorrConfig:
             raise ValueError(
                 f"map extent {extent} cannot hold a {grid}x{grid} grid of "
                 f"{roi_extent}px RoIs"
+            )
+        laid_out = (extent - roi_extent) // stride + 1
+        if laid_out != grid:
+            raise ValueError(
+                f"no RoI stride lays out a {grid}x{grid} grid of "
+                f"{roi_extent}px RoIs on a {extent}px map: stride {stride} "
+                f"gives {laid_out}x{laid_out}"
             )
         return cls(roi_extent, patch_extent, stride)
 

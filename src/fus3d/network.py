@@ -23,7 +23,7 @@ what trains on simulated scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,44 +49,41 @@ __all__ = [
 @dataclass(frozen=True)
 class GlaConfig:
     """Shapes of the attention block: local features (channels, extent),
-    global features (channels, extent), local block tiling and the MLP
-    bottleneck ratio."""
+    global features (channels, extent) and the MLP bottleneck ratio.
+
+    The local map is tiled into blocks of the global extent, because the
+    cosine weighting compares each block with the projected global map."""
 
     local_channels: int
     local_extent: int
     global_channels: int
     global_extent: int
-    block_extent: int = 4
     mlp_reduction: int = 16
 
     def __post_init__(self) -> None:
-        if self.local_extent % self.block_extent != 0:
+        if self.local_extent % self.global_extent != 0:
             raise ValueError(
-                f"block extent {self.block_extent} does not tile a "
+                f"block extent {self.global_extent} does not tile a "
                 f"{self.local_extent}px local map"
             )
         if self.global_channels % self.local_channels != 0:
             raise ValueError(
                 "global channel count must be a multiple of the local one"
             )
-        if self.n_blocks * self.block_extent**2 != self.local_extent**2:
-            raise ValueError("block tiling does not cover the local area")
-        if self.block_extent != self.global_extent:
-            raise ValueError(
-                "cosine weighting compares local blocks against the projected "
-                f"global map, so block extent {self.block_extent} must equal "
-                f"the global extent {self.global_extent}"
-            )
 
     @property
     def n_blocks(self) -> int:
-        return (self.local_extent // self.block_extent) ** 2
+        return (self.local_extent // self.global_extent) ** 2
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Network hyperparameters; ``toy`` is the trainable desk-scale setup,
-    ``paper_shape`` reproduces the published tensor shapes untrained."""
+    ``paper_shape`` reproduces the published tensor shapes untrained.
+
+    The encoder fixes the other extents: the correlation grid is the
+    stage-3 extent, whose maps the correlation channels join, and the
+    attention blocks take the stage-4 (global) extent."""
 
     frame_extent: int = 64
     encoder_channels: tuple = (8, 16, 32, 64)
@@ -95,8 +92,6 @@ class ModelConfig:
     use_gla: bool = True
     corr_roi: int = 9
     corr_patch: int = 5
-    corr_grid: int = 8
-    block_extent: int = 4
     mlp_reduction: int = 16
 
     def __post_init__(self) -> None:
@@ -107,11 +102,9 @@ class ModelConfig:
             if extent % ds != 0:
                 raise ValueError(f"downsample chain does not divide {self.frame_extent}")
             extent //= ds
-        if self.stage_extent(2) != self.corr_grid:
-            raise ValueError(
-                f"stage-3 extent {self.stage_extent(2)} must match the "
-                f"{self.corr_grid}px correlation grid"
-            )
+        # raises when no RoI stride lays out the stage-3 grid on the
+        # stage-1 map
+        self.corr_config
 
     @classmethod
     def toy(cls, **overrides) -> "ModelConfig":
@@ -138,7 +131,7 @@ class ModelConfig:
     @property
     def corr_config(self) -> CorrConfig:
         return CorrConfig.for_map_extent(
-            self.stage_extent(0), grid=self.corr_grid,
+            self.stage_extent(0), grid=self.stage_extent(2),
             roi_extent=self.corr_roi, patch_extent=self.corr_patch,
         )
 
@@ -149,39 +142,33 @@ class ModelConfig:
             local_extent=self.stage_extent(1),
             global_channels=self.encoder_channels[3],
             global_extent=self.stage_extent(3),
-            block_extent=self.block_extent,
             mlp_reduction=self.mlp_reduction,
         )
 
     # -- flat key=value serialization ------------------------------------
     def to_text_dict(self) -> dict:
-        return {
-            "frame_extent": str(self.frame_extent),
-            "encoder_channels": ",".join(str(c) for c in self.encoder_channels),
-            "downsample": ",".join(str(d) for d in self.downsample),
-            "lstm_hidden": str(self.lstm_hidden),
-            "use_gla": str(int(self.use_gla)),
-            "corr_roi": str(self.corr_roi),
-            "corr_patch": str(self.corr_patch),
-            "corr_grid": str(self.corr_grid),
-            "block_extent": str(self.block_extent),
-            "mlp_reduction": str(self.mlp_reduction),
-        }
+        """Tuples as comma-joined ints, integers and flags as ints."""
+        text = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                text[f.name] = ",".join(str(v) for v in value)
+            else:
+                text[f.name] = str(int(value))
+        return text
 
     @classmethod
     def from_text_dict(cls, text: dict) -> "ModelConfig":
-        return cls(
-            frame_extent=int(text["frame_extent"]),
-            encoder_channels=tuple(int(c) for c in text["encoder_channels"].split(",")),
-            downsample=tuple(int(d) for d in text["downsample"].split(",")),
-            lstm_hidden=int(text["lstm_hidden"]),
-            use_gla=bool(int(text["use_gla"])),
-            corr_roi=int(text["corr_roi"]),
-            corr_patch=int(text["corr_patch"]),
-            corr_grid=int(text["corr_grid"]),
-            block_extent=int(text["block_extent"]),
-            mlp_reduction=int(text["mlp_reduction"]),
-        )
+        """Inverse of :meth:`to_text_dict`; keys that are not fields, such
+        as those of retired settings, are ignored."""
+        values = {}
+        for f in fields(cls):
+            raw = text[f.name]
+            if isinstance(f.default, tuple):
+                values[f.name] = tuple(int(v) for v in raw.split(","))
+            else:
+                values[f.name] = type(f.default)(int(raw))
+        return cls(**values)
 
 
 class ResidualStage(Module):
@@ -256,7 +243,7 @@ class GlobalLocalAttention(Module):
             raise ValueError(
                 f"{scores.shape[-1]} scores cannot weight {e2.shape[1]} channels"
             )
-        blocks = _tile_blocks(e2, self.cfg.block_extent)
+        blocks = _tile_blocks(e2, self.cfg.global_extent)
         w = T.reshape(scores, (e2.shape[0], 1, e2.shape[1], 1, 1))
         return T.mul(blocks, w)
 
@@ -301,7 +288,7 @@ class GlobalLocalAttention(Module):
         flat = T.reshape(weighted, (n, cfg.n_blocks, -1))
         projected = T.matmul(self.block_proj.tensor, flat)  # (n, proj, c*e*e)
         proj_out = projected.shape[1]
-        e = cfg.block_extent
+        e = cfg.global_extent
         l_tilde = T.reshape(projected, (n, proj_out, cfg.local_channels, e, e))
         local = T.reshape(
             T.transpose(l_tilde, (0, 2, 1, 3, 4)),
@@ -348,16 +335,15 @@ class MotionNetwork(Module):
         self.lstm_local = LSTMCell(feature_size, config.lstm_hidden, rng)
         self.head_local = Linear(config.lstm_hidden, 6, rng)
 
-    def forward_window(self, frames, diagnostics: bool = False,
-                       state=None, return_state: bool = False):
+    def forward_window(self, frames, diagnostics: bool = False, state=None):
         """Run a batch of consecutive-frame windows.
 
         ``frames`` is (batch, steps+1, h, w); step t is (frame t, frame
         t+1), and the stage-1 encoder runs once per frame. Returns a dict
         with fused / per-branch motion tensors (batch, steps, 6), triplet
-        embeddings and, when ``diagnostics`` is set, per-step attention
-        scores. ``state`` carries LSTM context across chunks of one long
-        sequence.
+        embeddings, the final LSTM ``state`` and, when ``diagnostics`` is
+        set, per-step attention scores. ``state`` carries LSTM context
+        across chunks of one long sequence.
         """
         frames = frames if isinstance(frames, Tensor) else Tensor(np.asarray(frames))
         if frames.ndim != 4 or frames.shape[1] < 2:
@@ -409,6 +395,7 @@ class MotionNetwork(Module):
             "global6": global6,
             "local6": local6,
             "embeddings": embeddings,
+            "state": (hg, cg, hl, cl),
         }
         if diagnostics:
             if scores is None:
@@ -417,8 +404,6 @@ class MotionNetwork(Module):
                     "pooling variant"
                 )
             out["attention_scores"] = T.reshape(scores, (b, steps, -1))
-        if return_state:
-            out["state"] = (hg, cg, hl, cl)
         return out
 
     def _attend(self, e1a: Tensor, e1b: Tensor):
@@ -451,7 +436,7 @@ class MotionNetwork(Module):
                 stop = min(start + chunk, frames.shape[0] - 1)
                 out = self.forward_window(frames[start : stop + 1][None],
                                           diagnostics=diagnostics,
-                                          state=state, return_state=True)
+                                          state=state)
                 state = out["state"]
                 for t in range(stop - start):
                     poses.append(PoseVector.from_array(out["fused"].data[0, t]))
@@ -486,25 +471,22 @@ def export_attention_scores(scores: np.ndarray, directory) -> list:
 
 # -- model checkpoints ----------------------------------------------------------
 
-def save_model(path, model: MotionNetwork, extra_arrays: dict | None = None,
-               extra_config: dict | None = None) -> None:
+def save_model(path, model: MotionNetwork,
+               extra_arrays: dict | None = None) -> None:
     arrays = model.state_arrays()
     if extra_arrays:
         arrays.update(extra_arrays)
-    config = model.config.to_text_dict()
-    if extra_config:
-        config.update(extra_config)
-    save_checkpoint(path, arrays, config)
+    save_checkpoint(path, arrays, model.config.to_text_dict())
 
 
-def load_model(path, seed: int = 0):
+def load_model(path):
     """Rebuild a MotionNetwork from a checkpoint.
 
     Returns (model, extra_arrays, config) where extra_arrays holds any
     non-parameter records (optimizer state, counters)."""
     arrays, config = load_checkpoint(path)
     model_cfg = ModelConfig.from_text_dict(config)
-    model = MotionNetwork(model_cfg, seed=seed)
+    model = MotionNetwork(model_cfg)
     params = {name for name, _ in model.named_parameters()}
     model.load_state_arrays({k: v for k, v in arrays.items() if k in params})
     extra = {k: v for k, v in arrays.items() if k not in params}

@@ -22,7 +22,6 @@ __all__ = [
     "Linear",
     "Conv2d",
     "LSTMCell",
-    "lstm_cell",
     "kaiming_uniform",
     "orthogonal",
     "save_checkpoint",
@@ -159,25 +158,6 @@ class Conv2d(Module):
                       padding=self.padding)
 
 
-def lstm_cell(gates_x: Tensor, h: Tensor, c: Tensor, w_hh: Tensor):
-    """One LSTM step on projected input gates.
-
-    ``gates_x`` is the step's input projection ``x @ W_ihᵀ + b`` (batch,
-    4*hidden), see :meth:`LSTMCell.project`; h and c are (batch, hidden).
-    Gate order along the 4H axis: input, forget, cell, output. Returns
-    (h', c').
-    """
-    hidden = h.shape[-1]
-    gates = add(gates_x, matmul(h, w_hh.transpose(1, 0)))
-    gi = sigmoid(gates[:, 0 * hidden : 1 * hidden])
-    gf = sigmoid(gates[:, 1 * hidden : 2 * hidden])
-    gc = tanh(gates[:, 2 * hidden : 3 * hidden])
-    go = sigmoid(gates[:, 3 * hidden : 4 * hidden])
-    c_next = add(mul(gf, c), mul(gi, gc))
-    h_next = mul(go, tanh(c_next))
-    return h_next, c_next
-
-
 class LSTMCell(Module):
     """LSTM cell split for sequences: :meth:`project` computes the input
     term of every step in one matmul before the time loop, and each call
@@ -199,7 +179,21 @@ class LSTMCell(Module):
         return reshape(gates, lead + (4 * self.hidden_size,))
 
     def __call__(self, gates_x: Tensor, h: Tensor, c: Tensor):
-        return lstm_cell(gates_x, h, c, self.w_hh.tensor)
+        """One LSTM step on projected input gates.
+
+        ``gates_x`` is the step's input projection (batch, 4*hidden), see
+        :meth:`project`; h and c are (batch, hidden). Gate order along the
+        4H axis: input, forget, cell, output. Returns (h', c').
+        """
+        hidden = self.hidden_size
+        gates = add(gates_x, matmul(h, self.w_hh.tensor.transpose(1, 0)))
+        gi = sigmoid(gates[:, 0 * hidden : 1 * hidden])
+        gf = sigmoid(gates[:, 1 * hidden : 2 * hidden])
+        gc = tanh(gates[:, 2 * hidden : 3 * hidden])
+        go = sigmoid(gates[:, 3 * hidden : 4 * hidden])
+        c_next = add(mul(gf, c), mul(gi, gc))
+        h_next = mul(go, tanh(c_next))
+        return h_next, c_next
 
     def initial_state(self, batch: int):
         return (Tensor(np.zeros((batch, self.hidden_size))),

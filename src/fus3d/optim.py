@@ -11,11 +11,14 @@ class Adam:
     """Adam over a list of parameters.
 
     The effective learning rate is ``lr * decay_factor ** (epoch //
-    decay_every)``; call :meth:`set_epoch` as training advances. Moments
-    are zero-initialized and the step counter is monotone.
+    decay_every)``; call :meth:`set_epoch` as training advances. ``lr``
+    has no default, since training passes ``TrainConfig.learning_rate``;
+    the decay factor is no training setting, and its default of 0.8 is
+    the schedule's only copy. Moments are zero-initialized and the step
+    counter is monotone.
     """
 
-    def __init__(self, params, lr: float = 1e-5, betas=(0.9, 0.999),
+    def __init__(self, params, lr: float, betas=(0.9, 0.999),
                  eps: float = 1e-8, decay_factor: float = 0.8,
                  decay_every: int = 100):
         if decay_every < 1:

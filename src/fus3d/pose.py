@@ -547,7 +547,9 @@ def write_pose_csv(path, poses: Iterable[PoseVector]) -> None:
 def read_pose_csv(path) -> list:
     with open(path, "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise EOFError(f"{path}: empty, expected a pose CSV header")
         if header != POSE_CSV_HEADER:
             raise ValueError(f"unexpected pose CSV header: {header}")
         poses = []

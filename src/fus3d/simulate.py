@@ -89,16 +89,15 @@ class PhantomSpec:
 
     @classmethod
     def for_scan(cls, geometry: ImageGeometry, scan_length_mm: float,
-                 margin_mm: float = 1.5, voxel_mm: float = 0.05,
-                 psf_mm: tuple = (0.10, 0.18, 0.30)) -> "PhantomSpec":
+                 margin_mm: float = 1.5, voxel_mm: float = 0.05) -> "PhantomSpec":
         """Size a phantom to cover frames of ``geometry`` swept from
-        elevational 0 to ``scan_length_mm`` plus in-plane wiggle margin."""
+        elevational 0 to ``scan_length_mm`` plus in-plane wiggle margin,
+        with the default point-spread function."""
         ex = geometry.n_rows * geometry.pitch_axial_mm + 2 * margin_mm
         ey = geometry.n_cols * geometry.pitch_lateral_mm + 2 * margin_mm
         ez = scan_length_mm + 2 * margin_mm
         origin = (-ex / 2.0, -ey / 2.0, -margin_mm)
-        return cls(extent_mm=(ex, ey, ez), voxel_mm=voxel_mm, psf_mm=psf_mm,
-                   origin_mm=origin)
+        return cls(extent_mm=(ex, ey, ez), voxel_mm=voxel_mm, origin_mm=origin)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ from .losses import (
     total_loss,
     triplet_loss,
 )
-from .metrics import MetricsReport, evaluate_trajectories
-from .network import ModelConfig, MotionNetwork, load_model, save_model
+from .metrics import evaluate_trajectories
+from .network import MotionNetwork, save_model
 from .optim import Adam
 from .pose import accumulate, pose_to_transform
 from .simulate import ScanSequence, read_scan
@@ -43,10 +43,12 @@ __all__ = [
     "window_motions",
     "validation_mmae",
     "validation_report",
-    "infer_trajectory",
 ]
 
 TRAIN_LOG_HEADER = "step,mmae,corr,triplet,total,lr"
+
+# fixed, evenly spaced validation windows per scan
+VAL_WINDOWS_PER_SCAN = 3
 
 logger = logging.getLogger(__name__)
 
@@ -57,23 +59,21 @@ class TrainConfig:
     batch_size: int = 4
     seq_len: int = 8  # s: each window holds s+1 frame pairs
     learning_rate: float = 1e-3
-    lr_decay_factor: float = 0.8
     lr_decay_every: int = 100
     loss_weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
     val_every_epochs: int = 10
-    val_windows_per_scan: int = 3
 
     def __post_init__(self) -> None:
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch size must be positive")
-        if self.seq_len < 1:
-            raise ValueError("sequence length must be positive")
+        # a window of s+1 motions must hold a triplet of 3 steps
+        if self.seq_len < 2:
+            raise ValueError(f"seq_len must be at least 2, got {self.seq_len}")
         if not self.learning_rate > 0.0:
             raise ValueError(
                 f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("lr_decay_every", "val_every_epochs",
-                     "val_windows_per_scan"):
+        for name in ("lr_decay_every", "val_every_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be at least 1, got {getattr(self, name)}")
@@ -127,19 +127,13 @@ def window_motions(scan: ScanSequence, start: int, pairs: int) -> np.ndarray:
 
 
 def _epoch_batches(train_scans, config: TrainConfig, epoch: int):
-    """Deterministic batches for one epoch: a window per scan, shuffled."""
+    """Deterministic batches for one epoch: a window per scan, shuffled.
+    Every scan holds a window (see :func:`_long_enough`)."""
     window = config.seq_len + 2
     rng = np.random.default_rng((config.seed, epoch))
     order = rng.permutation(len(train_scans))
-    starts = []
-    for idx in order:
-        scan = train_scans[idx]
-        if scan.n_frames < window:
-            raise ValueError(
-                f"scan with {scan.n_frames} frames is shorter than a "
-                f"{window}-frame window"
-            )
-        starts.append(int(rng.integers(0, scan.n_frames - window + 1)))
+    starts = [int(rng.integers(0, train_scans[idx].n_frames - window + 1))
+              for idx in order]
     batches = []
     for pos in range(0, len(order), config.batch_size):
         chunk = list(zip(order[pos : pos + config.batch_size],
@@ -200,7 +194,7 @@ def _val_windows(scan: ScanSequence, config: TrainConfig):
     last = scan.n_frames - window
     if last < 0:
         return []
-    count = min(config.val_windows_per_scan, last + 1)
+    count = min(VAL_WINDOWS_PER_SCAN, last + 1)
     return sorted({int(round(p)) for p in np.linspace(0, last, count)})
 
 
@@ -274,7 +268,6 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
     optimizer = Adam(
         model.parameters(),
         lr=config.learning_rate,
-        decay_factor=config.lr_decay_factor,
         decay_every=config.lr_decay_every,
     )
     step = 0
@@ -364,26 +357,16 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
     )
 
 
-# -- evaluation helpers -----------------------------------------------------------
-
-def infer_trajectory(model: MotionNetwork, scan: ScanSequence):
-    """Predicted relative poses and the accumulated trajectory for a scan."""
-    rel_poses, _ = model.infer_scan(scan.frames)
-    trajectory = accumulate([pose_to_transform(p) for p in rel_poses])
-    return rel_poses, trajectory
-
-
-def scan_report(model: MotionNetwork, scan: ScanSequence) -> MetricsReport:
-    _, trajectory = infer_trajectory(model, scan)
-    report, _ = evaluate_trajectories(scan.truth, trajectory, scan.geometry)
-    return report
-
+# -- evaluation -------------------------------------------------------------------
 
 def validation_report(model: MotionNetwork, val_scans) -> dict:
-    """Per-scan and mean metrics of a model over validation scans."""
+    """Per-scan and mean metrics of a model's accumulated trajectories
+    over validation scans."""
     per_scan = []
     for scan in val_scans:
-        report = scan_report(model, scan)
+        rel_poses, _ = model.infer_scan(scan.frames)
+        trajectory = accumulate([pose_to_transform(p) for p in rel_poses])
+        report, _ = evaluate_trajectories(scan.truth, trajectory, scan.geometry)
         per_scan.append(report.as_json_dict())
     mean = {
         key: float(np.mean([r[key] for r in per_scan]))

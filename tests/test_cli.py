@@ -149,6 +149,28 @@ class TestTruncatedInputs:
                 f"got {keep}" in capsys.readouterr().err)
 
 
+class TestEmptyInputs:
+    def test_empty_pose_csv_is_runtime_error(self, scan_dir, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code = run("evaluate", "--truth", scan_dir / "poses.csv",
+                   "--pred", empty, "--scan", scan_dir,
+                   "--out", tmp_path / "eval")
+        assert code == 1
+        assert (f"error: {empty}: empty, expected a pose CSV header\n"
+                in capsys.readouterr().err)
+
+    def test_empty_calibration_csv_is_runtime_error(self, scan_dir, tmp_path,
+                                                    capsys):
+        empty = tmp_path / "calibration.csv"
+        empty.write_text("")
+        code = run("infer", "--scan", scan_dir, "--baseline", empty,
+                   "--out", tmp_path / "pred")
+        assert code == 1
+        assert (f"error: {empty}: empty, expected a calibration header\n"
+                in capsys.readouterr().err)
+
+
 class TestDebugTraceback:
     @pytest.fixture
     def truncated_scan(self, scan_dir, tmp_path):
@@ -306,6 +328,19 @@ class TestTrainCommand:
         assert not (tmp_path / "run").exists()
         assert "val_every_epochs must be at least 1" in capsys.readouterr().err
 
+    def test_one_step_window_fails_before_any_scan_is_read(
+            self, dataset_dir, tmp_path, monkeypatch, capsys):
+        # a window of 2 motions holds no triplet of 3 steps
+        reads = []
+        monkeypatch.setattr(training, "read_scan", reads.append)
+        code = run("train", "--dataset", dataset_dir, "--out",
+                   tmp_path / "run", "--steps", 2, "--seq-len", 1,
+                   "--batch", 2)
+        assert code == 2
+        assert reads == []
+        assert not (tmp_path / "run").exists()
+        assert "seq_len must be at least 2, got 1" in capsys.readouterr().err
+
     def test_too_small_dataset_is_usage_error(self, tmp_path, dataset_dir):
         single = tmp_path / "single"
         single.mkdir()
@@ -329,7 +364,7 @@ class TestTrainCommand:
                                  subject=f"s{k:02d}")
             write_scan(root / f"scan{k:02d}", scan)
         scans = ScanDataset.from_directory(root).scans
-        config = ModelConfig(frame_extent=32, corr_grid=4, block_extent=2)
+        config = ModelConfig(frame_extent=32)
         ckpt = tmp_path / "first.ckpt"
         train(MotionNetwork(config, seed=1), scans[:2], scans[2:],
               TrainConfig(steps=1, batch_size=2, seq_len=3, seed=1),

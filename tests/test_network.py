@@ -1,12 +1,15 @@
 """Attention-module and motion-network tests, including the full-model
 finite-difference gradient check at a minimal configuration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gradcheck import check_gradients
 
 import fus3d.tensor as T
+from fus3d.correlation import _grid_layout
 from fus3d.network import (
     GlaConfig,
     GlobalLocalAttention,
@@ -16,6 +19,7 @@ from fus3d.network import (
     load_model,
     save_model,
 )
+from fus3d.nn import save_checkpoint
 from fus3d.pgm import read_pgm16
 from fus3d.tensor import Tensor, backward
 
@@ -34,8 +38,6 @@ def tiny_model_config():
         lstm_hidden=4,
         corr_roi=3,
         corr_patch=1,
-        corr_grid=2,
-        block_extent=2,
         mlp_reduction=2,
     )
 
@@ -43,7 +45,7 @@ def tiny_model_config():
 class TestGlaConfig:
     def test_block_tiling_invariant(self):
         cfg = TOY_GLA
-        assert cfg.n_blocks * cfg.block_extent**2 == cfg.local_extent**2
+        assert cfg.n_blocks * cfg.global_extent**2 == cfg.local_extent**2
         assert cfg.n_blocks == 16
 
     def test_paper_scale_shapes(self):
@@ -62,13 +64,25 @@ class TestGlaConfig:
 
 class TestModelConfig:
     def test_grid_mismatch_quotes_the_checked_extent(self):
-        # 128px frames halve to 64/32/16/8: stage 3 is 16px, not the 8px
-        # grid, while stage 4 happens to be 8px
+        # 128px frames halve to 64/32/16/8: the correlation grid is the
+        # 16px stage-3 extent, and 9px RoIs on the 64px stage-1 map lay
+        # out 19 per side at stride 3 and 14 at stride 4
         with pytest.raises(ValueError) as info:
             ModelConfig(frame_extent=128)
         assert str(info.value) == (
-            "stage-3 extent 16 must match the 8px correlation grid"
+            "no RoI stride lays out a 16x16 grid of 9px RoIs on a 64px "
+            "map: stride 3 gives 19x19"
         )
+
+    @pytest.mark.parametrize("config", [
+        ModelConfig.toy(), ModelConfig.paper_shape(), tiny_model_config(),
+        ModelConfig(frame_extent=32),
+    ], ids=["toy", "paper", "tiny", "32px"])
+    def test_correlation_grid_is_the_stage3_extent(self, config):
+        extent = config.stage_extent(0)
+        rows, cols, _, _ = _grid_layout(extent, extent, config.corr_config)
+        assert rows == cols == config.stage_extent(2)
+        assert config.gla_config.global_extent == config.stage_extent(3)
 
 
 class TestLocalChannelAttention:
@@ -90,7 +104,7 @@ class TestLocalChannelAttention:
         # 4-channel toy case computed with explicit matrix arithmetic
         cfg = GlaConfig(local_channels=4, local_extent=4,
                         global_channels=8, global_extent=2,
-                        block_extent=2, mlp_reduction=2)
+                        mlp_reduction=2)
         gla = GlobalLocalAttention(cfg, np.random.default_rng(2))
         rng = np.random.default_rng(3)
         e2 = rng.standard_normal((1, 4, 4, 4))
@@ -151,7 +165,7 @@ class TestGlobalAttention:
     def test_single_channel_hand_case(self):
         cfg = GlaConfig(local_channels=1, local_extent=2,
                         global_channels=1, global_extent=2,
-                        block_extent=2, mlp_reduction=1)
+                        mlp_reduction=1)
         gla = GlobalLocalAttention(cfg, np.random.default_rng(10))
         e4 = np.array([[[[1.0, -2.0], [0.5, 3.0]]]])
         w1 = float(gla.global_mlp1.weight.data[0, 0])
@@ -214,7 +228,7 @@ class TestGlaForward:
     def test_gradients_through_module(self):
         rng = np.random.default_rng(15)
         cfg = GlaConfig(local_channels=2, local_extent=4, global_channels=4,
-                        global_extent=2, block_extent=2, mlp_reduction=2)
+                        global_extent=2, mlp_reduction=2)
         gla = GlobalLocalAttention(cfg, np.random.default_rng(16))
 
         def op(t):
@@ -373,10 +387,10 @@ class TestModelCheckpoint:
     def test_save_load_round_trip(self, tmp_path):
         model = MotionNetwork(ModelConfig.toy(), seed=11)
         path = tmp_path / "model.ckpt"
-        save_model(path, model, extra_config={"note": "test"})
+        save_model(path, model)
         loaded, extra, config = load_model(path)
         assert loaded.config == model.config
-        assert config["note"] == "test"
+        assert config == model.config.to_text_dict()
         rng = np.random.default_rng(30)
         frames = rng.uniform(0, 1, (1, 3, 64, 64))
         np.testing.assert_array_equal(
@@ -385,15 +399,17 @@ class TestModelCheckpoint:
         )
 
     def test_loads_checkpoints_with_retired_config_keys(self, tmp_path):
-        # older checkpoints also carry scale, seq_len and fusion, which the
-        # model config no longer has; loading ignores them
+        # older checkpoints also carry scale, seq_len, fusion, corr_grid
+        # and block_extent, which the model config no longer has; loading
+        # ignores them
         model = MotionNetwork(ModelConfig.toy(), seed=12)
         path = tmp_path / "old.ckpt"
-        save_model(path, model, extra_config={"scale": "toy", "seq_len": "8",
-                                              "fusion": "mean"})
+        retired = {"scale": "toy", "seq_len": "8", "fusion": "mean",
+                   "corr_grid": "8", "block_extent": "4"}
+        save_checkpoint(path, model.state_arrays(),
+                        {**model.config.to_text_dict(), **retired})
         loaded, _, config = load_model(path)
-        assert (config["scale"], config["seq_len"], config["fusion"]) == (
-            "toy", "8", "mean")
+        assert {key: config[key] for key in retired} == retired
         assert loaded.config == model.config
         rng = np.random.default_rng(31)
         frames = rng.uniform(0, 1, (1, 4, 64, 64))
@@ -402,3 +418,18 @@ class TestModelCheckpoint:
                 model.forward_window(frames)[key].data,
                 loaded.forward_window(frames)[key].data,
             )
+
+    def test_every_field_round_trips(self, tmp_path):
+        # every field off its default: 11px RoIs at stride 3 lay out the
+        # 8x8 stage-3 grid on the 32px stage-1 map
+        config = ModelConfig(frame_extent=32, encoder_channels=(4, 8, 8, 16),
+                             downsample=(1, 2, 2, 2), lstm_hidden=6,
+                             use_gla=False, corr_roi=11, corr_patch=3,
+                             mlp_reduction=4)
+        defaults = ModelConfig()
+        assert all(getattr(config, f.name) != getattr(defaults, f.name)
+                   for f in dataclasses.fields(ModelConfig))
+        path = tmp_path / "model.ckpt"
+        save_model(path, MotionNetwork(config, seed=13))
+        loaded, _, _ = load_model(path)
+        assert loaded.config == config

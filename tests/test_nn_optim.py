@@ -14,7 +14,6 @@ from fus3d.nn import (
     Parameter,
     kaiming_uniform,
     load_checkpoint,
-    lstm_cell,
     orthogonal,
     save_checkpoint,
 )
@@ -43,9 +42,11 @@ class TestLayers:
         rng = np.random.default_rng(2)
         shapes = [(2, 16), (2, 4), (2, 4), (16, 4)]
         arrays = [rng.uniform(-0.5, 0.5, s) for s in shapes]
+        cell = LSTMCell(1, 4, np.random.default_rng(0))
 
         def op(t):
-            h, c = lstm_cell(t[0], t[1], t[2], t[3])
+            cell.w_hh.tensor = t[3]
+            h, c = cell(t[0], t[1], t[2])
             return T.concat([h, c], axis=1)
 
         check_gradients(op, arrays)
@@ -171,7 +172,8 @@ class TestAdam:
     @pytest.mark.parametrize("decay_every", [0, -3])
     def test_decay_period_must_be_positive(self, decay_every):
         with pytest.raises(ValueError, match="decay_every"):
-            Adam([Parameter(np.zeros(1), name="p")], decay_every=decay_every)
+            Adam([Parameter(np.zeros(1), name="p")], lr=0.1,
+                 decay_every=decay_every)
 
     def test_missing_grad_is_an_error(self):
         opt = Adam([Parameter(np.zeros(1), name="p")], lr=0.1)

@@ -97,11 +97,6 @@ class TestSampling:
         np.testing.assert_array_equal(motions[0], rel[2].as_array())
         np.testing.assert_array_equal(motions[2], rel[4].as_array())
 
-    def test_short_scan_rejected(self, small_dataset):
-        cfg = quick_config(seq_len=50)
-        with pytest.raises(ValueError, match="shorter"):
-            _epoch_batches(small_dataset, cfg, epoch=0)
-
 
 class TestShortScans:
     @staticmethod
@@ -380,7 +375,7 @@ class TestCheckpointWrites:
 class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("val_every_epochs", 0), ("lr_decay_every", 0),
-        ("val_windows_per_scan", 0), ("learning_rate", 0.0),
+        ("seq_len", 1), ("learning_rate", 0.0),
         ("learning_rate", -1e-3), ("learning_rate", float("nan")),
     ])
     def test_rejected_at_construction(self, field, value):
