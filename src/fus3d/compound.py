@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pose import ImageGeometry, TransformSE3, frame_grid_points
+from .pose import ImageGeometry, TransformSE3, plane_to_world, stack_transforms
 
 __all__ = ["VolumeGrid", "compound", "write_volume", "read_volume"]
 
@@ -81,8 +81,8 @@ def compound(frames: np.ndarray, transforms: Sequence[TransformSE3],
     if voxel_mm <= 0:
         raise ValueError("voxel size must be positive")
 
-    pixels = geometry.full_pixel_grid()
-    points = np.stack([frame_grid_points(t, geometry, pixels) for t in transforms])
+    plane = geometry.pixel_to_plane(geometry.full_pixel_grid())
+    points = plane_to_world(*stack_transforms(transforms), plane)
     # one (n, h*w) view per world axis: numpy reduces and compares whole
     # columns several times faster than it does 3-element rows
     axes = np.moveaxis(points, -1, 0)

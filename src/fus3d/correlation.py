@@ -29,14 +29,13 @@ __all__ = ["CorrConfig", "correlate_batch"]
 class CorrConfig:
     """Free parameters of the correlation operation.
 
-    Defaults put an 8x8 RoI grid on a 64x64 map with d = 5. Extents are
-    odd so patches and RoIs have centers; the RoI grid is inset so every
-    window stays inside the map (no padding).
+    Extents are odd so patches and RoIs have centers; the RoI grid is
+    inset so every window stays inside the map (no padding).
     """
 
-    roi_extent: int = 9
-    patch_extent: int = 5
-    roi_stride: int = 7
+    roi_extent: int
+    patch_extent: int
+    roi_stride: int
 
     def __post_init__(self) -> None:
         if self.roi_extent % 2 == 0 or self.patch_extent % 2 == 0:
@@ -53,8 +52,8 @@ class CorrConfig:
         return self.roi_extent - self.patch_extent + 1
 
     @classmethod
-    def for_map_extent(cls, extent: int, grid: int = 8, roi_extent: int = 9,
-                       patch_extent: int = 5) -> "CorrConfig":
+    def for_map_extent(cls, extent: int, grid: int, roi_extent: int,
+                       patch_extent: int) -> "CorrConfig":
         """Pick the stride that fits a grid x grid RoI layout on a map.
 
         The largest stride that fits ``grid`` RoIs lays out the fewest;

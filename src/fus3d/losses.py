@@ -10,8 +10,11 @@ Three terms, combined linearly:
 * a zero-margin triplet hinge contrasting embedding features, with
   positives/negatives selected by label similarity.
 
-All terms return scalar tensors and are differentiable with respect to
-predictions / features.
+Motions are ``(..., n, 6)``: n steps of one series, with any leading
+axes holding more series of the same length (a training batch is
+``(b, n, 6)``). Each term is one graph over all series and returns the
+mean of its per-series values as a scalar tensor, differentiable with
+respect to predictions / features.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from .tensor import (
     relu,
     sqrt,
     sub,
+    take,
     tensor_abs,
     tensor_mean,
     tensor_sum,
-    transpose,
 )
 
 __all__ = [
@@ -69,99 +72,97 @@ class LossWeights:
             raise ValueError("epsilon must be nonnegative")
 
 
-def _as_motion(values) -> Tensor:
-    """Coerce an (n, 6) array or tensor into an (n, 6) tensor."""
-    t = values if isinstance(values, Tensor) else Tensor(np.asarray(values, dtype=float))
-    if t.ndim != 2 or t.shape[1] != 6:
-        raise ValueError(f"expected (n, 6) motions, got shape {t.shape}")
-    return t
+def _as_motions(*values) -> list:
+    """Coerce (..., n, 6) arrays or tensors of one shape into tensors."""
+    out = [v if isinstance(v, Tensor) else Tensor(np.asarray(v, dtype=float))
+           for v in values]
+    for t in out:
+        if t.ndim < 2 or t.shape[-1] != 6:
+            raise ValueError(f"expected (..., n, 6) motions, got shape {t.shape}")
+        if t.shape != out[0].shape:
+            raise ValueError(f"shape mismatch: {out[0].shape} vs {t.shape}")
+    return out
 
 
 def mmae(true, pred, epsilon: float = DEFAULT_EPSILON) -> Tensor:
-    """Motion-weighted MAE: mean over steps and components of
-    (|true| + epsilon) * |true - pred|, normalized by 6 * n_steps."""
-    t, p = _as_motion(true), _as_motion(pred)
-    if t.shape != p.shape:
-        raise ValueError(f"length mismatch: true {t.shape} vs pred {p.shape}")
+    """Motion-weighted MAE: mean over series, steps and components of
+    (|true| + epsilon) * |true - pred|."""
+    t, p = _as_motions(true, pred)
     weights = np.abs(t.data) + epsilon  # depends on labels only
-    err = tensor_abs(sub(t, p))
-    return tensor_sum(mul(err, weights)) / (6.0 * t.shape[0])
+    return tensor_mean(mul(tensor_abs(sub(t, p)), weights))
 
 
 def correlation_loss(true, pred, degenerate: Counter | None = None) -> Tensor:
-    """Per-component (1 - cosine) over the motion time series, averaged
-    over the six components. Invariant under positive scaling of the
-    predictions; a zero-norm component series contributes exactly 1.
+    """Per-component (1 - cosine) over each motion time series, averaged
+    over series and the six components. Invariant under positive scaling
+    of the predictions; a zero-norm component series contributes exactly 1.
 
-    Zero-norm components are logged as one warning per call, or, when
-    ``degenerate`` is given, counted there under the tuple of their
-    indices, so a caller looping over many windows can warn once."""
-    t, p = _as_motion(true), _as_motion(pred)
-    if t.shape != p.shape:
-        raise ValueError(f"length mismatch: true {t.shape} vs pred {p.shape}")
-    if t.shape[0] < 2:
+    Each series with zero-norm components is logged as one warning, or,
+    when ``degenerate`` is given, counted there under the tuple of their
+    indices, so a caller running many batches can warn once."""
+    t, p = _as_motions(true, pred)
+    if t.shape[-2] < 2:
         raise ValueError("correlation loss needs a series of at least 2 steps")
-    zero = [
-        k for k in range(6)
-        if not np.any(t.data[:, k]) or not np.any(p.data[:, k])
-    ]
-    if zero and degenerate is not None:
-        degenerate[tuple(zero)] += 1
-    elif zero:
-        logger.warning(
-            "correlation loss: zero-norm series for component(s) %s; "
-            "their cosine is defined as 0", zero
-        )
-    cos = cosine_similarity(transpose(t, (1, 0)), transpose(p, (1, 0)), axis=1)
-    return tensor_mean(sub(1.0, cos))
+    dead = ~(t.data.any(axis=-2) & p.data.any(axis=-2)).reshape(-1, 6)
+    for row in dead[dead.any(axis=1)]:
+        zero = np.flatnonzero(row).tolist()
+        if degenerate is not None:
+            degenerate[tuple(zero)] += 1
+        else:
+            logger.warning(
+                "correlation loss: zero-norm series for component(s) %s; "
+                "their cosine is defined as 0", zero
+            )
+    return tensor_mean(sub(1.0, cosine_similarity(t, p, axis=-2)))
 
 
-def _euclidean(a: Tensor, b: Tensor) -> Tensor:
+def _distance(a: Tensor, b: Tensor) -> Tensor:
     diff = sub(a, b)
-    return sqrt(tensor_sum(mul(diff, diff)))
+    return sqrt(tensor_sum(mul(diff, diff), axis=-1))
 
 
-def triplet_loss(anchor: Tensor, positive: Tensor, negative: Tensor) -> Tensor:
-    """Zero-margin hinge on the distance gap:
-    max(0, dist(anchor, positive) - dist(anchor, negative))."""
-    if anchor.shape != positive.shape or anchor.shape != negative.shape:
+def triplet_loss(embeddings, triples) -> Tensor:
+    """Mean zero-margin hinge on the distance gap,
+    max(0, dist(anchor, positive) - dist(anchor, negative)), over index
+    triples into the step axis of (..., n, d) embeddings; ``triples`` is
+    (..., m, 3), one set of (anchor, positive, negative) per series."""
+    triples = np.asarray(triples)
+    if triples.shape[-1:] != (3,) or triples.shape[:-2] != embeddings.shape[:-2]:
         raise ValueError(
-            f"triplet shapes differ: {anchor.shape}, {positive.shape}, "
-            f"{negative.shape}"
+            f"triplet shapes differ: embeddings {embeddings.shape}, "
+            f"triples {triples.shape}"
         )
-    return relu(sub(_euclidean(anchor, positive), _euclidean(anchor, negative)))
+    # index arrays over the leading (series) axes, one entry per triple
+    series = tuple(np.indices(triples.shape[:-1])[:-1])
+    anchor, positive, negative = (
+        take(embeddings, series + (triples[..., k],)) for k in range(3)
+    )
+    gap = sub(_distance(anchor, positive), _distance(anchor, negative))
+    return tensor_mean(relu(gap))
 
 
-def _label_cosine_matrix(motions: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(motions, axis=1)
-    dots = motions @ motions.T
-    denom = norms[:, None] * norms[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos = np.where(denom == 0.0, 0.0, dots / np.where(denom == 0.0, 1.0, denom))
-    return cos
-
-
-def select_triplets(motions) -> list:
-    """(anchor, positive, negative) index triples for every anchor step.
+def select_triplets(motions) -> np.ndarray:
+    """(anchor, positive, negative) step indices for every anchor step of
+    (..., n, 6) label motions, as an (..., n, 3) integer array.
 
     The positive is the step whose label is most cosine-similar to the
     anchor's, the negative the least similar; the anchor itself is
-    excluded and ties resolve to the lowest index.
+    excluded and ties resolve to the lowest index. A zero-norm label has
+    cosine 0 with every step.
     """
-    labels = _as_motion(motions).data
-    n = labels.shape[0]
+    labels = _as_motions(motions)[0].data
+    n = labels.shape[-2]
     if n < 3:
         raise ValueError(f"triplet selection needs at least 3 steps, got {n}")
-    cos = _label_cosine_matrix(labels)
-    triples = []
-    for a in range(n):
-        row = cos[a].copy()
-        row[a] = -np.inf
-        p = int(row.argmax())
-        row[a] = np.inf
-        neg = int(row.argmin())
-        triples.append((a, p, neg))
-    return triples
+    norms = np.linalg.norm(labels, axis=-1)
+    dots = labels @ np.swapaxes(labels, -1, -2)
+    denom = norms[..., :, None] * norms[..., None, :]
+    cos = np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)
+    self_pair = np.eye(n, dtype=bool)
+    positives = np.where(self_pair, -np.inf, cos).argmax(axis=-1)
+    negatives = np.where(self_pair, np.inf, cos).argmin(axis=-1)
+    anchors = np.broadcast_to(np.arange(n), positives.shape)
+    return np.stack([anchors, positives, negatives], axis=-1)
 
 
 def total_loss(components: Sequence[Tensor], weights: LossWeights) -> Tensor:

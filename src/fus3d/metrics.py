@@ -21,6 +21,7 @@ import numpy as np
 from .pose import (
     ImageGeometry,
     TransformSE3,
+    plane_to_world,
     pose_arrays,
     relative_arrays,
     stack_transforms,
@@ -106,10 +107,7 @@ def _plane(geometry: ImageGeometry) -> np.ndarray:
 def _point_errors(true, pred, plane: np.ndarray) -> np.ndarray:
     """Mean grid-point distance per frame between two (rotations,
     translations) stacks."""
-    (rot_t, tra_t), (rot_p, tra_p) = true, pred
-    diff = (plane @ np.swapaxes(rot_t, 1, 2) + tra_t[:, None, :]) - (
-        plane @ np.swapaxes(rot_p, 1, 2) + tra_p[:, None, :]
-    )
+    diff = plane_to_world(*true, plane) - plane_to_world(*pred, plane)
     return np.linalg.norm(diff, axis=2).mean(axis=1)
 
 

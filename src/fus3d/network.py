@@ -58,7 +58,7 @@ class GlaConfig:
     local_extent: int
     global_channels: int
     global_extent: int
-    mlp_reduction: int = 16
+    mlp_reduction: int
 
     def __post_init__(self) -> None:
         if self.local_extent % self.global_extent != 0:

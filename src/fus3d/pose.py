@@ -49,7 +49,7 @@ __all__ = [
     "pose_arrays",
     "accumulate",
     "extract_relatives",
-    "frame_grid_points",
+    "plane_to_world",
     "write_pose_csv",
     "read_pose_csv",
 ]
@@ -195,11 +195,6 @@ class TransformSE3:
     def inverse(self) -> "TransformSE3":
         rt = self.rotation.T
         return TransformSE3(rt, -(rt @ self.translation))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map points (..., 3) through the transform."""
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.translation
 
     def matrix(self) -> np.ndarray:
         out = np.eye(4)
@@ -515,20 +510,11 @@ class ImageGeometry:
         )
 
 
-def frame_grid_points(
-    transform: TransformSE3,
-    geometry: ImageGeometry,
-    pixels: np.ndarray | None = None,
-) -> np.ndarray:
-    """World positions (mm) of frame pixels mapped through a transform.
-
-    ``pixels`` is an (n, 2) array of (row, col) coordinates; the full pixel
-    grid is used when omitted.
-    """
-    if pixels is None:
-        pixels = geometry.full_pixel_grid()
-    plane = geometry.pixel_to_plane(pixels)
-    return transform.apply(plane)
+def plane_to_world(rotations: np.ndarray, translations: np.ndarray,
+                   plane: np.ndarray) -> np.ndarray:
+    """World positions (n, p, 3) of (p, 3) in-plane points carried by n
+    stacked transforms, as one batched product over all frames."""
+    return plane @ np.swapaxes(rotations, 1, 2) + translations[:, None, :]
 
 
 def write_pose_csv(path, poses: Iterable[PoseVector]) -> None:

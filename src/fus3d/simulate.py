@@ -25,7 +25,7 @@ from scipy.ndimage import gaussian_filter, map_coordinates
 from .pose import (
     ImageGeometry,
     Trajectory,
-    frame_grid_points,
+    plane_to_world,
     pose_arrays,
     pose_to_transform,
     poses_to_stacks,
@@ -263,23 +263,21 @@ def slice_phantom(phantom: Phantom, trajectory: Trajectory,
     can read 1.0000000000000002.
     """
     upper = np.array(phantom.field.shape) - 1
-    pixels = geometry.full_pixel_grid()
-    transforms = list(trajectory)
-    frames = np.empty((len(transforms), geometry.n_rows, geometry.n_cols))
-    step = max(1, SLICE_BLOCK_POINTS // len(pixels))
-    for start in range(0, len(transforms), step):
-        block = transforms[start:start + step]
+    plane = geometry.pixel_to_plane(geometry.full_pixel_grid())
+    rotations, translations = stack_transforms(trajectory)
+    frames = np.empty((len(rotations), geometry.n_rows, geometry.n_cols))
+    step = max(1, SLICE_BLOCK_POINTS // len(plane))
+    for start in range(0, len(rotations), step):
+        block = slice(start, start + step)
         coords = phantom.world_to_voxel(
-            np.stack([frame_grid_points(t, geometry, pixels) for t in block])
-        )
+            plane_to_world(rotations[block], translations[block], plane))
         outside = np.any((coords < 0.0) | (coords > upper), axis=(1, 2))
         if outside.any():
             raise FrameOutOfBoundsError(start + int(np.argmax(outside)))
         sampled = map_coordinates(phantom.field, coords.reshape(-1, 3).T,
                                   order=1, mode="nearest")
         np.clip(sampled, 0.0, 1.0, out=sampled)
-        frames[start:start + len(block)] = sampled.reshape(
-            len(block), geometry.n_rows, geometry.n_cols)
+        frames[block] = sampled.reshape(-1, geometry.n_rows, geometry.n_cols)
     return frames
 
 

@@ -150,21 +150,10 @@ def _batch_loss(model: MotionNetwork, scans, batch, config: TrainConfig,
         [window_motions(scans[i], s, config.seq_len + 1) for i, s in batch]
     )
     out = model.forward_window(frames)
-    m_terms, c_terms, t_terms = [], [], []
-    for b in range(len(batch)):
-        m_terms.append(mmae(truth[b], out["fused"][b],
-                            epsilon=config.loss_weights.epsilon))
-        c_terms.append(correlation_loss(truth[b], out["fused"][b], degenerate))
-        emb = out["embeddings"][b]
-        hinges = [
-            triplet_loss(emb[a], emb[p], emb[n])
-            for a, p, n in select_triplets(truth[b])
-        ]
-        t_terms.append(T.tensor_mean(T.stack(hinges)))
     parts = (
-        T.tensor_mean(T.stack(m_terms)),
-        T.tensor_mean(T.stack(c_terms)),
-        T.tensor_mean(T.stack(t_terms)),
+        mmae(truth, out["fused"], epsilon=config.loss_weights.epsilon),
+        correlation_loss(truth, out["fused"], degenerate),
+        triplet_loss(out["embeddings"], select_triplets(truth)),
     )
     return total_loss(parts, config.loss_weights), parts
 
@@ -255,9 +244,11 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
 
     ``resume_extra`` is the non-parameter record dict of a checkpoint
     produced by this function (optimizer moments plus counters); model
-    parameters must already be loaded. Training and validation scans
-    shorter than a window are skipped with one warning each; none long
-    enough, in either set, is an error raised before the first step.
+    parameters must already be loaded. A resumed run keeps the rows of an
+    existing log up to the checkpoint's step and appends to them. Training
+    and validation scans shorter than a window are skipped with one
+    warning each; none long enough, in either set, is an error raised
+    before the first step.
     Windows whose correlation loss meets a zero-norm series (scans without
     rotation) are counted, and one ``fus3d.losses`` warning at the end of
     the run gives the count and the components.
@@ -286,11 +277,17 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
     log_rows = []
     log_handle = None
     if log_path is not None:
-        mode = "a" if resume_extra else "w"
-        log_handle = open(log_path, mode, encoding="utf-8", newline="\n")
-        # a resumed run appends to its log, or starts one in a new place
-        if log_handle.tell() == 0:
-            log_handle.write(TRAIN_LOG_HEADER + "\n")
+        kept = [TRAIN_LOG_HEADER + "\n"]
+        if resume_extra and Path(log_path).exists():
+            # rows a cut run logged after its last checkpoint are dropped,
+            # since the resume trains those steps again, and so is a last
+            # line cut mid-write
+            with open(log_path, encoding="utf-8", newline="\n") as handle:
+                kept += [line for line in handle.readlines()[1:]
+                         if line.endswith("\n")
+                         and int(line.split(",", 1)[0]) <= step]
+        log_handle = open(log_path, "w", encoding="utf-8", newline="\n")
+        log_handle.writelines(kept)
 
     saved_step = None
 
@@ -303,6 +300,9 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
         extra["_train.epoch"] = np.array(float(epoch))
         extra["_train.batch_idx"] = np.array(float(batch_idx))
         extra["_train.best_val"] = np.array(best_val)
+        # the log on disk holds every row up to the checkpoint's step
+        if log_handle is not None:
+            log_handle.flush()
         target = Path(checkpoint_path)
         save_model(target, model, extra_arrays=extra)
         saved_step = step

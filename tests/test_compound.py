@@ -8,8 +8,9 @@ from fus3d.pose import (
     ImageGeometry,
     PoseVector,
     TransformSE3,
-    frame_grid_points,
+    plane_to_world,
     pose_to_transform,
+    stack_transforms,
 )
 
 GEOM = ImageGeometry(8, 8, 0.1, 0.1)
@@ -91,19 +92,17 @@ class TestCompound:
     def test_rigid_invariance_of_point_cloud(self):
         # moving the whole trajectory rigidly moves the splatted point set
         # rigidly (checked before voxelization, as a point-cloud identity)
-        from fus3d.pose import frame_grid_points
-
-        rng = np.random.default_rng(5)
         transforms = [
             pose_to_transform(PoseVector(0.1 * i, 0, 0.2 * i, 0, 3.0 * i, 0))
             for i in range(5)
         ]
         world = pose_to_transform(PoseVector(4.0, -2.0, 1.0, 30.0, 10.0, -20.0))
-        pixels = GEOM.full_pixel_grid()
-        for t in transforms:
-            base = frame_grid_points(t, GEOM, pixels)
-            moved = frame_grid_points(world.compose(t), GEOM, pixels)
-            np.testing.assert_allclose(moved, world.apply(base), atol=1e-12)
+        plane = GEOM.pixel_to_plane(GEOM.full_pixel_grid())
+        base = plane_to_world(*stack_transforms(transforms), plane)
+        moved = plane_to_world(
+            *stack_transforms([world.compose(t) for t in transforms]), plane)
+        np.testing.assert_allclose(
+            moved, base @ world.rotation.T + world.translation, atol=1e-12)
 
     def test_empty_scan_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -136,9 +135,9 @@ class TestSplat:
         # reference: np.add.at frame by frame, in frame order
         sums = np.zeros(dims)
         counts = np.zeros(dims, dtype=np.int64)
-        pixels = GEOM.full_pixel_grid()
+        plane = GEOM.pixel_to_plane(GEOM.full_pixel_grid())
         for frame, transform in zip(frames, transforms):
-            pts = frame_grid_points(transform, GEOM, pixels)
+            pts = plane @ transform.rotation.T + transform.translation
             idx = np.rint((pts - origin) / voxel).astype(int)
             valid = np.all((idx >= 0) & (idx < np.array(dims)), axis=1)
             np.add.at(sums, tuple(idx[valid].T), frame.reshape(-1)[valid])

@@ -63,16 +63,17 @@ class TestConfig:
             CorrConfig(roi_extent=5, patch_extent=7, roi_stride=1)
 
     def test_default_grid_is_8x8_on_64px_maps(self):
-        cfg = CorrConfig()
+        cfg = CorrConfig(roi_extent=9, patch_extent=5, roi_stride=7)
         out = correlate_batch(Tensor(np.zeros((1, 1, 64, 64))),
                               Tensor(np.zeros((1, 1, 64, 64))), cfg)
         assert out.shape[1:3] == (8, 8)
         assert cfg.displacement_extent == 5
 
     def test_for_map_extent(self):
-        assert CorrConfig.for_map_extent(64).roi_stride == 7
-        assert CorrConfig.for_map_extent(32).roi_stride == 3
-        assert CorrConfig.for_map_extent(128).roi_stride == 17
+        for extent, stride in ((64, 7), (32, 3), (128, 17)):
+            cfg = CorrConfig.for_map_extent(extent, grid=8, roi_extent=9,
+                                            patch_extent=5)
+            assert cfg.roi_stride == stride
 
     def test_roi_larger_than_map_rejected(self):
         with pytest.raises(ValueError, match="larger than feature map"):

@@ -1,5 +1,7 @@
 """Loss-term tests: hand-computed values, invariants, gradient behavior."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -95,55 +97,77 @@ class TestCorrelationLoss:
         assert value == pytest.approx(5.0 / 6.0, abs=1e-12)
         assert "zero-norm" in caplog.text
 
+    def test_zero_norm_series_counted_once_per_window(self, caplog):
+        rng = np.random.default_rng(13)
+        true = rng.standard_normal((3, 4, 6))
+        true[0, :, 4] = 0.0
+        true[2, :, 1:3] = 0.0
+        degenerate = Counter()
+        with caplog.at_level("WARNING"):
+            correlation_loss(true, true, degenerate)
+        assert degenerate == Counter({(4,): 1, (1, 2): 1})
+        assert caplog.text == ""
+        with caplog.at_level("WARNING"):
+            correlation_loss(true, true)
+        assert [r.getMessage().count("zero-norm") for r in caplog.records] == [1, 1]
+
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             correlation_loss(np.zeros((1, 6)), np.zeros((1, 6)))
 
 
+def _hinge(rows, triple=(0, 1, 2), requires_grad=False):
+    """Triplet loss of one (anchor, positive, negative) triple over the
+    rows of a one-series embedding matrix."""
+    emb = Tensor(np.asarray(rows, dtype=float), requires_grad=requires_grad)
+    return emb, triplet_loss(emb, [triple])
+
+
 class TestTripletLoss:
     def test_positive_equal_to_anchor(self):
         rng = np.random.default_rng(7)
-        a = Tensor(rng.standard_normal(10))
-        n = Tensor(rng.standard_normal(10))
-        assert triplet_loss(a, a, n).item() == 0.0
+        a, n = rng.standard_normal(10), rng.standard_normal(10)
+        assert _hinge([a, n], triple=(0, 0, 1))[1].item() == 0.0
 
     def test_hinge_arithmetic(self):
-        a = Tensor(np.zeros(1))
-        p = Tensor(np.array([3.0]))  # dist(a, p) = 3
-        n = Tensor(np.array([1.0]))  # dist(a, n) = 1
-        assert triplet_loss(a, p, n).item() == pytest.approx(2.0)
+        # dist(a, p) = 3, dist(a, n) = 1
+        assert _hinge([[0.0], [3.0], [1.0]])[1].item() == pytest.approx(2.0)
 
     def test_inactive_region_gradient_exactly_zero(self):
         rng = np.random.default_rng(8)
-        a = Tensor(rng.standard_normal(6), requires_grad=True)
-        p = Tensor(a.data + 0.01 * rng.standard_normal(6), requires_grad=True)
-        n = Tensor(a.data + 10.0, requires_grad=True)
-        loss = triplet_loss(a, p, n)
+        a = rng.standard_normal(6)
+        emb, loss = _hinge([a, a + 0.01 * rng.standard_normal(6), a + 10.0],
+                           requires_grad=True)
         assert loss.item() == 0.0
         backward(loss)
-        for t in (a, p, n):
-            np.testing.assert_array_equal(t.grad, np.zeros(6))
+        np.testing.assert_array_equal(emb.grad, np.zeros((3, 6)))
+
+    def test_mean_over_triples(self):
+        emb = Tensor(np.array([[0.0], [3.0], [1.0]]))
+        # hinges 2 (positive 3 away, negative 1) and 0 (positive 1 away,
+        # negative 2 away): the loss is their mean
+        assert triplet_loss(emb, [(0, 1, 2), (2, 0, 1)]).item() == pytest.approx(1.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes differ"):
-            triplet_loss(Tensor(np.zeros(3)), Tensor(np.zeros(4)), Tensor(np.zeros(3)))
+            triplet_loss(Tensor(np.zeros((2, 4, 3))), np.zeros((3, 4, 3), dtype=int))
+        with pytest.raises(ValueError, match="shapes differ"):
+            triplet_loss(Tensor(np.zeros((4, 3))), np.zeros((4, 2), dtype=int))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            value = triplet_loss(
-                Tensor(rng.standard_normal(5)),
-                Tensor(rng.standard_normal(5)),
-                Tensor(rng.standard_normal(5)),
-            ).item()
-            assert value >= 0.0
+            emb = Tensor(rng.standard_normal((2, 5, 5)))
+            triples = rng.integers(0, 5, size=(2, 5, 3))
+            assert triplet_loss(emb, triples).item() >= 0.0
 
 
 class TestSelectTriplets:
     def test_constructed_case(self):
         v = np.array([1.0, 0, 0, 0, 0, 0])
         triples = select_triplets(np.stack([v, v, -v]))
-        assert triples[0] == (0, 1, 2)
+        assert triples.shape == (3, 3)
+        assert tuple(triples[0]) == (0, 1, 2)
 
     def test_ties_break_to_lowest_index(self):
         v = np.array([0, 1.0, 0, 0, 0, 0])
@@ -154,17 +178,79 @@ class TestSelectTriplets:
 
     def test_random_batches_positive_at_least_negative(self):
         rng = np.random.default_rng(10)
-        for _ in range(20):
-            motions = rng.standard_normal((9, 6))
-            norms = np.linalg.norm(motions, axis=1, keepdims=True)
-            cos = (motions @ motions.T) / (norms * norms.T)
-            for a, p, n in select_triplets(motions):
+        motions = rng.standard_normal((20, 9, 6))
+        triples = select_triplets(motions)
+        assert triples.shape == (20, 9, 3)
+        for labels, rows in zip(motions, triples):
+            norms = np.linalg.norm(labels, axis=1, keepdims=True)
+            cos = (labels @ labels.T) / (norms * norms.T)
+            for a, p, n in rows:
                 assert p != a and n != a
                 assert cos[a, p] >= cos[a, n]
+
+    def test_series_are_selected_independently(self):
+        rng = np.random.default_rng(11)
+        motions = rng.standard_normal((3, 2, 7, 6))
+        triples = select_triplets(motions)
+        for idx in np.ndindex(3, 2):
+            np.testing.assert_array_equal(triples[idx], select_triplets(motions[idx]))
 
     def test_needs_three_steps(self):
         with pytest.raises(ValueError, match="at least 3"):
             select_triplets(np.zeros((2, 6)))
+        with pytest.raises(ValueError, match="at least 3"):
+            select_triplets(np.zeros((4, 2, 6)))
+
+
+class TestBatchedTerms:
+    """Each term over a batch equals the mean of its per-series values,
+    and so does its gradient."""
+
+    @staticmethod
+    def _value_and_grad(term, batch):
+        pred = Tensor(batch.copy(), requires_grad=True)
+        loss = term(pred)
+        backward(loss)
+        return loss.item(), pred.grad
+
+    def test_triplet_matches_a_loop_over_anchors(self):
+        rng = np.random.default_rng(14)
+        truth = rng.standard_normal((4, 9, 6))
+        emb = rng.standard_normal((4, 9, 5))
+        triples = select_triplets(truth)
+        hinges = [
+            max(0.0, np.linalg.norm(e[a] - e[p]) - np.linalg.norm(e[a] - e[n]))
+            for e, rows in zip(emb, triples) for a, p, n in rows
+        ]
+        assert len(hinges) == 36
+        assert triplet_loss(Tensor(emb), triples).item() == pytest.approx(
+            np.mean(hinges), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["mmae", "correlation", "triplet"])
+    def test_batch_equals_mean_of_windows(self, name):
+        rng = np.random.default_rng(12)
+        for b, n in ((4, 9), (3, 5), (1, 4)):
+            truth = rng.standard_normal((b, n, 6))
+            features = rng.standard_normal((b, n, 6))
+            if name == "mmae":
+                def term(pred, labels):
+                    return mmae(labels, pred)
+            elif name == "correlation":
+                def term(pred, labels):
+                    return correlation_loss(labels, pred)
+            else:
+                def term(pred, labels):
+                    return triplet_loss(pred, select_triplets(labels))
+            value, grad = self._value_and_grad(lambda p: term(p, truth), features)
+            per_window = [
+                self._value_and_grad(lambda p: term(p, truth[k]), features[k])
+                for k in range(b)
+            ]
+            expected = np.mean([v for v, _ in per_window])
+            assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
+            # each window's share of the batch gradient is 1/b of its own
+            np.testing.assert_allclose(
+                grad, np.stack([g for _, g in per_window]) / b, rtol=1e-14, atol=0.0)
 
 
 class TestTotalLoss:

@@ -25,7 +25,7 @@ from fus3d.tensor import Tensor, backward
 
 
 TOY_GLA = GlaConfig(local_channels=16, local_extent=16,
-                    global_channels=64, global_extent=4)
+                    global_channels=64, global_extent=4, mlp_reduction=16)
 
 
 def tiny_model_config():
@@ -59,7 +59,7 @@ class TestGlaConfig:
     def test_rejects_bad_tiling(self):
         with pytest.raises(ValueError, match="tile"):
             GlaConfig(local_channels=8, local_extent=10,
-                      global_channels=64, global_extent=4)
+                      global_channels=64, global_extent=4, mlp_reduction=16)
 
 
 class TestModelConfig:

@@ -18,7 +18,7 @@ from fus3d.pose import (
     accumulate,
     extract_relatives,
     _check_stack,
-    frame_grid_points,
+    plane_to_world,
     pose_arrays,
     pose_to_transform,
     poses_to_stacks,
@@ -264,10 +264,17 @@ class TestTrajectory:
             Trajectory((t,))
 
 
+def grid_points(transforms, geom, pixels=None):
+    """World positions (n, p, 3) of frame pixels, the full grid by default."""
+    if pixels is None:
+        pixels = geom.full_pixel_grid()
+    return plane_to_world(*stack_transforms(transforms), geom.pixel_to_plane(pixels))
+
+
 class TestFrameGridPoints:
     def test_identity_grid_spacing(self):
         geom = ImageGeometry(2, 2, 0.1484, 0.1484)
-        pts = frame_grid_points(TransformSE3.identity(), geom)
+        pts = grid_points([TransformSE3.identity()], geom)[0]
         assert pts.shape == (4, 3)
         np.testing.assert_allclose(pts[:, 2], 0.0, atol=0)
         # spacing between neighbors along each axis equals the pitch
@@ -276,22 +283,32 @@ class TestFrameGridPoints:
 
     def test_pure_translation_shifts_all_points(self):
         geom = ImageGeometry(4, 4, 0.1, 0.1)
-        base = frame_grid_points(TransformSE3.identity(), geom)
-        t = pose_to_transform(PoseVector(1.0, -2.0, 3.0))
-        np.testing.assert_allclose(
-            frame_grid_points(t, geom), base + np.array([1.0, -2.0, 3.0]), atol=1e-12
-        )
+        base, moved = grid_points(
+            [TransformSE3.identity(), pose_to_transform(PoseVector(1.0, -2.0, 3.0))],
+            geom)
+        np.testing.assert_allclose(moved, base + np.array([1.0, -2.0, 3.0]),
+                                   atol=1e-12)
 
     def test_90_degree_roll_rotates_in_plane(self):
         geom = ImageGeometry(3, 3, 0.5, 0.5)
         corners = np.array([[0, 0], [0, 2], [2, 0], [2, 2]], dtype=float)
-        base = frame_grid_points(TransformSE3.identity(), geom, corners)
-        rolled = frame_grid_points(
-            pose_to_transform(PoseVector(rz=90.0)), geom, corners
-        )
+        base, rolled = grid_points(
+            [TransformSE3.identity(), pose_to_transform(PoseVector(rz=90.0))],
+            geom, corners)
         # hand rotation: (x, y, 0) -> (-y, x, 0)
         expected = np.column_stack([-base[:, 1], base[:, 0], base[:, 2]])
         np.testing.assert_allclose(rolled, expected, atol=1e-12)
+
+    def test_stacked_product_is_the_per_frame_product(self):
+        # one batched product gives each frame's own product bit for bit
+        geom = ImageGeometry(16, 12, 0.2, 0.15)
+        rng = np.random.default_rng(21)
+        transforms = [pose_to_transform(PoseVector(*rng.normal(0, 5, 6)))
+                      for _ in range(7)]
+        plane = geom.pixel_to_plane(geom.full_pixel_grid())
+        stacked = plane_to_world(*stack_transforms(transforms), plane)
+        for points, t in zip(stacked, transforms):
+            np.testing.assert_array_equal(points, plane @ t.rotation.T + t.translation)
 
 
 class TestPoseCsv:

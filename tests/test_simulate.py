@@ -228,7 +228,7 @@ class TestCorrelationOnSpeckle:
             pose_to_transform(PoseVector(tz=0.4)),
         ]
         frames = slice_phantom(small_phantom, Trajectory(tuple(transforms)), GEOM64)
-        cfg = CorrConfig()
+        cfg = CorrConfig(roi_extent=9, patch_extent=5, roi_stride=7)
         maps = frames[:, None]  # (3, 1, 64, 64)
         near = correlate_batch(Tensor(maps[:1]), Tensor(maps[1:2]), cfg).data.mean()
         far = correlate_batch(Tensor(maps[:1]), Tensor(maps[2:]), cfg).data.mean()

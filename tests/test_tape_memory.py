@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fus3d.tensor as T
-from fus3d.correlation import CorrConfig, correlate_batch
+from fus3d.correlation import correlate_batch
 from fus3d.network import ModelConfig, MotionNetwork
 from fus3d.tensor import Tensor
 
@@ -84,7 +84,7 @@ class TestTapeHoldsNoCopies:
         rng = np.random.default_rng(42)
         a = Tensor(rng.standard_normal((2, 8, 32, 32)), requires_grad=True)
         b = Tensor(rng.standard_normal((2, 8, 32, 32)), requires_grad=True)
-        out = correlate_batch(a, b, CorrConfig.for_map_extent(32))
+        out = correlate_batch(a, b, ModelConfig.toy().corr_config)
         _check_tape(out, (a, b), rng)
 
 

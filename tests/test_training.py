@@ -2,6 +2,8 @@
 descent on a short run, bit-exact resume, and log format."""
 
 import gc
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -295,6 +297,62 @@ class TestTrainLoop:
         # onto the existing log: no second header
         assert resume(log) == ["1", "2", "3"]
 
+    def test_resume_after_a_cut_run_logs_each_step_once(self, small_dataset,
+                                                        tmp_path, monkeypatch):
+        # every validation improves, so 3 scans at batch 2 checkpoint at
+        # steps 2 and 4; the cut run logs step 5, then step 6 raises
+        cfg = quick_config(steps=6)
+
+        save_model = training.save_model
+        logged_at_save = []
+
+        def run(directory, resume_extra=None, model=None):
+            directory.mkdir(exist_ok=True)
+            model = model or MotionNetwork(ModelConfig.toy(), seed=9)
+            values = itertools.count(100.0, -1.0)
+            monkeypatch.setattr(training, "validation_mmae",
+                                lambda *args: next(values))
+
+            def recording_save(path, model, extra_arrays=None):
+                # what a process killed after this save leaves in the log
+                if extra_arrays is not None:
+                    rows = (directory / "train_log.csv").read_text().splitlines()
+                    logged_at_save.append(
+                        (int(extra_arrays["_train.step"]), len(rows) - 1))
+                save_model(path, model, extra_arrays=extra_arrays)
+
+            monkeypatch.setattr(training, "save_model", recording_save)
+            train(model, small_dataset[:3], small_dataset[3:], cfg,
+                  log_path=directory / "train_log.csv",
+                  checkpoint_path=directory / "checkpoint.ckpt",
+                  resume_extra=resume_extra)
+            return model
+
+        straight = run(tmp_path / "straight")
+
+        step_once = training._train_step
+
+        def cut_at_step_six(*args):
+            if args[5] == 5:
+                raise RuntimeError("cut")
+            return step_once(*args)
+
+        monkeypatch.setattr(training, "_train_step", cut_at_step_six)
+        with pytest.raises(RuntimeError, match="cut"):
+            run(tmp_path / "cut")
+        log = tmp_path / "cut" / "train_log.csv"
+        assert log.read_text().splitlines()[-1].startswith("5,")
+        monkeypatch.setattr(training, "_train_step", step_once)
+        model, extra, _ = load_model(tmp_path / "cut" / "checkpoint.ckpt")
+        assert int(extra["_train.step"]) == 4
+        resumed = run(tmp_path / "cut", resume_extra=extra, model=model)
+
+        assert log.read_bytes() == (tmp_path / "straight" / "train_log.csv").read_bytes()
+        assert all(step == rows for step, rows in logged_at_save)
+        for (_, pa), (_, pb) in zip(straight.named_parameters(),
+                                    resumed.named_parameters()):
+            np.testing.assert_array_equal(pa.data, pb.data)
+
     def test_determinism_across_runs(self, small_dataset):
         cfg = quick_config(steps=5)
 
@@ -388,6 +446,45 @@ class TestHelpers:
         model = MotionNetwork(ModelConfig.toy(), seed=2)
         value = validation_mmae(model, small_dataset[3:], quick_config())
         assert value > 0.0
+
+
+def _tape_nodes(*roots) -> set:
+    """Ids of the op nodes on the autodiff tape behind ``roots``."""
+    seen, pending = set(), list(roots)
+    while pending:
+        node = pending.pop()
+        if id(node) not in seen and node._vjp is not None:
+            seen.add(id(node))
+            pending.extend(node._parents)
+    return seen
+
+
+class TestLossGraph:
+    def test_loss_graph_does_not_grow_with_the_batch(self, small_dataset,
+                                                     monkeypatch):
+        # the objective is one graph per batch: a loop over windows or
+        # anchor steps would add nodes for every window of the batch
+        cfg = quick_config(batch_size=4)
+        model = MotionNetwork(ModelConfig.toy(), seed=2)
+        forward = model.forward_window
+        outputs = []
+
+        def recording_forward(frames):
+            outputs.append(forward(frames))
+            return outputs[-1]
+
+        monkeypatch.setattr(model, "forward_window", recording_forward)
+        counts = []
+        for batch in ([(0, 0)], [(0, 0), (1, 3), (2, 5), (3, 1)]):
+            loss, _ = training._batch_loss(model, small_dataset, batch, cfg,
+                                           Counter())
+            network_nodes = _tape_nodes(outputs[-1]["fused"],
+                                        outputs[-1]["embeddings"])
+            counts.append(len(_tape_nodes(loss) - network_nodes))
+        assert counts[0] == counts[1]
+        # nor with the anchor steps of a window (26 nodes for the three
+        # terms and their weighted sum)
+        assert counts[0] < 40
 
 
 class TestStepMemory:
