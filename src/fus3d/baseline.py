@@ -7,16 +7,25 @@ residual patch NCC, after in-plane alignment, to an elevational
 distance. Rotations are reported as zero; this is a translation-only
 sanity baseline, not a 6-DoF competitor, with one fixed patch grid and
 search range.
+
+Every NCC comes from five sums per window, Σa, Σb, Σa², Σb² and Σab
+(Lewis, "Fast normalized cross-correlation", 1995), after each frame is
+centred on its own mean so that a DC offset does not cancel. Window
+sums are products with 0/1 band matrices; the shift surface's cross
+sums are one contraction against the zero-padded reference's windows.
+Degenerate windows follow the correlation layer's rules: those whose
+variance nearly cancels are taken again two-pass, cross term included,
+and those without variance, such as constant patches, read exactly 0.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .correlation import _one_pass, _varies
 from .pose import PoseVector
 
 __all__ = [
@@ -38,33 +47,48 @@ class CalibrationError(ValueError):
     """Raised when the empirical NCC-vs-gap curve cannot be fitted."""
 
 
-def _ncc(a: np.ndarray, b: np.ndarray) -> float:
-    ac = a - a.mean()
-    bc = b - b.mean()
-    denom = np.sqrt((ac * ac).sum() * (bc * bc).sum())
-    if denom == 0.0:
-        return 0.0
-    return float((ac * bc).sum() / denom)
+def _bands(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """0/1 matrix whose row i marks the indices lo[i] <= j < hi[i] of n."""
+    j = np.arange(n)
+    return ((j >= lo[:, None]) & (j < hi[:, None])).astype(float)
+
+
+def _window_ncc(single, sab, rows, cols, a, b_windows) -> np.ndarray:
+    """NCC, as cov / sqrt(var_a var_b) so that equal sums give exactly 1, of
+    the windows rows[i] x cols[j] (0/1 bands) of frame ``a`` against the
+    values b_windows[i, j]. ``single`` is [[Σa, Σa²], [Σb, Σb²]] per
+    window and ``sab`` is Σab."""
+    total, energy = single[:, 0], single[:, 1]
+    mu, var, redo = _one_pass(total, energy, rows.sum(1)[:, None] * cols.sum(1))
+    cov = sab - total[0] * mu[1]
+    redo = redo.any(axis=0)
+    if redo.any():
+        iy, ix = np.nonzero(redo)
+        x = np.stack(np.broadcast_arrays(a, b_windows[iy, ix]))
+        x = (x - mu[:, redo, None, None]) * (rows[iy, :, None] * cols[ix, None, :])
+        var[:, redo] = np.einsum("smij,smij->sm", x, x)
+        cov[redo] = np.einsum("mij,mij->m", *x)
+    good = _varies(var, energy).all(axis=0)
+    return np.where(good, cov / np.sqrt(np.where(good, var[0] * var[1], 1.0)), 0.0)
 
 
 def mean_patch_ncc(a: np.ndarray, b: np.ndarray) -> float:
     """Mean NCC over a PATCH_GRID of PATCH_EXTENT-pixel patches spread
-    across the frames; frames smaller than a patch correlate whole."""
+    across the frames; frames smaller than a patch correlate whole.
+    Patches without variance in either frame correlate as 0."""
     if a.shape != b.shape:
         raise ValueError(f"frame shapes differ: {a.shape} vs {b.shape}")
     h, w = a.shape
-    gy, gx = PATCH_GRID
     e = PATCH_EXTENT
-    if h < e or w < e:
-        return _ncc(a, b)
-    tops_y = np.linspace(0, h - e, gy).round().astype(int)
-    tops_x = np.linspace(0, w - e, gx).round().astype(int)
-    values = [
-        _ncc(a[ty : ty + e, tx : tx + e], b[ty : ty + e, tx : tx + e])
-        for ty in tops_y
-        for tx in tops_x
-    ]
-    return float(np.mean(values))
+    (gy, gx), (ey, ex) = ((1, 1), (h, w)) if h < e or w < e else (PATCH_GRID, (e, e))
+    tops_y = np.linspace(0, h - ey, gy).round()
+    tops_x = np.linspace(0, w - ex, gx).round()
+    rows, cols = _bands(tops_y, tops_y + ey, h), _bands(tops_x, tops_x + ex, w)
+    a, b = a - a.mean(), b - b.mean()
+    single = rows @ np.stack([[a, a * a], [b, b * b]]) @ cols.T
+    sab = rows @ (a * b) @ cols.T
+    return float(np.mean(_window_ncc(single, sab, rows, cols, a,
+                                     np.broadcast_to(b, (gy, gx, h, w)))))
 
 
 @dataclass(frozen=True)
@@ -200,18 +224,20 @@ def calibration_pairs_from_scan(scan, lags=(1, 2, 3, 4)) -> list:
 
 def _shift_ncc_surface(current: np.ndarray, reference: np.ndarray,
                        max_shift: int) -> np.ndarray:
-    """NCC of current[r, c] against reference[r + ky, c + kx] per shift."""
+    """NCC of current[r, c] against reference[r + ky, c + kx] over their
+    overlap, per shift (ky, kx) up to ``max_shift`` pixels on each axis."""
     h, w = current.shape
-    size = 2 * max_shift + 1
-    surface = np.full((size, size), -np.inf)
-    for iy, ky in enumerate(range(-max_shift, max_shift + 1)):
-        for ix, kx in enumerate(range(-max_shift, max_shift + 1)):
-            cy0, cy1 = max(0, -ky), min(h, h - ky)
-            cx0, cx1 = max(0, -kx), min(w, w - kx)
-            cur = current[cy0:cy1, cx0:cx1]
-            ref = reference[cy0 + ky : cy1 + ky, cx0 + kx : cx1 + kx]
-            surface[iy, ix] = _ncc(cur, ref)
-    return surface
+    k = np.arange(-max_shift, max_shift + 1)
+    # the current frame's rows and columns in the overlap at shift k; the
+    # reference's are the current frame's at -k
+    rows, cols = _bands(-k, h - k, h), _bands(-k, w - k, w)
+    a = current - current.mean()
+    b = reference - reference.mean()
+    single = np.stack([rows @ np.stack([a, a * a]) @ cols.T,
+                       rows[::-1] @ np.stack([b, b * b]) @ cols[::-1].T])
+    b_windows = np.lib.stride_tricks.sliding_window_view(np.pad(b, max_shift), (h, w))
+    sab = np.einsum("ij,yxij->yx", a, b_windows)
+    return _window_ncc(single, sab, rows, cols, a, b_windows)
 
 
 def _parabolic_offset(c_minus: float, c_0: float, c_plus: float) -> float:
@@ -230,12 +256,16 @@ def estimate_step(f_i: np.ndarray, f_next: np.ndarray, model: DecorrModel,
     SEARCH_PX pixels, refined by a 3-point parabola per axis unless the
     peak is a perfect match, times ``pitch_mm`` (axial, lateral). The
     elevational translation is ``model``'s gap for the residual patch
-    NCC after integer alignment. Rotations are zero.
+    NCC after integer alignment. Rotations are zero. Where no shift
+    correlates positively (a constant frame reads 0 everywhere), the
+    in-plane translation is zero.
     """
     if f_i.shape != f_next.shape:
         raise ValueError(f"frame shapes differ: {f_i.shape} vs {f_next.shape}")
     surface = _shift_ncc_surface(f_next, f_i, SEARCH_PX)
     iy, ix = np.unravel_index(surface.argmax(), surface.shape)
+    if not surface[iy, ix] > 0.0:
+        iy = ix = SEARCH_PX
     peak = surface[iy, ix]
     ky = iy - SEARCH_PX
     kx = ix - SEARCH_PX

@@ -3,9 +3,8 @@
 Every frame pixel is mapped through its absolute transform and splatted
 onto the nearest voxel; voxel intensity is the running mean of its
 contributions, which makes overlapping sweeps unbiased and total mass
-(count-weighted sum) exactly conserved. The grid is auto-fitted to the
-transformed frames with a one-voxel margin unless an explicit grid is
-given.
+(count-weighted sum) exactly conserved. The grid is fitted to the
+transformed frames with a one-voxel margin, so every pixel lands in it.
 
 Volume file (FVL1, little-endian): magic "FVL1", u32 dims x3, f32
 voxel_mm, f32 origin x3, then f32 voxels with x fastest; a JSON sidecar
@@ -59,17 +58,15 @@ class VolumeGrid:
 
 
 def compound(frames: np.ndarray, transforms: Sequence[TransformSE3],
-             geometry: ImageGeometry, voxel_mm: float,
-             origin_mm: np.ndarray | None = None,
-             dims: tuple | None = None) -> VolumeGrid:
+             geometry: ImageGeometry, voxel_mm: float) -> VolumeGrid:
     """Splat frames into a voxel grid along their absolute transforms.
 
     Live at once: the world points and voxel indices of all frames
-    (three values per pixel each), the flat indices and values of the
-    in-grid pixels, and the grid-sized sums, counts and intensity. Sums
-    and counts each come from one ``np.bincount`` over all frames in
-    frame-major order; it must stay one call, since partial sums per
-    block of frames would regroup the additions and change the bits.
+    (three values per pixel each), their flat indices, and the
+    grid-sized sums, counts and intensity. Sums and counts each come
+    from one ``np.bincount`` over all frames in frame-major order; it
+    must stay one call, since partial sums per block of frames would
+    regroup the additions and change the bits.
     """
     frames = np.asarray(frames, dtype=float)
     if frames.ndim != 3 or frames.shape[0] == 0:
@@ -83,29 +80,22 @@ def compound(frames: np.ndarray, transforms: Sequence[TransformSE3],
 
     plane = geometry.pixel_to_plane(geometry.full_pixel_grid())
     points = plane_to_world(*stack_transforms(transforms), plane)
-    # one (n, h*w) view per world axis: numpy reduces and compares whole
-    # columns several times faster than it does 3-element rows
+    # one (n, h*w) view per world axis: numpy reduces whole columns
+    # several times faster than it does 3-element rows
     axes = np.moveaxis(points, -1, 0)
-    if origin_mm is None or dims is None:
-        lo = np.array([a.min() for a in axes])
-        hi = np.array([a.max() for a in axes])
-        origin_mm = lo - voxel_mm  # one-voxel margin
-        dims = tuple(np.rint((hi - origin_mm) / voxel_mm).astype(int) + 2)
-    else:
-        origin_mm = np.asarray(origin_mm, dtype=float)
-        dims = tuple(int(d) for d in dims)
-
+    lo = np.array([a.min() for a in axes])
+    hi = np.array([a.max() for a in axes])
+    origin_mm = lo - voxel_mm  # one-voxel margin
+    # every index is >= 1, and below dims by the same rint expression
+    dims = tuple(np.rint((hi - origin_mm) / voxel_mm).astype(int) + 2)
     idx = [np.rint((a - o) / voxel_mm).astype(int) for a, o in zip(axes, origin_mm)]
-    valid = np.logical_and.reduce([(i >= 0) & (i < d) for i, d in zip(idx, dims)])
-    flat = np.ravel_multi_index([i[valid] for i in idx], dims)
+    flat = np.ravel_multi_index([i.ravel() for i in idx], dims)
     size = int(np.prod(dims))
-    sums = np.bincount(flat, weights=frames.reshape(valid.shape)[valid],
-                       minlength=size).reshape(dims)
+    sums = np.bincount(flat, weights=frames.ravel(), minlength=size).reshape(dims)
     counts = np.bincount(flat, minlength=size).reshape(dims)
     intensity = np.divide(sums, counts, out=np.zeros(dims),
                           where=counts > 0)
-    return VolumeGrid(intensity=intensity, counts=counts,
-                      origin_mm=np.asarray(origin_mm, dtype=float),
+    return VolumeGrid(intensity=intensity, counts=counts, origin_mm=origin_mm,
                       voxel_mm=float(voxel_mm))
 
 

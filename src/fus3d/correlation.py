@@ -112,7 +112,7 @@ def _grid_layout(h: int, w: int, cfg: CorrConfig):
 # Variances below _VAR_FLOOR (relative) count as degenerate and
 # correlate as 0 with zero gradient; variances below _RECENTRE (relative)
 # lose too many digits to energy - sum^2 / k and are taken again from
-# centred values.
+# centred values; the decorrelation baseline's NCC shares these rules.
 _VAR_FLOOR = 1e-13
 _RECENTRE = 1e-6
 
@@ -172,6 +172,20 @@ def _corner_grid_adjoint(y: np.ndarray, y0: int, x0: int, stride: int,
     return out
 
 
+def _one_pass(total: np.ndarray, energy: np.ndarray, k):
+    """Means and sums of squared deviations of windows of k values from
+    their sums and sums of squares, and the mask of the windows whose
+    variance nearly cancels and must be taken again from centred values."""
+    mu = total / k
+    var = np.maximum(energy - total * mu, 0.0)
+    return mu, var, (var > 0.0) & (var <= _RECENTRE * energy)
+
+
+def _varies(var: np.ndarray, energy: np.ndarray) -> np.ndarray:
+    """Mask of the windows that are not degenerate."""
+    return var > _VAR_FLOOR * np.maximum(energy, 1e-300)
+
+
 def _moments(total: np.ndarray, energy: np.ndarray, k: int, centred):
     """Mean and inverse root variance of windows of k values from their
     sums and sums of squares; degenerate windows get inverse 0.
@@ -179,12 +193,10 @@ def _moments(total: np.ndarray, energy: np.ndarray, k: int, centred):
     ``centred(mask, mu)`` returns the sum of squared deviations from
     ``mu`` of the windows selected by ``mask``; it is asked only for the
     few windows whose variance nearly cancels in energy - sum^2 / k."""
-    mu = total / k
-    var = np.maximum(energy - total * mu, 0.0)
-    redo = (var > 0.0) & (var <= _RECENTRE * energy)
+    mu, var, redo = _one_pass(total, energy, k)
     if redo.any():
         var[redo] = centred(redo, mu[redo])
-    good = var > _VAR_FLOOR * np.maximum(energy, 1e-300)
+    good = _varies(var, energy)
     inv = np.where(good, 1.0 / np.sqrt(np.where(good, var, 1.0)), 0.0)
     return mu, inv
 

@@ -9,8 +9,8 @@ metrics and all CSV files):
 * Rotations follow the intrinsic Z-Y-X convention, applied as
   ``R = Rz(rz) @ Ry(ry) @ Rx(rx)``. Angles are degrees at every API
   boundary and radians internally.
-* At gimbal lock (|ry| = 90 deg) the extraction sets rx = 0, folds the
-  remaining rotation into rz, and flags the result.
+* At gimbal lock (|ry| = 90 deg) the extraction sets rx = 0 and folds the
+  remaining rotation into rz.
 
 Stacks inside, objects at the edges: the batched paths work on (n, 3, 3)
 rotations, (n, 3) translations and (n, 6) pose rows, and
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,7 +82,7 @@ def _wrap_deg_array(angles: np.ndarray) -> np.ndarray:
 class PoseVector:
     """Translations in mm (axial, lateral, elevational) and rotations in
     degrees (pitch, yaw, roll). Angles are normalized into (-180, 180] on
-    construction; ``gimbal_locked`` marks a degenerate Euler extraction."""
+    construction."""
 
     tx: float = 0.0
     ty: float = 0.0
@@ -90,7 +90,6 @@ class PoseVector:
     rx: float = 0.0
     ry: float = 0.0
     rz: float = 0.0
-    gimbal_locked: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         tx, ty, tz, rx, ry, rz = self.tx, self.ty, self.tz, self.rx, self.ry, self.rz
@@ -359,20 +358,19 @@ def poses_to_stacks(poses: np.ndarray) -> tuple:
     return rot, tra
 
 
-def _euler_deg(rotations: np.ndarray) -> tuple:
-    """(n, 3) Euler angles (rx, ry, rz) in degrees, not yet wrapped, and
-    the (n,) gimbal-lock flags of (n, 3, 3) rotations."""
+def _euler_deg(rotations: np.ndarray) -> np.ndarray:
+    """(n, 3) Euler angles (rx, ry, rz) in degrees, not yet wrapped, of
+    (n, 3, 3) rotations."""
     m = rotations.reshape(-1, 9)
     r0, r1, r3, r4, r7, r8 = (m[:, k].tolist() for k in (0, 1, 3, 4, 7, 8))
     cy = list(map(math.hypot, r0, r3))
     ry = list(map(math.atan2, (-m[:, 6]).tolist(), cy))
     rx = list(map(math.atan2, r7, r8))
     rz = list(map(math.atan2, r3, r0))
-    locked = np.array(cy) <= _GIMBAL_CY
-    for i in np.flatnonzero(locked).tolist():
+    for i in np.flatnonzero(np.array(cy) <= _GIMBAL_CY).tolist():
         rx[i] = 0.0
         rz[i] = math.atan2(-r1[i], r4[i])
-    return np.degrees(np.array([rx, ry, rz]).T), locked
+    return np.degrees(np.array([rx, ry, rz]).T)
 
 
 def transform_to_pose(transform: TransformSE3) -> PoseVector:
@@ -380,7 +378,7 @@ def transform_to_pose(transform: TransformSE3) -> PoseVector:
 
     Away from gimbal lock the extraction inverts :func:`pose_to_transform`
     exactly. At |ry| = 90 deg the factorization is not unique; rx is set to
-    0, the remaining rotation folds into rz and the result is flagged.
+    0 and the remaining rotation folds into rz.
     """
     return _pose_vectors(transform.rotation[None],
                          transform.translation[None])[0]
@@ -388,19 +386,18 @@ def transform_to_pose(transform: TransformSE3) -> PoseVector:
 
 def _pose_vectors(rotations: np.ndarray, translations: np.ndarray) -> list:
     """:func:`transform_to_pose` of each stacked transform."""
-    angles, locked = _euler_deg(rotations)
     return [
-        PoseVector(tx, ty, tz, rx, ry, rz, lock)
-        for (tx, ty, tz), (rx, ry, rz), lock in zip(
-            translations.tolist(), angles.tolist(), locked.tolist())
+        PoseVector(tx, ty, tz, rx, ry, rz)
+        for (tx, ty, tz), (rx, ry, rz) in zip(
+            translations.tolist(), _euler_deg(rotations).tolist())
     ]
 
 
 def pose_arrays(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
     """(n, 6) pose vectors of stacked transforms: row i equals
     ``transform_to_pose(t_i).as_array()`` bit for bit."""
-    angles, _ = _euler_deg(rotations)
-    return np.concatenate([translations, _wrap_deg_array(angles)], axis=1)
+    return np.concatenate([translations, _wrap_deg_array(_euler_deg(rotations))],
+                          axis=1)
 
 
 def stack_transforms(transforms) -> tuple:

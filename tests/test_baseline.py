@@ -7,8 +7,11 @@ import pytest
 from conftest import simulate_scan
 
 from fus3d.baseline import (
+    PATCH_EXTENT,
+    PATCH_GRID,
     CalibrationError,
     DecorrModel,
+    _shift_ncc_surface,
     calibrate,
     calibration_pairs_from_scan,
     estimate_step,
@@ -31,21 +34,38 @@ def decorr_model(calibration_scan):
     return calibrate(pairs)
 
 
+def two_pass_ncc(a, b):
+    """Per-window two-pass NCC; a window whose values are all equal reads 0."""
+    if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
+        return 0.0
+    ac, bc = a - a.mean(), b - b.mean()
+    return (ac * bc).sum() / np.sqrt((ac * ac).sum() * (bc * bc).sum())
+
+
 def brute_force_peak(current, reference, max_shift):
-    """Exhaustive integer NCC argmax oracle."""
-    best, best_shift = -np.inf, (0, 0)
+    """Exhaustive two-pass NCC oracle: the integer argmax shift, the peak
+    and the whole surface."""
     h, w = current.shape
-    for ky in range(-max_shift, max_shift + 1):
-        for kx in range(-max_shift, max_shift + 1):
+    surface = np.empty((2 * max_shift + 1, 2 * max_shift + 1))
+    for iy, ky in enumerate(range(-max_shift, max_shift + 1)):
+        for ix, kx in enumerate(range(-max_shift, max_shift + 1)):
             cy0, cy1 = max(0, -ky), min(h, h - ky)
             cx0, cx1 = max(0, -kx), min(w, w - kx)
-            a = current[cy0:cy1, cx0:cx1]
-            b = reference[cy0 + ky : cy1 + ky, cx0 + kx : cx1 + kx]
-            ac, bc = a - a.mean(), b - b.mean()
-            ncc = (ac * bc).sum() / np.sqrt((ac * ac).sum() * (bc * bc).sum())
-            if ncc > best:
-                best, best_shift = ncc, (ky, kx)
-    return best_shift, best
+            surface[iy, ix] = two_pass_ncc(
+                current[cy0:cy1, cx0:cx1],
+                reference[cy0 + ky : cy1 + ky, cx0 + kx : cx1 + kx])
+    iy, ix = np.unravel_index(surface.argmax(), surface.shape)
+    return (iy - max_shift, ix - max_shift), surface[iy, ix], surface
+
+
+def patch_ncc_oracle(a, b):
+    """Mean two-pass NCC over the patch grid, one patch at a time."""
+    h, w = a.shape
+    e = PATCH_EXTENT
+    tops_y = np.linspace(0, h - e, PATCH_GRID[0]).round().astype(int)
+    tops_x = np.linspace(0, w - e, PATCH_GRID[1]).round().astype(int)
+    return np.mean([two_pass_ncc(a[y : y + e, x : x + e], b[y : y + e, x : x + e])
+                    for y in tops_y for x in tops_x])
 
 
 class TestInPlane:
@@ -61,9 +81,11 @@ class TestInPlane:
         frame = linear_scan.frames[0]
         moved = np.zeros_like(frame)
         moved[:, :-shift] = frame[:, shift:]  # probe moved +lateral
-        (ky, kx), peak = brute_force_peak(moved, frame, 6)
+        (ky, kx), peak, _ = brute_force_peak(moved, frame, 6)
         assert (ky, kx) == (0, shift)
         assert peak == pytest.approx(1.0, abs=1e-12)
+        assert _shift_ncc_surface(moved, frame, 6)[6, 6 + shift] == pytest.approx(
+            1.0, abs=1e-12)
         pose = estimate_step(frame, moved, decorr_model, pitch_mm=PITCH)
         assert pose.ty == shift * PITCH[1]  # exact, no refinement on a match
         assert pose.tx == 0.0
@@ -88,6 +110,68 @@ class TestInPlane:
         moved = estimate_step(a[:, : 64 - k], shifted[:, : 64 - k],
                               decorr_model, pitch_mm=PITCH)
         assert moved.ty == pytest.approx(base.ty + k * PITCH[1], abs=0.02)
+
+
+def flat_region(frame, rng, noise):
+    """The frame with rows and columns 8..47 set to 0.3 + noise * N(0, 1):
+    the four grid patches with corners at 8 and 16 px lie inside it."""
+    out = frame.copy()
+    out[8:48, 8:48] = 0.3 + noise * rng.standard_normal((40, 40))
+    return out
+
+
+class TestKernelOracle:
+    # an offset of 1e2 breaks the one-pass sums without frame centring,
+    # one of 1e4 sends every window to the two-pass fallback without it
+    @pytest.mark.parametrize("kind", ["speckle", "offset_1e2", "offset_1e4",
+                                      "low_variance"])
+    @pytest.mark.parametrize("lag", [1, 3])
+    def test_surface_and_patches_match_two_pass(self, linear_scan, kind, lag):
+        rng = np.random.default_rng(lag)
+        for i in range(0, 30, 6):
+            a, b = linear_scan.frames[i], linear_scan.frames[i + lag]
+            if kind.startswith("offset"):
+                offset = float(kind.split("_")[1])
+                a, b = a + offset, b + offset
+            if kind == "low_variance":
+                a, b = flat_region(a, rng, 1e-5), flat_region(b, rng, 1e-5)
+            _, _, want = brute_force_peak(b, a, 6)
+            np.testing.assert_allclose(_shift_ncc_surface(b, a, 6), want,
+                                       rtol=0, atol=1e-12)
+            assert abs(mean_patch_ncc(a, b) - patch_ncc_oracle(a, b)) <= 1e-12
+
+
+class TestZeroVariance:
+    def test_constant_frames_read_zero(self):
+        frame = np.full((64, 64), 0.7)
+        assert mean_patch_ncc(frame, frame) == 0.0
+        assert np.all(_shift_ncc_surface(frame, frame, 6) == 0.0)
+
+    def test_constant_frame_against_speckle_reads_zero(self, linear_scan):
+        frame = np.full((64, 64), 0.7)
+        speckle = linear_scan.frames[0]
+        assert mean_patch_ncc(frame, speckle) == 0.0
+        assert np.all(_shift_ncc_surface(frame, speckle, 6) == 0.0)
+        assert np.all(_shift_ncc_surface(speckle, frame, 6) == 0.0)
+
+    def test_shared_flat_region_patches_read_zero(self, linear_scan):
+        rng = np.random.default_rng(0)
+        a = flat_region(linear_scan.frames[0], rng, 0.0)
+        b = flat_region(linear_scan.frames[1], rng, 0.0)
+        # the four patches inside the region count as 0 in the mean
+        e = PATCH_EXTENT
+        tops = np.linspace(0, 64 - e, PATCH_GRID[0]).round().astype(int)
+        others = [two_pass_ncc(a[y : y + e, x : x + e], b[y : y + e, x : x + e])
+                  for y in tops for x in tops if not (y in (8, 16) and x in (8, 16))]
+        assert len(others) == 21
+        assert mean_patch_ncc(a, b) == pytest.approx(sum(others) / 25, abs=1e-12)
+
+    def test_constant_frames_estimate_no_in_plane_motion(self, decorr_model):
+        frame = np.full((64, 64), 0.7)
+        pose = estimate_step(frame, frame, decorr_model, pitch_mm=PITCH)
+        assert np.all(np.isfinite(pose.as_array()))
+        assert (pose.tx, pose.ty) == (0.0, 0.0)
+        assert pose.tz == decorr_model.gap_mm[-1]
 
 
 class TestCalibration:

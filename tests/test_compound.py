@@ -84,10 +84,14 @@ class TestCompound:
         frames = random_frames(rng, 8)
         transforms = [pose_to_transform(PoseVector(tz=0.15 * i)) for i in range(8)]
         full = compound(frames, transforms, GEOM, voxel_mm=0.1)
-        partial = compound(frames[:4], transforms[:4], GEOM, voxel_mm=0.1,
-                           origin_mm=full.origin_mm, dims=full.dims)
-        assert np.all((full.counts > 0) | ~(partial.counts > 0))
-        assert full.occupancy >= partial.occupancy
+        first = compound(frames[:4], transforms[:4], GEOM, voxel_mm=0.1)
+        # the sweep moves along +z only, so both grids start at frame 0
+        np.testing.assert_array_equal(first.origin_mm, full.origin_mm)
+        assert first.dims[:2] == full.dims[:2] and first.dims[2] < full.dims[2]
+        # adding frames never empties a voxel
+        covered = full.counts[:, :, : first.dims[2]] > 0
+        assert np.all(covered | ~(first.counts > 0))
+        assert (full.counts > 0).sum() > (first.counts > 0).sum()
 
     def test_rigid_invariance_of_point_cloud(self):
         # moving the whole trajectory rigidly moves the splatted point set
@@ -126,39 +130,29 @@ class TestSplat:
         ]
         return frames, transforms
 
-    def test_clipped_grid_matches_add_at_reference(self):
+    def test_grid_matches_add_at_reference(self):
         rng = np.random.default_rng(9)
         frames, transforms = self.sweep(rng)
-        voxel, origin, dims = 0.3, np.array([-0.35, -0.5, 0.05]), (3, 4, 2)
-        vol = compound(frames, transforms, GEOM, voxel, origin_mm=origin,
-                       dims=dims)
-        # reference: np.add.at frame by frame, in frame order
-        sums = np.zeros(dims)
-        counts = np.zeros(dims, dtype=np.int64)
+        voxel = 0.3
+        vol = compound(frames, transforms, GEOM, voxel)
+        # reference: np.add.at frame by frame, in frame order, on the
+        # fitted grid
+        sums = np.zeros(vol.dims)
+        counts = np.zeros(vol.dims, dtype=np.int64)
         plane = GEOM.pixel_to_plane(GEOM.full_pixel_grid())
         for frame, transform in zip(frames, transforms):
             pts = plane @ transform.rotation.T + transform.translation
-            idx = np.rint((pts - origin) / voxel).astype(int)
-            valid = np.all((idx >= 0) & (idx < np.array(dims)), axis=1)
-            np.add.at(sums, tuple(idx[valid].T), frame.reshape(-1)[valid])
-            np.add.at(counts, tuple(idx[valid].T), 1)
-        intensity = np.divide(sums, counts, out=np.zeros(dims), where=counts > 0)
-        # the grid clips part of every sweep and stacks many pixels per voxel
-        assert 0 < counts.sum() < frames.size
+            idx = tuple(np.rint((pts - vol.origin_mm) / voxel).astype(int).T)
+            np.add.at(sums, idx, frame.reshape(-1))
+            np.add.at(counts, idx, 1)
+        intensity = np.divide(sums, counts, out=np.zeros(vol.dims),
+                              where=counts > 0)
+        # every pixel lands, and many pixels stack per voxel
+        assert counts.sum() == frames.size
         assert counts.max() >= 20
         np.testing.assert_array_equal(vol.counts, counts)
         np.testing.assert_array_equal(vol.intensity, intensity)
         assert vol.counts.dtype == np.int64
-
-    def test_grid_missing_every_frame_is_empty(self):
-        rng = np.random.default_rng(10)
-        frames, transforms = self.sweep(rng)
-        vol = compound(frames, transforms, GEOM, 0.1,
-                       origin_mm=np.array([50.0, 50.0, 50.0]), dims=(4, 5, 6))
-        assert vol.dims == (4, 5, 6)
-        np.testing.assert_array_equal(vol.counts, np.zeros((4, 5, 6)))
-        np.testing.assert_array_equal(vol.intensity, np.zeros((4, 5, 6)))
-        assert vol.mass() == 0.0
 
 
 class TestVolumeIO:

@@ -112,7 +112,6 @@ class TestTransformToPose:
     def test_identity(self):
         pose = transform_to_pose(TransformSE3.identity())
         np.testing.assert_array_equal(pose.as_array(), np.zeros(6))
-        assert not pose.gimbal_locked
 
     def test_round_trip_1000_random_poses(self):
         rng = np.random.default_rng(7)
@@ -123,24 +122,25 @@ class TestTransformToPose:
             worst = max(worst, np.abs(back.matrix() - t.matrix()).max())
         assert worst < 1e-9
 
-    def test_gimbal_lock_flag_and_tie_break(self):
+    def test_gimbal_lock_tie_break(self):
         locked = transform_to_pose(pose_to_transform(PoseVector(ry=90.0)))
-        assert locked.gimbal_locked
-        assert locked.rx == 0.0
+        assert (locked.rx, locked.rz) == (0.0, 0.0)
         assert locked.ry == pytest.approx(90.0)
 
-        # rx folds into rz at the singularity; the matrix is still reproduced.
-        t = pose_to_transform(PoseVector(rx=25.0, ry=-90.0, rz=10.0))
-        pose = transform_to_pose(t)
-        assert pose.gimbal_locked
-        assert pose.rx == 0.0
-        np.testing.assert_allclose(
-            pose_to_transform(pose).rotation, t.rotation, atol=1e-9
-        )
+        # rx folds into rz at the singularity (rz + rx at ry = -90 deg,
+        # rz - rx at +90 deg); the matrix is still reproduced.
+        for ry, rz in ((-90.0, 35.0), (90.0, -15.0)):
+            t = pose_to_transform(PoseVector(rx=25.0, ry=ry, rz=10.0))
+            pose = transform_to_pose(t)
+            assert pose.rx == 0.0
+            assert pose.rz == pytest.approx(rz, abs=1e-9)
+            np.testing.assert_allclose(
+                pose_to_transform(pose).rotation, t.rotation, atol=1e-9
+            )
 
     def test_near_lock_not_flagged(self):
-        pose = transform_to_pose(pose_to_transform(PoseVector(ry=89.9)))
-        assert not pose.gimbal_locked
+        pose = transform_to_pose(pose_to_transform(PoseVector(rx=25.0, ry=89.9)))
+        assert pose.rx == pytest.approx(25.0)
         assert pose.ry == pytest.approx(89.9)
 
 
@@ -355,7 +355,6 @@ def pose_chains(draw, min_steps=1, max_steps=300):
 def assert_poses_identical(got, want):
     np.testing.assert_array_equal(np.array([p.as_array() for p in got]),
                                   np.array([p.as_array() for p in want]))
-    assert [p.gimbal_locked for p in got] == [p.gimbal_locked for p in want]
 
 
 class TestArrayPathProperties:
@@ -455,12 +454,12 @@ def reference_rotation(ax, ay, az):
 
 def reference_pose(transform):
     """Per-transform Euler extraction, one ``math`` call per angle: the
-    pose row (rx, ry, rz wrapped) and the gimbal-lock flag."""
+    pose row (rx, ry, rz wrapped). At gimbal lock rx is 0 and the rest of
+    the rotation folds into rz."""
     r = transform.rotation.ravel().tolist()
     cy = math.hypot(r[0], r[3])
     ry = math.atan2(-r[6], cy)
-    locked = cy <= math.sin(math.radians(1e-7))
-    if locked:
+    if cy <= math.sin(math.radians(1e-7)):
         rx, rz = 0.0, math.atan2(-r[1], r[4])
     else:
         rx, rz = math.atan2(r[7], r[8]), math.atan2(r[3], r[0])
@@ -469,7 +468,7 @@ def reference_pose(transform):
     for a in angles:
         w = math.fmod(a + 180.0, 360.0)
         wrapped.append((w + 360.0 if w <= 0.0 else w) - 180.0)
-    return [float(v) for v in transform.translation] + wrapped, locked
+    return [float(v) for v in transform.translation] + wrapped
 
 
 def reference_csv(path, poses):
@@ -520,14 +519,11 @@ class TestBatchedMatchesPerPose:
         trajectory = Trajectory.from_arrays(rotations, translations)
         want = [reference_pose(t) for t in trajectory]
         arrays = pose_arrays(trajectory.rotations, trajectory.translations)
-        assert same_bits(arrays, [row for row, _ in want])
-        for got, (row, locked) in zip(trajectory.poses(), want):
+        assert same_bits(arrays, want)
+        for got, row in zip(trajectory.poses(), want):
             assert same_bits(got.as_array(), row)
-            assert got.gimbal_locked == locked
-        for t, (row, locked) in zip(trajectory, want):
-            got = transform_to_pose(t)
-            assert same_bits(got.as_array(), row)
-            assert got.gimbal_locked == locked
+        for t, row in zip(trajectory, want):
+            assert same_bits(transform_to_pose(t).as_array(), row)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(pose_rows(max_rows=50))
