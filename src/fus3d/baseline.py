@@ -211,8 +211,9 @@ def calibrate(pairs) -> DecorrModel:
                        ncc=np.concatenate([[1.0], nccs]))
 
 
-def calibration_pairs_from_scan(scan, lags=(1, 2, 3, 4)) -> list:
-    """Held-out calibration pairs from a simulated scan with known poses."""
+def calibration_pairs_from_scan(scan, lags) -> list:
+    """Held-out calibration pairs from a simulated scan with known poses:
+    frames ``lag`` apart for each of ``lags``, with their elevational gap."""
     centers = scan.truth.translations
     out = []
     for lag in lags:
@@ -258,10 +259,16 @@ def estimate_step(f_i: np.ndarray, f_next: np.ndarray, model: DecorrModel,
     elevational translation is ``model``'s gap for the residual patch
     NCC after integer alignment. Rotations are zero. Where no shift
     correlates positively (a constant frame reads 0 everywhere), the
-    in-plane translation is zero.
+    in-plane translation is zero. Frames need at least SEARCH_PX + 1
+    rows and columns, so that every searched shift leaves an overlap.
     """
     if f_i.shape != f_next.shape:
         raise ValueError(f"frame shapes differ: {f_i.shape} vs {f_next.shape}")
+    if min(f_i.shape) <= SEARCH_PX:
+        raise ValueError(
+            f"frame shape {f_i.shape} is too small for the in-plane search: "
+            f"each side needs at least {SEARCH_PX + 1} pixels"
+        )
     surface = _shift_ncc_surface(f_next, f_i, SEARCH_PX)
     iy, ix = np.unravel_index(surface.argmax(), surface.shape)
     if not surface[iy, ix] > 0.0:

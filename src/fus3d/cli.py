@@ -345,15 +345,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic speckle scan")
     common(p)
     p.add_argument("--shape", choices=["linear", "s_curve", "c_curve"],
-                   default="linear")
-    p.add_argument("--frames", type=int, default=50)
-    p.add_argument("--length-mm", type=float, default=10.0)
-    p.add_argument("--lateral-amplitude", type=float, default=0.0)
-    p.add_argument("--rotation-amplitude", type=float, default=0.0)
+                   default=TrajectorySpec.shape)
+    p.add_argument("--frames", type=int, default=TrajectorySpec.n_frames)
+    p.add_argument("--length-mm", type=float, default=TrajectorySpec.length_mm)
+    p.add_argument("--lateral-amplitude", type=float,
+                   default=TrajectorySpec.lateral_amplitude_mm)
+    p.add_argument("--rotation-amplitude", type=float,
+                   default=TrajectorySpec.rotation_amplitude_deg)
     p.add_argument("--noise-translation", type=float, nargs=3,
-                   default=[0.0, 0.0, 0.0], metavar=("SX", "SY", "SZ"))
+                   default=TrajectorySpec.noise_translation_mm,
+                   metavar=("SX", "SY", "SZ"))
     p.add_argument("--noise-rotation", type=float, nargs=3,
-                   default=[0.0, 0.0, 0.0], metavar=("SX", "SY", "SZ"))
+                   default=TrajectorySpec.noise_rotation_deg,
+                   metavar=("SX", "SY", "SZ"))
     p.add_argument("--frame-extent", type=int, default=64)
     p.add_argument("--pitch", type=float, default=DEFAULT_PITCH_MM)
     p.add_argument("--voxel", type=float, default=0.10,

@@ -28,6 +28,7 @@ import numpy as np
 
 from .tensor import (
     Tensor,
+    add,
     cosine_similarity,
     mul,
     relu,
@@ -92,27 +93,20 @@ def mmae(true, pred, epsilon: float = DEFAULT_EPSILON) -> Tensor:
     return tensor_mean(mul(tensor_abs(sub(t, p)), weights))
 
 
-def correlation_loss(true, pred, degenerate: Counter | None = None) -> Tensor:
+def correlation_loss(true, pred, degenerate: Counter) -> Tensor:
     """Per-component (1 - cosine) over each motion time series, averaged
     over series and the six components. Invariant under positive scaling
     of the predictions; a zero-norm component series contributes exactly 1.
 
-    Each series with zero-norm components is logged as one warning, or,
-    when ``degenerate`` is given, counted there under the tuple of their
-    indices, so a caller running many batches can warn once."""
+    Each series with zero-norm components is counted in ``degenerate``
+    under the tuple of their indices, so that a caller running many
+    batches can warn once (training logs one warning per run)."""
     t, p = _as_motions(true, pred)
     if t.shape[-2] < 2:
         raise ValueError("correlation loss needs a series of at least 2 steps")
     dead = ~(t.data.any(axis=-2) & p.data.any(axis=-2)).reshape(-1, 6)
     for row in dead[dead.any(axis=1)]:
-        zero = np.flatnonzero(row).tolist()
-        if degenerate is not None:
-            degenerate[tuple(zero)] += 1
-        else:
-            logger.warning(
-                "correlation loss: zero-norm series for component(s) %s; "
-                "their cosine is defined as 0", zero
-            )
+        degenerate[tuple(np.flatnonzero(row).tolist())] += 1
     return tensor_mean(sub(1.0, cosine_similarity(t, p, axis=-2)))
 
 
@@ -172,8 +166,6 @@ def total_loss(components: Sequence[Tensor], weights: LossWeights) -> Tensor:
     alphas = (weights.alpha_mmae, weights.alpha_corr, weights.alpha_triplet)
     out = None
     for alpha, term in zip(alphas, components):
-        if not isinstance(term, Tensor):
-            term = Tensor(float(term))
         weighted = mul(term, alpha)
-        out = weighted if out is None else out + weighted
+        out = weighted if out is None else add(out, weighted)
     return out

@@ -2,7 +2,10 @@
 
 Parameters, module containers, the layers the motion network needs
 (conv, linear, LSTM cell), weight initialization with explicit seeds,
-and the binary checkpoint format.
+and the binary checkpoint format. A :class:`Parameter` is a
+:class:`~fus3d.tensor.Tensor`: layers pass their parameters straight to
+the engine's op functions (``matmul``, ``conv2d``, ``add``, ...), and
+gradients land in each parameter's own ``grad``.
 """
 
 from __future__ import annotations
@@ -10,11 +13,11 @@ from __future__ import annotations
 import os
 import struct
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .tensor import Tensor, add, conv2d, matmul, mul, reshape, sigmoid, tanh
+from .tensor import (Tensor, add, conv2d, matmul, mul, reshape, sigmoid, tanh,
+                     transpose)
 
 __all__ = [
     "Parameter",
@@ -32,30 +35,16 @@ CHECKPOINT_MAGIC = b"CKPT"
 CHECKPOINT_VERSION = 1
 
 
-class Parameter:
-    """A named, trainable tensor."""
+class Parameter(Tensor):
+    """A named, trainable tensor: a :class:`Tensor` with ``requires_grad``
+    set and a ``name`` slot, which ``Module.named_parameters`` fills with
+    its dotted path."""
+
+    __slots__ = ("name",)
 
     def __init__(self, data, name: str = ""):
-        self.tensor = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+        super().__init__(data, requires_grad=True)
         self.name = name
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value: np.ndarray) -> None:
-        self.tensor.data = np.asarray(value, dtype=np.float64)
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
-    def zero_grad(self) -> None:
-        self.tensor.grad = None
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name or '?'}, shape={self.tensor.shape})"
 
 
 class Module:
@@ -74,9 +63,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         out.extend(item.named_parameters(prefix=f"{path}.{i}."))
-                    elif isinstance(item, Parameter):
-                        item.name = f"{path}.{i}"
-                        out.append((item.name, item))
         names = [n for n, _ in out]
         if len(names) != len(set(names)):
             raise ValueError("duplicate parameter names in module tree")
@@ -102,7 +88,7 @@ class Module:
                     f"shape mismatch for {name!r}: checkpoint {value.shape}, "
                     f"model {p.data.shape}"
                 )
-            p.data = value.copy()
+            p.data = np.array(value, dtype=np.float64, order="C")
 
 
 # -- initializers --------------------------------------------------------------
@@ -134,9 +120,9 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.weight.tensor.transpose(1, 0))
+        y = matmul(x, transpose(self.weight, (1, 0)))
         if self.bias is not None:
-            y = add(y, self.bias.tensor)
+            y = add(y, self.bias)
         return y
 
 
@@ -153,8 +139,7 @@ class Conv2d(Module):
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        b = self.bias.tensor if self.bias is not None else None
-        return conv2d(x, self.weight.tensor, b, stride=self.stride,
+        return conv2d(x, self.weight, self.bias, stride=self.stride,
                       padding=self.padding)
 
 
@@ -175,7 +160,7 @@ class LSTMCell(Module):
         """Input gates ``x @ W_ihᵀ + b`` for all steps: (..., in) -> (..., 4H)."""
         lead = x.shape[:-1]
         flat = reshape(x, (-1, x.shape[-1]))
-        gates = add(matmul(flat, self.w_ih.tensor.transpose(1, 0)), self.bias.tensor)
+        gates = add(matmul(flat, transpose(self.w_ih, (1, 0))), self.bias)
         return reshape(gates, lead + (4 * self.hidden_size,))
 
     def __call__(self, gates_x: Tensor, h: Tensor, c: Tensor):
@@ -186,7 +171,7 @@ class LSTMCell(Module):
         4H axis: input, forget, cell, output. Returns (h', c').
         """
         hidden = self.hidden_size
-        gates = add(gates_x, matmul(h, self.w_hh.tensor.transpose(1, 0)))
+        gates = add(gates_x, matmul(h, transpose(self.w_hh, (1, 0))))
         gi = sigmoid(gates[:, 0 * hidden : 1 * hidden])
         gf = sigmoid(gates[:, 1 * hidden : 2 * hidden])
         gc = tanh(gates[:, 2 * hidden : 3 * hidden])

@@ -7,27 +7,28 @@ import numpy as np
 __all__ = ["Adam"]
 
 
+# Adam's moment decays and denominator floor, and the schedule's decay
+# factor: no caller selects other values.
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+DECAY_FACTOR = 0.8
+
+
 class Adam:
     """Adam over a list of parameters.
 
-    The effective learning rate is ``lr * decay_factor ** (epoch //
+    The effective learning rate is ``lr * DECAY_FACTOR ** (epoch //
     decay_every)``; call :meth:`set_epoch` as training advances. ``lr``
-    has no default, since training passes ``TrainConfig.learning_rate``;
-    the decay factor is no training setting, and its default of 0.8 is
-    the schedule's only copy. Moments are zero-initialized and the step
-    counter is monotone.
+    and ``decay_every`` come from ``TrainConfig``. Moments are
+    zero-initialized and the step counter is monotone. Gradients are
+    zeroed through ``Module.zero_grad``.
     """
 
-    def __init__(self, params, lr: float, betas=(0.9, 0.999),
-                 eps: float = 1e-8, decay_factor: float = 0.8,
-                 decay_every: int = 100):
+    def __init__(self, params, lr: float, decay_every: int = 100):
         if decay_every < 1:
             raise ValueError(f"decay_every must be at least 1, got {decay_every}")
         self.params = list(params)
         self.base_lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
-        self.decay_factor = float(decay_factor)
         self.decay_every = int(decay_every)
         self.epoch = 0
         self.step_count = 0
@@ -36,21 +37,17 @@ class Adam:
 
     @property
     def lr(self) -> float:
-        return self.base_lr * self.decay_factor ** (self.epoch // self.decay_every)
+        return self.base_lr * DECAY_FACTOR ** (self.epoch // self.decay_every)
 
     def set_epoch(self, epoch: int) -> None:
         if epoch < 0:
             raise ValueError("epoch must be nonnegative")
         self.epoch = int(epoch)
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
     def step(self) -> None:
         self.step_count += 1
         lr = self.lr
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
         for p, m, v in zip(self.params, self._m, self._v):
@@ -66,7 +63,7 @@ class Adam:
             v += (1.0 - b2) * grad * grad
             m_hat = m / bias1
             v_hat = v / bias2
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     # -- checkpointing ------------------------------------------------------
     def state_arrays(self) -> dict:

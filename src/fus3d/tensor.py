@@ -1,7 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A small tape-based engine: every operation returns a new :class:`Tensor`
-whose backward closure knows how to push gradients to its parents.
+A small tape-based engine: every operation is a module function (``add``,
+``matmul``, ``conv2d``, ...) that returns a new :class:`Tensor` whose
+backward closure knows how to push gradients to its parents. ``Tensor``
+has no arithmetic operators or method aliases; ``x[index]`` (``take``)
+is its one method spelling of an op.
 Everything is stored as contiguous numpy float64; there is no graph
 optimization and no implicit dtype promotion. Determinism: identical
 inputs and seeds give bit-identical outputs and gradients.
@@ -26,7 +29,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "matmul",
     "reshape",
     "transpose",
@@ -84,77 +86,20 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() needs a single element, shape is {self.shape}")
         return float(self.data.reshape(()))
 
-    def __float__(self) -> float:
-        return self.item()
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
+        return f"{type(self).__name__}(shape={self.shape}{flag})"
 
     def zero_grad(self) -> None:
         self.grad = None
 
-    # -- operator sugar ------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, index):
         return take(self, index)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def _as_tensor(value) -> Tensor:
@@ -225,19 +170,6 @@ def mul(a, b) -> Tensor:
         return (
             _unbroadcast(g * b.data, a.shape),
             _unbroadcast(g * a.data, b.shape),
-        )
-
-    return _node(data, (a, b), vjp)
-
-
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data / b.data
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
         )
 
     return _node(data, (a, b), vjp)

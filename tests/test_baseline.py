@@ -1,6 +1,8 @@
 """Decorrelation-baseline tests: exact in-plane recovery, calibration fit,
 elevational accuracy on simulator data."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from conftest import simulate_scan
 from fus3d.baseline import (
     PATCH_EXTENT,
     PATCH_GRID,
+    SEARCH_PX,
     CalibrationError,
     DecorrModel,
     _shift_ncc_surface,
@@ -172,6 +175,24 @@ class TestZeroVariance:
         assert np.all(np.isfinite(pose.as_array()))
         assert (pose.tx, pose.ty) == (0.0, 0.0)
         assert pose.tz == decorr_model.gap_mm[-1]
+
+
+class TestFrameSize:
+    @pytest.mark.parametrize("shape", [(5, 40), (6, 40), (40, 6)])
+    def test_frames_without_overlap_at_every_shift_rejected(self, decorr_model,
+                                                             shape):
+        frame = np.random.default_rng(1).uniform(0.0, 1.0, shape)
+        with pytest.raises(ValueError, match=rf"{shape}.* at least "
+                                             rf"{SEARCH_PX + 1} pixels"):
+            estimate_step(frame, frame, decorr_model, pitch_mm=PITCH)
+
+    def test_smallest_searchable_frames_run_clean(self, decorr_model):
+        rng = np.random.default_rng(2)
+        a, b = rng.uniform(0.0, 1.0, (2, SEARCH_PX + 1, 40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pose = estimate_step(a, b, decorr_model, pitch_mm=PITCH)
+        assert np.all(np.isfinite(pose.as_array()))
 
 
 class TestCalibration:

@@ -10,6 +10,7 @@ import pytest
 from conftest import simulate_scan
 
 from fus3d import training
+from fus3d.baseline import DecorrModel
 from fus3d.cli import main
 from fus3d.compound import read_volume
 from fus3d.network import ModelConfig, MotionNetwork, save_model
@@ -110,6 +111,18 @@ class TestInfer:
         rel = read_pose_csv(tmp_path / "pred" / "pred_relative.csv")
         assert len(rel) == 23
         assert all(p.rx == 0.0 and p.ry == 0.0 and p.rz == 0.0 for p in rel)
+
+    def test_baseline_rejects_frames_it_cannot_search(self, tmp_path, capsys):
+        assert run("simulate", "--out", tmp_path / "scan", "--frames", 4,
+                   "--length-mm", 0.5, "--frame-extent", 6, "--seed", 2) == 0
+        DecorrModel(gap_mm=np.array([0.0, 1.0]),
+                    ncc=np.array([1.0, 0.0])).save_csv(tmp_path / "cal.csv")
+        code = run("infer", "--scan", tmp_path / "scan",
+                   "--baseline", tmp_path / "cal.csv", "--out", tmp_path / "pred")
+        assert code == 2
+        assert ("error: frame shape (6, 6) is too small for the in-plane "
+                "search: each side needs at least 7 pixels\n"
+                in capsys.readouterr().err)
 
 
 class TestTruncatedInputs:

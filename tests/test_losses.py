@@ -60,12 +60,13 @@ class TestCorrelationLoss:
         rng = np.random.default_rng(3)
         true = rng.standard_normal((8, 6))
         for c in (0.1, 1.0, 37.5):
-            assert correlation_loss(true, c * true).item() < 1e-12
+            assert correlation_loss(true, c * true, Counter()).item() < 1e-12
 
     def test_antiparallel_is_two(self):
         rng = np.random.default_rng(4)
         true = rng.standard_normal((8, 6))
-        assert correlation_loss(true, -true).item() == pytest.approx(2.0, abs=1e-12)
+        assert correlation_loss(true, -true, Counter()).item() == pytest.approx(
+            2.0, abs=1e-12)
 
     def test_matches_hand_rolled_cosine(self):
         rng = np.random.default_rng(5)
@@ -75,7 +76,7 @@ class TestCorrelationLoss:
         for k in range(6):
             a, b = true[:, k], pred[:, k]
             total += 1.0 - float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-        assert correlation_loss(true, pred).item() == pytest.approx(
+        assert correlation_loss(true, pred, Counter()).item() == pytest.approx(
             total / 6.0, abs=1e-12
         )
 
@@ -83,19 +84,19 @@ class TestCorrelationLoss:
         rng = np.random.default_rng(6)
         for _ in range(20):
             v = correlation_loss(
-                rng.standard_normal((6, 6)), rng.standard_normal((6, 6))
+                rng.standard_normal((6, 6)), rng.standard_normal((6, 6)), Counter()
             ).item()
             assert 0.0 <= v <= 2.0
 
-    def test_zero_norm_series_contributes_one(self, caplog):
+    def test_zero_norm_series_contributes_one(self):
         true = np.zeros((4, 6))
         true[:, 0] = [1, 2, 3, 4]  # only one active component
         pred = true.copy()
-        with caplog.at_level("WARNING"):
-            value = correlation_loss(true, pred).item()
+        degenerate = Counter()
+        value = correlation_loss(true, pred, degenerate).item()
         # five dead components contribute 1 each, the live one 0
         assert value == pytest.approx(5.0 / 6.0, abs=1e-12)
-        assert "zero-norm" in caplog.text
+        assert degenerate == Counter({(1, 2, 3, 4, 5): 1})
 
     def test_zero_norm_series_counted_once_per_window(self, caplog):
         rng = np.random.default_rng(13)
@@ -107,13 +108,12 @@ class TestCorrelationLoss:
             correlation_loss(true, true, degenerate)
         assert degenerate == Counter({(4,): 1, (1, 2): 1})
         assert caplog.text == ""
-        with caplog.at_level("WARNING"):
-            correlation_loss(true, true)
-        assert [r.getMessage().count("zero-norm") for r in caplog.records] == [1, 1]
+        correlation_loss(true, true, degenerate)
+        assert degenerate == Counter({(4,): 2, (1, 2): 2})
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            correlation_loss(np.zeros((1, 6)), np.zeros((1, 6)))
+            correlation_loss(np.zeros((1, 6)), np.zeros((1, 6)), Counter())
 
 
 def _hinge(rows, triple=(0, 1, 2), requires_grad=False):
@@ -237,7 +237,7 @@ class TestBatchedTerms:
                     return mmae(labels, pred)
             elif name == "correlation":
                 def term(pred, labels):
-                    return correlation_loss(labels, pred)
+                    return correlation_loss(labels, pred, Counter())
             else:
                 def term(pred, labels):
                     return triplet_loss(pred, select_triplets(labels))

@@ -9,6 +9,7 @@ import pytest
 from gradcheck import check_gradients
 
 import fus3d.tensor as T
+from fus3d import network
 from fus3d.correlation import _grid_layout
 from fus3d.network import (
     GlaConfig,
@@ -307,11 +308,13 @@ class TestMotionNetwork:
         out2 = MotionNetwork(ModelConfig.toy(), seed=3).forward_window(frames)
         np.testing.assert_array_equal(out1["fused"].data, out2["fused"].data)
 
-    def test_infer_scan_chunking_invariant(self, model):
+    def test_infer_scan_chunking_invariant(self, model, monkeypatch):
         rng = np.random.default_rng(25)
         frames = rng.uniform(0, 1, (11, 64, 64))
-        poses_small, _ = model.infer_scan(frames, chunk=3)
-        poses_big, _ = model.infer_scan(frames, chunk=64)
+        monkeypatch.setattr(network, "INFER_CHUNK", 3)
+        poses_small, _ = model.infer_scan(frames)
+        monkeypatch.setattr(network, "INFER_CHUNK", 64)
+        poses_big, _ = model.infer_scan(frames)
         assert len(poses_small) == 10
         for p, q in zip(poses_small, poses_big):
             np.testing.assert_allclose(p.as_array(), q.as_array(), atol=1e-12)

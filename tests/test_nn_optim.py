@@ -45,7 +45,7 @@ class TestLayers:
         cell = LSTMCell(1, 4, np.random.default_rng(0))
 
         def op(t):
-            cell.w_hh.tensor = t[3]
+            cell.w_hh = t[3]
             h, c = cell(t[0], t[1], t[2])
             return T.concat([h, c], axis=1)
 
@@ -71,7 +71,7 @@ class TestLayers:
                   cell.bias.data]
 
         def op(t):
-            cell.w_ih.tensor, cell.w_hh.tensor, cell.bias.tensor = t[3], t[4], t[5]
+            cell.w_ih, cell.w_hh, cell.bias = t[3], t[4], t[5]
             gates = cell.project(t[0])
             h, c = t[1], t[2]
             outs = []
@@ -150,12 +150,57 @@ class TestModuleTree:
         other.load_state_arrays(state)
         np.testing.assert_array_equal(other.weight.data, model.weight.data)
 
+    def test_load_keeps_parameters_and_stores_float64_copies(self):
+        model = Linear(2, 2, np.random.default_rng(9))
+        params = model.parameters()
+        opt = Adam(params, lr=0.1)
+        weight = np.arange(4).reshape(2, 2)  # an integer array
+        bias = np.array([0.5, -1.5])
+        model.load_state_arrays({"weight": weight, "bias": bias})
+        assert all(a is b for a, b in zip(model.parameters(), params))
+        assert all(a is b for a, b in zip(opt.params, params))
+        assert model.weight.data.dtype == np.float64
+        np.testing.assert_array_equal(model.weight.data, weight)
+        bias[0] = 9.0
+        assert model.bias.data[0] == 0.5
+
+
+class TestParameterIsTensor:
+    def test_parameter_is_a_trainable_tensor(self):
+        p = Parameter(np.arange(3), name="w")
+        assert isinstance(p, Tensor)
+        assert p.requires_grad
+        assert p.data.dtype == np.float64
+        assert p.name == "w"
+        assert p.grad is None
+
+    @pytest.mark.parametrize("layer", ["linear", "conv", "lstm"])
+    def test_backward_fills_and_zero_grad_clears(self, layer):
+        rng = np.random.default_rng(15)
+        if layer == "linear":
+            module = Linear(3, 2, rng)
+            out = module(Tensor(rng.standard_normal((4, 3))))
+        elif layer == "conv":
+            module = Conv2d(2, 3, 3, rng, padding=1)
+            out = module(Tensor(rng.standard_normal((2, 2, 5, 5))))
+        else:
+            module = LSTMCell(3, 2, rng)
+            h, c = module.initial_state(batch=2)
+            gates = module.project(Tensor(rng.standard_normal((2, 3))))
+            out = T.concat(list(module(gates, h, c)), axis=1)
+        backward(T.tensor_sum(T.mul(out, out)))
+        params = module.parameters()
+        assert params and all(p.grad is not None for p in params)
+        assert all(p.grad.shape == p.shape for p in params)
+        module.zero_grad()
+        assert all(p.grad is None for p in params)
+
 
 class TestAdam:
     def test_descent_direction(self):
         p = Parameter(np.array([1.0]), name="p")
         opt = Adam([p], lr=0.1)
-        p.tensor.grad = np.array([1.0])
+        p.grad = np.array([1.0])
         opt.step()
         assert p.data[0] < 1.0
 
@@ -187,8 +232,8 @@ class TestAdam:
         p = Parameter(np.zeros(4), name="x")
         opt = Adam([p], lr=0.05)
         for _ in range(2000):
-            opt.zero_grad()
-            diff = T.sub(p.tensor, c)
+            p.zero_grad()
+            diff = T.sub(p, c)
             backward(T.tensor_sum(T.mul(diff, diff)))
             opt.step()
         assert float(np.abs(p.data - c).max()) < 1e-6
@@ -206,7 +251,7 @@ class TestAdam:
         x = rng.standard_normal((4, 3))
 
         def one_step(model, opt):
-            opt.zero_grad()
+            model.zero_grad()
             out = model(Tensor(x))
             backward(T.tensor_sum(T.mul(out, out)))
             opt.step()

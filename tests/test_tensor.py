@@ -161,10 +161,6 @@ class TestPrimitiveGradients:
         check_gradients(lambda t: T.mul(t[0], t[1]),
                         [rand(self.rng, 2, 3), rand(self.rng, 2, 1)])
 
-    def test_div(self):
-        denom = rand(self.rng, 3) + np.sign(rand(self.rng, 3)) * 1.5
-        check_gradients(lambda t: T.div(t[0], t[1]), [rand(self.rng, 2, 3), denom])
-
     def test_matmul(self):
         check_gradients(lambda t: T.matmul(t[0], t[1]),
                         [rand(self.rng, 3, 4), rand(self.rng, 4, 2)])

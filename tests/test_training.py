@@ -206,14 +206,21 @@ class TestDegenerateSeriesWarning:
         assert messages[0].startswith("correlation loss: zero-norm series in 5 "
                                       "training window(s), component(s) [3, 4, 5]")
 
-        # the same run warning per window, as correlation_loss does on its
-        # own: one warning for each window counted, and the same log rows
+        # the same run with a fresh counter per window: each of the 5
+        # windows is counted once, nothing is logged, and the counting
+        # leaves the log rows unchanged
         real = training.correlation_loss
-        monkeypatch.setattr(training, "correlation_loss",
-                            lambda true, pred, degenerate: real(true, pred))
-        per_window, messages = run()
-        assert len(messages) == 5
-        assert per_window.log_rows == counted.log_rows
+        per_window = []
+
+        def count_apart(true, pred, degenerate):
+            per_window.append(Counter())
+            return real(true, pred, per_window[-1])
+
+        monkeypatch.setattr(training, "correlation_loss", count_apart)
+        apart, messages = run()
+        assert messages == []
+        assert sum(sum(c.values()) for c in per_window) == 5
+        assert apart.log_rows == counted.log_rows
 
 
 class TestTrainLoop:
