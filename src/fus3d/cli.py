@@ -37,6 +37,7 @@ from .pose import (
 from .simulate import (
     DEFAULT_FRAME_RATE_HZ,
     DEFAULT_PITCH_MM,
+    TRAJECTORY_SHAPES,
     PhantomSpec,
     ScanSequence,
     TrajectorySpec,
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic speckle scan")
     common(p)
-    p.add_argument("--shape", choices=["linear", "s_curve", "c_curve"],
+    p.add_argument("--shape", choices=TRAJECTORY_SHAPES,
                    default=TrajectorySpec.shape)
     p.add_argument("--frames", type=int, default=TrajectorySpec.n_frames)
     p.add_argument("--length-mm", type=float, default=TrajectorySpec.length_mm)

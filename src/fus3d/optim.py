@@ -24,7 +24,7 @@ class Adam:
     zeroed through ``Module.zero_grad``.
     """
 
-    def __init__(self, params, lr: float, decay_every: int = 100):
+    def __init__(self, params, lr: float, decay_every: int):
         if decay_every < 1:
             raise ValueError(f"decay_every must be at least 1, got {decay_every}")
         self.params = list(params)

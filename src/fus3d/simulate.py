@@ -14,8 +14,10 @@ and ``manifest.json`` with the subject tag and generation parameters.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +38,7 @@ from .pose import (
 )
 
 __all__ = [
+    "TRAJECTORY_SHAPES",
     "PhantomSpec",
     "Phantom",
     "TrajectorySpec",
@@ -57,6 +60,18 @@ RAYLEIGH_SNR = float(np.sqrt(np.pi / (4.0 - np.pi)))
 # points sampled per map_coordinates call in slice_phantom: 256 frames
 # of 64x64 pixels, so a 250-frame sweep is one call
 SLICE_BLOCK_POINTS = 1 << 20
+TRAJECTORY_SHAPES = ("linear", "s_curve", "c_curve")
+
+# glibc raises its mmap threshold as large arrays are freed, so later
+# mid-sized arrays (scan frames read back, a discarded dataset) land on
+# the main heap. Once freed, their pages stay resident when live chunks
+# sit above them. make_phantom trims the heap before its two field-sized
+# draws, so peak RSS does not depend on how earlier work left the heap.
+# C libraries without malloc_trim skip the trim.
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
 
 
 class FrameOutOfBoundsError(ValueError):
@@ -120,7 +135,21 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     scatterer fields, each blurred in place (``correlate1d`` buffers
     every line, so in-place filtering is exact). The envelope is written
     over the real part, then scaled and clipped in place.
+
+    Two threads share the work. The main thread draws the real field
+    and hands its blur to one helper thread, then draws and blurs the
+    imaginary field; after both blurs, each thread takes the envelope
+    of one half of the first axis. ``standard_normal``,
+    ``gaussian_filter`` and ``np.hypot`` release the GIL, so the halves
+    overlap. The bits cannot change: only the main thread uses the
+    generator, in the serial order; each blur is the same call on the
+    same data; ``hypot`` is elementwise; and the mean stays one call
+    over the whole field, since a split pairwise sum would round
+    differently. The helper runs only numpy and scipy and is joined
+    before the call returns, also when either thread raises.
     """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
     rng = np.random.default_rng(seed)
     dims = tuple(int(np.ceil(e / spec.voxel_mm)) + 1 for e in spec.extent_mm)
     if spec.origin_mm is None:
@@ -129,12 +158,20 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
         origin = np.asarray(spec.origin_mm, dtype=float)
 
     sigmas = tuple(s / spec.voxel_mm for s in spec.psf_mm)
-    real = rng.standard_normal(dims)
-    imag = rng.standard_normal(dims)
-    gaussian_filter(real, sigmas, mode="constant", output=real)
-    gaussian_filter(imag, sigmas, mode="constant", output=imag)
-    envelope = np.hypot(real, imag, out=real)
+    half = dims[0] // 2
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        real = rng.standard_normal(dims)
+        blurred = helper.submit(gaussian_filter, real, sigmas,
+                                mode="constant", output=real)
+        imag = rng.standard_normal(dims)
+        gaussian_filter(imag, sigmas, mode="constant", output=imag)
+        blurred.result()
+        top = helper.submit(np.hypot, real[:half], imag[:half],
+                            out=real[:half])
+        np.hypot(real[half:], imag[half:], out=real[half:])
+        top.result()
     del imag
+    envelope = real
     # scale so the speckle mean sits at 0.25; the Rayleigh tail beyond 1
     # is ~1e-6 of voxels and is clipped
     envelope *= 0.25 / envelope.mean()
@@ -157,7 +194,7 @@ class TrajectorySpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.shape not in ("linear", "s_curve", "c_curve"):
+        if self.shape not in TRAJECTORY_SHAPES:
             raise ValueError(f"unknown trajectory shape {self.shape!r}")
         if self.n_frames < 2:
             raise ValueError("a trajectory needs at least 2 frames")

@@ -15,7 +15,7 @@ from fus3d.cli import main
 from fus3d.compound import read_volume
 from fus3d.network import ModelConfig, MotionNetwork, save_model
 from fus3d.pose import ImageGeometry, read_pose_csv
-from fus3d.simulate import TrajectorySpec, read_scan, write_scan
+from fus3d.simulate import TRAJECTORY_SHAPES, TrajectorySpec, read_scan, write_scan
 from fus3d.training import ScanDataset, TrainConfig, train
 
 
@@ -70,6 +70,13 @@ class TestSimulate:
 
     def test_single_frame_is_config_error(self, tmp_path):
         assert run("simulate", "--out", tmp_path / "x", "--frames", 1) == 2
+
+    def test_shape_choices_are_the_trajectory_shapes(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "--out", tmp_path / "x", "--shape", "zigzag")
+        assert exc.value.code == 2
+        choices = ", ".join(repr(shape) for shape in TRAJECTORY_SHAPES)
+        assert f"(choose from {choices})" in capsys.readouterr().err
 
     def test_overwrite_requires_force(self, tmp_path):
         args = ["simulate", "--out", tmp_path / "x", "--frames", 8,

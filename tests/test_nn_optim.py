@@ -153,7 +153,7 @@ class TestModuleTree:
     def test_load_keeps_parameters_and_stores_float64_copies(self):
         model = Linear(2, 2, np.random.default_rng(9))
         params = model.parameters()
-        opt = Adam(params, lr=0.1)
+        opt = Adam(params, lr=0.1, decay_every=100)
         weight = np.arange(4).reshape(2, 2)  # an integer array
         bias = np.array([0.5, -1.5])
         model.load_state_arrays({"weight": weight, "bias": bias})
@@ -199,13 +199,14 @@ class TestParameterIsTensor:
 class TestAdam:
     def test_descent_direction(self):
         p = Parameter(np.array([1.0]), name="p")
-        opt = Adam([p], lr=0.1)
+        opt = Adam([p], lr=0.1, decay_every=100)
         p.grad = np.array([1.0])
         opt.step()
         assert p.data[0] < 1.0
 
     def test_lr_schedule_paper_values(self):
-        opt = Adam([Parameter(np.zeros(1), name="p")], lr=1e-5)
+        opt = Adam([Parameter(np.zeros(1), name="p")], lr=1e-5,
+                   decay_every=100)
         assert opt.lr == 1e-5
         opt.set_epoch(99)
         assert opt.lr == 1e-5
@@ -221,7 +222,8 @@ class TestAdam:
                  decay_every=decay_every)
 
     def test_missing_grad_is_an_error(self):
-        opt = Adam([Parameter(np.zeros(1), name="p")], lr=0.1)
+        opt = Adam([Parameter(np.zeros(1), name="p")], lr=0.1,
+                   decay_every=100)
         with pytest.raises(RuntimeError, match="no gradient"):
             opt.step()
 
@@ -230,7 +232,7 @@ class TestAdam:
         rng = np.random.default_rng(9)
         c = rng.standard_normal(4)
         p = Parameter(np.zeros(4), name="x")
-        opt = Adam([p], lr=0.05)
+        opt = Adam([p], lr=0.05, decay_every=100)
         for _ in range(2000):
             p.zero_grad()
             diff = T.sub(p, c)
@@ -244,7 +246,7 @@ class TestAdam:
         def make():
             r = np.random.default_rng(11)
             model = Linear(3, 2, r)
-            return model, Adam(model.parameters(), lr=1e-3)
+            return model, Adam(model.parameters(), lr=1e-3, decay_every=100)
 
         model_a, opt_a = make()
         model_b, opt_b = make()

@@ -1,9 +1,11 @@
 """Simulator tests: speckle statistics, trajectories, slicing, container IO."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from conftest import GEOM64, simulate_scan
 
@@ -16,6 +18,7 @@ from fus3d.pose import (
     accumulate,
     pose_to_transform,
 )
+import fus3d.simulate
 from fus3d.simulate import (
     RAYLEIGH_SNR,
     FrameOutOfBoundsError,
@@ -73,6 +76,49 @@ class TestPhantom:
             tracemalloc.stop()
         assert phantom.field.shape == (126, 126, 81)
         assert peak <= 2.1 * phantom.field.nbytes
+
+
+def serial_phantom_field(spec: PhantomSpec, seed: int) -> np.ndarray:
+    """make_phantom's field computed on one thread, step by step."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(np.ceil(e / spec.voxel_mm)) + 1 for e in spec.extent_mm)
+    sigmas = tuple(s / spec.voxel_mm for s in spec.psf_mm)
+    real = rng.standard_normal(dims)
+    imag = rng.standard_normal(dims)
+    real = gaussian_filter(real, sigmas, mode="constant")
+    imag = gaussian_filter(imag, sigmas, mode="constant")
+    envelope = np.hypot(real, imag)
+    envelope *= 0.25 / envelope.mean()
+    return np.clip(envelope, 0.0, 1.0)
+
+
+class TestThreadedPhantom:
+    # first extents 61 (odd) and 62 (even) voxels: where the envelope's
+    # split between the two threads falls
+    @pytest.mark.parametrize("extent_mm, rows", [((6.0, 5.0, 3.0), 61),
+                                                 ((6.05, 5.0, 3.0), 62)])
+    def test_matches_serial_reference(self, extent_mm, rows):
+        spec = PhantomSpec(extent_mm=extent_mm, voxel_mm=0.1)
+        field = make_phantom(spec, seed=9).field
+        assert field.shape[0] == rows
+        np.testing.assert_array_equal(field, serial_phantom_field(spec, 9))
+
+    def test_leaves_no_thread_behind(self):
+        before = threading.active_count()
+        make_phantom(PhantomSpec(extent_mm=(6, 6, 3), voxel_mm=0.1), seed=4)
+        assert threading.active_count() == before
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        def failing_off_main(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("blur failed")
+            return gaussian_filter(*args, **kwargs)
+
+        monkeypatch.setattr(fus3d.simulate, "gaussian_filter", failing_off_main)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="blur failed"):
+            make_phantom(PhantomSpec(extent_mm=(6, 6, 3), voxel_mm=0.1), seed=4)
+        assert threading.active_count() == before
 
 
 class TestTrajectory:
