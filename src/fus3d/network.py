@@ -32,7 +32,7 @@ from .correlation import CorrConfig, correlate_batch
 from .nn import Conv2d, Linear, LSTMCell, Module, Parameter, kaiming_uniform
 from .nn import load_checkpoint, save_checkpoint
 from .pgm import write_pgm16
-from .pose import PoseVector
+from .pose import _pose_rows
 from .tensor import Tensor
 
 __all__ = [
@@ -442,8 +442,7 @@ class MotionNetwork(Module):
                                           diagnostics=diagnostics,
                                           state=state)
                 state = out["state"]
-                for t in range(stop - start):
-                    poses.append(PoseVector.from_array(out["fused"].data[0, t]))
+                poses.extend(_pose_rows(out["fused"].data[0]))
                 if diagnostics:
                     score_rows.append(out["attention_scores"].data[0])
         scores = np.concatenate(score_rows, axis=0) if score_rows else None

@@ -24,7 +24,12 @@ per-object form:
   Degree and radian conversions, angle wrapping and the determinant are
   single IEEE operations in a fixed order, so numpy and ``math`` agree.
 * Rotation products are numpy matmuls, stacked or not; products formed
-  from Python floats round differently.
+  from Python floats round differently. Checks that only compare against
+  a tolerance (max |R'R - I| of one transform) may run on Python floats.
+* A list of :class:`PoseVector` is built from one (n, 6) array of rows by
+  :func:`_pose_rows`: one finiteness check over all rows, the angles
+  wrapped by :func:`_wrap_deg_array`, and no ``__post_init__`` per object.
+  Every path that returns a list of poses goes through it.
 """
 
 from __future__ import annotations
@@ -120,10 +125,44 @@ class PoseVector:
         return np.array([self.tx, self.ty, self.tz])
 
 
+def _pose_rows(rows: np.ndarray) -> list:
+    """``[PoseVector(*row) for row in rows.tolist()]`` of (n, 6) rows, bit
+    for bit, in one checked pass. The first non-finite row raises its
+    constructor's error."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        PoseVector(*rows[finite.argmin()].tolist())
+    new, setattr_ = object.__new__, object.__setattr__
+    poses = []
+    for tx, ty, tz, rx, ry, rz in zip(*rows[:, :3].T.tolist(),
+                                      *_wrap_deg_array(rows[:, 3:]).T.tolist()):
+        pose = new(PoseVector)
+        setattr_(pose, "tx", tx)
+        setattr_(pose, "ty", ty)
+        setattr_(pose, "tz", tz)
+        setattr_(pose, "rx", rx)
+        setattr_(pose, "ry", ry)
+        setattr_(pose, "rz", rz)
+        poses.append(pose)
+    return poses
+
+
 def _det3(a, b, c, d, e, f, g, h, i):
     """Determinant of the row-major 3x3 matrix [[a, b, c], [d, e, f],
     [g, h, i]] by cofactors; floats and arrays give the same bits."""
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _gram_error(a, b, c, d, e, f, g, h, i):
+    """max |R'R - I| of the row-major 3x3 matrix [[a, b, c], [d, e, f],
+    [g, h, i]], from its six distinct Gram entries. The diagonal comes
+    first, so an overflowing matrix reads inf, never nan."""
+    return max(abs(a * a + d * d + g * g - 1.0),
+               abs(b * b + e * e + h * h - 1.0),
+               abs(c * c + f * f + i * i - 1.0),
+               abs(a * b + d * e + g * h),
+               abs(a * c + d * f + g * i),
+               abs(b * c + e * f + h * i))
 
 
 def _factors(ax: float, ay: float, az: float) -> np.ndarray:
@@ -156,7 +195,7 @@ class TransformSE3:
         entries = rot.ravel().tolist()
         if not all(map(math.isfinite, entries + tra.tolist())):
             raise ValueError("transform entries must be finite")
-        err = np.abs(rot.T @ rot - _IDENTITY).max()
+        err = _gram_error(*entries)
         if err > _ROT_TOL:
             raise ValueError(f"rotation not orthonormal: max |R'R - I| = {err:.3e}")
         det = _det3(*entries)
@@ -386,11 +425,8 @@ def transform_to_pose(transform: TransformSE3) -> PoseVector:
 
 def _pose_vectors(rotations: np.ndarray, translations: np.ndarray) -> list:
     """:func:`transform_to_pose` of each stacked transform."""
-    return [
-        PoseVector(tx, ty, tz, rx, ry, rz)
-        for (tx, ty, tz), (rx, ry, rz) in zip(
-            translations.tolist(), _euler_deg(rotations).tolist())
-    ]
+    return _pose_rows(np.concatenate([translations, _euler_deg(rotations)],
+                                     axis=1))
 
 
 def pose_arrays(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
@@ -408,8 +444,8 @@ def stack_transforms(transforms) -> tuple:
     seq = list(transforms)
     if not seq:
         return np.empty((0, 3, 3)), np.empty((0, 3))
-    return (np.stack([t.rotation for t in seq]),
-            np.stack([t.translation for t in seq]))
+    return (np.concatenate([t.rotation for t in seq]).reshape(-1, 3, 3),
+            np.concatenate([t.translation for t in seq]).reshape(-1, 3))
 
 
 def relative_arrays(rotations: np.ndarray, translations: np.ndarray) -> tuple:
@@ -528,6 +564,15 @@ def write_pose_csv(path, poses: Iterable[PoseVector]) -> None:
 
 
 def read_pose_csv(path) -> list:
+    """Poses of a CSV as :func:`write_pose_csv` writes it."""
+    # the parsed floats are freed before the poses are built
+    return _pose_rows(_read_pose_rows(path))
+
+
+def _read_pose_rows(path) -> np.ndarray:
+    """(n, 6) pose rows of a pose CSV, not yet checked. Blank lines are
+    skipped; the frame column must read 0, 1, ..., n-1 in order, as
+    :func:`write_pose_csv` writes it."""
     with open(path, "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -535,13 +580,16 @@ def read_pose_csv(path) -> list:
             raise EOFError(f"{path}: empty, expected a pose CSV header")
         if header != POSE_CSV_HEADER:
             raise ValueError(f"unexpected pose CSV header: {header}")
-        poses = []
+        values = []
+        frame = 0
         for row in reader:
             if not row:
                 continue
             if len(row) != 7:
                 raise ValueError(f"malformed pose CSV row: {row}")
-            _, tx, ty, tz, rx, ry, rz = row
-            poses.append(PoseVector(float(tx), float(ty), float(tz),
-                                    float(rx), float(ry), float(rz)))
-    return poses
+            if row[0] != str(frame):
+                raise ValueError(f"{path}: pose CSV row {row} has frame "
+                                 f"{row[0]!r}, expected {frame}")
+            values.extend(map(float, row[1:]))
+            frame += 1
+    return np.array(values).reshape(-1, 6)

@@ -306,6 +306,16 @@ class TestCompound:
         assert run("compound", "--scan", scan_dir, "--poses", other,
                    "--voxel", 0.1, "--out", tmp_path / "vol") == 2
 
+    def test_reordered_pose_rows_are_rejected(self, scan_dir, tmp_path, capsys):
+        lines = (scan_dir / "poses.csv").read_text().splitlines(keepends=True)
+        lines[2], lines[3] = lines[3], lines[2]
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text("".join(lines))
+        assert run("compound", "--scan", scan_dir, "--poses", swapped,
+                   "--voxel", 0.1, "--out", tmp_path / "vol") == 2
+        assert "has frame '2', expected 1" in capsys.readouterr().err
+        assert not (tmp_path / "vol" / "volume.fvl").exists()
+
 
 class TestTrainCommand:
     def test_short_training_run(self, dataset_dir, tmp_path):

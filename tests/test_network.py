@@ -22,6 +22,7 @@ from fus3d.network import (
 )
 from fus3d.nn import save_checkpoint
 from fus3d.pgm import read_pgm16
+from fus3d.pose import PoseVector
 from fus3d.tensor import Tensor, backward
 
 
@@ -318,6 +319,17 @@ class TestMotionNetwork:
         assert len(poses_small) == 10
         for p, q in zip(poses_small, poses_big):
             np.testing.assert_allclose(p.as_array(), q.as_array(), atol=1e-12)
+
+    def test_infer_scan_poses_are_the_fused_rows(self, model):
+        rng = np.random.default_rng(27)
+        frames = rng.uniform(0, 1, (5, 64, 64))
+        poses, _ = model.infer_scan(frames)
+        with T.no_grad():
+            fused = model.forward_window(frames[None])["fused"].data[0]
+        want = [PoseVector.from_array(row) for row in fused]
+        assert poses == want
+        for p, q in zip(poses, want):
+            assert p.as_array().tobytes() == q.as_array().tobytes()
 
     def test_plain_pooling_variant_runs_without_scores(self):
         model = MotionNetwork(ModelConfig.toy(use_gla=False), seed=5)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fus3d.pose import (
@@ -18,6 +18,8 @@ from fus3d.pose import (
     accumulate,
     extract_relatives,
     _check_stack,
+    _gram_error,
+    _pose_rows,
     plane_to_world,
     pose_arrays,
     pose_to_transform,
@@ -28,6 +30,8 @@ from fus3d.pose import (
     transform_to_pose,
     write_pose_csv,
 )
+from fus3d import network
+from fus3d.network import ModelConfig, MotionNetwork
 from fus3d.simulate import ScanSequence
 
 
@@ -483,14 +487,14 @@ def reference_csv(path, poses):
 
 
 @st.composite
-def pose_rows(draw, max_rows=200):
-    """Seeded (n, 6) pose rows; some entries are in SPECIAL_DEG."""
+def pose_rows(draw, max_rows=200, values=SPECIAL_DEG):
+    """Seeded (n, 6) pose rows; some entries are in ``values``."""
     n = draw(st.integers(1, max_rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = np.column_stack([rng.uniform(-40.0, 40.0, (n, 3)),
                             rng.uniform(-400.0, 400.0, (n, 3))])
     special = rng.random((n, 6)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
-    rows[special] = rng.choice(SPECIAL_DEG, int(special.sum()))
+    rows[special] = rng.choice(values, int(special.sum()))
     return rows
 
 
@@ -622,3 +626,217 @@ class TestChecks:
         pose = PoseVector(np.float64(1.5), 2, np.int64(3), np.float32(0.5), 0, 0)
         assert {type(getattr(pose, name))
                 for name in ("tx", "ty", "tz", "rx", "ry", "rz")} == {float}
+
+
+# -- the batched constructor and the pose CSV reader --------------------------
+
+# SPECIAL_DEG plus the largest finite values and the smallest subnormals
+ROW_VALUES = SPECIAL_DEG + [1e300, -1e300, 5e-324, -5e-324]
+# each of ROW_VALUES once in each column
+ROW_GRID = np.array([np.roll(ROW_VALUES, -i)[:6] for i in range(len(ROW_VALUES))])
+
+
+def csv_text(frames):
+    """A pose CSV whose rows carry the given frame labels."""
+    lines = ["frame,tx_mm,ty_mm,tz_mm,rx_deg,ry_deg,rz_deg"]
+    lines += [f"{frame},0.5,-1.0,2.0,10.0,-20.0,190.0" for frame in frames]
+    return "\n".join(lines) + "\n"
+
+
+class TestPoseRows:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(pose_rows(values=ROW_VALUES))
+    @example(ROW_GRID)
+    def test_matches_pose_vector(self, rows):
+        got = _pose_rows(rows)
+        want = [PoseVector(*row) for row in rows.tolist()]
+        assert got == want
+        for a, b in zip(got, want):
+            assert same_bits(a.as_array(), b.as_array())
+            assert vars(a) == vars(b)
+            assert {type(v) for v in vars(a).values()} == {float}
+
+    def test_no_rows(self):
+        assert _pose_rows(np.empty((0, 6))) == []
+
+    @pytest.mark.parametrize("position", range(6))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_raises_the_constructor_error(self, position, value):
+        rows = np.zeros((4, 6))
+        rows[0, 3] = 190.0
+        rows[2, position] = value
+        rows[3, 0] = math.nan  # a later bad row is not the one reported
+        with pytest.raises(ValueError, match="must be finite") as batched:
+            _pose_rows(rows)
+        with pytest.raises(ValueError) as single:
+            PoseVector(*rows[2].tolist())
+        assert str(batched.value) == str(single.value)
+
+
+class TestPoseCsvReader:
+    def test_errors_are_unchanged(self, tmp_path):
+        path = tmp_path / "poses.csv"
+        path.write_text("")
+        with pytest.raises(EOFError) as empty:
+            read_pose_csv(path)
+        assert str(empty.value) == f"{path}: empty, expected a pose CSV header"
+        path.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError) as header:
+            read_pose_csv(path)
+        assert str(header.value) == "unexpected pose CSV header: ['a', 'b']"
+        path.write_text(csv_text(["0"]) + "1,0.5,-1.0,2.0,10.0,-20.0\n")
+        with pytest.raises(ValueError) as short:
+            read_pose_csv(path)
+        assert str(short.value) == (
+            "malformed pose CSV row: ['1', '0.5', '-1.0', '2.0', '10.0', '-20.0']")
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "poses.csv"
+        path.write_text(csv_text(["0", "1"]).replace("\n1,", "\n\n1,"))
+        assert read_pose_csv(path) == [PoseVector(0.5, -1.0, 2.0, 10.0, -20.0,
+                                                  190.0)] * 2
+
+    @pytest.mark.parametrize("frames, found, expected", [
+        (["0", "2", "1", "3"], "'2'", 1),     # a swapped pair
+        (["0", "1", "3"], "'3'", 2),          # a gap
+        (["0", "1", "1", "2"], "'1'", 2),     # a repeat
+        (["0", "1.0", "2"], "'1.0'", 1),      # not an integer
+        (["0", "x"], "'x'", 1),
+        (["1", "2"], "'1'", 0),               # does not start at 0
+    ])
+    def test_frames_must_count_from_zero(self, tmp_path, frames, found, expected):
+        path = tmp_path / "poses.csv"
+        path.write_text(csv_text(frames))
+        with pytest.raises(ValueError, match="has frame") as error:
+            read_pose_csv(path)
+        message = str(error.value)
+        assert message.startswith(f"{path}: pose CSV row [{found}, ")
+        assert message.endswith(f"has frame {found}, expected {expected}")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(pose_rows(max_rows=50, values=ROW_VALUES))
+    def test_written_files_read_back_byte_for_byte(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.csv", Path(tmp) / "second.csv"
+            write_pose_csv(first, _pose_rows(rows))
+            write_pose_csv(second, read_pose_csv(first))
+            assert first.read_bytes() == second.read_bytes()
+
+
+# -- the constructor's rotation check against a numpy Gram product ------------
+
+def reference_check_error(rotation, translation):
+    """The message TransformSE3 raises, with max |R'R - I| taken from a
+    numpy Gram product; None for a valid transform."""
+    if not (np.isfinite(rotation).all() and np.isfinite(translation).all()):
+        return "transform entries must be finite"
+    err = np.abs(rotation.T @ rotation - np.eye(3)).max()
+    if err > 1e-9:
+        return f"rotation not orthonormal: max |R'R - I| = {err:.3e}"
+    a, b, c, d, e, f, g, h, i = rotation.ravel().tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if abs(det - 1.0) > 1e-9:
+        return f"rotation determinant {det} != 1"
+    return None
+
+
+def assert_rejects_as_reference(rotation, translation):
+    want = reference_check_error(rotation, translation)
+    assert want is not None
+    with pytest.raises(ValueError) as single:
+        TransformSE3(rotation, translation)
+    assert str(single.value) == want
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+        ValueError
+    ) as stacked:
+        _check_stack(rotation[None], translation[None])
+    assert str(stacked.value) == want
+
+
+angles = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+class TestRotationCheck:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(angles, angles, angles)
+    def test_accepts_products_of_elementary_rotations(self, ax, ay, az):
+        rotation = reference_rotation(ax, ay, az)
+        TransformSE3(rotation, np.zeros(3))
+        err = np.abs(rotation.T @ rotation - np.eye(3)).max()
+        assert abs(_gram_error(*rotation.ravel().tolist()) - err) <= 1e-15
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(angles, angles, angles, st.data())
+    def test_rejects_as_the_numpy_check_does(self, ax, ay, az, data):
+        rotation = reference_rotation(ax, ay, az)
+        translation = np.array([1.0, -2.0, 3.0])
+        assert_rejects_as_reference(rotation * (1.0 + 2e-9), translation)
+        shear = np.eye(3)
+        j, k = data.draw(st.permutations(range(3)))[:2]
+        shear[j, k] = 2e-9
+        assert_rejects_as_reference(rotation @ shear, translation)
+        flip = np.ones(3)
+        flip[data.draw(st.integers(0, 2))] = -1.0
+        assert_rejects_as_reference(rotation * flip, translation)
+        value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        at = data.draw(st.integers(0, 11))
+        if at < 9:
+            assert_rejects_as_reference(_with(rotation, divmod(at, 3), value),
+                                        translation)
+        else:
+            assert_rejects_as_reference(rotation, _with(translation, at - 9, value))
+
+    def test_overflowing_rotation_reads_inf(self):
+        rotation = np.array([[1e200, 1e200, 0.0], [1e200, -1e200, 0.0],
+                             [0.0, 0.0, 1.0]])
+        assert _gram_error(*rotation.ravel().tolist()) == math.inf
+        with pytest.raises(ValueError, match="= inf"):
+            TransformSE3(rotation, np.zeros(3))
+
+
+# -- no per-object construction on the list paths -----------------------------
+
+class TestNoPerPoseConstruction:
+    """The paths that return pose lists run no PoseVector.__post_init__,
+    and pose_to_transform checks exactly one transform, so the benchmark's
+    count of checked transforms keeps its meaning."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {PoseVector: 0, TransformSE3: 0}
+        for cls in counts:
+            def counting(self, original=cls.__post_init__, cls=cls):
+                counts[cls] += 1
+                original(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        return counts
+
+    def test_read_pose_csv(self, counts, tmp_path):
+        rows = np.random.default_rng(3).uniform(-50.0, 50.0, (100, 6))
+        path = tmp_path / "poses.csv"
+        write_pose_csv(path, _pose_rows(rows))
+        assert len(read_pose_csv(path)) == 100
+        assert counts[PoseVector] == 0
+
+    def test_trajectory_poses(self, counts):
+        rows = np.random.default_rng(4).uniform(-50.0, 50.0, (30, 6))
+        rows[0] = 0.0
+        trajectory = Trajectory.from_arrays(*poses_to_stacks(rows))
+        assert len(trajectory.poses()) == 30
+        assert len(trajectory.relative_poses()) == 29
+        assert counts == {PoseVector: 0, TransformSE3: 0}
+
+    def test_infer_scan(self, counts, monkeypatch):
+        monkeypatch.setattr(network, "INFER_CHUNK", 2)
+        model = MotionNetwork(ModelConfig.toy(), seed=7)
+        frames = np.random.default_rng(5).uniform(0.0, 1.0, (6, 64, 64))
+        poses, _ = model.infer_scan(frames)
+        assert len(poses) == 5
+        assert counts[PoseVector] == 0
+
+    def test_pose_to_transform_checks_once(self, counts):
+        poses = _pose_rows(np.random.default_rng(6).uniform(-50.0, 50.0, (7, 6)))
+        for index, pose in enumerate(poses, start=1):
+            pose_to_transform(pose)
+            assert counts[TransformSE3] == index
+        assert counts[PoseVector] == 0
