@@ -1,7 +1,9 @@
-"""Shared fixtures: cached phantoms and simulated scans."""
+"""Shared fixtures: cached phantoms and simulated scans, and the
+Hypothesis profile every property test runs under."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fus3d.pose import ImageGeometry
 from fus3d.simulate import (
@@ -12,6 +14,13 @@ from fus3d.simulate import (
     make_trajectory,
     slice_phantom,
 )
+
+# Property tests are deterministic and untimed: the same examples on every
+# run, no example database, no deadline. A test sets only its own
+# max_examples.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("tier1")
 
 GEOM64 = ImageGeometry(64, 64, 0.1484, 0.1484)
 

@@ -308,7 +308,7 @@ def correlation_cases(draw):
 
 
 class TestProperties:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(correlation_cases())
     def test_batch_matches_oracle_and_ncc_is_bounded(self, case):
         cfg, (a, b) = case

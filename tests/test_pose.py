@@ -1,6 +1,7 @@
 """Geometry tests: pose/transform round trips, accumulation, grid mapping."""
 
 import csv
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -18,7 +19,9 @@ from fus3d.pose import (
     accumulate,
     extract_relatives,
     _check_stack,
+    _factors,
     _gram_error,
+    _polar,
     _pose_rows,
     plane_to_world,
     pose_arrays,
@@ -171,6 +174,34 @@ class TestTransformSE3:
             TransformSE3.from_matrix(t.matrix()).matrix(), t.matrix(), atol=0
         )
 
+    def test_owns_its_arrays(self):
+        rotation = pose_to_transform(PoseVector(rx=10, ry=20, rz=30)).rotation.copy()
+        translation = np.array([1.0, -2.0, 3.0])
+        t = TransformSE3(rotation, translation)
+        want_rotation, want_translation = rotation.copy(), translation.copy()
+        rotation[0, 0] = 5.0
+        translation[:] = 9.0
+        assert same_bits(t.rotation, want_rotation)
+        assert same_bits(t.translation, want_translation)
+
+    def test_translation_forms_give_the_same_bytes(self):
+        values = (1.5, -0.0, 1e-300)
+        for form in (values, list(values), np.array(values)):
+            t = TransformSE3(np.eye(3), form)
+            assert t.translation.dtype == np.float64
+            assert same_bits(t.translation, np.array(values))
+
+    @pytest.mark.parametrize("build", ["constructor", "pose_to_transform"])
+    def test_arrays_are_read_only(self, build):
+        if build == "constructor":
+            t = TransformSE3(np.eye(3), [1.0, 2.0, 3.0])
+        else:
+            t = pose_to_transform(PoseVector(1, 2, 3, 10, 20, 30))
+        with pytest.raises(ValueError, match="read-only"):
+            t.rotation[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            t.translation[0] = 0.0
+
 
 def relative_step(t_a, t_b):
     """The step transform t_b ∘ t_a^-1 through the batched relative."""
@@ -304,15 +335,25 @@ class TestFrameGridPoints:
         np.testing.assert_allclose(rolled, expected, atol=1e-12)
 
     def test_stacked_product_is_the_per_frame_product(self):
-        # one batched product gives each frame's own product bit for bit
+        # one batched product gives each frame's own product bit for bit,
+        # and the product with the strided transpose of a long stack (C
+        # order or transposed), on the five points the metrics carry and
+        # on a full pixel grid
         geom = ImageGeometry(16, 12, 0.2, 0.15)
         rng = np.random.default_rng(21)
         transforms = [pose_to_transform(PoseVector(*rng.normal(0, 5, 6)))
                       for _ in range(7)]
-        plane = geom.pixel_to_plane(geom.full_pixel_grid())
-        stacked = plane_to_world(*stack_transforms(transforms), plane)
-        for points, t in zip(stacked, transforms):
-            np.testing.assert_array_equal(points, plane @ t.rotation.T + t.translation)
+        chain = accumulate([pose_to_transform(PoseVector(*rng.normal(0, 2, 6)))
+                            for _ in range(300)])
+        tra = chain.translations
+        for pixels in (geom.corner_and_center_pixels(), geom.full_pixel_grid()):
+            plane = geom.pixel_to_plane(pixels)
+            stacked = plane_to_world(*stack_transforms(transforms), plane)
+            for points, t in zip(stacked, transforms):
+                assert same_bits(points, plane @ t.rotation.T + t.translation)
+            for rot in (chain.rotations, np.swapaxes(chain.rotations, 1, 2)):
+                assert same_bits(plane_to_world(rot, tra, plane),
+                                 plane @ np.swapaxes(rot, 1, 2) + tra[:, None, :])
 
 
 class TestPoseCsv:
@@ -362,7 +403,7 @@ def assert_poses_identical(got, want):
 
 
 class TestArrayPathProperties:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(pose_chains(min_steps=2))
     def test_extract_relatives_inverts_accumulate(self, chain):
         rels = [pose_to_transform(p) for p in chain]
@@ -372,7 +413,7 @@ class TestArrayPathProperties:
             assert np.abs(a.rotation - b.rotation).max() <= 1e-9
             assert np.abs(a.translation - b.translation).max() <= 1e-9
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(pose_chains())
     def test_poses_match_per_transform_extraction(self, chain):
         absolute = Trajectory(
@@ -385,7 +426,7 @@ class TestArrayPathProperties:
             np.array([transform_to_pose(t).as_array() for t in absolute]),
         )
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(pose_chains())
     def test_cached_truth_motions_match_per_transform_relatives(self, chain):
         truth = accumulate([pose_to_transform(p) for p in chain])
@@ -398,7 +439,7 @@ class TestArrayPathProperties:
                                       np.array([p.as_array() for p in want]))
         assert_poses_identical(scan.truth.relative_poses(), want)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(pose_chains(max_steps=200), st.data())
     def test_accumulate_rejects_non_finite_relative(self, chain, data):
         rels = [pose_to_transform(p) for p in chain]
@@ -499,7 +540,7 @@ def pose_rows(draw, max_rows=200, values=SPECIAL_DEG):
 
 
 class TestBatchedMatchesPerPose:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(pose_rows())
     def test_poses_to_stacks_matches_pose_to_transform(self, rows):
         rotations, translations = poses_to_stacks(rows)
@@ -513,7 +554,7 @@ class TestBatchedMatchesPerPose:
             assert same_bits(rot, want)
             assert same_bits(tra, single.translation)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(st.one_of(pose_rows(), pose_chains().map(
         lambda chain: np.array([p.as_array() for p in chain]))))
     def test_euler_extraction_matches_per_transform_reference(self, rows):
@@ -529,7 +570,7 @@ class TestBatchedMatchesPerPose:
         for t, row in zip(trajectory, want):
             assert same_bits(transform_to_pose(t).as_array(), row)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @settings(max_examples=30)
     @given(pose_rows(max_rows=50))
     def test_csv_bytes_match_csv_writer(self, rows):
         poses = [PoseVector.from_array(row) for row in rows]
@@ -644,7 +685,7 @@ def csv_text(frames):
 
 
 class TestPoseRows:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(pose_rows(values=ROW_VALUES))
     @example(ROW_GRID)
     def test_matches_pose_vector(self, rows):
@@ -713,7 +754,7 @@ class TestPoseCsvReader:
         assert message.startswith(f"{path}: pose CSV row [{found}, ")
         assert message.endswith(f"has frame {found}, expected {expected}")
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @settings(max_examples=20)
     @given(pose_rows(max_rows=50, values=ROW_VALUES))
     def test_written_files_read_back_byte_for_byte(self, rows):
         with tempfile.TemporaryDirectory() as tmp:
@@ -757,7 +798,7 @@ angles = st.floats(-math.pi, math.pi, allow_nan=False)
 
 
 class TestRotationCheck:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(angles, angles, angles)
     def test_accepts_products_of_elementary_rotations(self, ax, ay, az):
         rotation = reference_rotation(ax, ay, az)
@@ -765,7 +806,7 @@ class TestRotationCheck:
         err = np.abs(rotation.T @ rotation - np.eye(3)).max()
         assert abs(_gram_error(*rotation.ravel().tolist()) - err) <= 1e-15
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @settings(max_examples=50)
     @given(angles, angles, angles, st.data())
     def test_rejects_as_the_numpy_check_does(self, ax, ay, az, data):
         rotation = reference_rotation(ax, ay, az)
@@ -840,3 +881,95 @@ class TestNoPerPoseConstruction:
             pose_to_transform(pose)
             assert counts[TransformSE3] == index
         assert counts[PoseVector] == 0
+
+
+# -- per-frame products through ndarray.dot against their @ forms -------------
+
+EXACT_DEG = [0.0, -0.0, 90.0, -90.0, 180.0, -180.0]
+pose_angles = st.sampled_from(EXACT_DEG) | st.floats(-720.0, 720.0)
+
+
+def reference_accumulate(relatives):
+    """:func:`accumulate` as a loop of ``@`` products into fresh arrays,
+    snapping every 64th product and checking each product before its
+    snap: its (rotations, translations)."""
+    rel_rot, rel_tra = stack_transforms(list(relatives))
+    rot = np.empty((len(rel_rot) + 1, 3, 3))
+    tra = np.empty((len(rel_rot) + 1, 3))
+    rot[0] = np.eye(3)
+    tra[0] = 0.0
+    checked = rot.copy()
+    for n in range(1, len(rel_rot) + 1):
+        product = rel_rot[n - 1] @ rot[n - 1]
+        tra[n] = rel_rot[n - 1] @ tra[n - 1] + rel_tra[n - 1]
+        checked[n] = product
+        if n % 64 == 0 and np.isfinite(product).all():
+            product = _polar(product)
+        rot[n] = product
+    _check_stack(checked, tra)
+    return rot, tra
+
+
+def assert_pose_to_transform_is_the_matmul_product(rx, ry, rz):
+    pose = PoseVector(1.5, -0.0, 2.0, rx, ry, rz)
+    rot_z, rot_y, rot_x = _factors(math.radians(pose.rx), math.radians(pose.ry),
+                                   math.radians(pose.rz))
+    t = pose_to_transform(pose)
+    assert same_bits(t.rotation, rot_z @ rot_y @ rot_x)
+    assert same_bits(t.translation, [pose.tx, pose.ty, pose.tz])
+
+
+class TestPerFrameProducts:
+    @settings(max_examples=200)
+    @given(pose_angles, pose_angles, pose_angles)
+    def test_pose_to_transform_is_the_matmul_product(self, rx, ry, rz):
+        assert_pose_to_transform_is_the_matmul_product(rx, ry, rz)
+
+    def test_pose_to_transform_at_exact_angles(self):
+        for rx, ry, rz in itertools.product(EXACT_DEG, repeat=3):
+            assert_pose_to_transform_is_the_matmul_product(rx, ry, rz)
+
+    @settings(max_examples=20)
+    @given(pose_chains(min_steps=200, max_steps=400))
+    def test_accumulate_is_the_matmul_loop(self, chain):
+        rels = [pose_to_transform(p) for p in chain]
+        rel_rot, rel_tra = stack_transforms(rels)
+        # rows of non-contiguous stacks: transposed rotations, strided
+        # translations
+        rot_t = np.swapaxes(rel_rot, 1, 2)
+        tra_s = np.repeat(rel_tra, 2, axis=1)[:, ::2]
+        assert not (rot_t[0].flags.c_contiguous or tra_s[0].flags.c_contiguous)
+        inputs = {
+            "list": rels,
+            "extract_relatives": extract_relatives(accumulate(rels)),
+            "unchecked_views": [TransformSE3._unchecked(r, t)
+                                for r, t in zip(rot_t, tra_s)],
+            "constructed": [TransformSE3(r, t) for r, t in zip(rot_t, tra_s)],
+        }
+        for name, relatives in inputs.items():
+            got = accumulate(relatives)
+            want_rot, want_tra = reference_accumulate(relatives)
+            assert same_bits(got.rotations, want_rot), name
+            assert same_bits(got.translations, want_tra), name
+
+    @settings(max_examples=20)
+    @given(pose_chains(min_steps=200, max_steps=300), st.data())
+    def test_accumulate_raises_the_first_error_of_the_matmul_loop(self, chain,
+                                                                  data):
+        rels = [pose_to_transform(p) for p in chain]
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(rels) - 1))
+            rot, tra = rels[at].rotation.copy(), rels[at].translation.copy()
+            kind = data.draw(st.sampled_from(["nan", "inf", "scaled"]))
+            if kind == "nan":
+                rot[data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))] = np.nan
+            elif kind == "inf":
+                tra[data.draw(st.integers(0, 2))] = np.inf
+            else:
+                rot *= 1.0 + 1e-6
+            rels[at] = TransformSE3._unchecked(rot, tra)
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as want:
+            reference_accumulate(rels)
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as got:
+            accumulate(rels)
+        assert str(got.value) == str(want.value)
