@@ -25,8 +25,10 @@ per-object form:
   single IEEE operations in a fixed order, so numpy and ``math`` agree.
 * Rotation products go to BLAS through ``@`` or ``ndarray.dot``, which
   give the same bits on C-contiguous operands; per-frame 3x3 products
-  use ``.dot``, whose dispatch costs about half that of ``@``. On a row
-  that is not C-contiguous a matrix-vector ``.dot`` rounds unlike ``@``.
+  use ``.dot``, whose dispatch costs about half that of ``@``. Rotation
+  stacks are laid out in C order however they were built: over a
+  Fortran-order stack, ``@`` and ``.dot`` take other BLAS paths and a
+  matrix-vector product rounds differently.
   Products formed from Python floats round differently. Checks that
   only compare against a tolerance (max |R'R - I| of one transform) may
   run on Python floats.
@@ -299,8 +301,8 @@ class Trajectory:
                     translations: np.ndarray) -> "Trajectory":
         """A trajectory over stacked transforms, checked as
         :class:`TransformSE3` checks each one."""
-        rotations = np.array(rotations, dtype=float)
-        translations = np.array(translations, dtype=float)
+        rotations = np.array(rotations, dtype=float, order="C")
+        translations = np.array(translations, dtype=float, order="C")
         if rotations.ndim != 3 or rotations.shape[1:] != (3, 3) or (
             translations.shape != (rotations.shape[0], 3)
         ):
@@ -448,7 +450,10 @@ def stack_transforms(transforms) -> tuple:
     seq = list(transforms)
     if not seq:
         return np.empty((0, 3, 3)), np.empty((0, 3))
-    return (np.concatenate([t.rotation for t in seq]).reshape(-1, 3, 3),
+    # transposed rotations (``inverse()`` results) concatenate in Fortran
+    # order; C order keeps the products' bits independent of that
+    return (np.ascontiguousarray(
+                np.concatenate([t.rotation for t in seq]).reshape(-1, 3, 3)),
             np.concatenate([t.translation for t in seq]).reshape(-1, 3))
 
 
@@ -482,15 +487,12 @@ def accumulate(relatives: Sequence[TransformSE3]) -> Trajectory:
     tra = np.empty((len(rels) + 1, 3))
     rot[0] = _IDENTITY
     tra[0] = 0.0
-    # ``.dot`` copies a row that is not C-contiguous (a stack of transposed
-    # rotations) and its matrix-vector product then rounds unlike ``@``
-    dot = np.ndarray.dot if rel_rot.flags.c_contiguous else np.matmul
     prev_r, prev_t = rot[0], tra[0]
     unsnapped = {}
     for n, (a, b, r, t) in enumerate(zip(rel_rot, rel_tra, rot[1:], tra[1:]),
                                      start=1):
-        dot(a, prev_r, out=r)
-        dot(a, prev_t, out=t)
+        a.dot(prev_r, out=r)
+        a.dot(prev_t, out=t)
         t += b
         if n % _REORTHO_EVERY == 0 and np.isfinite(r).all():
             unsnapped[n] = r.copy()

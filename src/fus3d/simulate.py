@@ -10,6 +10,10 @@ on.
 Scan container on disk: a directory holding ``poses.csv`` (ground-truth
 absolute poses), ``frames.bin`` (FUS1 binary, see :func:`write_scan`)
 and ``manifest.json`` with the subject tag and generation parameters.
+
+scipy is loaded on first use, by :func:`make_phantom` and
+:func:`slice_phantom`, so processes that only read scans or poses never
+load it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, map_coordinates
 
 from .pose import (
     ImageGeometry,
@@ -148,6 +151,8 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     differently. The helper runs only numpy and scipy and is joined
     before the call returns, also when either thread raises.
     """
+    from scipy.ndimage import gaussian_filter
+
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
     rng = np.random.default_rng(seed)
@@ -299,6 +304,8 @@ def slice_phantom(phantom: Phantom, trajectory: Trajectory,
     weights can sum to 1 + 2^-52, so a sample among voxels clipped at 1
     can read 1.0000000000000002.
     """
+    from scipy.ndimage import map_coordinates
+
     upper = np.array(phantom.field.shape) - 1
     plane = geometry.pixel_to_plane(geometry.full_pixel_grid())
     rotations, translations = stack_transforms(trajectory)

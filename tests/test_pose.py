@@ -1,6 +1,7 @@
 """Geometry tests: pose/transform round trips, accumulation, grid mapping."""
 
 import csv
+import dataclasses
 import itertools
 import math
 import tempfile
@@ -34,6 +35,7 @@ from fus3d.pose import (
     write_pose_csv,
 )
 from fus3d import network
+from fus3d.metrics import evaluate_trajectories
 from fus3d.network import ModelConfig, MotionNetwork
 from fus3d.simulate import ScanSequence
 
@@ -973,3 +975,33 @@ class TestPerFrameProducts:
         with np.errstate(all="ignore"), pytest.raises(ValueError) as got:
             accumulate(rels)
         assert str(got.value) == str(want.value)
+
+
+class TestStackLayout:
+    GEOM = ImageGeometry(16, 12, 0.2, 0.2)
+
+    def test_inverse_transforms_give_the_bits_of_c_order_rebuilds(self):
+        rng = np.random.default_rng(17)
+        # an identity first, so the stacks can also form a Trajectory
+        poses = [PoseVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
+        poses += random_poses(rng, 400, trans=5.0, rot=20.0)
+        inverses = [pose_to_transform(p).inverse() for p in poses]
+        assert inverses[0].rotation.flags.f_contiguous
+        rebuilt = [TransformSE3(np.ascontiguousarray(t.rotation),
+                                t.translation.copy()) for t in inverses]
+        assert rebuilt[0].rotation.flags.c_contiguous
+        from_arrays = Trajectory.from_arrays(
+            np.array([t.rotation for t in inverses], order="F"),
+            np.array([t.translation for t in inverses], order="F"))
+        for other in (rebuilt, from_arrays):
+            got, want = accumulate(inverses), accumulate(other)
+            assert same_bits(got.rotations, want.rotations)
+            assert same_bits(got.translations, want.translations)
+            for a, b in zip(relative_arrays(*stack_transforms(inverses)),
+                            relative_arrays(*stack_transforms(other))):
+                assert same_bits(a, b)
+            pred = other[::-1]
+            for a, b in zip(evaluate_trajectories(inverses, pred, self.GEOM),
+                            evaluate_trajectories(other, pred, self.GEOM)):
+                assert same_bits(dataclasses.astuple(a),
+                                 dataclasses.astuple(b))

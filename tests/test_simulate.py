@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.ndimage
 from scipy.ndimage import gaussian_filter
 
 from conftest import GEOM64, simulate_scan
@@ -18,7 +19,6 @@ from fus3d.pose import (
     accumulate,
     pose_to_transform,
 )
-import fus3d.simulate
 from fus3d.simulate import (
     RAYLEIGH_SNR,
     FrameOutOfBoundsError,
@@ -114,7 +114,9 @@ class TestThreadedPhantom:
                 raise RuntimeError("blur failed")
             return gaussian_filter(*args, **kwargs)
 
-        monkeypatch.setattr(fus3d.simulate, "gaussian_filter", failing_off_main)
+        # make_phantom imports gaussian_filter when it is called, so the
+        # patch goes on the name it reads there
+        monkeypatch.setattr(scipy.ndimage, "gaussian_filter", failing_off_main)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="blur failed"):
             make_phantom(PhantomSpec(extent_mm=(6, 6, 3), voxel_mm=0.1), seed=4)
