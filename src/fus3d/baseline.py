@@ -120,16 +120,9 @@ class DecorrModel:
         object.__setattr__(self, "gap_mm", gaps)
         object.__setattr__(self, "ncc", nccs)
 
-    @property
-    def ncc_floor(self) -> float:
-        return float(self.ncc[-1])
-
     def lookup(self, ncc_value: float) -> float:
-        """Elevational gap (mm) for an NCC value."""
-        if ncc_value >= self.ncc[0]:
-            return float(self.gap_mm[0])
-        if ncc_value <= self.ncc_floor:
-            return float(self.gap_mm[-1])
+        """Elevational gap (mm) for an NCC value; ``np.interp`` clamps values
+        outside the table to its end gaps."""
         return float(np.interp(ncc_value, self.ncc[::-1], self.gap_mm[::-1]))
 
     def save_csv(self, path) -> None:

@@ -175,8 +175,7 @@ def cmd_train(args) -> int:
         model, resume_extra, _ = load_model(args.resume)
         source = f"resumed model {args.resume}"
     else:
-        model = MotionNetwork(ModelConfig.toy(use_gla=not args.no_gla),
-                              seed=args.seed)
+        model = MotionNetwork(ModelConfig.toy(), seed=args.seed)
         source = "toy model"
     expected = model.config.frame_extent
     geom = train_scans[0].geometry
@@ -243,15 +242,14 @@ def cmd_infer(args) -> int:
             for i in range(scan.n_frames - 1)
         ]
     else:
-        model, _, config = load_model(args.checkpoint)
-        expected = int(config["frame_extent"])
+        model = load_model(args.checkpoint)[0]
+        expected = model.config.frame_extent
         if scan.geometry.n_rows != expected:
             raise UsageError(
                 f"scan frames are {scan.geometry.n_rows}px but the model "
                 f"expects {expected}px"
             )
-        rel_poses, scores = model.infer_scan(scan.frames,
-                                             diagnostics=args.diagnostics)
+        rel_poses, scores = model.infer_scan(scan.frames)
         if args.diagnostics:
             from .network import export_attention_scores
 
@@ -384,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=LossWeights.epsilon)
     p.add_argument("--val-every", type=int, default=TrainConfig.val_every_epochs,
                    help="validate every N epochs")
-    p.add_argument("--no-gla", action="store_true",
-                   help="replace the attention block with plain pooling")
     p.add_argument("--resume", type=Path, default=None)
     p.set_defaults(func=cmd_train)
 

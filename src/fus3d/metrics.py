@@ -140,8 +140,8 @@ def _trajectory_correlation(centers_true: np.ndarray,
 def accumulated_errors(true_abs: Sequence[TransformSE3],
                        pred_abs: Sequence[TransformSE3],
                        geometry: ImageGeometry):
-    """All trajectory-level metrics: (aAE, rFE, aFE, fd, fdr, corr) plus
-    the translation/rotation breakdown of aAE."""
+    """The accumulated metrics: (aAE, aFE, fd, fdr, corr) plus the
+    translation/rotation breakdown of aAE."""
     if len(true_abs) != len(pred_abs):
         raise ValueError(
             f"trajectory lengths differ: {len(true_abs)} vs {len(pred_abs)}"
@@ -155,9 +155,6 @@ def accumulated_errors(true_abs: Sequence[TransformSE3],
     aae_t = float(abs_err[:, :3].mean())
     aae_r = float(abs_err[:, 3:].mean())
 
-    rfe = float(_point_errors(relative_arrays(*true), relative_arrays(*pred),
-                              _plane(geometry)).mean())
-
     series = frame_error_series(true_abs, pred_abs, geometry)
     afe = float(series.mean())
     fd = float(series[-1])
@@ -169,7 +166,7 @@ def accumulated_errors(true_abs: Sequence[TransformSE3],
     fdr = 100.0 * fd / path_length
 
     corr = _trajectory_correlation(centers, pred[1])
-    return (aae, rfe, afe, fd, fdr, corr), (aae_t, aae_r)
+    return (aae, afe, fd, fdr, corr), (aae_t, aae_r)
 
 
 def evaluate_trajectories(true_abs: Sequence[TransformSE3],
@@ -177,16 +174,18 @@ def evaluate_trajectories(true_abs: Sequence[TransformSE3],
                           geometry: ImageGeometry):
     """Full report for a pair of absolute trajectories.
 
-    Relative poses are derived per step from the trajectories. Returns
-    (MetricsReport, MetricsBreakdown).
+    Relative poses are derived per step from the trajectories, once
+    each, and give rAE and rFE. Returns (MetricsReport, MetricsBreakdown).
     """
-    true_rel = pose_arrays(*relative_arrays(*stack_transforms(true_abs)))
-    pred_rel = pose_arrays(*relative_arrays(*stack_transforms(pred_abs)))
+    true_steps = relative_arrays(*stack_transforms(true_abs))
+    pred_steps = relative_arrays(*stack_transforms(pred_abs))
+    true_rel, pred_rel = pose_arrays(*true_steps), pose_arrays(*pred_steps)
     rae = relative_errors(true_rel, pred_rel)
     rel_err = np.abs(true_rel - pred_rel)
-    (aae, rfe, afe, fd, fdr, corr), (aae_t, aae_r) = accumulated_errors(
+    (aae, afe, fd, fdr, corr), (aae_t, aae_r) = accumulated_errors(
         true_abs, pred_abs, geometry
     )
+    rfe = float(_point_errors(true_steps, pred_steps, _plane(geometry)).mean())
     report = MetricsReport(rae, aae, rfe, afe, corr, fd, fdr)
     breakdown = MetricsBreakdown(
         rae_translation_mm=float(rel_err[:, :3].mean()),

@@ -8,6 +8,9 @@ concatenated features through three more residual stages, recalibrates
 mid/deep features with a global-local attention block, and regresses
 per-step 6-DoF motion with two LSTM estimators (one on the global
 summary, one on the local one) whose outputs are fused by averaging.
+The attention block is the only head, and every forward pass returns
+its per-step block scores; ``fus3d infer --diagnostics`` writes them as
+PGM grids.
 
 Shape ladder (toy scale, 64px frames / paper shape, 256px frames):
 
@@ -94,7 +97,6 @@ class ModelConfig:
     encoder_channels: tuple = (8, 16, 32, 64)
     downsample: tuple = (2, 2, 2, 2)
     lstm_hidden: int = 32
-    use_gla: bool = True
     corr_roi: int = 9
     corr_patch: int = 5
     mlp_reduction: int = 16
@@ -152,14 +154,14 @@ class ModelConfig:
 
     # -- flat key=value serialization ------------------------------------
     def to_text_dict(self) -> dict:
-        """Tuples as comma-joined ints, integers and flags as ints."""
+        """Tuples as comma-joined ints, the other fields as ints."""
         text = {}
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, tuple):
                 text[f.name] = ",".join(str(v) for v in value)
             else:
-                text[f.name] = str(int(value))
+                text[f.name] = str(value)
         return text
 
     @classmethod
@@ -172,7 +174,7 @@ class ModelConfig:
             if isinstance(f.default, tuple):
                 values[f.name] = tuple(int(v) for v in raw.split(","))
             else:
-                values[f.name] = type(f.default)(int(raw))
+                values[f.name] = int(raw)
         return cls(**values)
 
 
@@ -302,19 +304,6 @@ class GlobalLocalAttention(Module):
         return local, g, block_scores
 
 
-class PlainPoolingHead(Module):
-    """Ablation stand-in for the attention block: unattended global map and
-    a pooled, linearly projected local map."""
-
-    def __init__(self, cfg: GlaConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.local_proj = Conv2d(cfg.local_channels, cfg.global_channels, 1, rng)
-
-    def __call__(self, e2: Tensor, e4: Tensor):
-        pooled = T.adaptive_avg_pool2d(e2, self.cfg.global_extent)
-        return self.local_proj(pooled), e4, None
-
-
 class MotionNetwork(Module):
     """Full assembly: shared stage-1 encoder on every frame, patch
     correlation, stages 2-4, attention, dual LSTM estimators, fusion."""
@@ -330,25 +319,22 @@ class MotionNetwork(Module):
         self.stage2 = ResidualStage(2 * c1, c2, ds[1], rng)
         self.stage3 = ResidualStage(c2, c3, ds[2], rng)
         self.stage4 = ResidualStage(c3 + d2, c4, ds[3], rng)
-        if config.use_gla:
-            self.attention = GlobalLocalAttention(config.gla_config, rng)
-        else:
-            self.attention = PlainPoolingHead(config.gla_config, rng)
+        self.attention = GlobalLocalAttention(config.gla_config, rng)
         feature_size = c4 * config.stage_extent(3) ** 2
         self.lstm_global = LSTMCell(feature_size, config.lstm_hidden, rng)
         self.head_global = Linear(config.lstm_hidden, 6, rng)
         self.lstm_local = LSTMCell(feature_size, config.lstm_hidden, rng)
         self.head_local = Linear(config.lstm_hidden, 6, rng)
 
-    def forward_window(self, frames, diagnostics: bool = False, state=None):
+    def forward_window(self, frames, state=None):
         """Run a batch of consecutive-frame windows.
 
         ``frames`` is (batch, steps+1, h, w); step t is (frame t, frame
         t+1), and the stage-1 encoder runs once per frame. Returns a dict
         with fused / per-branch motion tensors (batch, steps, 6), triplet
-        embeddings, the final LSTM ``state`` and, when ``diagnostics`` is
-        set, per-step attention scores. ``state`` carries LSTM context
-        across chunks of one long sequence.
+        embeddings, the final LSTM ``state`` and the per-step attention
+        block scores (batch, steps, n_blocks). ``state`` carries LSTM
+        context across chunks of one long sequence.
         """
         frames = frames if isinstance(frames, Tensor) else Tensor(np.asarray(frames))
         if frames.ndim != 4 or frames.shape[1] < 2:
@@ -395,21 +381,14 @@ class MotionNetwork(Module):
         pool_l = T.reshape(T.adaptive_avg_pool2d(local, 1), (b, steps, -1))
         embeddings = T.concat([pool_g, pool_l], axis=2)
 
-        out = {
+        return {
             "fused": fused,
             "global6": global6,
             "local6": local6,
             "embeddings": embeddings,
             "state": (hg, cg, hl, cl),
+            "attention_scores": T.reshape(scores, (b, steps, -1)),
         }
-        if diagnostics:
-            if scores is None:
-                raise ValueError(
-                    "attention diagnostics are unavailable for the plain-"
-                    "pooling variant"
-                )
-            out["attention_scores"] = T.reshape(scores, (b, steps, -1))
-        return out
 
     def _attend(self, e1a: Tensor, e1b: Tensor):
         corr = correlate_batch(e1a, e1b, self.config.corr_config)
@@ -423,12 +402,13 @@ class MotionNetwork(Module):
         e4 = self.stage4(T.concat([corr_maps, e3], axis=1))
         return self.attention(e2, e4)
 
-    def infer_scan(self, frames: np.ndarray, diagnostics: bool = False):
+    def infer_scan(self, frames: np.ndarray):
         """Relative motions for a whole scan (n frames -> n-1 steps).
 
         The scan runs in chunks of ``INFER_CHUNK`` steps. LSTM state is
         carried across chunks, so the result equals one long forward
-        pass. Returns (list of PoseVector, score array or None)."""
+        pass. Returns (list of PoseVector, (n-1, n_blocks) array of
+        attention block scores)."""
         frames = np.asarray(frames, dtype=float)
         if frames.ndim != 3 or frames.shape[0] < 2:
             raise ValueError("inference needs at least two frames")
@@ -439,14 +419,11 @@ class MotionNetwork(Module):
             for start in range(0, frames.shape[0] - 1, INFER_CHUNK):
                 stop = min(start + INFER_CHUNK, frames.shape[0] - 1)
                 out = self.forward_window(frames[start : stop + 1][None],
-                                          diagnostics=diagnostics,
                                           state=state)
                 state = out["state"]
                 poses.extend(_pose_rows(out["fused"].data[0]))
-                if diagnostics:
-                    score_rows.append(out["attention_scores"].data[0])
-        scores = np.concatenate(score_rows, axis=0) if score_rows else None
-        return poses, scores
+                score_rows.append(out["attention_scores"].data[0])
+        return poses, np.concatenate(score_rows, axis=0)
 
 
 def export_attention_scores(scores: np.ndarray, directory) -> list:
@@ -454,8 +431,6 @@ def export_attention_scores(scores: np.ndarray, directory) -> list:
 
     ``scores`` is (steps, n_blocks); each row becomes a sqrt(n_blocks)
     square grid mapped from ``write_pgm16``'s range [-1, 1]."""
-    if scores is None:
-        raise ValueError("no attention scores recorded; run with diagnostics")
     from pathlib import Path
 
     directory = Path(directory)

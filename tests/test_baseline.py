@@ -239,8 +239,14 @@ class TestCalibration:
         assert np.all(np.diff(gaps) <= 0)  # higher ncc, smaller gap
 
     def test_floor_clamps_and_flags(self, decorr_model):
-        gap = decorr_model.lookup(decorr_model.ncc_floor - 0.1)
+        gap = decorr_model.lookup(decorr_model.ncc[-1] - 0.1)
         assert gap == decorr_model.gap_mm[-1]
+
+    def test_knots_map_exactly_and_infinities_clamp(self, decorr_model):
+        for ncc, gap in zip(decorr_model.ncc, decorr_model.gap_mm):
+            assert decorr_model.lookup(ncc) == gap
+        assert decorr_model.lookup(np.inf) == decorr_model.gap_mm[0]
+        assert decorr_model.lookup(-np.inf) == decorr_model.gap_mm[-1]
 
     def test_csv_round_trip(self, decorr_model, linear_scan, tmp_path):
         path = tmp_path / "calibration.csv"

@@ -344,6 +344,17 @@ class TestTrainCommand:
         assert code == 0
         rel = read_pose_csv(tmp_path / "pred" / "pred_relative.csv")
         assert len(rel) == 13
+        assert not (tmp_path / "pred" / "attention").exists()
+        # --diagnostics adds one score grid per step and leaves the poses
+        code = run("infer", "--scan", scan,
+                   "--checkpoint", tmp_path / "run" / "checkpoint.ckpt",
+                   "--out", tmp_path / "diag", "--diagnostics")
+        assert code == 0
+        grids = sorted(p.name for p in (tmp_path / "diag" / "attention").iterdir())
+        assert grids == [f"attention_{t:04d}.pgm" for t in range(13)]
+        for name in ("pred_relative.csv", "pred_absolute.csv"):
+            assert ((tmp_path / "diag" / name).read_bytes()
+                    == (tmp_path / "pred" / name).read_bytes())
 
     def test_zero_validation_period_fails_before_any_step(
             self, dataset_dir, tmp_path, monkeypatch, capsys):

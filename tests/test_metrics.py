@@ -182,7 +182,7 @@ class TestHandGeometry:
             TransformSE3(t.rotation, t.translation + np.array([0.0, 0.0, 1.0]))
             for t in list(true)[1:]
         ]
-        (aae, rfe, afe, fd, fdr, corr), _ = accumulated_errors(
+        (aae, afe, fd, fdr, corr), _ = accumulated_errors(
             true, pred_transforms, GEOM
         )
         assert fd == pytest.approx(1.0, abs=1e-12)
@@ -193,7 +193,7 @@ class TestHandGeometry:
         true = random_trajectory(rng, 20)
         pred = random_trajectory(rng, 20)
         series = frame_error_series(true, pred, GEOM)
-        (_, _, _, fd, _, _), _ = accumulated_errors(true, pred, GEOM)
+        (_, _, fd, _, _), _ = accumulated_errors(true, pred, GEOM)
         assert fd == series[-1]
 
 

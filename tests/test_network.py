@@ -331,15 +331,6 @@ class TestMotionNetwork:
         for p, q in zip(poses, want):
             assert p.as_array().tobytes() == q.as_array().tobytes()
 
-    def test_plain_pooling_variant_runs_without_scores(self):
-        model = MotionNetwork(ModelConfig.toy(use_gla=False), seed=5)
-        rng = np.random.default_rng(26)
-        frames = rng.uniform(0, 1, (1, 3, 64, 64))
-        out = model.forward_window(frames)
-        assert out["fused"].shape == (1, 2, 6)
-        with pytest.raises(ValueError, match="plain-pooling"):
-            model.forward_window(frames, diagnostics=True)
-
 
 class TestFullModelGradients:
     def test_every_parameter_against_finite_differences(self):
@@ -382,7 +373,7 @@ class TestAttentionExport:
         model = MotionNetwork(ModelConfig.toy(), seed=9)
         rng = np.random.default_rng(28)
         frames = rng.uniform(0, 1, (4, 64, 64))
-        _, scores = model.infer_scan(frames, diagnostics=True)
+        _, scores = model.infer_scan(frames)
         assert scores.shape == (3, 16)
         assert np.all(np.abs(scores) <= 1.0 + 1e-12)
         paths = export_attention_scores(scores, tmp_path)
@@ -390,12 +381,17 @@ class TestAttentionExport:
         img = read_pgm16(paths[0])
         assert img.shape == (4, 4)  # sqrt(n_blocks)
 
-    def test_export_requires_diagnostics(self, tmp_path):
+    def test_chunked_scores_equal_one_pass(self):
+        # 39 steps run as chunks of 16, 16 and 7 steps
         model = MotionNetwork(ModelConfig.toy(), seed=9)
         rng = np.random.default_rng(29)
-        _, scores = model.infer_scan(rng.uniform(0, 1, (3, 64, 64)))
-        with pytest.raises(ValueError, match="diagnostics"):
-            export_attention_scores(scores, tmp_path)
+        frames = rng.uniform(0, 1, (40, 64, 64))
+        _, scores = model.infer_scan(frames)
+        with T.no_grad():
+            out = model.forward_window(frames[None])
+        assert scores.shape == (39, 16)
+        np.testing.assert_allclose(scores, out["attention_scores"].data[0],
+                                   rtol=0, atol=1e-12)
 
 
 class TestModelCheckpoint:
@@ -414,13 +410,13 @@ class TestModelCheckpoint:
         )
 
     def test_loads_checkpoints_with_retired_config_keys(self, tmp_path):
-        # older checkpoints also carry scale, seq_len, fusion, corr_grid
-        # and block_extent, which the model config no longer has; loading
-        # ignores them
+        # older checkpoints also carry scale, seq_len, fusion, corr_grid,
+        # block_extent and use_gla, which the model config no longer has;
+        # loading ignores them
         model = MotionNetwork(ModelConfig.toy(), seed=12)
         path = tmp_path / "old.ckpt"
         retired = {"scale": "toy", "seq_len": "8", "fusion": "mean",
-                   "corr_grid": "8", "block_extent": "4"}
+                   "corr_grid": "8", "block_extent": "4", "use_gla": "1"}
         save_checkpoint(path, model.state_arrays(),
                         {**model.config.to_text_dict(), **retired})
         loaded, _, config = load_model(path)
@@ -434,13 +430,27 @@ class TestModelCheckpoint:
                 loaded.forward_window(frames)[key].data,
             )
 
+    def test_plain_pooling_checkpoint_fails_to_load(self, tmp_path):
+        # the retired plain-pooling head stored attention.local_proj.* in
+        # place of the attention block's parameters
+        model = MotionNetwork(ModelConfig.toy(), seed=12)
+        arrays = {name: value for name, value in model.state_arrays().items()
+                  if not name.startswith("attention.")}
+        arrays["attention.local_proj.weight"] = np.zeros((64, 16, 1, 1))
+        arrays["attention.local_proj.bias"] = np.zeros(64)
+        path = tmp_path / "plain.ckpt"
+        save_checkpoint(path, arrays,
+                        {**model.config.to_text_dict(), "use_gla": "0"})
+        with pytest.raises(KeyError,
+                           match="checkpoint is missing parameter 'attention"):
+            load_model(path)
+
     def test_every_field_round_trips(self, tmp_path):
         # every field off its default: 11px RoIs at stride 3 lay out the
         # 8x8 stage-3 grid on the 32px stage-1 map
         config = ModelConfig(frame_extent=32, encoder_channels=(4, 8, 8, 16),
                              downsample=(1, 2, 2, 2), lstm_hidden=6,
-                             use_gla=False, corr_roi=11, corr_patch=3,
-                             mlp_reduction=4)
+                             corr_roi=11, corr_patch=3, mlp_reduction=4)
         defaults = ModelConfig()
         assert all(getattr(config, f.name) != getattr(defaults, f.name)
                    for f in dataclasses.fields(ModelConfig))

@@ -3,8 +3,10 @@
 Each ``__all__`` entry of a ``fus3d`` module must resolve to a module
 attribute and be used (loaded as a name or an attribute) somewhere in
 ``src/fus3d`` outside its own definition. So must every public method
-and property of a public class. ``UNCALLED_BY_DESIGN`` and
-``UNCALLED_MEMBERS`` list the exceptions, each with its reason.
+and property of a public class, loaded as an attribute: a local variable
+or parameter that shares the member's name is not a use.
+``UNCALLED_BY_DESIGN`` and ``UNCALLED_MEMBERS`` list the exceptions,
+each with its reason.
 """
 
 import ast
@@ -33,6 +35,10 @@ UNCALLED_BY_DESIGN = {
 UNCALLED_MEMBERS = {
     "TransformSE3.identity": "reference transform for the pose tests",
     "TransformSE3.from_matrix": "reference constructor for the pose tests",
+    "TransformSE3.inverse": "reference inverse for the pose and simulator tests; moves to a "
+                            "tests helper with ROADMAP item 2's array poses",
+    "TransformSE3.matrix": "reference 4x4 form for the pose tests; moves to a tests helper "
+                           "with ROADMAP item 2's array poses",
     "VolumeGrid.mass": "the benchmark's reconstruct check compares it with the splatted mass",
     "PoseVector.as_array": "the benchmark's pose checks and the tests read pose values with it",
     "PoseVector.from_array": "the benchmark's workloads and the tests build single poses with "
@@ -62,17 +68,16 @@ def definition_span(module: str, name: str):
     return None
 
 
-def has_use(name: str, module: str, span) -> bool:
-    """Whether ``name`` is loaded anywhere outside ``span`` of ``module``."""
+def has_use(name: str, module: str, span,
+            kinds=(ast.Name, ast.Attribute)) -> bool:
+    """Whether ``name`` is loaded by a node of one of ``kinds`` anywhere
+    outside ``span`` of ``module``."""
     for other, tree in SOURCES.items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used = node.id
-            elif isinstance(node, ast.Attribute):
-                used = node.attr
-            else:
+            if not isinstance(node, kinds) or not isinstance(node.ctx, ast.Load):
                 continue
-            if used != name or not isinstance(node.ctx, ast.Load):
+            used = node.attr if isinstance(node, ast.Attribute) else node.id
+            if used != name:
                 continue
             if other != module or not span[0] <= node.lineno <= span[1]:
                 return True
@@ -126,6 +131,6 @@ def test_public_members_have_callers(module):
     uncalled = [
         member for member, span in public_members(module).items()
         if member not in UNCALLED_MEMBERS
-        and not has_use(member.split(".")[1], module, span)
+        and not has_use(member.split(".")[1], module, span, ast.Attribute)
     ]
     assert uncalled == [], f"public in fus3d.{module} but unused in the package"
