@@ -233,9 +233,6 @@ class TransformSE3:
             self.rotation @ other.translation + self.translation,
         )
 
-    def __matmul__(self, other: "TransformSE3") -> "TransformSE3":
-        return self.compose(other)
-
     def inverse(self) -> "TransformSE3":
         rt = self.rotation.T
         return TransformSE3(rt, -(rt @ self.translation))

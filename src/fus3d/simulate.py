@@ -21,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import json
 import struct
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,9 +61,14 @@ DEFAULT_PITCH_MM = 0.1484
 DEFAULT_FRAME_RATE_HZ = 20.0
 # Rayleigh envelope from fully developed speckle: mean/std = sqrt(pi/(4-pi))
 RAYLEIGH_SNR = float(np.sqrt(np.pi / (4.0 - np.pi)))
-# points sampled per map_coordinates call in slice_phantom: 256 frames
-# of 64x64 pixels, so a 250-frame sweep is one call
-SLICE_BLOCK_POINTS = 1 << 20
+# points per chunk in slice_phantom, one map_coordinates call each: 32
+# frames of 64x64 pixels, so a 250-frame sweep is 8 chunks, enough to
+# keep both workers busy while the calling thread maps the next
+SLICE_BLOCK_POINTS = 1 << 17
+# chunks per pass when make_phantom's two workers share the imaginary
+# field's blur and the envelope: enough that the worker that finishes
+# the real field's blur still finds chunks left to take
+_PHANTOM_CHUNKS = 16
 TRAJECTORY_SHAPES = ("linear", "s_curve", "c_curve")
 
 # glibc raises its mmap threshold as large arrays are freed, so later
@@ -139,19 +145,25 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     every line, so in-place filtering is exact). The envelope is written
     over the real part, then scaled and clipped in place.
 
-    Two threads share the work. The main thread draws the real field
-    and hands its blur to one helper thread, then draws and blurs the
-    imaginary field; after both blurs, each thread takes the envelope
-    of one half of the first axis. ``standard_normal``,
-    ``gaussian_filter`` and ``np.hypot`` release the GIL, so the halves
-    overlap. The bits cannot change: only the main thread uses the
-    generator, in the serial order; each blur is the same call on the
-    same data; ``hypot`` is elementwise; and the mean stays one call
-    over the whole field, since a split pairwise sum would round
-    differently. The helper runs only numpy and scipy and is joined
-    before the call returns, also when either thread raises.
+    Two workers share the work; the calling thread draws and waits. It
+    draws the real field and hands its blur, one ``gaussian_filter``
+    call, to a worker; it then draws the imaginary field. Each of the
+    imaginary field's three ``gaussian_filter1d`` passes is cut into
+    ``_PHANTOM_CHUNKS`` chunks along an axis that pass does not filter,
+    and the envelope ``np.hypot`` into chunks along the first axis;
+    whichever worker is free takes the next chunk, so the worker that
+    finishes the real blur joins the imaginary one. The generator,
+    ``gaussian_filter1d`` and ``np.hypot`` release the GIL.
+
+    The bits cannot change: only the calling thread uses the generator,
+    in the serial order; every chunk holds whole filter lines, and each
+    line is filtered alone, by the same passes in the same order as in
+    ``gaussian_filter``; ``hypot`` is elementwise; and the mean stays
+    one call over the whole field, since a split pairwise sum would
+    round differently. The workers run only numpy and scipy and are
+    joined before the call returns, also when a chunk raises.
     """
-    from scipy.ndimage import gaussian_filter
+    from scipy.ndimage import gaussian_filter, gaussian_filter1d
 
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
@@ -163,18 +175,27 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
         origin = np.asarray(spec.origin_mm, dtype=float)
 
     sigmas = tuple(s / spec.voxel_mm for s in spec.psf_mm)
-    half = dims[0] // 2
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    # gaussian_filter's own passes: it skips axes of (near) zero sigma
+    passes = [(axis, sigma) for axis, sigma in enumerate(sigmas)
+              if sigma > 1e-15]
+    with ThreadPoolExecutor(max_workers=2) as pool:
         real = rng.standard_normal(dims)
-        blurred = helper.submit(gaussian_filter, real, sigmas,
-                                mode="constant", output=real)
+        blurred = pool.submit(gaussian_filter, real, sigmas,
+                              mode="constant", output=real)
         imag = rng.standard_normal(dims)
-        gaussian_filter(imag, sigmas, mode="constant", output=imag)
+        for axis, sigma in passes:
+            across = 1 if axis == 0 else 0
+
+            def blur(span, axis=axis, sigma=sigma, across=across):
+                view = imag[(slice(None),) * across + (span,)]
+                gaussian_filter1d(view, sigma, axis, output=view,
+                                  mode="constant")
+
+            _run_all(pool, blur, _spans(dims[across], _PHANTOM_CHUNKS))
         blurred.result()
-        top = helper.submit(np.hypot, real[:half], imag[:half],
-                            out=real[:half])
-        np.hypot(real[half:], imag[half:], out=real[half:])
-        top.result()
+        _run_all(pool, lambda span: np.hypot(real[span], imag[span],
+                                             out=real[span]),
+                 _spans(dims[0], _PHANTOM_CHUNKS))
     del imag
     envelope = real
     # scale so the speckle mean sits at 0.25; the Rayleigh tail beyond 1
@@ -182,6 +203,22 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     envelope *= 0.25 / envelope.mean()
     np.clip(envelope, 0.0, 1.0, out=envelope)
     return Phantom(field=envelope, voxel_mm=spec.voxel_mm, origin_mm=origin)
+
+
+def _spans(n: int, parts: int) -> list:
+    """At most ``parts`` nonempty slices of near-equal length that
+    cover ``range(n)`` in order."""
+    cuts = [n * i // parts for i in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _run_all(pool: ThreadPoolExecutor, task, items) -> None:
+    """Run ``task`` on every item in ``pool`` and wait for all of them.
+
+    The first error in item order is raised, and the items not yet
+    started are cancelled."""
+    for _ in pool.map(task, items):
+        pass
 
 
 @dataclass(frozen=True)
@@ -296,13 +333,22 @@ def slice_phantom(phantom: Phantom, trajectory: Trajectory,
                   geometry: ImageGeometry) -> np.ndarray:
     """Trilinear samples of the phantom on every transformed frame grid.
 
-    Frames are mapped, bounds-checked and sampled in blocks of about
-    ``SLICE_BLOCK_POINTS`` points, with one ``map_coordinates`` call per
-    block. Raises :class:`FrameOutOfBoundsError` naming the first frame
-    with a voxel coordinate below 0 or above ``dims - 1``. Samples are
-    clipped to [0, 1], the range of the simulated field: the trilinear
-    weights can sum to 1 + 2^-52, so a sample among voxels clipped at 1
-    can read 1.0000000000000002.
+    Frames go in chunks of about ``SLICE_BLOCK_POINTS`` points. The
+    calling thread maps each chunk to voxel coordinates and checks them,
+    in frame order; one of two workers then samples the chunk with one
+    ``map_coordinates`` call that writes straight into the chunk's
+    frames of the output, while the calling thread maps the next. At
+    most two mapped chunks wait for the workers. Every sample depends on
+    its own coordinates only, so the frames are bit-identical to one
+    call over all points. The coordinates are made on the calling thread
+    because what a worker thread frees stays resident in its own malloc
+    arena, which the heap trim in :func:`make_phantom` does not reach.
+
+    Raises :class:`FrameOutOfBoundsError` naming the first frame with a
+    voxel coordinate below 0 or above ``dims - 1``; the chunks before it
+    are sampled first. Samples are clipped to [0, 1], the range of the
+    simulated field: the trilinear weights can sum to 1 + 2^-52, so a
+    sample among voxels clipped at 1 can read 1.0000000000000002.
     """
     from scipy.ndimage import map_coordinates
 
@@ -311,17 +357,27 @@ def slice_phantom(phantom: Phantom, trajectory: Trajectory,
     rotations, translations = stack_transforms(trajectory)
     frames = np.empty((len(rotations), geometry.n_rows, geometry.n_cols))
     step = max(1, SLICE_BLOCK_POINTS // len(plane))
-    for start in range(0, len(rotations), step):
-        block = slice(start, start + step)
-        coords = phantom.world_to_voxel(
-            plane_to_world(rotations[block], translations[block], plane))
-        outside = np.any((coords < 0.0) | (coords > upper), axis=(1, 2))
-        if outside.any():
-            raise FrameOutOfBoundsError(start + int(np.argmax(outside)))
-        sampled = map_coordinates(phantom.field, coords.reshape(-1, 3).T,
-                                  order=1, mode="nearest")
-        np.clip(sampled, 0.0, 1.0, out=sampled)
-        frames[block] = sampled.reshape(-1, geometry.n_rows, geometry.n_cols)
+
+    def sample(coords: np.ndarray, out: np.ndarray) -> None:
+        map_coordinates(phantom.field, coords.reshape(-1, 3).T, output=out,
+                        order=1, mode="nearest")
+        np.clip(out, 0.0, 1.0, out=out)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        sampling = deque()
+        for start in range(0, len(rotations), step):
+            block = slice(start, start + step)
+            coords = phantom.world_to_voxel(
+                plane_to_world(rotations[block], translations[block], plane))
+            outside = np.any((coords < 0.0) | (coords > upper), axis=(1, 2))
+            if outside.any():
+                raise FrameOutOfBoundsError(start + int(np.argmax(outside)))
+            if len(sampling) == 2:
+                sampling.popleft().result()
+            sampling.append(pool.submit(sample, coords,
+                                        frames[block].reshape(-1)))
+        for chunk in sampling:
+            chunk.result()
     return frames
 
 

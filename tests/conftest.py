@@ -1,5 +1,8 @@
-"""Shared fixtures: cached phantoms and simulated scans, and the
-Hypothesis profile every property test runs under."""
+"""Shared fixtures: cached phantoms and simulated scans, a guard against
+threads left running, and the Hypothesis profile every property test
+runs under."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -51,6 +54,16 @@ def simulate_scan(trajectory_spec: TrajectorySpec,
         truth=trajectory,
         subject=subject,
     )
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """make_phantom and slice_phantom share their work with worker
+    threads; every test, whether it passes or raises, must end with as
+    many threads as it began with."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 @pytest.fixture(scope="session")

@@ -35,6 +35,8 @@ UNCALLED_BY_DESIGN = {
 UNCALLED_MEMBERS = {
     "TransformSE3.identity": "reference transform for the pose tests",
     "TransformSE3.from_matrix": "reference constructor for the pose tests",
+    "TransformSE3.compose": "reference composition for the pose, metrics and compound tests; "
+                            "moves to a tests helper with ROADMAP item 2's array poses",
     "TransformSE3.inverse": "reference inverse for the pose and simulator tests; moves to a "
                             "tests helper with ROADMAP item 2's array poses",
     "TransformSE3.matrix": "reference 4x4 form for the pose tests; moves to a tests helper "

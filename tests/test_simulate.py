@@ -1,6 +1,7 @@
 """Simulator tests: speckle statistics, trajectories, slicing, container IO."""
 
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.ndimage import gaussian_filter
 
 from conftest import GEOM64, simulate_scan
 
+from fus3d import simulate
 from fus3d.correlation import CorrConfig, correlate_batch
 from fus3d.pose import (
     ImageGeometry,
@@ -17,7 +19,9 @@ from fus3d.pose import (
     Trajectory,
     TransformSE3,
     accumulate,
+    plane_to_world,
     pose_to_transform,
+    stack_transforms,
 )
 from fus3d.simulate import (
     RAYLEIGH_SNR,
@@ -66,7 +70,8 @@ class TestPhantom:
 
     def test_peak_memory_is_two_fields(self):
         # numpy reports its allocations to tracemalloc; the real and
-        # imaginary scatterer fields are the only field-sized arrays
+        # imaginary scatterer fields are the only field-sized arrays, and
+        # the blur and envelope chunks work in place on views of them
         spec = PhantomSpec(extent_mm=(12.45, 12.45, 7.95), voxel_mm=0.1)
         tracemalloc.start()
         try:
@@ -75,7 +80,7 @@ class TestPhantom:
         finally:
             tracemalloc.stop()
         assert phantom.field.shape == (126, 126, 81)
-        assert peak <= 2.1 * phantom.field.nbytes
+        assert peak <= 2 * phantom.field.nbytes * 1.05
 
 
 def serial_phantom_field(spec: PhantomSpec, seed: int) -> np.ndarray:
@@ -92,35 +97,113 @@ def serial_phantom_field(spec: PhantomSpec, seed: int) -> np.ndarray:
     return np.clip(envelope, 0.0, 1.0)
 
 
+def failing_off_main(function, message):
+    """``function``, except that it raises on any thread but the main one."""
+    def wrapper(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(message)
+        return function(*args, **kwargs)
+    return wrapper
+
+
 class TestThreadedPhantom:
-    # first extents 61 (odd) and 62 (even) voxels: where the envelope's
-    # split between the two threads falls
+    # the imaginary blur's first pass is cut along axis 1, its other
+    # passes and the envelope along axis 0: 61 and 62 rows by 51 and 52
+    # columns, and the smallest legal phantom (5 x 9 x 13 voxels), whose
+    # 5 rows give fewer chunks than make_phantom asks for
     @pytest.mark.parametrize("extent_mm, rows", [((6.0, 5.0, 3.0), 61),
-                                                 ((6.05, 5.0, 3.0), 62)])
+                                                 ((6.05, 5.0, 3.0), 62),
+                                                 ((6.0, 5.05, 3.0), 61),
+                                                 ((6.05, 5.05, 3.0), 62),
+                                                 ((0.4, 0.72, 1.2), 5)])
     def test_matches_serial_reference(self, extent_mm, rows):
         spec = PhantomSpec(extent_mm=extent_mm, voxel_mm=0.1)
         field = make_phantom(spec, seed=9).field
         assert field.shape[0] == rows
         np.testing.assert_array_equal(field, serial_phantom_field(spec, 9))
 
-    def test_leaves_no_thread_behind(self):
-        before = threading.active_count()
-        make_phantom(PhantomSpec(extent_mm=(6, 6, 3), voxel_mm=0.1), seed=4)
-        assert threading.active_count() == before
-
     def test_helper_error_reaches_the_caller(self, monkeypatch):
-        def failing_off_main(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("blur failed")
-            return gaussian_filter(*args, **kwargs)
-
         # make_phantom imports gaussian_filter when it is called, so the
         # patch goes on the name it reads there
-        monkeypatch.setattr(scipy.ndimage, "gaussian_filter", failing_off_main)
-        before = threading.active_count()
+        monkeypatch.setattr(scipy.ndimage, "gaussian_filter", failing_off_main(
+            scipy.ndimage.gaussian_filter, "blur failed"))
         with pytest.raises(RuntimeError, match="blur failed"):
             make_phantom(PhantomSpec(extent_mm=(6, 6, 3), voxel_mm=0.1), seed=4)
-        assert threading.active_count() == before
+
+    # a chunk of the imaginary field's blur and of the envelope
+    @pytest.mark.parametrize("owner, name", [(scipy.ndimage, "gaussian_filter1d"),
+                                             (np, "hypot")])
+    def test_chunk_error_reaches_the_caller(self, monkeypatch, owner, name):
+        monkeypatch.setattr(owner, name, failing_off_main(
+            getattr(owner, name), f"{name} failed"))
+        with pytest.raises(RuntimeError, match=f"{name} failed"):
+            make_phantom(PhantomSpec(extent_mm=(6, 6, 3), voxel_mm=0.1), seed=4)
+
+
+def serial_slices(phantom: Phantom, trajectory: Trajectory,
+                  geometry: ImageGeometry) -> np.ndarray:
+    """slice_phantom's frames from one map_coordinates call on one thread."""
+    plane = geometry.pixel_to_plane(geometry.full_pixel_grid())
+    coords = phantom.world_to_voxel(
+        plane_to_world(*stack_transforms(trajectory), plane))
+    sampled = scipy.ndimage.map_coordinates(
+        phantom.field, coords.reshape(-1, 3).T, order=1, mode="nearest")
+    return np.clip(sampled, 0.0, 1.0).reshape(
+        -1, geometry.n_rows, geometry.n_cols)
+
+
+class TestThreadedSlicing:
+    @staticmethod
+    def sweep(n_frames: int) -> Trajectory:
+        spec = TrajectorySpec(shape="s_curve", length_mm=1.5,
+                              n_frames=max(n_frames, 2),
+                              lateral_amplitude_mm=0.3,
+                              rotation_amplitude_deg=2.0,
+                              noise_translation_mm=(0.02, 0.02, 0.01), seed=5)
+        trajectory, _ = make_trajectory(spec)
+        return Trajectory(tuple(trajectory)[:n_frames])
+
+    # chunks of 2 frames: one short chunk, one full chunk, four chunks
+    # with a short last one, and twenty, more than the two that may wait
+    # for the workers
+    @pytest.mark.parametrize("n_frames", [1, 2, 7, 40])
+    def test_matches_one_serial_call(self, small_phantom, monkeypatch,
+                                     n_frames):
+        monkeypatch.setattr(simulate, "SLICE_BLOCK_POINTS", 2 * 64 * 64)
+        trajectory = self.sweep(n_frames)
+        frames = slice_phantom(small_phantom, trajectory, GEOM64)
+        assert frames.shape == (n_frames, 64, 64)
+        np.testing.assert_array_equal(
+            frames, serial_slices(small_phantom, trajectory, GEOM64))
+
+    def test_mapped_coordinates_stay_a_few_chunks(self, small_phantom,
+                                                  monkeypatch):
+        # one frame a chunk and slow workers: the calling thread must wait
+        # for them instead of mapping the whole sweep ahead
+        monkeypatch.setattr(simulate, "SLICE_BLOCK_POINTS", 64 * 64)
+        sample = scipy.ndimage.map_coordinates
+
+        def slow_sample(*args, **kwargs):
+            time.sleep(0.002)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.ndimage, "map_coordinates", slow_sample)
+        trajectory = self.sweep(40)
+        tracemalloc.start()
+        try:
+            frames = slice_phantom(small_phantom, trajectory, GEOM64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        chunk_coords = 64 * 64 * 3 * 8
+        assert peak <= frames.nbytes + 8 * chunk_coords
+
+    def test_worker_error_reaches_the_caller(self, small_phantom,
+                                             monkeypatch):
+        monkeypatch.setattr(scipy.ndimage, "map_coordinates", failing_off_main(
+            scipy.ndimage.map_coordinates, "sampling failed"))
+        with pytest.raises(RuntimeError, match="sampling failed"):
+            slice_phantom(small_phantom, self.sweep(7), GEOM64)
 
 
 class TestTrajectory:
@@ -253,6 +336,21 @@ class TestSliceBounds:
         with pytest.raises(FrameOutOfBoundsError, match="frame 2 ") as info:
             slice_phantom(phantom, Trajectory(tuple(frames)), self.GEOM)
         assert info.value.frame_index == 2
+
+    # chunks of 2 frames: two leaving frames in the last chunk, the
+    # first leaving frame in the middle chunk with another after it, and
+    # in the first chunk with another in a later one
+    @pytest.mark.parametrize("bad, first", [((4, 5), 4), ((3, 5), 3),
+                                            ((1, 4), 1)])
+    def test_first_leaving_frame_in_any_chunk_is_named(self, phantom,
+                                                       monkeypatch, bad,
+                                                       first):
+        monkeypatch.setattr(simulate, "SLICE_BLOCK_POINTS", 2 * 25)
+        frames = [self.at(tz=-2.5) if i in bad else self.at()
+                  for i in range(6)]
+        with pytest.raises(FrameOutOfBoundsError) as info:
+            slice_phantom(phantom, Trajectory(tuple(frames)), self.GEOM)
+        assert info.value.frame_index == first
 
     def test_past_upper_bound_of_one_axis_raises(self, phantom):
         # axial coordinates reach 17 > 16; lateral and elevational stay inside
