@@ -48,10 +48,13 @@ __all__ = [
     "load_model",
 ]
 
-# Steps per forward pass in ``infer_scan``. Larger chunks give the same
-# poses but ran slower on a 2-CPU host (250 frames: 0.44 s at 16, 0.74 s
-# at 249).
-INFER_CHUNK = 16
+# Steps per forward pass in ``infer_scan``; any chunk gives the same
+# poses. With the kernels' helper thread, inference of the benchmark's
+# 250-frame reconstruct sweep took a median 229 ms at 16, 211 ms at 24
+# and 202 ms at 32 (2-CPU host, 10 rounds alternating the three; 24 was
+# faster than 16 in 10 rounds, 32 in 9). Before it, 24 and 32 were
+# within 5 % of 16, and one 249-step chunk took 0.74 s against 0.44 s.
+INFER_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -334,7 +337,9 @@ class MotionNetwork(Module):
         with fused / per-branch motion tensors (batch, steps, 6), triplet
         embeddings, the final LSTM ``state`` and the per-step attention
         block scores (batch, steps, n_blocks). ``state`` carries LSTM
-        context across chunks of one long sequence.
+        context across chunks of one long sequence. The encoder,
+        correlation and attention run with a helper thread lent to their
+        batched kernels (``tensor._kernel_helper``).
         """
         frames = frames if isinstance(frames, Tensor) else Tensor(np.asarray(frames))
         if frames.ndim != 4 or frames.shape[1] < 2:
@@ -350,12 +355,13 @@ class MotionNetwork(Module):
             )
         b, total, h, w = frames.shape
         steps = total - 1
-        e1 = self.stage1(T.reshape(frames, (b * total, 1, h, w)))
-        c1, eh, ew = e1.shape[1:]
-        e1 = T.reshape(e1, (b, total, c1, eh, ew))
-        e1a = T.reshape(e1[:, :-1], (b * steps, c1, eh, ew))
-        e1b = T.reshape(e1[:, 1:], (b * steps, c1, eh, ew))
-        local, global_, scores = self._attend(e1a, e1b)
+        with T._kernel_helper():
+            e1 = self.stage1(T.reshape(frames, (b * total, 1, h, w)))
+            c1, eh, ew = e1.shape[1:]
+            e1 = T.reshape(e1, (b, total, c1, eh, ew))
+            e1a = T.reshape(e1[:, :-1], (b * steps, c1, eh, ew))
+            e1b = T.reshape(e1[:, 1:], (b * steps, c1, eh, ew))
+            local, global_, scores = self._attend(e1a, e1b)
         feat = self.config.encoder_channels[3] * self.config.stage_extent(3) ** 2
         gf = T.reshape(global_, (b, steps, feat))
         lf = T.reshape(local, (b, steps, feat))

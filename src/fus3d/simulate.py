@@ -94,6 +94,11 @@ class FrameOutOfBoundsError(ValueError):
 
 @dataclass(frozen=True)
 class PhantomSpec:
+    """Phantom extent, voxel size and origin, and the blur kernel: one
+    Gaussian sigma in mm per axis (axial, lateral, elevational). A sigma
+    of 0 leaves that axis unblurred; a negative or non-finite one is an
+    error."""
+
     extent_mm: tuple = (20.0, 20.0, 40.0)
     voxel_mm: float = 0.05
     psf_mm: tuple = (0.10, 0.18, 0.30)
@@ -104,6 +109,10 @@ class PhantomSpec:
             raise ValueError("phantom extents must be positive")
         if self.voxel_mm <= 0:
             raise ValueError("voxel size must be positive")
+        for axis, sigma in zip(("axial", "lateral", "elevational"), self.psf_mm):
+            if not (np.isfinite(sigma) and sigma >= 0):
+                raise ValueError(
+                    f"{axis} psf_mm must be finite and at least 0, got {sigma}")
         # the blur kernel must fit: require a few sigmas per axis
         if any(e < 4.0 * s for e, s in zip(self.extent_mm, self.psf_mm)):
             raise ValueError(

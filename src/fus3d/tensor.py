@@ -7,7 +7,19 @@ has no arithmetic operators or method aliases; ``x[index]`` (``take``)
 is its one method spelling of an op.
 Everything is stored as contiguous numpy float64; there is no graph
 optimization and no implicit dtype promotion. Determinism: identical
-inputs and seeds give bit-identical outputs and gradients.
+inputs and seeds give bit-identical outputs and gradients, at any CPU
+count and whether a kernel's parts run on the helper thread or inline.
+Importing this module pins numpy's OpenBLAS to one thread, so no GEMM is
+cut by the number of BLAS threads, and the kernels cut their work by
+shape alone.
+
+Threads: the batched kernels (``conv2d`` forward and backward, and
+``correlation.correlate_batch``) do their work in two parts. Inside
+:func:`_kernel_helper`, which ``backward`` and the network's
+``forward_window`` enter, the first part runs on one helper thread and
+the second on the calling thread; elsewhere both run inline, in turn.
+The calling thread allocates the large arrays a part writes, so they do
+not stay resident in the helper's own malloc arena once freed.
 
 Memory: each closure keeps what its backward reads. Copies that are
 many times their input, such as ``conv2d``'s ``(C*kh*kw, N*Ho*Wo)``
@@ -17,6 +29,9 @@ data, which the tape holds anyway, and drops them once used.
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -50,6 +65,31 @@ __all__ = [
 ]
 
 _GRAD_ENABLED = True
+
+
+def _pin_blas_to_one_thread() -> bool:
+    """Set numpy's OpenBLAS to one thread; False where numpy has no
+    scipy-openblas build to set.
+
+    OpenBLAS's worker threads spin-wait between GEMMs, so a second BLAS
+    thread keeps the second CPU busy for little gain (a benchmark train
+    operation on a 2-CPU host: 532 ms with two BLAS threads, 576 ms with
+    one) and slows any other thread that wants that CPU. The kernels'
+    helper thread puts the CPU to better use."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        setter = ctypes.CDLL(
+            _multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+    except (AttributeError, ImportError, OSError):
+        return False
+    return True
+
+
+_BLAS_PINNED = _pin_blas_to_one_thread()
+_HELPER = threading.local()
 
 
 @contextmanager
@@ -393,6 +433,62 @@ def sqrt(x) -> Tensor:
     return _node(data, (x,), vjp)
 
 
+# -- a helper thread for the batched kernels --------------------------------------
+
+@contextmanager
+def _kernel_helper():
+    """Lend the batched kernels of this thread one helper thread for the
+    block.
+
+    The helper starts on first use and is joined before the block is
+    left, also when it raises. A nested block uses the outer block's
+    helper."""
+    if getattr(_HELPER, "pool", None) is not None:
+        yield
+        return
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        _HELPER.pool = pool
+        try:
+            yield
+        finally:
+            _HELPER.pool = None
+
+
+def _in_parallel(first: Callable, second: Callable) -> None:
+    """Run ``first()`` on the lent helper thread and ``second()`` on the
+    calling thread, or both inline, in turn, where no helper is lent.
+
+    Returns once both are done. An error of ``second`` is raised in
+    preference to one of ``first``."""
+    pool = getattr(_HELPER, "pool", None)
+    if pool is None:
+        first()
+        second()
+        return
+    future = pool.submit(first)
+    try:
+        second()
+    finally:
+        wait((future,))
+    future.result()
+
+
+def _halves(n: int, part: Callable) -> None:
+    """Do a batch of ``n`` images in two halves, [0, n//2) and [n//2, n),
+    or in one part when ``n`` is 1.
+
+    ``part(lo, hi)`` runs on the calling thread: it allocates every large
+    array its images need and returns the closure that does their work,
+    which :func:`_in_parallel` then runs. What a helper thread frees
+    stays resident in its own malloc arena, so it writes only into
+    arrays the calling thread made."""
+    mid = n // 2
+    if mid == 0:
+        part(0, n)()
+        return
+    _in_parallel(part(0, mid), part(mid, n))
+
+
 # -- convolution and pooling ----------------------------------------------------
 
 def _channel_major(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
@@ -407,41 +503,58 @@ def _channel_major(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return out
 
 
-def _patch_matrix(xt: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """``(C*kh*kw, N*Ho*Wo)`` patch matrix of a channel-major ``(C, N, Hp,
-    Wp)`` array, copied in one pass from a strided window view."""
+def _patch_matrix(xt: np.ndarray, kh: int, kw: int, stride: int,
+                  out: np.ndarray) -> np.ndarray:
+    """Write the ``(C*kh*kw, N*Ho*Wo)`` patch matrix of a channel-major
+    ``(C, N, Hp, Wp)`` array into ``out``, in one pass from a strided
+    window view; returns ``out``."""
     c, n = xt.shape[:2]
     # (c, n, ho, wo, kh, kw) read-only view of every patch
     patches = sliding_window_view(xt, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     ho, wo = patches.shape[2:4]
-    return np.ascontiguousarray(patches.transpose(0, 4, 5, 1, 2, 3)).reshape(
-        c * kh * kw, n * ho * wo)
+    out.reshape(c, kh, kw, n, ho, wo)[...] = patches.transpose(0, 4, 5, 1, 2, 3)
+    return out
+
+
+# Values in the patch matrix of one slice of images in conv2d's dx (2 MB).
+# dx is formed slice by slice while the helper holds the whole batch's
+# cols. With half the batch per slice, a toy training step's transient
+# heap outgrew glibc's trim threshold, so each step gave its heap top
+# back and faulted it in again: 35,000 page faults per benchmark train
+# operation (2-CPU host), against about 100 with slices of 1 to 4 MB.
+_DX_CHUNK = 1 << 18
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution (cross-correlation), NCHW layout.
 
-    One GEMM per call over a patch matrix ``cols`` of shape
-    ``(C*kh*kw, N*Ho*Wo)``: rows run over (channel, kernel row, kernel
-    column), columns over (image, output row, output column). It is
-    copied in one pass from a strided window view of a channel-major,
-    zero-padded ``(C, N, Hp, Wp)`` copy of the input. The forward is
-    ``W.reshape(F, -1) @ cols`` followed by one transpose back to NCHW.
-    Inputs and outputs stay NCHW; the channel-major layout never leaves
-    this function.
+    A GEMM over a patch matrix ``cols`` of shape ``(C*kh*kw, N*Ho*Wo)``:
+    rows run over (channel, kernel row, kernel column), columns over
+    (image, output row, output column). It is copied in one pass from a
+    strided window view of a channel-major, zero-padded ``(C, N, Hp,
+    Wp)`` copy of the input. The forward is ``W.reshape(F, -1) @ cols``
+    followed by one transpose back to NCHW, done for each half of the
+    images (:func:`_halves`). Inputs and outputs stay NCHW; the
+    channel-major layout never leaves this function.
 
     The tape keeps no ``cols``: it is kh*kw times the input. The
     backward forms the upstream gradient as ``g_f`` of shape ``(F,
-    N*Ho*Wo)``, copies ``cols`` again, bit for bit, from the input's
-    data, which the tape holds as a parent, and drops it as soon as
-    ``dW = g_f @ cols.T`` is formed. Only
+    N*Ho*Wo)``. Side by side (:func:`_in_parallel`), the helper copies
+    ``cols`` again, bit for bit, from the input's data, which the tape
+    holds as a parent, and forms ``dW = g_f @ cols.T`` as one GEMM, while
+    the calling thread forms ``dx``. ``dW`` stays one GEMM because cut
+    along its inner axis it would sum in another order, and cut along
+    its channels it rounds differently in some columns (28 + 29 of 57
+    channels changed 420 of 32,832 entries). Only
     when ``x`` requires gradients is ``dx`` formed; an input without
     ``requires_grad``, such as the frames, gets ``None`` in its gradient
-    slot. At stride 1, ``dx`` is a transposed convolution done as one
-    more GEMM: the channel-major upstream gradient, zero-padded by
-    ``kh-1-padding`` (cropped where that is negative), gives a patch
-    matrix of shape ``(F*kh*kw, N*H*W)``, and the flipped, transposed
-    weights ``(C, F*kh*kw)`` multiply it. At larger strides that
+    slot. ``dx`` is formed for a few images at a time, each slice's
+    patch matrix at most ``_DX_CHUNK`` values. At stride 1, ``dx`` is a
+    transposed convolution done as one more GEMM: the channel-major
+    upstream gradient, zero-padded by ``kh-1-padding`` (cropped where
+    that is negative), gives a patch matrix of shape ``(F*kh*kw,
+    N*H*W)``, and the flipped, transposed weights ``(C, F*kh*kw)``
+    multiply it. At larger strides that
     gradient would first need zeros stuffed between its pixels, which
     makes the patch matrix and the GEMM stride² times larger: on the toy
     network's stride-2 layers (36 images, 3x3, 2-CPU host) it took 4.9
@@ -449,6 +562,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     16 channels on 32 px. So there ``dcols = W.T @ g_f`` is added back
     into a ``(C, N, Hp, Wp)`` buffer with kh*kw strided slice adds (the
     adjoint of the patch copy).
+
+    Every cut (halves, slices) depends only on the shapes, so the bits
+    are the same whether the parts run on the helper or inline.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
@@ -463,14 +579,22 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     wmat = weight.data.reshape(f, c * kh * kw)
+    xt = _channel_major(x.data, padding, padding)
+    data = np.empty((n, f, ho, wo))
 
-    def patches() -> np.ndarray:
-        return _patch_matrix(_channel_major(x.data, padding, padding), kh, kw,
-                             stride)
+    def forward(lo, hi):
+        cols = np.empty((c * kh * kw, (hi - lo) * ho * wo))
+        y = np.empty((f, (hi - lo) * ho * wo))
 
-    data = np.ascontiguousarray(
-        (wmat @ patches()).reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
-    )
+        def run():
+            np.matmul(wmat, _patch_matrix(xt[:, lo:hi], kh, kw, stride, cols),
+                      out=y)
+            data[lo:hi] = y.reshape(f, hi - lo, ho, wo).transpose(1, 0, 2, 3)
+
+        return run
+
+    _halves(n, forward)
+    del xt
     parents = [x, weight]
     if bias is not None:
         bias = _as_tensor(bias)
@@ -482,28 +606,51 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     def vjp(g):
         g_f = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
-        dw = (g_f @ patches().T).reshape(f, c, kh, kw)
-        dx = None
-        if needs_dx and stride == 1:
-            g_cols = _patch_matrix(_channel_major(g, kh - 1 - padding,
-                                                  kw - 1 - padding), kh, kw, 1)
-            w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dx = np.ascontiguousarray(
-                (w_flip.reshape(c, f * kh * kw) @ g_cols).reshape(c, n, h, w)
-                .transpose(1, 0, 2, 3)
-            )
-        elif needs_dx:
-            dcols = (wmat.T @ g_f).reshape(c, kh, kw, n, ho, wo)
-            dxt = np.zeros((c, n, hp, wp))
-            for i in range(kh):
-                for j in range(kw):
-                    # rows i, i+stride, ... are distinct: the add is alias free
-                    dxt[:, :, i : i + stride * ho : stride,
-                        j : j + stride * wo : stride] += dcols[:, i, j]
-            dx = np.ascontiguousarray(
-                dxt[:, :, padding : padding + h, padding : padding + w]
-                .transpose(1, 0, 2, 3)
-            )
+        xt = _channel_major(x.data, padding, padding)
+        cols = np.empty((c * kh * kw, n * ho * wo))
+        dw = np.empty((f, c * kh * kw))
+        dx = np.empty(x.shape) if needs_dx else None
+
+        def weight_grad():
+            np.matmul(g_f, _patch_matrix(xt, kh, kw, stride, cols).T, out=dw)
+
+        if stride == 1:
+            w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(
+                c, f * kh * kw)
+            per_image = f * kh * kw * h * w
+
+            def input_grad(lo, hi):
+                g_cols = _patch_matrix(
+                    _channel_major(g[lo:hi], kh - 1 - padding, kw - 1 - padding),
+                    kh, kw, 1, np.empty((f * kh * kw, (hi - lo) * h * w)))
+                return (w_flip @ g_cols).reshape(c, hi - lo, h, w).transpose(
+                    1, 0, 2, 3)
+        else:
+            per_image = c * kh * kw * ho * wo
+
+            def input_grad(lo, hi):
+                dcols = (wmat.T @ g_f[:, lo * ho * wo : hi * ho * wo]).reshape(
+                    c, kh, kw, hi - lo, ho, wo)
+                dxt = np.zeros((c, hi - lo, hp, wp))
+                for i in range(kh):
+                    for j in range(kw):
+                        # rows i, i+stride, ... are distinct: the add is alias
+                        # free
+                        dxt[:, :, i : i + stride * ho : stride,
+                            j : j + stride * wo : stride] += dcols[:, i, j]
+                return dxt[:, :, padding : padding + h,
+                           padding : padding + w].transpose(1, 0, 2, 3)
+
+        def input_grads():
+            step = max(1, _DX_CHUNK // per_image)
+            for lo in range(0, n, step):
+                dx[lo : lo + step] = input_grad(lo, min(n, lo + step))
+
+        if needs_dx:
+            _in_parallel(weight_grad, input_grads)
+        else:
+            weight_grad()
+        dw = dw.reshape(f, c, kh, kw)
         if bias is not None:
             return dx, dw, g_f.sum(axis=1)
         return dx, dw
@@ -578,7 +725,8 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Populates ``grad`` on every requires_grad leaf reachable from the loss;
-    repeated calls accumulate until the leaves are zeroed.
+    repeated calls accumulate until the leaves are zeroed. The sweep
+    lends the batched kernels a helper thread (:func:`_kernel_helper`).
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -602,22 +750,23 @@ def backward(loss: Tensor) -> None:
                 stack_.append((parent, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._vjp is None:
-            # leaf (or user tensor): accumulate into .grad
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
-            continue
-        parent_grads = node._vjp(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not parent.requires_grad:
+    with _kernel_helper():
+        for node in reversed(order):
+            g = grads.pop(id(node), None)
+            if g is None:
                 continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
+            if node._vjp is None:
+                # leaf (or user tensor): accumulate into .grad
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += g
+                continue
+            parent_grads = node._vjp(g)
+            for parent, pg in zip(node._parents, parent_grads):
+                if pg is None or not parent.requires_grad:
+                    continue
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + pg
+                else:
+                    grads[key] = pg

@@ -59,8 +59,10 @@ def simulate_scan(trajectory_spec: TrajectorySpec,
 @pytest.fixture(autouse=True)
 def no_thread_left_behind():
     """make_phantom and slice_phantom share their work with worker
-    threads; every test, whether it passes or raises, must end with as
-    many threads as it began with."""
+    threads, and conv2d and correlate_batch with the kernel helper thread
+    that forward_window and backward start (tensor._kernel_helper); every
+    test, whether it passes or raises, must end with as many threads as
+    it began with."""
     before = threading.active_count()
     yield
     assert threading.active_count() == before

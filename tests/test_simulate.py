@@ -64,6 +64,29 @@ class TestPhantom:
         with pytest.raises(ValueError, match="kernel"):
             PhantomSpec(extent_mm=(6.0, 6.0, 1.0), voxel_mm=0.05)
 
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_bad_psf_rejected_naming_the_axis(self, axis, sigma):
+        psf = [0.1, 0.18, 0.3]
+        psf[axis] = sigma
+        name = ("axial", "lateral", "elevational")[axis]
+        with pytest.raises(ValueError, match=f"{name} psf_mm"):
+            PhantomSpec(extent_mm=(2.0, 2.0, 2.0), voxel_mm=0.1,
+                        psf_mm=tuple(psf))
+
+    def test_zero_psf_leaves_that_axis_unblurred(self):
+        spec = PhantomSpec(extent_mm=(2.0, 2.0, 2.0), voxel_mm=0.1,
+                           psf_mm=(0.0, 0.18, 0.3))
+        field = make_phantom(spec, seed=3).field
+        # neighbours along an unblurred axis share no scatterers, while
+        # the lateral blur correlates neighbours strongly
+        def neighbour_corr(axis):
+            a = np.moveaxis(field, axis, 0)
+            x, y = a[:-1].ravel() - a.mean(), a[1:].ravel() - a.mean()
+            return float((x * y).sum() / np.sqrt((x * x).sum() * (y * y).sum()))
+        assert abs(neighbour_corr(0)) < 0.1
+        assert neighbour_corr(1) > 0.5
+
     def test_values_in_unit_range(self, small_phantom):
         assert small_phantom.field.min() >= 0.0
         assert small_phantom.field.max() <= 1.0
