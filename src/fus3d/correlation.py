@@ -12,6 +12,8 @@ live in [-1, 1] and a stationary pair peaks at exactly 1 at the center.
 Zero-variance patches correlate as 0.
 
 The operation is differentiable and registered on the autodiff tape.
+It does its pairs in two halves, cut by shape alone, one of them on a
+lent helper thread; ``fus3d._workers`` states the thread and heap rules.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _halves, _node
+from . import _workers
+from .tensor import Tensor, _as_tensor, _node
 
 __all__ = ["CorrConfig", "correlate_batch"]
 
@@ -128,14 +131,11 @@ def _corner_grid(x: np.ndarray, extent: int, y0: int, x0: int, stride: int,
 
 
 def _gather(x: np.ndarray, extent: int, y0: int, x0: int, stride: int,
-            out: np.ndarray) -> np.ndarray:
-    """Copy into ``out`` the channels-last (n, gy, gx, extent, extent, c)
-    windows of an (n, c, h, w) map whose corners sit on the grid from
-    (y0, x0); returns ``out``."""
-    gy, gx = out.shape[1:3]
-    out[...] = _corner_grid(x, extent, y0, x0, stride, gy, gx).transpose(
-        0, 2, 3, 4, 5, 1)
-    return out
+            gy: int, gx: int) -> np.ndarray:
+    """A copy of the channels-last (n, gy, gx, extent, extent, c) windows
+    of an (n, c, h, w) map whose corners sit on the grid from (y0, x0)."""
+    return _corner_grid(x, extent, y0, x0, stride, gy, gx).transpose(
+        0, 2, 3, 4, 5, 1).copy()
 
 
 def _fold(window_rows, y0: int, x0: int, stride: int, out: np.ndarray) -> None:
@@ -223,21 +223,12 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
     where entry (u, v) correlates the center patch of ``a`` with the
     ``b`` patch whose top-left corner sits at RoI top-left + (u, v).
 
-    The backward, and the forward's cross sums, do the pairs in two
-    halves (``tensor._halves``), one of them on the helper thread that
-    ``tensor._kernel_helper`` lends. Every step is per pair, so a half's
-    values do not depend on the other half. The calling thread allocates
-    the gathered RoIs and centre patches of both halves and the
-    whole-batch results, which the halves write into. It takes the
-    second map's window statistics itself, for the whole batch: their
-    many small temporaries, made on the helper, kept about 1.4 MB
-    resident in its malloc arena and raised the benchmark's reconstruct
-    peak by as much.
+    The forward and the backward do the pairs in two halves, one of
+    them on a lent helper thread (``fus3d._workers``). Every step is per
+    pair, so a half's values do not depend on the other half; each half
+    writes its slice of the whole-batch results.
     """
-    if not isinstance(a, Tensor):
-        a = Tensor(a)
-    if not isinstance(b, Tensor):
-        b = Tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"correlate_batch: shape mismatch {a.shape} vs {b.shape}")
     if a.ndim != 4:
@@ -249,126 +240,115 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
     k = c * p * p
     center = (r - p) // 2
 
-    def centre_patches(lo, hi, out) -> np.ndarray:
-        return _gather(a.data[lo:hi], p, my + center, mx + center, s, out)
+    def centre_patches(lo, hi) -> np.ndarray:
+        return _gather(a.data[lo:hi], p, my + center, mx + center, s, gy, gx)
 
     def normalized(ref, lo, hi) -> np.ndarray:
         ref -= mu_a[lo:hi, ..., None, None, None]
         ref *= inv_a[lo:hi, ..., None, None, None]
         return ref
 
-    def roi_row_view(lo, hi, out) -> np.ndarray:
-        """(m, gy, gx, r, d, p*c) view of the RoIs of pairs lo..hi,
-        gathered into ``out``: at RoI row y and column offset v, the p*c
-        values (p columns, all channels) that one patch row reads."""
-        roi = _gather(b.data[lo:hi], r, my, mx, s, out)
+    def roi_row_view(lo, hi) -> np.ndarray:
+        """(m, gy, gx, r, d, p*c) view of the gathered RoIs of pairs
+        lo..hi: at RoI row y and column offset v, the p*c values (p
+        columns, all channels) that one patch row reads."""
+        roi = _gather(b.data[lo:hi], r, my, mx, s, gy, gx)
         return np.lib.stride_tricks.sliding_window_view(
             roi.reshape(hi - lo, gy, gx, r, r * c), p * c, axis=-1)[..., ::c, :]
 
     corr = np.empty((n, gy, gx, d, d))
-    mu_a, inv_a, sum_ref = np.empty((3, n, gy, gx))
+    mu_a, inv_a = np.empty((2, n, gy, gx))
+    # reductions over s1 = g * inv_b in the backward sum in an order set
+    # by memory layout: mu_b and inv_b keep that of their corner-grid view
+    grid = _corner_grid(np.empty((n, h - p + 1, w - p + 1)), d, my, mx, s, gy, gx)
+    mu_b, inv_b = np.empty_like(grid), np.empty_like(grid)
 
     def forward(lo, hi):
-        ref = np.empty((hi - lo, gy, gx, p, p, c))
-        roi = np.empty((hi - lo, gy, gx, r, r, c))
+        ref = centre_patches(lo, hi)
 
-        def run():
-            centre_patches(lo, hi, ref)
+        def ref_centred(mask, mu):
+            return np.square(ref[mask] - mu[:, None, None, None]).sum(
+                axis=(1, 2, 3))
 
-            def ref_centred(mask, mu):
-                return np.square(ref[mask] - mu[:, None, None, None]).sum(
-                    axis=(1, 2, 3))
+        mu_a[lo:hi], inv_a[lo:hi] = _moments(
+            np.einsum("nijpqc->nij", ref),
+            np.einsum("nijpqc,nijpqc->nij", ref, ref), k, ref_centred)
+        normalized(ref, lo, hi)
+        sum_ref = np.einsum("nijpqc->nij", ref)  # ~0, kept for exactness
+        rows = roi_row_view(lo, hi)
+        ref_rows = ref.reshape(hi - lo, gy, gx, p, p * c)
+        out = corr[lo:hi]
+        out[...] = 0.0
+        for i in range(p):
+            out += np.einsum("nijuvt,nijt->nijuv", rows[:, :, :, i : i + d],
+                             ref_rows[:, :, :, i])
+        del rows
+        bm = b.data[lo:hi]
 
-            mu_a[lo:hi], inv_a[lo:hi] = _moments(
-                np.einsum("nijpqc->nij", ref),
-                np.einsum("nijpqc,nijpqc->nij", ref, ref), k, ref_centred)
-            normalized(ref, lo, hi)
-            sum_ref[lo:hi] = np.einsum("nijpqc->nij", ref)  # ~0, kept for exactness
-            rows = roi_row_view(lo, hi, roi)
-            ref_rows = ref.reshape(hi - lo, gy, gx, p, p * c)
-            out = corr[lo:hi]
-            out[...] = 0.0
-            for i in range(p):
-                out += np.einsum("nijuvt,nijt->nijuv", rows[:, :, :, i : i + d],
-                                 ref_rows[:, :, :, i])
+        def b_centred(mask, mu):
+            where = np.nonzero(mask)
+            ys = my + s * where[1] + where[3]
+            xs = mx + s * where[2] + where[4]
+            windows = np.lib.stride_tricks.sliding_window_view(
+                bm, (p, p), axis=(2, 3))[where[0], :, ys, xs]
+            return np.square(windows - mu[:, None, None, None]).sum(axis=(1, 2, 3))
 
-        return run
+        # window sums and sums of squares of the second map, (m, gy, gx, d, d)
+        sums = _box_sum(np.stack([bm.sum(axis=1),
+                                  np.einsum("nchw,nchw->nhw", bm, bm)]), p)
+        mu_b[lo:hi], inv_b[lo:hi] = _moments(
+            *_corner_grid(sums, d, my, mx, s, gy, gx), k, b_centred)
+        out -= mu_b[lo:hi] * sum_ref[..., None, None]
+        out *= inv_b[lo:hi]
+        np.clip(out, -1.0, 1.0, out=out)
 
-    _halves(n, forward)
-
-    def b_centred(mask, mu):
-        where = np.nonzero(mask)
-        ys = my + s * where[1] + where[3]
-        xs = mx + s * where[2] + where[4]
-        windows = np.lib.stride_tricks.sliding_window_view(
-            b.data, (p, p), axis=(2, 3))[where[0], :, ys, xs]
-        return np.square(windows - mu[:, None, None, None]).sum(axis=(1, 2, 3))
-
-    # window sums and sums of squares of the second map, (n, gy, gx, d, d)
-    sums = _box_sum(np.stack([b.data.sum(axis=1),
-                              np.einsum("nchw,nchw->nhw", b.data, b.data)]), p)
-    mu_b, inv_b = _moments(*_corner_grid(sums, d, my, mx, s, gy, gx), k,
-                           b_centred)
-    corr -= mu_b * sum_ref[..., None, None]
-    corr *= inv_b
-    np.clip(corr, -1.0, 1.0, out=corr)
+    _workers.halves(n, a.data.size, forward)
 
     def vjp(g):
         g = g.reshape(n, gy, gx, d, d)
-        g_a = np.empty(a.shape)
-        g_b = np.empty(b.shape)
+        g_a, g_b = np.empty((2,) + a.shape)
 
         def backward(lo, hi):
             m = hi - lo
-            roi = np.empty((m, gy, gx, r, r, c))
-            ref = np.empty((m, gy, gx, p, p, c))
+            gm, cm = g[lo:hi], corr[lo:hi]
+            mub, invb = mu_b[lo:hi], inv_b[lo:hi]
+            s1 = gm * invb
+            s2 = s1 * cm * invb
+            # per map pixel: weights of its own value (energy term) and of
+            # the patch means (mean term), summed over the windows holding it
+            energy, mean = _box_sum_adjoint(_corner_grid_adjoint(
+                np.stack([s2, mub * s2]), my, mx, s,
+                (2, m, h - p + 1, w - p + 1)), p)
+            # cross-term adjoint for the center patch: s1 against the RoI rows
+            rows = roi_row_view(lo, hi)
             g_ref = np.empty((m, gy, gx, p, p * c))
+            for i in range(p):
+                g_ref[:, :, :, i] = np.einsum("nijuvt,nijuv->nijt",
+                                              rows[:, :, :, i : i + d], s1)
+            del rows
+            ref = normalized(centre_patches(lo, hi), lo, hi)
+            gr = g_ref.reshape(ref.shape)
+            # the mean and self terms of the normalized center patch
+            gr -= np.einsum("nijuv,nijuv->nij", s1, mub)[..., None, None, None]
+            gr -= ref * np.einsum("nijuv,nijuv->nij", gm, cm)[..., None, None, None]
+            gr *= inv_a[lo:hi, ..., None, None, None]
 
-            def run():
-                gm, cm = g[lo:hi], corr[lo:hi]
-                mub, invb = mu_b[lo:hi], inv_b[lo:hi]
-                s1 = gm * invb
-                s2 = s1 * cm * invb
-                # per map pixel: weights of its own value (energy term) and
-                # of the patch means (mean term), summed over the windows
-                # holding it
-                energy, mean = _box_sum_adjoint(_corner_grid_adjoint(
-                    np.stack([s2, mub * s2]), my, mx, s,
-                    (2, m, h - p + 1, w - p + 1)), p)
-                # cross-term adjoint for the center patch: s1 against the
-                # RoI rows
-                rows = roi_row_view(lo, hi, roi)
-                for i in range(p):
-                    g_ref[:, :, :, i] = np.einsum("nijuvt,nijuv->nijt",
-                                                  rows[:, :, :, i : i + d], s1)
-                del rows
-                normalized(centre_patches(lo, hi, ref), lo, hi)
-                gr = g_ref.reshape(ref.shape)
-                # the mean and self terms of the normalized center patch
-                gr -= np.einsum("nijuv,nijuv->nij", s1, mub)[..., None, None, None]
-                gr -= ref * np.einsum("nijuv,nijuv->nij", gm,
-                                      cm)[..., None, None, None]
-                gr *= inv_a[lo:hi, ..., None, None, None]
+            # cross-term adjoint: band[..., u, x, j] = s1[..., u, x - j] (0
+            # off the band), so band[..., u, :, :] @ ref[..., i, :, :] is
+            # what patch row i at row offset u adds to RoI row i + u
+            padded = np.pad(s1, [(0, 0)] * 4 + [(p - 1, p - 1)])
+            band = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
+                padded, p, axis=-1)[..., ::-1])
+            roi_rows = (sum(band[:, :, :, y - i] @ ref[:, :, :, i]
+                            for i in range(max(0, y - d + 1), min(p, y + 1)))
+                        for y in range(r))
+            gb = g_b[lo:hi]
+            _fold(roi_rows, my, mx, s, gb)
+            gb -= b.data[lo:hi] * energy[:, None]
+            gb += mean[:, None]
+            _fold(np.moveaxis(gr, 3, 0), my + center, mx + center, s, g_a[lo:hi])
 
-                # cross-term adjoint: band[..., u, x, j] = s1[..., u, x - j]
-                # (0 off the band), so band[..., u, :, :] @ ref[..., i, :, :]
-                # is what patch row i at row offset u adds to RoI row i + u
-                padded = np.pad(s1, [(0, 0)] * 4 + [(p - 1, p - 1)])
-                band = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
-                    padded, p, axis=-1)[..., ::-1])
-                roi_rows = (sum(band[:, :, :, y - i] @ ref[:, :, :, i]
-                                for i in range(max(0, y - d + 1), min(p, y + 1)))
-                            for y in range(r))
-                gb = g_b[lo:hi]
-                _fold(roi_rows, my, mx, s, gb)
-                gb -= b.data[lo:hi] * energy[:, None]
-                gb += mean[:, None]
-                _fold(np.moveaxis(gr, 3, 0), my + center, mx + center, s,
-                      g_a[lo:hi])
-
-            return run
-
-        _halves(n, backward)
+        _workers.halves(n, a.data.size, backward)
         return g_a, g_b
 
     return _node(corr, (a, b), vjp)

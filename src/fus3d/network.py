@@ -30,6 +30,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import _workers
 from . import tensor as T
 from .correlation import CorrConfig, correlate_batch
 from .nn import Conv2d, Linear, LSTMCell, Module, Parameter, kaiming_uniform
@@ -339,7 +340,7 @@ class MotionNetwork(Module):
         block scores (batch, steps, n_blocks). ``state`` carries LSTM
         context across chunks of one long sequence. The encoder,
         correlation and attention run with a helper thread lent to their
-        batched kernels (``tensor._kernel_helper``).
+        batched kernels (``_workers.lend_helper``).
         """
         frames = frames if isinstance(frames, Tensor) else Tensor(np.asarray(frames))
         if frames.ndim != 4 or frames.shape[1] < 2:
@@ -355,7 +356,7 @@ class MotionNetwork(Module):
             )
         b, total, h, w = frames.shape
         steps = total - 1
-        with T._kernel_helper():
+        with _workers.lend_helper():
             e1 = self.stage1(T.reshape(frames, (b * total, 1, h, w)))
             c1, eh, ew = e1.shape[1:]
             e1 = T.reshape(e1, (b, total, c1, eh, ew))

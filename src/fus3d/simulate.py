@@ -13,21 +13,20 @@ and ``manifest.json`` with the subject tag and generation parameters.
 
 scipy is loaded on first use, by :func:`make_phantom` and
 :func:`slice_phantom`, so processes that only read scans or poses never
-load it.
+load it. Both share their work with a lent helper thread, cut by shape
+alone; ``fus3d._workers`` states the thread and heap rules.
 """
 
 from __future__ import annotations
 
-import ctypes
 import json
 import struct
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import _workers
 from .pose import (
     ImageGeometry,
     Trajectory,
@@ -62,25 +61,14 @@ DEFAULT_FRAME_RATE_HZ = 20.0
 # Rayleigh envelope from fully developed speckle: mean/std = sqrt(pi/(4-pi))
 RAYLEIGH_SNR = float(np.sqrt(np.pi / (4.0 - np.pi)))
 # points per chunk in slice_phantom, one map_coordinates call each: 32
-# frames of 64x64 pixels, so a 250-frame sweep is 8 chunks, enough to
-# keep both workers busy while the calling thread maps the next
+# frames of 64x64 pixels, so a 250-frame sweep is 8 chunks for its two
+# threads
 SLICE_BLOCK_POINTS = 1 << 17
-# chunks per pass when make_phantom's two workers share the imaginary
-# field's blur and the envelope: enough that the worker that finishes
+# chunks per pass when make_phantom's two threads share the imaginary
+# field's blur and the envelope: enough that the helper that finishes
 # the real field's blur still finds chunks left to take
 _PHANTOM_CHUNKS = 16
 TRAJECTORY_SHAPES = ("linear", "s_curve", "c_curve")
-
-# glibc raises its mmap threshold as large arrays are freed, so later
-# mid-sized arrays (scan frames read back, a discarded dataset) land on
-# the main heap. Once freed, their pages stay resident when live chunks
-# sit above them. make_phantom trims the heap before its two field-sized
-# draws, so peak RSS does not depend on how earlier work left the heap.
-# C libraries without malloc_trim skip the trim.
-try:
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
-    _MALLOC_TRIM = None
 
 
 class FrameOutOfBoundsError(ValueError):
@@ -154,28 +142,26 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     every line, so in-place filtering is exact). The envelope is written
     over the real part, then scaled and clipped in place.
 
-    Two workers share the work; the calling thread draws and waits. It
-    draws the real field and hands its blur, one ``gaussian_filter``
-    call, to a worker; it then draws the imaginary field. Each of the
-    imaginary field's three ``gaussian_filter1d`` passes is cut into
-    ``_PHANTOM_CHUNKS`` chunks along an axis that pass does not filter,
-    and the envelope ``np.hypot`` into chunks along the first axis;
-    whichever worker is free takes the next chunk, so the worker that
-    finishes the real blur joins the imaginary one. The generator,
-    ``gaussian_filter1d`` and ``np.hypot`` release the GIL.
+    The calling thread and a lent helper share the work
+    (``fus3d._workers``). The calling thread draws the real field and
+    hands its blur, one ``gaussian_filter`` call, to the helper; it then
+    draws the imaginary field. Each of the imaginary field's three
+    ``gaussian_filter1d`` passes is cut into ``_PHANTOM_CHUNKS`` chunks
+    along an axis that pass does not filter, and the envelope
+    ``np.hypot`` into chunks along the first axis; both threads take the
+    chunks in order, the helper once it has finished the real blur. The
+    generator, ``gaussian_filter1d`` and ``np.hypot`` release the GIL.
 
     The bits cannot change: only the calling thread uses the generator,
     in the serial order; every chunk holds whole filter lines, and each
     line is filtered alone, by the same passes in the same order as in
     ``gaussian_filter``; ``hypot`` is elementwise; and the mean stays
     one call over the whole field, since a split pairwise sum would
-    round differently. The workers run only numpy and scipy and are
-    joined before the call returns, also when a chunk raises.
+    round differently.
     """
     from scipy.ndimage import gaussian_filter, gaussian_filter1d
 
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
+    _workers.trim_heap()
     rng = np.random.default_rng(seed)
     dims = tuple(int(np.ceil(e / spec.voxel_mm)) + 1 for e in spec.extent_mm)
     if spec.origin_mm is None:
@@ -187,10 +173,9 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     # gaussian_filter's own passes: it skips axes of (near) zero sigma
     passes = [(axis, sigma) for axis, sigma in enumerate(sigmas)
               if sigma > 1e-15]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        real = rng.standard_normal(dims)
-        blurred = pool.submit(gaussian_filter, real, sigmas,
-                              mode="constant", output=real)
+    real = rng.standard_normal(dims)
+
+    def imaginary() -> np.ndarray:
         imag = rng.standard_normal(dims)
         for axis, sigma in passes:
             across = 1 if axis == 0 else 0
@@ -200,11 +185,16 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
                 gaussian_filter1d(view, sigma, axis, output=view,
                                   mode="constant")
 
-            _run_all(pool, blur, _spans(dims[across], _PHANTOM_CHUNKS))
-        blurred.result()
-        _run_all(pool, lambda span: np.hypot(real[span], imag[span],
-                                             out=real[span]),
-                 _spans(dims[0], _PHANTOM_CHUNKS))
+            _workers.run_chunks(blur, _spans(dims[across], _PHANTOM_CHUNKS))
+        return imag
+
+    with _workers.lend_helper():
+        _, imag = _workers.in_parallel(
+            lambda: gaussian_filter(real, sigmas, mode="constant", output=real),
+            imaginary, real.size)
+        _workers.run_chunks(lambda span: np.hypot(real[span], imag[span],
+                                                  out=real[span]),
+                            _spans(dims[0], _PHANTOM_CHUNKS))
     del imag
     envelope = real
     # scale so the speckle mean sits at 0.25; the Rayleigh tail beyond 1
@@ -219,15 +209,6 @@ def _spans(n: int, parts: int) -> list:
     cover ``range(n)`` in order."""
     cuts = [n * i // parts for i in range(parts + 1)]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-
-
-def _run_all(pool: ThreadPoolExecutor, task, items) -> None:
-    """Run ``task`` on every item in ``pool`` and wait for all of them.
-
-    The first error in item order is raised, and the items not yet
-    started are cancelled."""
-    for _ in pool.map(task, items):
-        pass
 
 
 @dataclass(frozen=True)
@@ -342,16 +323,13 @@ def slice_phantom(phantom: Phantom, trajectory: Trajectory,
                   geometry: ImageGeometry) -> np.ndarray:
     """Trilinear samples of the phantom on every transformed frame grid.
 
-    Frames go in chunks of about ``SLICE_BLOCK_POINTS`` points. The
-    calling thread maps each chunk to voxel coordinates and checks them,
-    in frame order; one of two workers then samples the chunk with one
-    ``map_coordinates`` call that writes straight into the chunk's
-    frames of the output, while the calling thread maps the next. At
-    most two mapped chunks wait for the workers. Every sample depends on
-    its own coordinates only, so the frames are bit-identical to one
-    call over all points. The coordinates are made on the calling thread
-    because what a worker thread frees stays resident in its own malloc
-    arena, which the heap trim in :func:`make_phantom` does not reach.
+    Frames go in chunks of about ``SLICE_BLOCK_POINTS`` points, which
+    the calling thread and a lent helper (``fus3d._workers``) take in
+    frame order. For its chunk, a thread maps the frames to voxel
+    coordinates, checks them and samples them with one
+    ``map_coordinates`` call that writes straight into the chunk's frames
+    of the output. Every sample depends on its own coordinates only, so
+    the frames are bit-identical to one call over all points.
 
     Raises :class:`FrameOutOfBoundsError` naming the first frame with a
     voxel coordinate below 0 or above ``dims - 1``; the chunks before it
@@ -367,26 +345,19 @@ def slice_phantom(phantom: Phantom, trajectory: Trajectory,
     frames = np.empty((len(rotations), geometry.n_rows, geometry.n_cols))
     step = max(1, SLICE_BLOCK_POINTS // len(plane))
 
-    def sample(coords: np.ndarray, out: np.ndarray) -> None:
+    def sample(start: int) -> None:
+        block = slice(start, start + step)
+        coords = phantom.world_to_voxel(
+            plane_to_world(rotations[block], translations[block], plane))
+        outside = np.any((coords < 0.0) | (coords > upper), axis=(1, 2))
+        if outside.any():
+            raise FrameOutOfBoundsError(start + int(np.argmax(outside)))
+        out = frames[block].reshape(-1)
         map_coordinates(phantom.field, coords.reshape(-1, 3).T, output=out,
                         order=1, mode="nearest")
         np.clip(out, 0.0, 1.0, out=out)
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        sampling = deque()
-        for start in range(0, len(rotations), step):
-            block = slice(start, start + step)
-            coords = phantom.world_to_voxel(
-                plane_to_world(rotations[block], translations[block], plane))
-            outside = np.any((coords < 0.0) | (coords > upper), axis=(1, 2))
-            if outside.any():
-                raise FrameOutOfBoundsError(start + int(np.argmax(outside)))
-            if len(sampling) == 2:
-                sampling.popleft().result()
-            sampling.append(pool.submit(sample, coords,
-                                        frames[block].reshape(-1)))
-        for chunk in sampling:
-            chunk.result()
+    _workers.run_chunks(sample, range(0, len(rotations), step))
     return frames
 
 

@@ -8,18 +8,14 @@ is its one method spelling of an op.
 Everything is stored as contiguous numpy float64; there is no graph
 optimization and no implicit dtype promotion. Determinism: identical
 inputs and seeds give bit-identical outputs and gradients, at any CPU
-count and whether a kernel's parts run on the helper thread or inline.
-Importing this module pins numpy's OpenBLAS to one thread, so no GEMM is
-cut by the number of BLAS threads, and the kernels cut their work by
-shape alone.
+or BLAS thread count and whether a kernel's parts run on a helper
+thread or inline.
 
 Threads: the batched kernels (``conv2d`` forward and backward, and
-``correlation.correlate_batch``) do their work in two parts. Inside
-:func:`_kernel_helper`, which ``backward`` and the network's
-``forward_window`` enter, the first part runs on one helper thread and
-the second on the calling thread; elsewhere both run inline, in turn.
-The calling thread allocates the large arrays a part writes, so they do
-not stay resident in the helper's own malloc arena once freed.
+``correlation.correlate_batch``) do their work in two parts, cut by
+shape alone. ``backward`` and the network's ``forward_window`` lend
+them a helper thread that takes one part while the calling thread does
+the other. ``fus3d._workers`` states the thread and heap rules.
 
 Memory: each closure keeps what its backward reads. Copies that are
 many times their input, such as ``conv2d``'s ``(C*kh*kw, N*Ho*Wo)``
@@ -29,14 +25,13 @@ data, which the tape holds anyway, and drops them once used.
 
 from __future__ import annotations
 
-import ctypes
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from . import _workers
 
 __all__ = [
     "Tensor",
@@ -65,31 +60,6 @@ __all__ = [
 ]
 
 _GRAD_ENABLED = True
-
-
-def _pin_blas_to_one_thread() -> bool:
-    """Set numpy's OpenBLAS to one thread; False where numpy has no
-    scipy-openblas build to set.
-
-    OpenBLAS's worker threads spin-wait between GEMMs, so a second BLAS
-    thread keeps the second CPU busy for little gain (a benchmark train
-    operation on a 2-CPU host: 532 ms with two BLAS threads, 576 ms with
-    one) and slows any other thread that wants that CPU. The kernels'
-    helper thread puts the CPU to better use."""
-    try:
-        from numpy._core import _multiarray_umath
-
-        setter = ctypes.CDLL(
-            _multiarray_umath.__file__).scipy_openblas_set_num_threads64_
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(1)
-    except (AttributeError, ImportError, OSError):
-        return False
-    return True
-
-
-_BLAS_PINNED = _pin_blas_to_one_thread()
-_HELPER = threading.local()
 
 
 @contextmanager
@@ -301,14 +271,8 @@ def take(x, index) -> Tensor:
     else:
         data = np.asarray(data, dtype=np.float64)
 
-    def _has_array(idx) -> bool:
-        if isinstance(idx, (np.ndarray, list)):
-            return True
-        if isinstance(idx, tuple):
-            return any(isinstance(i, (np.ndarray, list)) for i in idx)
-        return False
-
-    advanced = _has_array(index)
+    advanced = any(isinstance(i, (np.ndarray, list))
+                   for i in (index if isinstance(index, tuple) else (index,)))
 
     def vjp(g):
         grad = np.zeros(x.shape)
@@ -433,62 +397,6 @@ def sqrt(x) -> Tensor:
     return _node(data, (x,), vjp)
 
 
-# -- a helper thread for the batched kernels --------------------------------------
-
-@contextmanager
-def _kernel_helper():
-    """Lend the batched kernels of this thread one helper thread for the
-    block.
-
-    The helper starts on first use and is joined before the block is
-    left, also when it raises. A nested block uses the outer block's
-    helper."""
-    if getattr(_HELPER, "pool", None) is not None:
-        yield
-        return
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        _HELPER.pool = pool
-        try:
-            yield
-        finally:
-            _HELPER.pool = None
-
-
-def _in_parallel(first: Callable, second: Callable) -> None:
-    """Run ``first()`` on the lent helper thread and ``second()`` on the
-    calling thread, or both inline, in turn, where no helper is lent.
-
-    Returns once both are done. An error of ``second`` is raised in
-    preference to one of ``first``."""
-    pool = getattr(_HELPER, "pool", None)
-    if pool is None:
-        first()
-        second()
-        return
-    future = pool.submit(first)
-    try:
-        second()
-    finally:
-        wait((future,))
-    future.result()
-
-
-def _halves(n: int, part: Callable) -> None:
-    """Do a batch of ``n`` images in two halves, [0, n//2) and [n//2, n),
-    or in one part when ``n`` is 1.
-
-    ``part(lo, hi)`` runs on the calling thread: it allocates every large
-    array its images need and returns the closure that does their work,
-    which :func:`_in_parallel` then runs. What a helper thread frees
-    stays resident in its own malloc arena, so it writes only into
-    arrays the calling thread made."""
-    mid = n // 2
-    if mid == 0:
-        part(0, n)()
-        return
-    _in_parallel(part(0, mid), part(mid, n))
-
-
 # -- convolution and pooling ----------------------------------------------------
 
 def _channel_major(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
@@ -503,17 +411,16 @@ def _channel_major(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return out
 
 
-def _patch_matrix(xt: np.ndarray, kh: int, kw: int, stride: int,
-                  out: np.ndarray) -> np.ndarray:
-    """Write the ``(C*kh*kw, N*Ho*Wo)`` patch matrix of a channel-major
-    ``(C, N, Hp, Wp)`` array into ``out``, in one pass from a strided
-    window view; returns ``out``."""
+def _patch_matrix(xt: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The ``(C*kh*kw, N*Ho*Wo)`` patch matrix of a channel-major ``(C,
+    N, Hp, Wp)`` array, copied in one pass from a strided window view."""
     c, n = xt.shape[:2]
     # (c, n, ho, wo, kh, kw) read-only view of every patch
     patches = sliding_window_view(xt, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     ho, wo = patches.shape[2:4]
-    out.reshape(c, kh, kw, n, ho, wo)[...] = patches.transpose(0, 4, 5, 1, 2, 3)
-    return out
+    out = np.empty((c, kh, kw, n, ho, wo))
+    out[...] = patches.transpose(0, 4, 5, 1, 2, 3)
+    return out.reshape(c * kh * kw, n * ho * wo)
 
 
 # Values in the patch matrix of one slice of images in conv2d's dx (2 MB).
@@ -534,12 +441,12 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     strided window view of a channel-major, zero-padded ``(C, N, Hp,
     Wp)`` copy of the input. The forward is ``W.reshape(F, -1) @ cols``
     followed by one transpose back to NCHW, done for each half of the
-    images (:func:`_halves`). Inputs and outputs stay NCHW; the
+    images (``_workers.halves``). Inputs and outputs stay NCHW; the
     channel-major layout never leaves this function.
 
     The tape keeps no ``cols``: it is kh*kw times the input. The
     backward forms the upstream gradient as ``g_f`` of shape ``(F,
-    N*Ho*Wo)``. Side by side (:func:`_in_parallel`), the helper copies
+    N*Ho*Wo)``. Side by side (``_workers.in_parallel``), the helper copies
     ``cols`` again, bit for bit, from the input's data, which the tape
     holds as a parent, and forms ``dW = g_f @ cols.T`` as one GEMM, while
     the calling thread forms ``dx``. ``dW`` stays one GEMM because cut
@@ -561,10 +468,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     vs 2.4 ms at 16 to 32 channels on 16 px, and 16 vs 7.1 ms at 16 to
     16 channels on 32 px. So there ``dcols = W.T @ g_f`` is added back
     into a ``(C, N, Hp, Wp)`` buffer with kh*kw strided slice adds (the
-    adjoint of the patch copy).
-
-    Every cut (halves, slices) depends only on the shapes, so the bits
-    are the same whether the parts run on the helper or inline.
+    adjoint of the patch copy). Every cut (halves, slices) depends on
+    the shapes alone.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
@@ -583,18 +488,10 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     data = np.empty((n, f, ho, wo))
 
     def forward(lo, hi):
-        cols = np.empty((c * kh * kw, (hi - lo) * ho * wo))
-        y = np.empty((f, (hi - lo) * ho * wo))
+        y = wmat @ _patch_matrix(xt[:, lo:hi], kh, kw, stride)
+        data[lo:hi] = y.reshape(f, hi - lo, ho, wo).transpose(1, 0, 2, 3)
 
-        def run():
-            np.matmul(wmat, _patch_matrix(xt[:, lo:hi], kh, kw, stride, cols),
-                      out=y)
-            data[lo:hi] = y.reshape(f, hi - lo, ho, wo).transpose(1, 0, 2, 3)
-
-        return run
-
-    _halves(n, forward)
-    del xt
+    _workers.halves(n, x.data.size, forward)
     parents = [x, weight]
     if bias is not None:
         bias = _as_tensor(bias)
@@ -606,13 +503,10 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     def vjp(g):
         g_f = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
-        xt = _channel_major(x.data, padding, padding)
-        cols = np.empty((c * kh * kw, n * ho * wo))
-        dw = np.empty((f, c * kh * kw))
-        dx = np.empty(x.shape) if needs_dx else None
 
         def weight_grad():
-            np.matmul(g_f, _patch_matrix(xt, kh, kw, stride, cols).T, out=dw)
+            xt = _channel_major(x.data, padding, padding)
+            return g_f @ _patch_matrix(xt, kh, kw, stride).T
 
         if stride == 1:
             w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(
@@ -622,7 +516,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
             def input_grad(lo, hi):
                 g_cols = _patch_matrix(
                     _channel_major(g[lo:hi], kh - 1 - padding, kw - 1 - padding),
-                    kh, kw, 1, np.empty((f * kh * kw, (hi - lo) * h * w)))
+                    kh, kw, 1)
                 return (w_flip @ g_cols).reshape(c, hi - lo, h, w).transpose(
                     1, 0, 2, 3)
         else:
@@ -642,14 +536,14 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
                            padding : padding + w].transpose(1, 0, 2, 3)
 
         def input_grads():
+            dx = np.empty(x.shape)
             step = max(1, _DX_CHUNK // per_image)
             for lo in range(0, n, step):
                 dx[lo : lo + step] = input_grad(lo, min(n, lo + step))
+            return dx
 
-        if needs_dx:
-            _in_parallel(weight_grad, input_grads)
-        else:
-            weight_grad()
+        dw, dx = (_workers.in_parallel(weight_grad, input_grads, x.data.size)
+                  if needs_dx else (weight_grad(), None))
         dw = dw.reshape(f, c, kh, kw)
         if bias is not None:
             return dx, dw, g_f.sum(axis=1)
@@ -726,7 +620,7 @@ def backward(loss: Tensor) -> None:
 
     Populates ``grad`` on every requires_grad leaf reachable from the loss;
     repeated calls accumulate until the leaves are zeroed. The sweep
-    lends the batched kernels a helper thread (:func:`_kernel_helper`).
+    lends the batched kernels a helper thread (``_workers.lend_helper``).
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -750,7 +644,7 @@ def backward(loss: Tensor) -> None:
                 stack_.append((parent, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    with _kernel_helper():
+    with _workers.lend_helper():
         for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:

@@ -58,11 +58,9 @@ def simulate_scan(trajectory_spec: TrajectorySpec,
 
 @pytest.fixture(autouse=True)
 def no_thread_left_behind():
-    """make_phantom and slice_phantom share their work with worker
-    threads, and conv2d and correlate_batch with the kernel helper thread
-    that forward_window and backward start (tensor._kernel_helper); every
-    test, whether it passes or raises, must end with as many threads as
-    it began with."""
+    """The simulator and the batched kernels share their work with a
+    lent helper thread (fus3d._workers); every test, whether it passes or
+    raises, must end with as many threads as it began with."""
     before = threading.active_count()
     yield
     assert threading.active_count() == before

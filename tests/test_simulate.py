@@ -129,6 +129,19 @@ def failing_off_main(function, message):
     return wrapper
 
 
+def failing_after_first(function, message):
+    """``function``, except that every call after the first raises,
+    whichever thread makes it."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 1:
+            raise RuntimeError(message)
+        return function(*args, **kwargs)
+    return wrapper
+
+
 class TestThreadedPhantom:
     # the imaginary blur's first pass is cut along axis 1, its other
     # passes and the envelope along axis 0: 61 and 62 rows by 51 and 52
@@ -153,11 +166,12 @@ class TestThreadedPhantom:
         with pytest.raises(RuntimeError, match="blur failed"):
             make_phantom(PhantomSpec(extent_mm=(6, 6, 3), voxel_mm=0.1), seed=4)
 
-    # a chunk of the imaginary field's blur and of the envelope
+    # a chunk of the imaginary field's blur and of the envelope, on
+    # whichever thread takes it
     @pytest.mark.parametrize("owner, name", [(scipy.ndimage, "gaussian_filter1d"),
                                              (np, "hypot")])
     def test_chunk_error_reaches_the_caller(self, monkeypatch, owner, name):
-        monkeypatch.setattr(owner, name, failing_off_main(
+        monkeypatch.setattr(owner, name, failing_after_first(
             getattr(owner, name), f"{name} failed"))
         with pytest.raises(RuntimeError, match=f"{name} failed"):
             make_phantom(PhantomSpec(extent_mm=(6, 6, 3), voxel_mm=0.1), seed=4)
@@ -187,8 +201,7 @@ class TestThreadedSlicing:
         return Trajectory(tuple(trajectory)[:n_frames])
 
     # chunks of 2 frames: one short chunk, one full chunk, four chunks
-    # with a short last one, and twenty, more than the two that may wait
-    # for the workers
+    # with a short last one, and twenty
     @pytest.mark.parametrize("n_frames", [1, 2, 7, 40])
     def test_matches_one_serial_call(self, small_phantom, monkeypatch,
                                      n_frames):
@@ -201,8 +214,8 @@ class TestThreadedSlicing:
 
     def test_mapped_coordinates_stay_a_few_chunks(self, small_phantom,
                                                   monkeypatch):
-        # one frame a chunk and slow workers: the calling thread must wait
-        # for them instead of mapping the whole sweep ahead
+        # one frame a chunk and slow sampling: each of the two threads
+        # holds the coordinates of one chunk at a time, never the sweep's
         monkeypatch.setattr(simulate, "SLICE_BLOCK_POINTS", 64 * 64)
         sample = scipy.ndimage.map_coordinates
 
@@ -223,7 +236,10 @@ class TestThreadedSlicing:
 
     def test_worker_error_reaches_the_caller(self, small_phantom,
                                              monkeypatch):
-        monkeypatch.setattr(scipy.ndimage, "map_coordinates", failing_off_main(
+        # one frame a chunk; every chunk after the first fails to sample,
+        # on whichever thread takes it
+        monkeypatch.setattr(simulate, "SLICE_BLOCK_POINTS", 64 * 64)
+        monkeypatch.setattr(scipy.ndimage, "map_coordinates", failing_after_first(
             scipy.ndimage.map_coordinates, "sampling failed"))
         with pytest.raises(RuntimeError, match="sampling failed"):
             slice_phantom(small_phantom, self.sweep(7), GEOM64)
