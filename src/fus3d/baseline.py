@@ -206,11 +206,14 @@ def calibrate(pairs) -> DecorrModel:
 
 def calibration_pairs_from_scan(scan, lags) -> list:
     """Held-out calibration pairs from a simulated scan with known poses:
-    frames ``lag`` apart for each of ``lags``, with their elevational gap."""
+    frames ``lag`` apart for each of ``lags``, with their elevational gap.
+    Every lag must be at least 1."""
+    if any(lag < 1 for lag in lags):
+        raise ValueError(f"calibration lags must be at least 1, got {list(lags)}")
     centers = scan.truth.translations
     out = []
     for lag in lags:
-        for i in range(0, scan.n_frames - lag, max(1, lag)):
+        for i in range(0, scan.n_frames - lag, lag):
             gap = abs(centers[i + lag, 2] - centers[i, 2])
             out.append((scan.frames[i], scan.frames[i + lag], gap))
     return out

@@ -215,10 +215,10 @@ def cmd_train(args) -> int:
 
 # -- infer ---------------------------------------------------------------------
 
-def _write_pose_outputs(out: Path, rel_poses, prefix: str = "pred") -> None:
-    write_pose_csv(out / f"{prefix}_relative.csv", rel_poses)
+def _write_pose_outputs(out: Path, rel_poses) -> None:
+    write_pose_csv(out / "pred_relative.csv", rel_poses)
     trajectory = accumulate([pose_to_transform(p) for p in rel_poses])
-    write_pose_csv(out / f"{prefix}_absolute.csv", trajectory.poses())
+    write_pose_csv(out / "pred_absolute.csv", trajectory.poses())
 
 
 def cmd_infer(args) -> int:
@@ -229,6 +229,9 @@ def cmd_infer(args) -> int:
             "exactly one of --checkpoint, --baseline or --identity-debug "
             "must be given"
         )
+    if args.diagnostics and not args.checkpoint:
+        raise UsageError("--diagnostics needs --checkpoint: only the network "
+                         "has attention scores")
     out = _ensure_out(args.out, args.force, "pred_relative.csv")
     scan = read_scan(args.scan)
     if args.identity_debug:

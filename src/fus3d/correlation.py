@@ -4,7 +4,9 @@ For every region of interest (RoI) placed on a common grid over both
 maps, the center patch of the first map is correlated against every
 patch position inside the RoI of the second map, giving a d x d array
 per RoI (d = roi_extent - patch_extent + 1). Stacking the arrays over
-the RoI grid yields the correlation volume.
+the RoI grid yields the correlation volume, returned channel-major as
+d*d displacement maps on the RoI grid, the layout the network
+concatenates with its stage-3 features.
 
 Each value is a normalized cross-correlation (NCC): both patches are
 zero-meaned and unit-normalized over channels x patch area, so values
@@ -219,14 +221,18 @@ def _box_sum_adjoint(y: np.ndarray, p: int) -> np.ndarray:
 def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
     """Correlation volumes for a batch of map pairs.
 
-    ``a`` and ``b`` are (n, c, h, w); the result is (n, gy, gx, d, d)
-    where entry (u, v) correlates the center patch of ``a`` with the
-    ``b`` patch whose top-left corner sits at RoI top-left + (u, v).
+    ``a`` and ``b`` are (n, c, h, w); the result is (n, d*d, gy, gx),
+    where channel u*d + v at RoI (i, j) correlates the center patch of
+    ``a`` with the ``b`` patch whose top-left corner sits at RoI top-left
+    + (u, v).
 
     The forward and the backward do the pairs in two halves, one of
     them on a lent helper thread (``fus3d._workers``). Every step is per
     pair, so a half's values do not depend on the other half; each half
-    writes its slice of the whole-batch results.
+    writes its slice of the whole-batch results. The work runs on an
+    RoI-major (n, gy, gx, d, d) volume; the backward reads the upstream
+    gradient in that order from a C-order copy, so its bits do not depend
+    on the layout the caller hands it.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
@@ -305,7 +311,7 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
     _workers.halves(n, a.data.size, forward)
 
     def vjp(g):
-        g = g.reshape(n, gy, gx, d, d)
+        g = np.ascontiguousarray(g).reshape(n, d, d, gy, gx).transpose(0, 3, 4, 1, 2)
         g_a, g_b = np.empty((2,) + a.shape)
 
         def backward(lo, hi):
@@ -351,4 +357,5 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
         _workers.halves(n, a.data.size, backward)
         return g_a, g_b
 
-    return _node(corr, (a, b), vjp)
+    maps = np.ascontiguousarray(corr.transpose(0, 3, 4, 1, 2))
+    return _node(maps.reshape(n, d * d, gy, gx), (a, b), vjp)

@@ -15,7 +15,7 @@ PGM grids.
 Shape ladder (toy scale, 64px frames / paper shape, 256px frames):
 
     stage1    8 x 32 x 32      64 x 128 x 128
-    corr     (8 x 8 RoIs) x 5 x 5 displacements -> 25 channels on 8 x 8
+    corr     25 x  8 x  8      25 x  8 x  8   (5 x 5 displacements, RoI grid)
     stage2   16 x 16 x 16     128 x 64 x 64
     stage3   32 x  8 x  8     256 x  8 x  8
     stage4   64 x  4 x  4     512 x  4 x  4
@@ -118,19 +118,13 @@ class ModelConfig:
         self.corr_config
 
     @classmethod
-    def toy(cls, **overrides) -> "ModelConfig":
-        return cls(**overrides)
+    def toy(cls) -> "ModelConfig":
+        return cls()
 
     @classmethod
-    def paper_shape(cls, **overrides) -> "ModelConfig":
-        base = dict(
-            frame_extent=256,
-            encoder_channels=(64, 128, 256, 512),
-            downsample=(2, 2, 8, 2),
-            lstm_hidden=128,
-        )
-        base.update(overrides)
-        return cls(**base)
+    def paper_shape(cls) -> "ModelConfig":
+        return cls(frame_extent=256, encoder_channels=(64, 128, 256, 512),
+                   downsample=(2, 2, 8, 2), lstm_hidden=128)
 
     # -- derived shapes -------------------------------------------------
     def stage_extent(self, stage: int) -> int:
@@ -240,33 +234,19 @@ class GlobalLocalAttention(Module):
 
     def local_channel_scores(self, e2: Tensor) -> Tensor:
         """Sigmoid-bounded per-channel score vector of the local map."""
-        if e2.shape[1] != self.cfg.local_channels:
-            raise ValueError(
-                f"expected {self.cfg.local_channels} local channels, "
-                f"got shape {e2.shape}"
-            )
-        pooled = T.reshape(T.adaptive_avg_pool2d(e2, 1), (e2.shape[0], e2.shape[1]))
+        pooled = T.tensor_mean(e2, axis=(2, 3))
         return T.sigmoid(self.local_mlp2(self.local_mlp1(pooled)))
 
     def recalibrate_local(self, e2: Tensor, scores: Tensor) -> Tensor:
         """Channel-weighted local blocks, (n, n_blocks, c, e, e)."""
-        if scores.shape[-1] != e2.shape[1]:
-            raise ValueError(
-                f"{scores.shape[-1]} scores cannot weight {e2.shape[1]} channels"
-            )
         blocks = _tile_blocks(e2, self.cfg.global_extent)
         w = T.reshape(scores, (e2.shape[0], 1, e2.shape[1], 1, 1))
         return T.mul(blocks, w)
 
     def global_attention(self, e4: Tensor) -> Tensor:
         """Parallel channel and spatial recalibration of the global map."""
-        n, c, h, w = e4.shape
-        if c != self.cfg.global_channels:
-            raise ValueError(
-                f"expected {self.cfg.global_channels} global channels, "
-                f"got shape {e4.shape}"
-            )
-        pooled = T.reshape(T.adaptive_avg_pool2d(e4, 1), (n, c))
+        n, c = e4.shape[:2]
+        pooled = T.tensor_mean(e4, axis=(2, 3))
         channel = T.sigmoid(self.global_mlp2(self.global_mlp1(pooled)))
         spatial_in = T.concat(
             [T.reduce_max(e4, axis=1, keepdims=True),
@@ -384,8 +364,8 @@ class MotionNetwork(Module):
         local6 = T.stack(out_l, axis=1)
         fused = T.mul(T.add(global6, local6), 0.5)
 
-        pool_g = T.reshape(T.adaptive_avg_pool2d(global_, 1), (b, steps, -1))
-        pool_l = T.reshape(T.adaptive_avg_pool2d(local, 1), (b, steps, -1))
+        pool_g = T.reshape(T.tensor_mean(global_, axis=(2, 3)), (b, steps, -1))
+        pool_l = T.reshape(T.tensor_mean(local, axis=(2, 3)), (b, steps, -1))
         embeddings = T.concat([pool_g, pool_l], axis=2)
 
         return {
@@ -398,15 +378,12 @@ class MotionNetwork(Module):
         }
 
     def _attend(self, e1a: Tensor, e1b: Tensor):
+        # the correlation's displacement maps join stage 3's channels as
+        # they come, (n, d*d, gy, gx) on the stage-3 grid
         corr = correlate_batch(e1a, e1b, self.config.corr_config)
-        n, gy, gx, d, _ = corr.shape
-        corr_maps = T.transpose(
-            T.reshape(corr, (n, gy * gx, d * d)), (0, 2, 1)
-        )
-        corr_maps = T.reshape(corr_maps, (n, d * d, gy, gx))
         e2 = self.stage2(T.concat([e1a, e1b], axis=1))
         e3 = self.stage3(e2)
-        e4 = self.stage4(T.concat([corr_maps, e3], axis=1))
+        e4 = self.stage4(T.concat([corr, e3], axis=1))
         return self.attention(e2, e4)
 
     def infer_scan(self, frames: np.ndarray):

@@ -8,28 +8,27 @@ __all__ = ["Adam"]
 
 
 # Adam's moment decays and denominator floor, and the schedule's decay
-# factor: no caller selects other values.
+# factor and period in epochs (the paper's 0.8 every 100 epochs): no
+# caller selects other values.
 BETA1, BETA2 = 0.9, 0.999
 EPS = 1e-8
 DECAY_FACTOR = 0.8
+DECAY_EVERY = 100
 
 
 class Adam:
     """Adam over a list of parameters.
 
     The effective learning rate is ``lr * DECAY_FACTOR ** (epoch //
-    decay_every)``; call :meth:`set_epoch` as training advances. ``lr``
-    and ``decay_every`` come from ``TrainConfig``. Moments are
-    zero-initialized and the step counter is monotone. Gradients are
-    zeroed through ``Module.zero_grad``.
+    DECAY_EVERY)``; call :meth:`set_epoch` as training advances. ``lr``
+    comes from ``TrainConfig``. Moments are zero-initialized and the step
+    counter is monotone. Gradients are zeroed through
+    ``Module.zero_grad``.
     """
 
-    def __init__(self, params, lr: float, decay_every: int):
-        if decay_every < 1:
-            raise ValueError(f"decay_every must be at least 1, got {decay_every}")
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.base_lr = float(lr)
-        self.decay_every = int(decay_every)
         self.epoch = 0
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
@@ -37,7 +36,7 @@ class Adam:
 
     @property
     def lr(self) -> float:
-        return self.base_lr * DECAY_FACTOR ** (self.epoch // self.decay_every)
+        return self.base_lr * DECAY_FACTOR ** (self.epoch // DECAY_EVERY)
 
     def set_epoch(self, epoch: int) -> None:
         if epoch < 0:

@@ -7,14 +7,13 @@ import numpy as np
 __all__ = ["write_pgm16", "read_pgm16"]
 
 
-def write_pgm16(path, values: np.ndarray, lo: float = -1.0, hi: float = 1.0) -> None:
-    """Write a 2-D array as 16-bit P5, mapping [lo, hi] onto [0, 65535]."""
+def write_pgm16(path, values: np.ndarray) -> None:
+    """Write a 2-D array as 16-bit P5, mapping [-1, 1] (the range of the
+    attention block scores) onto [0, 65535]."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"PGM needs a 2-d array, got shape {arr.shape}")
-    if hi <= lo:
-        raise ValueError("hi must exceed lo")
-    scaled = np.clip((arr - lo) / (hi - lo), 0.0, 1.0)
+    scaled = np.clip((arr + 1.0) / 2.0, 0.0, 1.0)
     pixels = np.round(scaled * 65535.0).astype(">u2")
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n65535\n".encode("ascii")
     with open(path, "wb") as handle:

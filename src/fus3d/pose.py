@@ -126,10 +126,6 @@ class PoseVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.tx, self.ty, self.tz, self.rx, self.ry, self.rz])
 
-    @property
-    def translation(self) -> np.ndarray:
-        return np.array([self.tx, self.ty, self.tz])
-
 
 def _pose_rows(rows: np.ndarray) -> list:
     """``[PoseVector(*row) for row in rows.tolist()]`` of (n, 6) rows, bit

@@ -54,7 +54,6 @@ __all__ = [
     "tensor_abs",
     "sqrt",
     "conv2d",
-    "adaptive_avg_pool2d",
     "cosine_similarity",
     "backward",
 ]
@@ -397,7 +396,7 @@ def sqrt(x) -> Tensor:
     return _node(data, (x,), vjp)
 
 
-# -- convolution and pooling ----------------------------------------------------
+# -- convolution ----------------------------------------------------------------
 
 def _channel_major(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     """(C, N, H + 2*ph, W + 2*pw) copy of an NCHW array, zero-padded by
@@ -550,37 +549,6 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         return dx, dw
 
     return _node(data, parents, vjp)
-
-
-def adaptive_avg_pool2d(x, target: int | tuple) -> Tensor:
-    """Average pooling onto a fixed output extent (windows may be unequal)."""
-    x = _as_tensor(x)
-    if x.ndim != 4:
-        raise ValueError(f"adaptive_avg_pool2d needs a 4-d input, got {x.shape}")
-    th, tw = (target, target) if isinstance(target, int) else target
-    n, c, h, w = x.shape
-    if th > h or tw > w:
-        raise ValueError(f"adaptive_avg_pool2d: target {(th, tw)} exceeds {(h, w)}")
-    rb = [(i * h) // th for i in range(th)] + [h]
-    cb = [(j * w) // tw for j in range(tw)] + [w]
-    data = np.empty((n, c, th, tw))
-    for i in range(th):
-        for j in range(tw):
-            data[:, :, i, j] = x.data[:, :, rb[i] : rb[i + 1], cb[j] : cb[j + 1]].mean(
-                axis=(2, 3)
-            )
-
-    def vjp(g):
-        grad = np.zeros(x.shape)
-        for i in range(th):
-            for j in range(tw):
-                area = (rb[i + 1] - rb[i]) * (cb[j + 1] - cb[j])
-                grad[:, :, rb[i] : rb[i + 1], cb[j] : cb[j + 1]] += (
-                    g[:, :, i : i + 1, j : j + 1] / area
-                )
-        return (grad,)
-
-    return _node(data, (x,), vjp)
 
 
 # -- similarity --------------------------------------------------------------------

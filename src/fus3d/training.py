@@ -59,7 +59,6 @@ class TrainConfig:
     batch_size: int = 4
     seq_len: int = 8  # s: each window holds s+1 frame pairs
     learning_rate: float = 1e-3
-    lr_decay_every: int = 100
     loss_weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
     val_every_epochs: int = 10
@@ -73,10 +72,9 @@ class TrainConfig:
         if not self.learning_rate > 0.0:
             raise ValueError(
                 f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("lr_decay_every", "val_every_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.val_every_epochs < 1:
+            raise ValueError(f"val_every_epochs must be at least 1, "
+                             f"got {self.val_every_epochs}")
 
 
 class ScanDataset:
@@ -102,7 +100,11 @@ class ScanDataset:
         return sorted({s.subject for s in self.scans})
 
     def split_by_subject(self, val_fraction: float, seed: int):
-        """Subject-disjoint split; subjects are shuffled deterministically."""
+        """Subject-disjoint split; subjects are shuffled deterministically.
+        ``val_fraction`` must be finite and above 0."""
+        if not (math.isfinite(val_fraction) and val_fraction > 0.0):
+            raise ValueError(
+                f"validation fraction must be above 0, got {val_fraction}")
         subjects = self.subjects()
         if len(subjects) < 2:
             raise ValueError("need at least 2 subjects for a disjoint split")
@@ -230,7 +232,6 @@ def _long_enough(scans, window: int, kind: str) -> list:
 @dataclass
 class TrainResult:
     steps_done: int
-    epochs_done: int
     best_val_mmae: float
     init_val_mmae: float
     final_val_mmae: float
@@ -256,11 +257,7 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
     window = config.seq_len + 2
     train_scans = _long_enough(train_scans, window, "training")
     val_scans = _long_enough(val_scans, window, "validation")
-    optimizer = Adam(
-        model.parameters(),
-        lr=config.learning_rate,
-        decay_every=config.lr_decay_every,
-    )
+    optimizer = Adam(model.parameters(), lr=config.learning_rate)
     step = 0
     epoch = 0
     batch_idx = 0
@@ -349,7 +346,6 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
 
     return TrainResult(
         steps_done=step,
-        epochs_done=epoch,
         best_val_mmae=best_val,
         init_val_mmae=init_val,
         final_val_mmae=final_val,

@@ -13,6 +13,7 @@ from fus3d import training
 from fus3d.baseline import DecorrModel
 from fus3d.cli import main
 from fus3d.compound import read_volume
+from fus3d.losses import LossWeights
 from fus3d.network import ModelConfig, MotionNetwork, save_model
 from fus3d.pose import ImageGeometry, read_pose_csv
 from fus3d.simulate import TRAJECTORY_SHAPES, TrajectorySpec, read_scan, write_scan
@@ -107,6 +108,17 @@ class TestInfer:
         assert run("infer", "--scan", scan_dir, "--identity-debug",
                    "--baseline", "nope.csv", "--out", tmp_path / "y") == 2
 
+    @pytest.mark.parametrize("source", [
+        ("--identity-debug",), ("--baseline", "cal.csv"),
+    ], ids=["identity-debug", "baseline"])
+    def test_diagnostics_need_a_checkpoint(self, scan_dir, tmp_path, capsys,
+                                           source):
+        code = run("infer", "--scan", scan_dir, *source, "--diagnostics",
+                   "--out", tmp_path / "pred")
+        assert code == 2
+        assert "--diagnostics needs --checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
+
     def test_baseline_path(self, scan_dir, dataset_dir, tmp_path):
         cal_scan = sorted(dataset_dir.iterdir())[0]
         assert run("calibrate-baseline", "--scan", cal_scan,
@@ -130,6 +142,20 @@ class TestInfer:
         assert ("error: frame shape (6, 6) is too small for the in-plane "
                 "search: each side needs at least 7 pixels\n"
                 in capsys.readouterr().err)
+
+
+class TestCalibrateBaseline:
+    @pytest.mark.parametrize("lags", [(1, 2, 0), (1, -2)],
+                             ids=["zero", "negative"])
+    def test_lags_below_one_are_usage_errors(self, dataset_dir, tmp_path,
+                                             capsys, lags):
+        # a zero lag pairs frames with themselves, a negative one reads
+        # frames from the end of the scan
+        code = run("calibrate-baseline", "--scan", sorted(dataset_dir.iterdir())[0],
+                   "--out", tmp_path / "cal", "--lags", *lags)
+        assert code == 2
+        assert "calibration lags must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "cal" / "calibration.csv").exists()
 
 
 class TestTruncatedInputs:
@@ -381,6 +407,60 @@ class TestTrainCommand:
         assert reads == []
         assert not (tmp_path / "run").exists()
         assert "seq_len must be at least 2, got 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fraction", ["0", "-0.25", "nan", "inf"])
+    def test_validation_fraction_must_be_above_zero(
+            self, dataset_dir, tmp_path, monkeypatch, capsys, fraction):
+        steps = []
+        monkeypatch.setattr(training, "_train_step",
+                            lambda *args: steps.append(args))
+        code = run("train", "--dataset", dataset_dir, "--out",
+                   tmp_path / "run", "--steps", 2, "--seq-len", 3,
+                   "--batch", 2, "--val-fraction", fraction)
+        assert code == 2
+        assert steps == []
+        assert ("validation fraction must be above 0"
+                in capsys.readouterr().err)
+
+    def test_validation_dataset_replaces_the_split(self, dataset_dir, tmp_path):
+        # both scans of --dataset train, and the scan of --val-dataset, of
+        # a third subject, validates
+        first, *rest = sorted(dataset_dir.iterdir())
+        for scan in rest:
+            shutil.copytree(scan, tmp_path / "train" / scan.name)
+        shutil.copytree(first, tmp_path / "val" / first.name)
+        code = run("train", "--dataset", tmp_path / "train",
+                   "--val-dataset", tmp_path / "val", "--out", tmp_path / "run",
+                   "--steps", 2, "--seq-len", 3, "--batch", 2, "--seed", 1)
+        assert code == 0
+        report = json.loads((tmp_path / "run" / "val_report.json").read_text())
+        assert len(report["per_scan"]) == 1
+        config = TrainConfig(steps=2, batch_size=2, seq_len=3, seed=1)
+        assert report["init_val_mmae"] == training.validation_mmae(
+            MotionNetwork(ModelConfig.toy(), seed=1),
+            ScanDataset.from_directory(tmp_path / "val").scans, config)
+        log = (tmp_path / "run" / "train_log.csv").read_text().splitlines()
+        assert len(log) == 3  # 2 training scans, batch 2: one step an epoch
+
+    def test_rate_and_loss_weight_from_config_file(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("lr=0.004\nalpha-corr=0.25\n")
+        code = run("train", "--config", cfg, "--dataset", dataset_dir,
+                   "--out", tmp_path / "run", "--steps", 2, "--seq-len", 3,
+                   "--batch", 2, "--val-fraction", 0.34, "--seed", 1)
+        assert code == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "run" / "train_log.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2
+        weights = LossWeights(alpha_corr=0.25)
+        for step, mmae, corr, triplet, total, lr in rows:
+            assert float(lr) == 0.004
+            assert float(total) == pytest.approx(
+                weights.alpha_mmae * float(mmae) + weights.alpha_corr * float(corr)
+                + weights.alpha_triplet * float(triplet), rel=1e-12)
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["arguments"]["lr"] == 0.004
+        assert manifest["arguments"]["alpha_corr"] == 0.25
 
     def test_too_small_dataset_is_usage_error(self, tmp_path, dataset_dir):
         single = tmp_path / "single"

@@ -1,5 +1,7 @@
 """Correlation-volume tests against an explicit per-patch oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,20 @@ from gradcheck import check_gradients
 
 from fus3d.correlation import CorrConfig, correlate_batch
 from fus3d.pgm import read_pgm16
-from fus3d.tensor import Tensor, backward, mul, tensor_sum
+from fus3d.tensor import Tensor, backward, mul, reshape, tensor_sum, transpose
+
+
+def roi_major(maps: Tensor) -> Tensor:
+    """The layer's (n, d*d, gy, gx) displacement maps as the RoI-major
+    (n, gy, gx, d, d) volume the oracle builds."""
+    n, channels, gy, gx = maps.shape
+    d = math.isqrt(channels)
+    return transpose(reshape(maps, (n, d, d, gy, gx)), (0, 3, 4, 1, 2))
 
 
 def volume(a, b, cfg):
     """(gy * gx, d, d) correlation arrays of one (c, h, w) map pair."""
-    out = correlate_batch(Tensor(a[None]), Tensor(b[None]), cfg).data
+    out = roi_major(correlate_batch(Tensor(a[None]), Tensor(b[None]), cfg)).data
     _, gy, gx, d, _ = out.shape
     return out.reshape(gy * gx, d, d)
 
@@ -64,8 +74,8 @@ class TestConfig:
 
     def test_default_grid_is_8x8_on_64px_maps(self):
         cfg = CorrConfig(roi_extent=9, patch_extent=5, roi_stride=7)
-        out = correlate_batch(Tensor(np.zeros((1, 1, 64, 64))),
-                              Tensor(np.zeros((1, 1, 64, 64))), cfg)
+        out = roi_major(correlate_batch(Tensor(np.zeros((1, 1, 64, 64))),
+                                        Tensor(np.zeros((1, 1, 64, 64))), cfg))
         assert out.shape[1:3] == (8, 8)
         assert cfg.displacement_extent == 5
 
@@ -94,7 +104,7 @@ class TestAgainstOracle:
         rng = np.random.default_rng(17)
         a = rng.standard_normal((3, 2, 14, 14))
         b = rng.standard_normal((3, 2, 14, 14))
-        batch = correlate_batch(Tensor(a), Tensor(b), SMALL).data
+        batch = roi_major(correlate_batch(Tensor(a), Tensor(b), SMALL)).data
         for n in range(3):
             single = volume(a[n], b[n], SMALL)
             gy, gx, d, _ = batch.shape[1:]
@@ -175,6 +185,17 @@ class TestGradients:
         arrays = [rng.uniform(-1, 1, (1, 2, 10, 10)),
                   rng.uniform(-1, 1, (1, 2, 10, 10))]
         check_gradients(lambda t: correlate_batch(t[0], t[1], cfg), arrays)
+
+    def test_gradient_bits_do_not_depend_on_the_upstream_layout(self):
+        # the toy geometry's reductions over the upstream gradient sum in
+        # layout order, so the backward must fix that order itself
+        rng = np.random.default_rng(83)
+        a, b = rng.standard_normal((2, 5, 8, 32, 32))
+        out = correlate_batch(Tensor(a, requires_grad=True),
+                              Tensor(b, requires_grad=True), CorrConfig(9, 5, 3))
+        g = rng.standard_normal(out.shape)
+        for want, got in zip(out._vjp(g), out._vjp(np.asfortranarray(g))):
+            assert want.tobytes() == got.tobytes()
 
 
 class TestOverlappingRoiGradients:
@@ -264,7 +285,7 @@ class TestDegeneratePatches:
     def gradients(self, weights):
         ta = Tensor(self.a, requires_grad=True)
         tb = Tensor(self.b, requires_grad=True)
-        out = correlate_batch(ta, tb, SMALL)
+        out = roi_major(correlate_batch(ta, tb, SMALL))
         backward(tensor_sum(mul(out, weights)))
         return out.data, ta.grad, tb.grad
 
@@ -312,7 +333,7 @@ class TestProperties:
     @given(correlation_cases())
     def test_batch_matches_oracle_and_ncc_is_bounded(self, case):
         cfg, (a, b) = case
-        got = correlate_batch(Tensor(a), Tensor(b), cfg).data
+        got = roi_major(correlate_batch(Tensor(a), Tensor(b), cfg)).data
         for k in range(a.shape[0]):
             want = brute_force_volume(a[k], b[k], cfg).reshape(got[k].shape)
             # patch variances come from sums and sums of squares, which
@@ -328,9 +349,8 @@ class TestMeanMap:
     @staticmethod
     def mean_map(a, b):
         """Per-RoI mean correlation on the (gy, gx) RoI grid."""
-        return correlate_batch(Tensor(a[None]), Tensor(b[None]), SMALL).data[0].mean(
-            axis=(2, 3)
-        )
+        return roi_major(correlate_batch(Tensor(a[None]), Tensor(b[None]),
+                                         SMALL)).data[0].mean(axis=(2, 3))
 
     def test_identical_inputs_give_constant_map(self):
         # content periodic with the RoI stride: every RoI sees the same

@@ -108,7 +108,7 @@ class TestSameBytes:
         # constant blocks give degenerate windows in every pair
         a[:, :, 5:8, 5:8] = 0.5
         b[:, :, 8:14, 8:14] = 0.25
-        g = rng.standard_normal((n, 4, 4, 5, 5))
+        g = rng.standard_normal((n, 25, 4, 4))
 
         def run():
             out = C.correlate_batch(Tensor(a, requires_grad=True),

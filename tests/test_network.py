@@ -118,7 +118,8 @@ class TestLocalChannelAttention:
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="local channels"):
+        # the engine's own check: the MLP's matmul takes 16 channels
+        with pytest.raises(ValueError, match="matmul: shape mismatch"):
             self.gla.local_channel_scores(Tensor(np.zeros((1, 7, 16, 16))))
 
 
@@ -142,7 +143,8 @@ class TestRecalibrateLocal:
         np.testing.assert_array_equal(blocks.data, 0.0)
 
     def test_score_length_checked(self):
-        with pytest.raises(ValueError, match="scores"):
+        # the engine's own check: 5 scores do not reshape onto 16 channels
+        with pytest.raises(ValueError, match="reshape"):
             self.gla.recalibrate_local(self.e2, Tensor(np.ones((2, 5))))
 
 
@@ -183,6 +185,12 @@ class TestGlobalAttention:
         expected = channel * spatial * e4[0, 0]
         got = gla.global_attention(Tensor(e4)).data[0, 0]
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    def test_channel_count_checked(self):
+        # the engine's own check: the MLP's matmul takes 64 channels
+        gla = GlobalLocalAttention(TOY_GLA, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="matmul: shape mismatch"):
+            gla.global_attention(Tensor(np.zeros((1, 32, 4, 4))))
 
 
 class TestGlaForward:

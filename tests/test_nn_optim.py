@@ -153,7 +153,7 @@ class TestModuleTree:
     def test_load_keeps_parameters_and_stores_float64_copies(self):
         model = Linear(2, 2, np.random.default_rng(9))
         params = model.parameters()
-        opt = Adam(params, lr=0.1, decay_every=100)
+        opt = Adam(params, lr=0.1)
         weight = np.arange(4).reshape(2, 2)  # an integer array
         bias = np.array([0.5, -1.5])
         model.load_state_arrays({"weight": weight, "bias": bias})
@@ -199,14 +199,13 @@ class TestParameterIsTensor:
 class TestAdam:
     def test_descent_direction(self):
         p = Parameter(np.array([1.0]), name="p")
-        opt = Adam([p], lr=0.1, decay_every=100)
+        opt = Adam([p], lr=0.1)
         p.grad = np.array([1.0])
         opt.step()
         assert p.data[0] < 1.0
 
     def test_lr_schedule_paper_values(self):
-        opt = Adam([Parameter(np.zeros(1), name="p")], lr=1e-5,
-                   decay_every=100)
+        opt = Adam([Parameter(np.zeros(1), name="p")], lr=1e-5)
         assert opt.lr == 1e-5
         opt.set_epoch(99)
         assert opt.lr == 1e-5
@@ -215,15 +214,8 @@ class TestAdam:
         opt.set_epoch(250)
         assert opt.lr == pytest.approx(6.4e-6)
 
-    @pytest.mark.parametrize("decay_every", [0, -3])
-    def test_decay_period_must_be_positive(self, decay_every):
-        with pytest.raises(ValueError, match="decay_every"):
-            Adam([Parameter(np.zeros(1), name="p")], lr=0.1,
-                 decay_every=decay_every)
-
     def test_missing_grad_is_an_error(self):
-        opt = Adam([Parameter(np.zeros(1), name="p")], lr=0.1,
-                   decay_every=100)
+        opt = Adam([Parameter(np.zeros(1), name="p")], lr=0.1)
         with pytest.raises(RuntimeError, match="no gradient"):
             opt.step()
 
@@ -232,7 +224,7 @@ class TestAdam:
         rng = np.random.default_rng(9)
         c = rng.standard_normal(4)
         p = Parameter(np.zeros(4), name="x")
-        opt = Adam([p], lr=0.05, decay_every=100)
+        opt = Adam([p], lr=0.05)
         for _ in range(2000):
             p.zero_grad()
             diff = T.sub(p, c)
@@ -246,7 +238,7 @@ class TestAdam:
         def make():
             r = np.random.default_rng(11)
             model = Linear(3, 2, r)
-            return model, Adam(model.parameters(), lr=1e-3, decay_every=100)
+            return model, Adam(model.parameters(), lr=1e-3)
 
         model_a, opt_a = make()
         model_b, opt_b = make()

@@ -136,3 +136,108 @@ def test_public_members_have_callers(module):
         and not has_use(member.split(".")[1], module, span, ast.Attribute)
     ]
     assert uncalled == [], f"public in fus3d.{module} but unused in the package"
+
+
+# Class.field -> why a defaulted field of a public dataclass is set by no
+# call in the package or the benchmark
+UNSET_FIELDS = {
+    "PhantomSpec.psf_mm": "the phantom's physical point-spread; tests check its validation "
+                          "and a zero-width axis",
+}
+
+BENCHMARK_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def is_dataclass_node(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def init_field(item) -> bool:
+    """Whether a class-body annotation is a constructor field: not a
+    ``ClassVar`` and not ``field(init=False)``."""
+    if not isinstance(item, ast.AnnAssign) or not isinstance(item.target, ast.Name):
+        return False
+    if "ClassVar" in ast.unparse(item.annotation):
+        return False
+    return not (isinstance(item.value, ast.Call)
+                and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False for k in item.value.keywords))
+
+
+def dataclass_fields() -> dict:
+    """Class name -> (constructor fields in order, names of the
+    defaulted ones) of every public dataclass of the package."""
+    out = {}
+    for module in MODULES:
+        names = set(public_names(module))
+        for node in SOURCES[module].body:
+            if not (isinstance(node, ast.ClassDef) and node.name in names
+                    and is_dataclass_node(node)):
+                continue
+            fields = [item for item in node.body if init_field(item)]
+            out[node.name] = ([f.target.id for f in fields],
+                              {f.target.id for f in fields if f.value is not None})
+    return out
+
+
+def calls_by_class(tree, classes) -> list:
+    """(class name or None, call) of the calls in ``tree`` that build one
+    of ``classes`` (by name, or as ``cls`` in the class's own
+    classmethods) or that are ``dataclasses.replace`` (class None)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name in classes:
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and any(
+                        isinstance(d, ast.Name) and d.id == "classmethod"
+                        for d in method.decorator_list):
+                    found += [(node.name, call) for call in ast.walk(method)
+                              if isinstance(call, ast.Call)
+                              and isinstance(call.func, ast.Name)
+                              and call.func.id == "cls"]
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name in classes:
+            found.append((name, node))
+        elif name == "replace":
+            found.append((None, node))
+    return found
+
+
+def set_fields() -> dict:
+    """Class name -> the field names some call sets; ``*`` and ``**``
+    arguments set every field."""
+    classes = dataclass_fields()
+    trees = list(SOURCES.values()) + [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(BENCHMARK_DIR.glob("*.py"))]
+    out = {name: set() for name in classes}
+    for tree in trees:
+        for name, call in calls_by_class(tree, classes):
+            targets = [name] if name else list(classes)
+            starred = (any(isinstance(a, ast.Starred) for a in call.args)
+                       or any(k.arg is None for k in call.keywords))
+            keywords = {k.arg for k in call.keywords}
+            for target in targets:
+                order = classes[target][0]
+                positional = order[: len(call.args) - (name is None)]
+                out[target] |= (set(order) if starred
+                                else keywords | set(positional))
+    return out
+
+
+def test_config_fields_are_set():
+    assert BENCHMARK_DIR.is_dir()
+    classes, found = dataclass_fields(), set_fields()
+    unset = sorted(f"{name}.{field}" for name, (_, defaulted) in classes.items()
+                   for field in defaulted - found[name])
+    assert unset == sorted(UNSET_FIELDS), (
+        "defaulted dataclass fields that nothing in the package or the "
+        "benchmark sets")
