@@ -164,11 +164,14 @@ def cmd_train(args) -> int:
     if args.val_dataset:
         train_scans = dataset.scans
         val_scans = ScanDataset.from_directory(args.val_dataset).scans
+        # subject tags compared as split_by_subject compares them
+        shared = {s.subject for s in train_scans} & {s.subject for s in val_scans}
+        if shared:
+            raise UsageError(f"--dataset and --val-dataset share subjects "
+                             f"{', '.join(map(repr, sorted(shared)))}")
     else:
         train_ds, val_ds = dataset.split_by_subject(args.val_fraction, args.seed)
         train_scans, val_scans = train_ds.scans, val_ds.scans
-    if not train_scans or not val_scans:
-        raise UsageError("dataset too small for a train/validation split")
 
     resume_extra = None
     if args.resume:
@@ -360,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-rotation", type=float, nargs=3,
                    default=TrajectorySpec.noise_rotation_deg,
                    metavar=("SX", "SY", "SZ"))
-    p.add_argument("--frame-extent", type=int, default=64)
+    p.add_argument("--frame-extent", type=int,
+                   default=ModelConfig.frame_extent)
     p.add_argument("--pitch", type=float, default=DEFAULT_PITCH_MM)
     p.add_argument("--voxel", type=float, default=0.10,
                    help="phantom voxel size (mm)")

@@ -259,10 +259,9 @@ class GlobalLocalAttention(Module):
     def _weight_blocks(self, blocks: Tensor, g_tilde: Tensor):
         """Cosine-weight each block against the projected global feature."""
         n, nb = blocks.shape[0], blocks.shape[1]
-        expanded = T.broadcast_to(
-            T.reshape(g_tilde, (n, 1) + g_tilde.shape[1:]), blocks.shape
-        )
-        scores = T.cosine_similarity(blocks, expanded, axis=(2, 3, 4))
+        # (n, 1, c, e, e): the cosine broadcasts it over the block axis
+        g_row = T.reshape(g_tilde, (n, 1) + g_tilde.shape[1:])
+        scores = T.cosine_similarity(blocks, g_row, axis=(2, 3, 4))
         weighted = T.mul(blocks, T.reshape(scores, (n, nb, 1, 1, 1)))
         return weighted, scores
 

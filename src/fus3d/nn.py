@@ -42,9 +42,9 @@ class Parameter(Tensor):
 
     __slots__ = ("name",)
 
-    def __init__(self, data, name: str = ""):
+    def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.name = name
+        self.name = ""
 
 
 class Module:

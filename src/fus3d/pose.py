@@ -15,8 +15,8 @@ metrics and all CSV files):
 Stacks inside, objects at the edges: the batched paths work on (n, 3, 3)
 rotations, (n, 3) translations and (n, 6) pose rows, and
 :class:`PoseVector` and :class:`TransformSE3` objects are built only where
-a caller asks for them. Every batched path is bit-identical to its
-per-object form:
+a caller asks for them; a :class:`Trajectory` is built from stacks alone.
+Every batched path is bit-identical to its per-object form:
 
 * Trigonometry runs through ``math`` (``math.atan2``, ``math.hypot``,
   ``math.cos``, ``math.sin``) mapped over ``tolist()`` columns;
@@ -278,22 +278,14 @@ def _check_stack(rotations: np.ndarray, translations: np.ndarray) -> None:
 class Trajectory:
     """Absolute transforms per frame; element 0 is always the identity.
 
-    The transforms are held as stacked, read-only (n, 3, 3)
-    ``rotations`` and (n, 3) ``translations``; indexing and iterating
-    yield :class:`TransformSE3` views of their rows.
+    Built from (n, 3, 3) ``rotations`` and (n, 3) ``translations``,
+    checked as :class:`TransformSE3` checks each one; a sequence of
+    transforms goes through :func:`stack_transforms` first. The stacks
+    are held as read-only C-order copies; indexing and iterating yield
+    :class:`TransformSE3` views of their rows.
     """
 
-    def __init__(self, transforms):
-        seq = tuple(transforms)
-        if not seq:
-            raise ValueError("trajectory must contain at least one transform")
-        self._store(*stack_transforms(seq))
-
-    @classmethod
-    def from_arrays(cls, rotations: np.ndarray,
-                    translations: np.ndarray) -> "Trajectory":
-        """A trajectory over stacked transforms, checked as
-        :class:`TransformSE3` checks each one."""
+    def __init__(self, rotations: np.ndarray, translations: np.ndarray):
         rotations = np.array(rotations, dtype=float, order="C")
         translations = np.array(translations, dtype=float, order="C")
         if rotations.ndim != 3 or rotations.shape[1:] != (3, 3) or (
@@ -305,7 +297,7 @@ class Trajectory:
         if rotations.shape[0] == 0:
             raise ValueError("trajectory must contain at least one transform")
         _check_stack(rotations, translations)
-        return cls._checked(rotations, translations)
+        self._store(rotations, translations)
 
     @classmethod
     def _checked(cls, rotations: np.ndarray,

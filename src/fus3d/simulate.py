@@ -3,9 +3,9 @@
 A 3-D speckle phantom (complex scatterer noise blurred by an anisotropic
 point-spread kernel, envelope-detected) is sliced along a parametric
 probe trajectory with exact ground-truth poses. Frames decorrelate with
-elevational distance at a rate set by the elevational kernel width,
-which is the physical cue every motion estimator in this package relies
-on.
+elevational distance at a rate set by the elevational kernel width
+(``PSF_MM``, fixed for every phantom), which is the physical cue every
+motion estimator in this package relies on.
 
 Scan container on disk: a directory holding ``poses.csv`` (ground-truth
 absolute poses), ``frames.bin`` (FUS1 binary, see :func:`write_scan`)
@@ -69,6 +69,9 @@ SLICE_BLOCK_POINTS = 1 << 17
 # the real field's blur still finds chunks left to take
 _PHANTOM_CHUNKS = 16
 TRAJECTORY_SHAPES = ("linear", "s_curve", "c_curve")
+# the blur kernel: one Gaussian sigma in mm per axis (axial, lateral,
+# elevational)
+PSF_MM = (0.10, 0.18, 0.30)
 
 
 class FrameOutOfBoundsError(ValueError):
@@ -82,14 +85,11 @@ class FrameOutOfBoundsError(ValueError):
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Phantom extent, voxel size and origin, and the blur kernel: one
-    Gaussian sigma in mm per axis (axial, lateral, elevational). A sigma
-    of 0 leaves that axis unblurred; a negative or non-finite one is an
-    error."""
+    """Phantom extent, voxel size and origin. Every phantom is blurred
+    by the same kernel, ``PSF_MM``."""
 
     extent_mm: tuple = (20.0, 20.0, 40.0)
     voxel_mm: float = 0.05
-    psf_mm: tuple = (0.10, 0.18, 0.30)
     origin_mm: tuple | None = None
 
     def __post_init__(self) -> None:
@@ -97,23 +97,18 @@ class PhantomSpec:
             raise ValueError("phantom extents must be positive")
         if self.voxel_mm <= 0:
             raise ValueError("voxel size must be positive")
-        for axis, sigma in zip(("axial", "lateral", "elevational"), self.psf_mm):
-            if not (np.isfinite(sigma) and sigma >= 0):
-                raise ValueError(
-                    f"{axis} psf_mm must be finite and at least 0, got {sigma}")
         # the blur kernel must fit: require a few sigmas per axis
-        if any(e < 4.0 * s for e, s in zip(self.extent_mm, self.psf_mm)):
+        if any(e < 4.0 * s for e, s in zip(self.extent_mm, PSF_MM)):
             raise ValueError(
                 f"extent {self.extent_mm} smaller than the blur kernel "
-                f"support (needs >= 4 sigma = {tuple(4 * s for s in self.psf_mm)})"
+                f"support (needs >= 4 sigma = {tuple(4 * s for s in PSF_MM)})"
             )
 
     @classmethod
     def for_scan(cls, geometry: ImageGeometry, scan_length_mm: float,
                  margin_mm: float = 1.5, voxel_mm: float = 0.05) -> "PhantomSpec":
         """Size a phantom to cover frames of ``geometry`` swept from
-        elevational 0 to ``scan_length_mm`` plus in-plane wiggle margin,
-        with the default point-spread function."""
+        elevational 0 to ``scan_length_mm`` plus in-plane wiggle margin."""
         ex = geometry.n_rows * geometry.pitch_axial_mm + 2 * margin_mm
         ey = geometry.n_cols * geometry.pitch_lateral_mm + 2 * margin_mm
         ez = scan_length_mm + 2 * margin_mm
@@ -169,15 +164,12 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     else:
         origin = np.asarray(spec.origin_mm, dtype=float)
 
-    sigmas = tuple(s / spec.voxel_mm for s in spec.psf_mm)
-    # gaussian_filter's own passes: it skips axes of (near) zero sigma
-    passes = [(axis, sigma) for axis, sigma in enumerate(sigmas)
-              if sigma > 1e-15]
+    sigmas = tuple(s / spec.voxel_mm for s in PSF_MM)
     real = rng.standard_normal(dims)
 
     def imaginary() -> np.ndarray:
         imag = rng.standard_normal(dims)
-        for axis, sigma in passes:
+        for axis, sigma in enumerate(sigmas):
             across = 1 if axis == 0 else 0
 
             def blur(span, axis=axis, sigma=sigma, across=across):
@@ -279,7 +271,7 @@ def make_trajectory(spec: TrajectorySpec):
     abs_tra = np.concatenate(
         [np.zeros((1, 3)), raw_rot[1:] @ inv0_tra + raw_tra[1:]]
     )
-    trajectory = Trajectory.from_arrays(abs_rot, abs_tra)
+    trajectory = Trajectory(abs_rot, abs_tra)
     return trajectory, trajectory.relative_poses()
 
 
@@ -425,7 +417,7 @@ def read_scan(directory) -> ScanSequence:
         frames=frames,
         geometry=ImageGeometry(rows, cols, float(pitch_a), float(pitch_l)),
         frame_rate_hz=float(rate),
-        truth=Trajectory(tuple(transforms)),
+        truth=Trajectory(*stack_transforms(transforms)),
         subject=subject,
         meta=meta,
     )

@@ -4,7 +4,9 @@ A small tape-based engine: every operation is a module function (``add``,
 ``matmul``, ``conv2d``, ...) that returns a new :class:`Tensor` whose
 backward closure knows how to push gradients to its parents. ``Tensor``
 has no arithmetic operators or method aliases; ``x[index]`` (``take``)
-is its one method spelling of an op.
+is its one method spelling of an op. ``add``, ``sub``, ``mul``,
+``matmul`` and ``cosine_similarity`` broadcast their operands as numpy
+does, and their backward sums each gradient back to its operand's shape.
 Everything is stored as contiguous numpy float64; there is no graph
 optimization and no implicit dtype promotion. Determinism: identical
 inputs and seeds give bit-identical outputs and gradients, at any CPU
@@ -42,7 +44,6 @@ __all__ = [
     "matmul",
     "reshape",
     "transpose",
-    "broadcast_to",
     "concat",
     "stack",
     "tensor_sum",
@@ -144,11 +145,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
 # -- elementwise arithmetic (broadcasting) ------------------------------------
 
 def add(a, b) -> Tensor:
@@ -225,17 +221,6 @@ def transpose(x, axes) -> Tensor:
     return _node(data, (x,), vjp)
 
 
-def broadcast_to(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    shape = tuple(shape)
-    data = np.broadcast_to(x.data, shape).copy()
-
-    def vjp(g):
-        return (_unbroadcast(g, x.shape),)
-
-    return _node(data, (x,), vjp)
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     parts = [_as_tensor(t) for t in tensors]
     data = np.concatenate([p.data for p in parts], axis=axis)
@@ -255,7 +240,8 @@ def stack(tensors, axis: int = 0) -> Tensor:
     parts = [_as_tensor(t) for t in tensors]
     shape = parts[0].shape
     for p in parts:
-        _check_same_shape(parts[0], p, "stack")
+        if p.shape != shape:
+            raise ValueError(f"stack: shape mismatch {shape} vs {p.shape}")
     axis = axis % (len(shape) + 1)
     new_shape = shape[:axis] + (1,) + shape[axis:]
     return concat([reshape(p, new_shape) for p in parts], axis=axis)
@@ -294,15 +280,13 @@ def _normalize_axis(axis, ndim):
     return tuple(a % ndim for a in axis)
 
 
-def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(x, axis=None) -> Tensor:
     x = _as_tensor(x)
     axes = _normalize_axis(axis, x.ndim)
-    data = x.data.sum(axis=axes, keepdims=keepdims)
+    data = x.data.sum(axis=axes)
 
     def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axes), x.shape).copy(),)
 
     return _node(data, (x,), vjp)
 
@@ -556,27 +540,33 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 def cosine_similarity(a, b, axis=None) -> Tensor:
     """Cosine similarity reduced over ``axis`` (all axes by default).
 
+    The operands broadcast as in :func:`mul`, and ``axis`` counts the
+    axes of the broadcast shape; each operand's gradient is summed back
+    to its own shape. Shapes that do not broadcast raise ``ValueError``.
     Zero-norm inputs yield similarity 0 with zero gradient; this is the
     convention used by the loss and attention code for degenerate inputs.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    _check_same_shape(a, b, "cosine_similarity")
-    axes = _normalize_axis(axis, a.ndim)
-    dot = (a.data * b.data).sum(axis=axes, keepdims=True)
-    na = np.sqrt((a.data * a.data).sum(axis=axes, keepdims=True))
-    nb = np.sqrt((b.data * b.data).sum(axis=axes, keepdims=True))
+    prod = a.data * b.data
+    axes = _normalize_axis(axis, prod.ndim)
+    # each operand with the broadcast shape's number of axes
+    x, y = (t.data.reshape((1,) * (prod.ndim - t.ndim) + t.shape) for t in (a, b))
+    dot = prod.sum(axis=axes, keepdims=True)
+    na = np.sqrt((x * x).sum(axis=axes, keepdims=True))
+    nb = np.sqrt((y * y).sum(axis=axes, keepdims=True))
     denom = na * nb
     zero = denom == 0.0
     safe = np.where(zero, 1.0, denom)
     cos = np.where(zero, 0.0, dot / safe)
-    data = cos.reshape(tuple(n for i, n in enumerate(a.shape) if i not in axes))
+    data = cos.reshape(tuple(n for i, n in enumerate(prod.shape) if i not in axes))
 
     def vjp(g):
         g = g.reshape(cos.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            da = g * np.where(zero, 0.0, (b.data / safe - cos * a.data / (na * na)))
-            db = g * np.where(zero, 0.0, (a.data / safe - cos * b.data / (nb * nb)))
-        return np.nan_to_num(da, nan=0.0), np.nan_to_num(db, nan=0.0)
+            da = g * np.where(zero, 0.0, (y / safe - cos * x / (na * na)))
+            db = g * np.where(zero, 0.0, (x / safe - cos * y / (nb * nb)))
+        return (_unbroadcast(np.nan_to_num(da, nan=0.0), a.shape),
+                _unbroadcast(np.nan_to_num(db, nan=0.0), b.shape))
 
     return _node(data, (a, b), vjp)
 

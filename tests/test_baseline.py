@@ -350,13 +350,15 @@ class TestElevational:
 
     def test_larger_gap_never_reads_smaller(self, decorr_model, small_phantom):
         from conftest import GEOM64
-        from fus3d.pose import PoseVector, Trajectory, TransformSE3, pose_to_transform
+        from fus3d.pose import (PoseVector, Trajectory, TransformSE3,
+                                pose_to_transform, stack_transforms)
         from fus3d.simulate import slice_phantom
 
         transforms = [TransformSE3.identity()] + [
             pose_to_transform(PoseVector(tz=g)) for g in (0.1, 0.2, 0.35, 0.5)
         ]
-        frames = slice_phantom(small_phantom, Trajectory(tuple(transforms)), GEOM64)
+        frames = slice_phantom(small_phantom, Trajectory(*stack_transforms(transforms)),
+                               GEOM64)
         reads = [
             estimate_step(frames[0], frames[k], decorr_model, pitch_mm=PITCH).tz
             for k in range(1, 5)

@@ -11,7 +11,7 @@ from conftest import simulate_scan
 
 from fus3d import training
 from fus3d.baseline import DecorrModel
-from fus3d.cli import main
+from fus3d.cli import build_parser, main
 from fus3d.compound import read_volume
 from fus3d.losses import LossWeights
 from fus3d.network import ModelConfig, MotionNetwork, save_model
@@ -78,6 +78,11 @@ class TestSimulate:
         assert exc.value.code == 2
         choices = ", ".join(repr(shape) for shape in TRAJECTORY_SHAPES)
         assert f"(choose from {choices})" in capsys.readouterr().err
+
+    def test_frame_extent_defaults_to_the_model_input(self, monkeypatch):
+        monkeypatch.setattr(ModelConfig, "frame_extent", 48)
+        args = build_parser().parse_args(["simulate", "--out", "scan"])
+        assert args.frame_extent == 48
 
     def test_overwrite_requires_force(self, tmp_path):
         args = ["simulate", "--out", tmp_path / "x", "--frames", 8,
@@ -441,6 +446,21 @@ class TestTrainCommand:
             ScanDataset.from_directory(tmp_path / "val").scans, config)
         log = (tmp_path / "run" / "train_log.csv").read_text().splitlines()
         assert len(log) == 3  # 2 training scans, batch 2: one step an epoch
+
+    def test_validation_dataset_sharing_a_subject_is_usage_error(
+            self, dataset_dir, tmp_path, monkeypatch, capsys):
+        # a copy of a training scan validates: its subject trains as well
+        steps = []
+        monkeypatch.setattr(training, "_train_step",
+                            lambda *args: steps.append(args))
+        first = sorted(dataset_dir.iterdir())[0]
+        shutil.copytree(first, tmp_path / "val" / first.name)
+        code = run("train", "--dataset", dataset_dir,
+                   "--val-dataset", tmp_path / "val", "--out", tmp_path / "run",
+                   "--steps", 2, "--seq-len", 3, "--batch", 2)
+        assert code == 2
+        assert steps == []
+        assert "share subjects 's00'" in capsys.readouterr().err
 
     def test_rate_and_loss_weight_from_config_file(self, dataset_dir, tmp_path):
         cfg = tmp_path / "train.cfg"

@@ -209,11 +209,9 @@ class TestGlaForward:
 
     def test_blocks_matching_global_get_unit_weight(self):
         rng = np.random.default_rng(13)
-        g_tilde = Tensor(rng.standard_normal((1, 16, 4, 4)))
-        blocks = T.broadcast_to(
-            T.reshape(T.mul(g_tilde, 2.5), (1, 1, 16, 4, 4)), (1, 16, 16, 4, 4)
-        )
-        weighted, scores = self.gla._weight_blocks(blocks, g_tilde)
+        g_tilde = rng.standard_normal((1, 16, 4, 4))
+        blocks = Tensor(np.repeat(2.5 * g_tilde[:, None], 16, axis=1))
+        weighted, scores = self.gla._weight_blocks(blocks, Tensor(g_tilde))
         np.testing.assert_allclose(scores.data, 1.0, atol=1e-12)
         np.testing.assert_allclose(weighted.data, blocks.data, atol=1e-12)
 

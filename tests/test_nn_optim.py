@@ -167,11 +167,11 @@ class TestModuleTree:
 
 class TestParameterIsTensor:
     def test_parameter_is_a_trainable_tensor(self):
-        p = Parameter(np.arange(3), name="w")
+        p = Parameter(np.arange(3))
         assert isinstance(p, Tensor)
         assert p.requires_grad
         assert p.data.dtype == np.float64
-        assert p.name == "w"
+        assert p.name == ""  # Module.named_parameters fills it
         assert p.grad is None
 
     @pytest.mark.parametrize("layer", ["linear", "conv", "lstm"])
@@ -198,14 +198,14 @@ class TestParameterIsTensor:
 
 class TestAdam:
     def test_descent_direction(self):
-        p = Parameter(np.array([1.0]), name="p")
+        p = Parameter(np.array([1.0]))
         opt = Adam([p], lr=0.1)
         p.grad = np.array([1.0])
         opt.step()
         assert p.data[0] < 1.0
 
     def test_lr_schedule_paper_values(self):
-        opt = Adam([Parameter(np.zeros(1), name="p")], lr=1e-5)
+        opt = Adam([Parameter(np.zeros(1))], lr=1e-5)
         assert opt.lr == 1e-5
         opt.set_epoch(99)
         assert opt.lr == 1e-5
@@ -215,7 +215,7 @@ class TestAdam:
         assert opt.lr == pytest.approx(6.4e-6)
 
     def test_missing_grad_is_an_error(self):
-        opt = Adam([Parameter(np.zeros(1), name="p")], lr=0.1)
+        opt = Adam([Parameter(np.zeros(1))], lr=0.1)
         with pytest.raises(RuntimeError, match="no gradient"):
             opt.step()
 
@@ -223,7 +223,7 @@ class TestAdam:
         # minimize sum((x - c)^2); closed-form minimum at c
         rng = np.random.default_rng(9)
         c = rng.standard_normal(4)
-        p = Parameter(np.zeros(4), name="x")
+        p = Parameter(np.zeros(4))
         opt = Adam([p], lr=0.05)
         for _ in range(2000):
             p.zero_grad()

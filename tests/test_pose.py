@@ -298,7 +298,19 @@ class TestTrajectory:
     def test_first_element_must_be_identity(self):
         t = pose_to_transform(PoseVector(tz=1.0))
         with pytest.raises(ValueError):
-            Trajectory((t,))
+            Trajectory(*stack_transforms((t,)))
+
+    def test_stacks_are_checked(self):
+        eye, zero = np.eye(3)[None], np.zeros((1, 3))
+        with pytest.raises(ValueError, match="expected"):
+            Trajectory(eye, np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="at least one"):
+            Trajectory(np.empty((0, 3, 3)), np.empty((0, 3)))
+        skewed = np.concatenate([eye, 2.0 * eye])
+        with pytest.raises(ValueError, match="orthonormal"):
+            Trajectory(skewed, np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(eye, np.full((1, 3), np.nan))
 
 
 def grid_points(transforms, geom, pixels=None):
@@ -418,9 +430,9 @@ class TestArrayPathProperties:
     @settings(max_examples=60)
     @given(pose_chains())
     def test_poses_match_per_transform_extraction(self, chain):
-        absolute = Trajectory(
+        absolute = Trajectory(*stack_transforms(
             [TransformSE3.identity()] + [pose_to_transform(p) for p in chain]
-        )
+        ))
         assert_poses_identical(absolute.poses(),
                                [transform_to_pose(t) for t in absolute])
         np.testing.assert_array_equal(
@@ -563,7 +575,7 @@ class TestBatchedMatchesPerPose:
         # absolute frames: the rows themselves after the identity
         rotations, translations = poses_to_stacks(
             np.concatenate([np.zeros((1, 6)), rows]))
-        trajectory = Trajectory.from_arrays(rotations, translations)
+        trajectory = Trajectory(rotations, translations)
         want = [reference_pose(t) for t in trajectory]
         arrays = pose_arrays(trajectory.rotations, trajectory.translations)
         assert same_bits(arrays, want)
@@ -864,7 +876,7 @@ class TestNoPerPoseConstruction:
     def test_trajectory_poses(self, counts):
         rows = np.random.default_rng(4).uniform(-50.0, 50.0, (30, 6))
         rows[0] = 0.0
-        trajectory = Trajectory.from_arrays(*poses_to_stacks(rows))
+        trajectory = Trajectory(*poses_to_stacks(rows))
         assert len(trajectory.poses()) == 30
         assert len(trajectory.relative_poses()) == 29
         assert counts == {PoseVector: 0, TransformSE3: 0}
@@ -990,10 +1002,10 @@ class TestStackLayout:
         rebuilt = [TransformSE3(np.ascontiguousarray(t.rotation),
                                 t.translation.copy()) for t in inverses]
         assert rebuilt[0].rotation.flags.c_contiguous
-        from_arrays = Trajectory.from_arrays(
+        stacked = Trajectory(
             np.array([t.rotation for t in inverses], order="F"),
             np.array([t.translation for t in inverses], order="F"))
-        for other in (rebuilt, from_arrays):
+        for other in (rebuilt, stacked):
             got, want = accumulate(inverses), accumulate(other)
             assert same_bits(got.rotations, want.rotations)
             assert same_bits(got.translations, want.translations)

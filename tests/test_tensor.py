@@ -167,10 +167,6 @@ class TestPrimitiveGradients:
             [rand(self.rng, 2, 6)],
         )
 
-    def test_broadcast_to(self):
-        check_gradients(lambda t: T.broadcast_to(t[0], (4, 2, 3)),
-                        [rand(self.rng, 2, 3)])
-
     def test_concat(self):
         check_gradients(
             lambda t: T.concat(t, axis=1),
@@ -256,8 +252,35 @@ class TestPrimitiveGradients:
             [rand(self.rng, 3, 2, 2) + 1.0, rand(self.rng, 3, 2, 2) + 1.0],
         )
 
+    @pytest.mark.parametrize("shapes", [((3, 4, 2, 2), (3, 1, 2, 2)),
+                                        ((3, 1, 2, 2), (3, 4, 2, 2)),
+                                        ((3, 4, 2, 2), (2, 2))])
+    def test_cosine_similarity_broadcast(self, shapes):
+        # the attention block's (n, 1, c, e, e) global feature against
+        # (n, blocks, c, e, e) blocks: extent 1 on the kept block axis
+        check_gradients(
+            lambda t: T.cosine_similarity(t[0], t[1], axis=(2, 3)),
+            [rand(self.rng, *shape) + 1.0 for shape in shapes],
+        )
+
 
 class TestCosineHandDerived:
+    def test_zero_norm_broadcast_operand_reads_zero_with_zero_gradient(self):
+        rng = np.random.default_rng(3)
+        a = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        b = Tensor(np.zeros((2, 1, 4)), requires_grad=True)
+        out = T.cosine_similarity(a, b, axis=2)
+        assert out.shape == (2, 3)
+        np.testing.assert_array_equal(out.data, 0.0)
+        backward(T.tensor_sum(T.mul(out, rng.standard_normal((2, 3)))))
+        np.testing.assert_array_equal(a.grad, 0.0)
+        np.testing.assert_array_equal(b.grad, np.zeros((2, 1, 4)))
+
+    def test_shapes_that_do_not_broadcast_raise(self):
+        with pytest.raises(ValueError):
+            T.cosine_similarity(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))),
+                                axis=1)
+
     def test_gradient_at_orthogonal_unit_vectors(self):
         # For unit-norm orthogonal a, b: d cos/da = b, d cos/db = a.
         a = Tensor(np.array([1.0, 0.0]), requires_grad=True)

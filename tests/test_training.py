@@ -114,7 +114,8 @@ class TestShortScans:
     def short_copy(scan, n_frames):
         return ScanSequence(scan.frames[:n_frames], scan.geometry,
                             scan.frame_rate_hz,
-                            Trajectory(tuple(scan.truth)[:n_frames]),
+                            Trajectory(scan.truth.rotations[:n_frames],
+                                       scan.truth.translations[:n_frames]),
                             subject=scan.subject)
 
     def test_short_scan_skipped_with_one_warning(self, small_dataset, caplog):
