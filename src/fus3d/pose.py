@@ -294,8 +294,6 @@ class Trajectory:
             raise ValueError(f"expected (n, 3, 3) rotations and (n, 3) "
                              f"translations, got {rotations.shape} and "
                              f"{translations.shape}")
-        if rotations.shape[0] == 0:
-            raise ValueError("trajectory must contain at least one transform")
         _check_stack(rotations, translations)
         self._store(rotations, translations)
 
@@ -303,12 +301,14 @@ class Trajectory:
     def _checked(cls, rotations: np.ndarray,
                  translations: np.ndarray) -> "Trajectory":
         """A trajectory taking ownership of stacks that passed
-        :func:`_check_stack`."""
+        :func:`_check_stack`, or that stack checked transforms."""
         obj = cls.__new__(cls)
         obj._store(rotations, translations)
         return obj
 
     def _store(self, rotations: np.ndarray, translations: np.ndarray) -> None:
+        if rotations.shape[0] == 0:
+            raise ValueError("trajectory must contain at least one transform")
         if (
             np.abs(rotations[0] - _IDENTITY).max() > _ROT_TOL
             or np.abs(translations[0]).max() > _ROT_TOL

@@ -417,7 +417,7 @@ def read_scan(directory) -> ScanSequence:
         frames=frames,
         geometry=ImageGeometry(rows, cols, float(pitch_a), float(pitch_l)),
         frame_rate_hz=float(rate),
-        truth=Trajectory(*stack_transforms(transforms)),
+        truth=Trajectory._checked(*stack_transforms(transforms)),
         subject=subject,
         meta=meta,
     )

@@ -5,8 +5,9 @@ A small tape-based engine: every operation is a module function (``add``,
 backward closure knows how to push gradients to its parents. ``Tensor``
 has no arithmetic operators or method aliases; ``x[index]`` (``take``)
 is its one method spelling of an op. ``add``, ``sub``, ``mul``,
-``matmul`` and ``cosine_similarity`` broadcast their operands as numpy
-does, and their backward sums each gradient back to its operand's shape.
+``matmul`` and ``cosine_similarity`` (on its kept axes) broadcast their
+operands as numpy does, and their backward sums each gradient back to
+its operand's shape.
 Everything is stored as contiguous numpy float64; there is no graph
 optimization and no implicit dtype promotion. Determinism: identical
 inputs and seeds give bit-identical outputs and gradients, at any CPU
@@ -540,9 +541,11 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 def cosine_similarity(a, b, axis=None) -> Tensor:
     """Cosine similarity reduced over ``axis`` (all axes by default).
 
-    The operands broadcast as in :func:`mul`, and ``axis`` counts the
-    axes of the broadcast shape; each operand's gradient is summed back
-    to its own shape. Shapes that do not broadcast raise ``ValueError``.
+    The operands broadcast as in :func:`mul` on the kept axes only, and
+    ``axis`` counts the axes of the broadcast shape; each operand's
+    gradient is summed back to its own shape. Shapes that do not
+    broadcast, or whose extents differ on a reduced axis, raise
+    ``ValueError``.
     Zero-norm inputs yield similarity 0 with zero gradient; this is the
     convention used by the loss and attention code for degenerate inputs.
     """
@@ -551,6 +554,8 @@ def cosine_similarity(a, b, axis=None) -> Tensor:
     axes = _normalize_axis(axis, prod.ndim)
     # each operand with the broadcast shape's number of axes
     x, y = (t.data.reshape((1,) * (prod.ndim - t.ndim) + t.shape) for t in (a, b))
+    if any(x.shape[i] != y.shape[i] for i in axes):
+        raise ValueError(f"{a.shape} and {b.shape} differ on a reduced axis")
     dot = prod.sum(axis=axes, keepdims=True)
     na = np.sqrt((x * x).sum(axis=axes, keepdims=True))
     nb = np.sqrt((y * y).sum(axis=axes, keepdims=True))

@@ -239,7 +239,7 @@ def test_config_fields_are_set():
     classes, found = dataclass_fields(), set_fields()
     unset = sorted(f"{name}.{field}" for name, (_, defaulted) in classes.items()
                    for field in defaulted - found[name])
-    assert sorted(set(unset) - set(UNSET_FIELDS)) == [], (
+    assert unset == sorted(UNSET_FIELDS), (
         "defaulted dataclass fields that nothing in the package or the "
         "benchmark sets")
 

@@ -417,6 +417,13 @@ class TestScanPipeline:
         for a, b in zip(loaded.truth, linear_scan.truth):
             assert np.abs(a.matrix() - b.matrix()).max() < 1e-12
 
+    def test_scan_without_poses_rejected(self, linear_scan, tmp_path):
+        directory = write_scan(tmp_path / "scan", linear_scan)
+        poses = directory / "poses.csv"
+        poses.write_text(poses.read_text().splitlines()[0] + "\n")
+        with pytest.raises(ValueError, match="at least one transform"):
+            read_scan(directory)
+
     def test_frames_bin_layout(self, linear_scan, tmp_path):
         directory = write_scan(tmp_path / "scan", linear_scan)
         blob = (directory / "frames.bin").read_bytes()

@@ -276,10 +276,16 @@ class TestCosineHandDerived:
         np.testing.assert_array_equal(a.grad, 0.0)
         np.testing.assert_array_equal(b.grad, np.zeros((2, 1, 4)))
 
-    def test_shapes_that_do_not_broadcast_raise(self):
+    @pytest.mark.parametrize("shapes, axis", [(((2, 3), (2, 4)), 1),
+                                              (((2, 3), (2, 4)), 0),
+                                              (((3, 4), (3, 1)), 1),
+                                              (((4,), ()), None)])
+    def test_shapes_that_do_not_broadcast_raise(self, shapes, axis):
+        # only kept axes broadcast: extent 1 on a reduced axis would
+        # shrink that operand's norm
+        a, b = (Tensor(np.ones(shape)) for shape in shapes)
         with pytest.raises(ValueError):
-            T.cosine_similarity(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))),
-                                axis=1)
+            T.cosine_similarity(a, b, axis=axis)
 
     def test_gradient_at_orthogonal_unit_vectors(self):
         # For unit-norm orthogonal a, b: d cos/da = b, d cos/db = a.
