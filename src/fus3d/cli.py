@@ -121,7 +121,7 @@ def cmd_simulate(args) -> int:
     geometry = ImageGeometry(
         args.frame_extent, args.frame_extent, args.pitch, args.pitch
     )
-    wiggle = args.lateral_amplitude + 4.0 * max(args.noise_translation)
+    wiggle = abs(args.lateral_amplitude) + 4.0 * max(args.noise_translation)
     phantom_spec = PhantomSpec.for_scan(
         geometry,
         scan_length_mm=args.length_mm,

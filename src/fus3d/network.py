@@ -20,8 +20,10 @@ Shape ladder (toy scale, 64px frames / paper shape, 256px frames):
     stage3   32 x  8 x  8     256 x  8 x  8
     stage4   64 x  4 x  4     512 x  4 x  4
 
-The paper-shape config exists for shape checking only; the toy config is
-what trains on simulated scans.
+The toy config (``ModelConfig()``) is what trains on simulated scans;
+the network tests build the paper-shape column to check the published
+shapes. Both use the fixed ``CORR_ROI``, ``CORR_PATCH`` and
+``MLP_REDUCTION``.
 """
 
 from __future__ import annotations
@@ -57,11 +59,19 @@ __all__ = [
 # within 5 % of 16, and one 249-step chunk took 0.74 s against 0.44 s.
 INFER_CHUNK = 32
 
+# Correlation RoI and patch extents (stage-1 pixels) and the attention
+# MLPs' bottleneck ratio, the same at toy and paper shape. Older
+# checkpoints record them; loading checks that the records match.
+CORR_ROI = 9
+CORR_PATCH = 5
+MLP_REDUCTION = 16
+
 
 @dataclass(frozen=True)
 class GlaConfig:
-    """Shapes of the attention block: local features (channels, extent),
-    global features (channels, extent) and the MLP bottleneck ratio.
+    """Shapes of the attention block: local features (channels, extent)
+    and global features (channels, extent). The MLPs' bottleneck ratio is
+    ``MLP_REDUCTION``.
 
     The local map is tiled into blocks of the global extent, because the
     cosine weighting compares each block with the projected global map."""
@@ -70,7 +80,6 @@ class GlaConfig:
     local_extent: int
     global_channels: int
     global_extent: int
-    mlp_reduction: int
 
     def __post_init__(self) -> None:
         if self.local_extent % self.global_extent != 0:
@@ -90,8 +99,8 @@ class GlaConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Network hyperparameters; ``toy`` is the trainable desk-scale setup,
-    ``paper_shape`` reproduces the published tensor shapes untrained.
+    """Network hyperparameters; the defaults (``toy``) are the trainable
+    desk-scale setup.
 
     The encoder fixes the other extents: the correlation grid is the
     stage-3 extent, whose maps the correlation channels join, and the
@@ -101,9 +110,6 @@ class ModelConfig:
     encoder_channels: tuple = (8, 16, 32, 64)
     downsample: tuple = (2, 2, 2, 2)
     lstm_hidden: int = 32
-    corr_roi: int = 9
-    corr_patch: int = 5
-    mlp_reduction: int = 16
 
     def __post_init__(self) -> None:
         if len(self.encoder_channels) != 4 or len(self.downsample) != 4:
@@ -121,11 +127,6 @@ class ModelConfig:
     def toy(cls) -> "ModelConfig":
         return cls()
 
-    @classmethod
-    def paper_shape(cls) -> "ModelConfig":
-        return cls(frame_extent=256, encoder_channels=(64, 128, 256, 512),
-                   downsample=(2, 2, 8, 2), lstm_hidden=128)
-
     # -- derived shapes -------------------------------------------------
     def stage_extent(self, stage: int) -> int:
         extent = self.frame_extent
@@ -137,7 +138,7 @@ class ModelConfig:
     def corr_config(self) -> CorrConfig:
         return CorrConfig.for_map_extent(
             self.stage_extent(0), grid=self.stage_extent(2),
-            roi_extent=self.corr_roi, patch_extent=self.corr_patch,
+            roi_extent=CORR_ROI, patch_extent=CORR_PATCH,
         )
 
     @property
@@ -147,7 +148,6 @@ class ModelConfig:
             local_extent=self.stage_extent(1),
             global_channels=self.encoder_channels[3],
             global_extent=self.stage_extent(3),
-            mlp_reduction=self.mlp_reduction,
         )
 
     # -- flat key=value serialization ------------------------------------
@@ -165,7 +165,15 @@ class ModelConfig:
     @classmethod
     def from_text_dict(cls, text: dict) -> "ModelConfig":
         """Inverse of :meth:`to_text_dict`; keys that are not fields, such
-        as those of retired settings, are ignored."""
+        as those of retired settings, are ignored. A retired geometry key
+        (``corr_roi``, ``corr_patch``, ``mlp_reduction``) must record its
+        constant's value: another RoI or patch extent can give the same
+        parameter shapes and would load into the fixed geometry unnoticed."""
+        for key, fixed in (("corr_roi", CORR_ROI), ("corr_patch", CORR_PATCH),
+                           ("mlp_reduction", MLP_REDUCTION)):
+            if key in text and int(text[key]) != fixed:
+                raise ValueError(f"checkpoint records {key}={text[key]}, but "
+                                 f"the network fixes {key} at {fixed}")
         values = {}
         for f in fields(cls):
             raw = text[f.name]
@@ -218,8 +226,8 @@ class GlobalLocalAttention(Module):
 
     def __init__(self, cfg: GlaConfig, rng: np.random.Generator):
         self.cfg = cfg
-        hidden_l = max(1, cfg.local_channels // cfg.mlp_reduction)
-        hidden_g = max(1, cfg.global_channels // cfg.mlp_reduction)
+        hidden_l = max(1, cfg.local_channels // MLP_REDUCTION)
+        hidden_g = max(1, cfg.global_channels // MLP_REDUCTION)
         self.local_mlp1 = Linear(cfg.local_channels, hidden_l, rng, bias=False)
         self.local_mlp2 = Linear(hidden_l, cfg.local_channels, rng, bias=False)
         self.global_mlp1 = Linear(cfg.global_channels, hidden_g, rng, bias=False)

@@ -15,7 +15,10 @@ metrics and all CSV files):
 Stacks inside, objects at the edges: the batched paths work on (n, 3, 3)
 rotations, (n, 3) translations and (n, 6) pose rows, and
 :class:`PoseVector` and :class:`TransformSE3` objects are built only where
-a caller asks for them; a :class:`Trajectory` is built from stacks alone.
+a caller asks for them. A :class:`TransformSE3` is a checked rotation and
+translation with no algebra of its own: composition, inversion and pose
+extraction run on stacks, and their one-transform forms are the pose
+tests' references. A :class:`Trajectory` is built from stacks alone.
 Every batched path is bit-identical to its per-object form:
 
 * Trigonometry runs through ``math`` (``math.atan2``, ``math.hypot``,
@@ -54,7 +57,6 @@ __all__ = [
     "ImageGeometry",
     "pose_to_transform",
     "poses_to_stacks",
-    "transform_to_pose",
     "stack_transforms",
     "relative_arrays",
     "pose_arrays",
@@ -209,10 +211,6 @@ class TransformSE3:
         object.__setattr__(self, "translation", tra)
 
     @classmethod
-    def identity(cls) -> "TransformSE3":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
     def _unchecked(cls, rotation: np.ndarray,
                    translation: np.ndarray) -> "TransformSE3":
         """An instance over read-only rows of a stack that already passed
@@ -221,32 +219,6 @@ class TransformSE3:
         object.__setattr__(obj, "rotation", rotation)
         object.__setattr__(obj, "translation", translation)
         return obj
-
-    def compose(self, other: "TransformSE3") -> "TransformSE3":
-        """Return self after other: (self ∘ other) p = R_s (R_o p + t_o) + t_s."""
-        return TransformSE3(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
-    def inverse(self) -> "TransformSE3":
-        rt = self.rotation.T
-        return TransformSE3(rt, -(rt @ self.translation))
-
-    def matrix(self) -> np.ndarray:
-        out = np.eye(4)
-        out[:3, :3] = self.rotation
-        out[:3, 3] = self.translation
-        return out
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "TransformSE3":
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        if np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0])).max() > 1e-9:
-            raise ValueError("last row must be [0, 0, 0, 1]")
-        return cls(m[:3, :3], m[:3, 3])
 
 
 def _polar(rotation: np.ndarray) -> np.ndarray:
@@ -403,26 +375,21 @@ def _euler_deg(rotations: np.ndarray) -> np.ndarray:
     return np.degrees(np.array([rx, ry, rz]).T)
 
 
-def transform_to_pose(transform: TransformSE3) -> PoseVector:
-    """Extract the pose from a rigid transform.
+def _pose_vectors(rotations: np.ndarray, translations: np.ndarray) -> list:
+    """The pose of each stacked transform.
 
     Away from gimbal lock the extraction inverts :func:`pose_to_transform`
     exactly. At |ry| = 90 deg the factorization is not unique; rx is set to
     0 and the remaining rotation folds into rz.
     """
-    return _pose_vectors(transform.rotation[None],
-                         transform.translation[None])[0]
-
-
-def _pose_vectors(rotations: np.ndarray, translations: np.ndarray) -> list:
-    """:func:`transform_to_pose` of each stacked transform."""
     return _pose_rows(np.concatenate([translations, _euler_deg(rotations)],
                                      axis=1))
 
 
 def pose_arrays(rotations: np.ndarray, translations: np.ndarray) -> np.ndarray:
-    """(n, 6) pose vectors of stacked transforms: row i equals
-    ``transform_to_pose(t_i).as_array()`` bit for bit."""
+    """(n, 6) pose vectors of stacked transforms: row i equals the
+    ``as_array()`` of the :func:`_pose_vectors` pose of transform i, bit
+    for bit."""
     return np.concatenate([translations, _wrap_deg_array(_euler_deg(rotations))],
                           axis=1)
 
@@ -435,7 +402,7 @@ def stack_transforms(transforms) -> tuple:
     seq = list(transforms)
     if not seq:
         return np.empty((0, 3, 3)), np.empty((0, 3))
-    # transposed rotations (``inverse()`` results) concatenate in Fortran
+    # transposed rotations (an inverse's ``rotation.T``) concatenate in Fortran
     # order; C order keeps the products' bits independent of that
     return (np.ascontiguousarray(
                 np.concatenate([t.rotation for t in seq]).reshape(-1, 3, 3)),
@@ -446,8 +413,10 @@ def relative_arrays(rotations: np.ndarray, translations: np.ndarray) -> tuple:
     """Step transforms t[i+1] ∘ t[i]^-1 of stacked transforms, as (n-1, 3, 3)
     rotations and (n-1, 3) translations.
 
-    The products are those of ``t_next.compose(t_i.inverse())`` with the
-    same operand layouts, so each step is bit-identical to that form.
+    Step i is R[i+1] R[i]^T and R[i+1] (-R[i]^T t[i]) + t[i+1]: the
+    products of the one-transform composition of t[i+1] with the inverse
+    of t[i], with the same operand layouts, so each step is bit-identical
+    to that form.
     """
     inv_rot = np.swapaxes(rotations[:-1], 1, 2)
     inv_tra = -(inv_rot @ translations[:-1, :, None])

@@ -224,6 +224,11 @@ class TrajectorySpec:
             raise ValueError("a trajectory needs at least 2 frames")
         if self.length_mm <= 0:
             raise ValueError("scan length must be positive")
+        for name in ("noise_translation_mm", "noise_rotation_deg"):
+            value = getattr(self, name)
+            if np.shape(value) != (3,):
+                raise ValueError(f"{name} needs 3 values, one per axis, "
+                                 f"got {value!r}")
         if any(s < 0 for s in self.noise_translation_mm) or any(
             s < 0 for s in self.noise_rotation_deg
         ):

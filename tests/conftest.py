@@ -35,7 +35,7 @@ def simulate_scan(trajectory_spec: TrajectorySpec,
                   subject: str = "s00",
                   margin_mm: float = 2.0) -> ScanSequence:
     """Generate one scan end to end (phantom sized to the trajectory)."""
-    wiggle = trajectory_spec.lateral_amplitude_mm + 4 * max(
+    wiggle = abs(trajectory_spec.lateral_amplitude_mm) + 4 * max(
         trajectory_spec.noise_translation_mm
     )
     spec = PhantomSpec.for_scan(

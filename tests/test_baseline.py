@@ -350,11 +350,12 @@ class TestElevational:
 
     def test_larger_gap_never_reads_smaller(self, decorr_model, small_phantom):
         from conftest import GEOM64
-        from fus3d.pose import (PoseVector, Trajectory, TransformSE3,
-                                pose_to_transform, stack_transforms)
+        from fus3d.pose import (PoseVector, Trajectory, pose_to_transform,
+                                stack_transforms)
+        from pose_reference import identity
         from fus3d.simulate import slice_phantom
 
-        transforms = [TransformSE3.identity()] + [
+        transforms = [identity()] + [
             pose_to_transform(PoseVector(tz=g)) for g in (0.1, 0.2, 0.35, 0.5)
         ]
         frames = slice_phantom(small_phantom, Trajectory(*stack_transforms(transforms)),

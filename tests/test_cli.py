@@ -15,6 +15,7 @@ from fus3d.cli import build_parser, main
 from fus3d.compound import read_volume
 from fus3d.losses import LossWeights
 from fus3d.network import ModelConfig, MotionNetwork, save_model
+from fus3d.nn import save_checkpoint
 from fus3d.pose import ImageGeometry, read_pose_csv
 from fus3d.simulate import TRAJECTORY_SHAPES, TrajectorySpec, read_scan, write_scan
 from fus3d.training import ScanDataset, TrainConfig, train
@@ -84,6 +85,17 @@ class TestSimulate:
         args = build_parser().parse_args(["simulate", "--out", "scan"])
         assert args.frame_extent == 48
 
+    def test_mirrored_lateral_amplitude_keeps_the_margin(self, tmp_path):
+        # a linear sweep ignores the lateral amplitude, so with the margin
+        # sized by its magnitude both signs write the same frames
+        args = ["simulate", "--frames", 4, "--length-mm", 0.6,
+                "--rotation-amplitude", 3, "--margin", 0.3]
+        for amplitude in ("-1.5", "1.5"):
+            assert run(*args, f"--lateral-amplitude={amplitude}",
+                       "--out", tmp_path / amplitude) == 0
+        assert (tmp_path / "-1.5" / "frames.bin").read_bytes() == (
+            tmp_path / "1.5" / "frames.bin").read_bytes()
+
     def test_overwrite_requires_force(self, tmp_path):
         args = ["simulate", "--out", tmp_path / "x", "--frames", 8,
                 "--length-mm", 1.0, "--seed", 1]
@@ -147,6 +159,19 @@ class TestInfer:
         assert ("error: frame shape (6, 6) is too small for the in-plane "
                 "search: each side needs at least 7 pixels\n"
                 in capsys.readouterr().err)
+
+    def test_checkpoint_off_the_fixed_geometry_is_usage_error(
+            self, scan_dir, tmp_path, capsys):
+        model = MotionNetwork(ModelConfig.toy(), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.state_arrays(),
+                        {**model.config.to_text_dict(), "corr_roi": "11",
+                         "corr_patch": "7"})
+        code = run("infer", "--scan", scan_dir, "--checkpoint", path,
+                   "--out", tmp_path / "pred")
+        assert code == 2
+        assert ("error: checkpoint records corr_roi=11, but the network "
+                "fixes corr_roi at 9" in capsys.readouterr().err)
 
 
 class TestCalibrateBaseline:
@@ -542,6 +567,19 @@ class TestConfigFile:
         option = [part.format(cfg) for part in spelling]
         assert run("simulate", *option, "--out", tmp_path / "scan") == 0
         assert read_scan(tmp_path / "scan").n_frames == 7
+
+    @pytest.mark.parametrize("key, field", [
+        ("noise_translation", "noise_translation_mm"),
+        ("noise_rotation", "noise_rotation_deg"),
+    ])
+    def test_noise_needs_three_values(self, tmp_path, capsys, key, field):
+        # the command line's nargs=3 does not check a config file's value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"frames=4\nlength-mm=0.6\n{key}=0.05\n")
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "scan") == 2
+        assert (f"error: {field} needs 3 values, one per axis, got (0.05,)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "scan" / "frames.bin").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

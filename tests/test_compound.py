@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from pose_reference import compose, identity
+
 from fus3d.compound import VolumeGrid, compound, read_volume, write_volume
 from fus3d.pose import (
     ImageGeometry,
     PoseVector,
-    TransformSE3,
     plane_to_world,
     pose_to_transform,
     stack_transforms,
@@ -24,7 +25,7 @@ class TestCompound:
     def test_identity_trajectory_mean_slab(self):
         rng = np.random.default_rng(0)
         frames = random_frames(rng, 5)
-        transforms = [TransformSE3.identity()] * 5
+        transforms = [identity()] * 5
         vol = compound(frames, transforms, GEOM, voxel_mm=0.1)
         occupied = vol.counts > 0
         assert occupied.sum() == 64
@@ -104,7 +105,7 @@ class TestCompound:
         plane = GEOM.pixel_to_plane(GEOM.full_pixel_grid())
         base = plane_to_world(*stack_transforms(transforms), plane)
         moved = plane_to_world(
-            *stack_transforms([world.compose(t) for t in transforms]), plane)
+            *stack_transforms([compose(world, t) for t in transforms]), plane)
         np.testing.assert_allclose(
             moved, base @ world.rotation.T + world.translation, atol=1e-12)
 
@@ -114,7 +115,7 @@ class TestCompound:
 
     def test_bad_voxel_rejected(self):
         with pytest.raises(ValueError, match="voxel"):
-            compound(np.zeros((1, 8, 8)), [TransformSE3.identity()], GEOM, 0.0)
+            compound(np.zeros((1, 8, 8)), [identity()], GEOM, 0.0)
 
 
 class TestSplat:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from pose_reference import compose, identity, transform_to_pose
+
 from fus3d.metrics import (
     MetricsReport,
     accumulated_errors,
@@ -16,7 +18,6 @@ from fus3d.pose import (
     TransformSE3,
     accumulate,
     pose_to_transform,
-    transform_to_pose,
 )
 
 GEOM = ImageGeometry(64, 64, 0.1484, 0.1484)
@@ -178,7 +179,7 @@ class TestHandGeometry:
         # 1 mm elevationally from frame 1 on: fd = 1, fdr = 100 / 1.8
         step = pose_to_transform(PoseVector(tz=0.2))
         true = accumulate([step] * 9)
-        pred_transforms = [TransformSE3.identity()] + [
+        pred_transforms = [identity()] + [
             TransformSE3(t.rotation, t.translation + np.array([0.0, 0.0, 1.0]))
             for t in list(true)[1:]
         ]
@@ -220,14 +221,14 @@ class TestInvariances:
         true = list(random_trajectory(rng, 15))
         pred = list(random_trajectory(rng, 15))
         world = pose_to_transform(PoseVector(5.0, -3.0, 2.0, 15.0, -25.0, 40.0))
-        true_moved = [world.compose(t) for t in true]
-        pred_moved = [world.compose(t) for t in pred]
+        true_moved = [compose(world, t) for t in true]
+        pred_moved = [compose(world, t) for t in pred]
         base = frame_error_series(true, pred, GEOM)
         moved = frame_error_series(true_moved, pred_moved, GEOM)
         np.testing.assert_allclose(moved, base, atol=1e-9)
 
     def test_zero_length_trajectory_rejected_for_fdr(self):
-        idle = [TransformSE3.identity(), TransformSE3.identity()]
+        idle = [identity(), identity()]
         with pytest.raises(ValueError, match="zero length"):
             accumulated_errors(idle, idle, GEOM)
 

@@ -27,20 +27,27 @@ from fus3d.tensor import Tensor, backward
 
 
 TOY_GLA = GlaConfig(local_channels=16, local_extent=16,
-                    global_channels=64, global_extent=4, mlp_reduction=16)
+                    global_channels=64, global_extent=4)
+
+# the published tensor shapes, built untrained to check them
+PAPER_SHAPE = ModelConfig(frame_extent=256, encoder_channels=(64, 128, 256, 512),
+                          downsample=(2, 2, 8, 2), lstm_hidden=128)
 
 
-def tiny_model_config():
+@pytest.fixture
+def tiny_model_config(monkeypatch):
     """Smallest legal assembly, for finite-difference checking: 8px frames,
-    stage extents 4/4/2/2, a 2x2 correlation grid with 1px patches."""
+    stage extents 4/4/2/2, a 2x2 correlation grid of 3px RoIs with 1px
+    patches and an MLP reduction of 2. The three fixed geometry constants
+    stay patched for the test, so the config is built under them."""
+    monkeypatch.setattr(network, "CORR_ROI", 3)
+    monkeypatch.setattr(network, "CORR_PATCH", 1)
+    monkeypatch.setattr(network, "MLP_REDUCTION", 2)
     return ModelConfig(
         frame_extent=8,
         encoder_channels=(2, 2, 2, 4),
         downsample=(2, 1, 2, 1),
         lstm_hidden=4,
-        corr_roi=3,
-        corr_patch=1,
-        mlp_reduction=2,
     )
 
 
@@ -51,17 +58,18 @@ class TestGlaConfig:
         assert cfg.n_blocks == 16
 
     def test_paper_scale_shapes(self):
-        cfg = ModelConfig.paper_shape().gla_config
+        cfg = PAPER_SHAPE.gla_config
         assert cfg.n_blocks == 256
         assert (cfg.local_channels, cfg.global_channels) == (128, 512)
         # MLP bottlenecks: 128 <-> 8 and 512 <-> 32
-        assert cfg.local_channels // cfg.mlp_reduction == 8
-        assert cfg.global_channels // cfg.mlp_reduction == 32
+        gla = GlobalLocalAttention(cfg, np.random.default_rng(0))
+        assert gla.local_mlp1.weight.shape == (8, 128)
+        assert gla.global_mlp1.weight.shape == (32, 512)
 
     def test_rejects_bad_tiling(self):
         with pytest.raises(ValueError, match="tile"):
             GlaConfig(local_channels=8, local_extent=10,
-                      global_channels=64, global_extent=4, mlp_reduction=16)
+                      global_channels=64, global_extent=4)
 
 
 class TestModelConfig:
@@ -76,11 +84,11 @@ class TestModelConfig:
             "map: stride 3 gives 19x19"
         )
 
-    @pytest.mark.parametrize("config", [
-        ModelConfig.toy(), ModelConfig.paper_shape(), tiny_model_config(),
-        ModelConfig(frame_extent=32),
-    ], ids=["toy", "paper", "tiny", "32px"])
-    def test_correlation_grid_is_the_stage3_extent(self, config):
+    @pytest.mark.parametrize("name", ["toy", "paper", "tiny", "32px"])
+    def test_correlation_grid_is_the_stage3_extent(self, name, request):
+        config = (request.getfixturevalue("tiny_model_config") if name == "tiny"
+                  else {"toy": ModelConfig.toy(), "paper": PAPER_SHAPE,
+                        "32px": ModelConfig(frame_extent=32)}[name])
         extent = config.stage_extent(0)
         rows, cols, _, _ = _grid_layout(extent, extent, config.corr_config)
         assert rows == cols == config.stage_extent(2)
@@ -102,11 +110,11 @@ class TestLocalChannelAttention:
         )
         assert np.all(scores.data > 0) and np.all(scores.data < 1)
 
-    def test_matches_hand_rolled_mlp(self):
+    def test_matches_hand_rolled_mlp(self, monkeypatch):
         # 4-channel toy case computed with explicit matrix arithmetic
+        monkeypatch.setattr(network, "MLP_REDUCTION", 2)
         cfg = GlaConfig(local_channels=4, local_extent=4,
-                        global_channels=8, global_extent=2,
-                        mlp_reduction=2)
+                        global_channels=8, global_extent=2)
         gla = GlobalLocalAttention(cfg, np.random.default_rng(2))
         rng = np.random.default_rng(3)
         e2 = rng.standard_normal((1, 4, 4, 4))
@@ -166,10 +174,10 @@ class TestGlobalAttention:
         out = gla.global_attention(Tensor(e4))
         assert np.all(np.abs(out.data) <= np.abs(e4) + 1e-12)
 
-    def test_single_channel_hand_case(self):
+    def test_single_channel_hand_case(self, monkeypatch):
+        monkeypatch.setattr(network, "MLP_REDUCTION", 1)
         cfg = GlaConfig(local_channels=1, local_extent=2,
-                        global_channels=1, global_extent=2,
-                        mlp_reduction=1)
+                        global_channels=1, global_extent=2)
         gla = GlobalLocalAttention(cfg, np.random.default_rng(10))
         e4 = np.array([[[[1.0, -2.0], [0.5, 3.0]]]])
         w1 = float(gla.global_mlp1.weight.data[0, 0])
@@ -233,10 +241,11 @@ class TestGlaForward:
             scaled, _ = self.gla._weight_blocks(blocks, Tensor(scale * g_tilde))
             np.testing.assert_allclose(scaled.data, base.data, atol=1e-12)
 
-    def test_gradients_through_module(self):
+    def test_gradients_through_module(self, monkeypatch):
         rng = np.random.default_rng(15)
+        monkeypatch.setattr(network, "MLP_REDUCTION", 2)
         cfg = GlaConfig(local_channels=2, local_extent=4, global_channels=4,
-                        global_extent=2, mlp_reduction=2)
+                        global_extent=2)
         gla = GlobalLocalAttention(cfg, np.random.default_rng(16))
 
         def op(t):
@@ -339,9 +348,9 @@ class TestMotionNetwork:
 
 
 class TestFullModelGradients:
-    def test_every_parameter_against_finite_differences(self):
+    def test_every_parameter_against_finite_differences(self, tiny_model_config):
         # one step, 8x8 frames, minimal channels; rel. error < 1e-3
-        model = MotionNetwork(tiny_model_config(), seed=1)
+        model = MotionNetwork(tiny_model_config, seed=1)
         rng = np.random.default_rng(27)
         seq_a = rng.uniform(0.0, 1.0, (1, 1, 8, 8))
         seq_b = rng.uniform(0.0, 1.0, (1, 1, 8, 8))
@@ -417,12 +426,14 @@ class TestModelCheckpoint:
 
     def test_loads_checkpoints_with_retired_config_keys(self, tmp_path):
         # older checkpoints also carry scale, seq_len, fusion, corr_grid,
-        # block_extent and use_gla, which the model config no longer has;
-        # loading ignores them
+        # block_extent and use_gla, which the model config no longer has,
+        # and the fixed geometry corr_roi, corr_patch and mlp_reduction;
+        # loading ignores the first six and checks the last three
         model = MotionNetwork(ModelConfig.toy(), seed=12)
         path = tmp_path / "old.ckpt"
         retired = {"scale": "toy", "seq_len": "8", "fusion": "mean",
-                   "corr_grid": "8", "block_extent": "4", "use_gla": "1"}
+                   "corr_grid": "8", "block_extent": "4", "use_gla": "1",
+                   "corr_roi": "9", "corr_patch": "5", "mlp_reduction": "16"}
         save_checkpoint(path, model.state_arrays(),
                         {**model.config.to_text_dict(), **retired})
         loaded, _, config = load_model(path)
@@ -435,6 +446,27 @@ class TestModelCheckpoint:
                 model.forward_window(frames)[key].data,
                 loaded.forward_window(frames)[key].data,
             )
+
+    @pytest.mark.parametrize("retired, message", [
+        ({"corr_roi": "11", "corr_patch": "7"},
+         "checkpoint records corr_roi=11, but the network fixes corr_roi at 9"),
+        ({"corr_roi": "9", "corr_patch": "3"},
+         "checkpoint records corr_patch=3, but the network fixes corr_patch at 5"),
+        ({"mlp_reduction": "8"},
+         "checkpoint records mlp_reduction=8, but the network fixes "
+         "mlp_reduction at 16"),
+    ], ids=["roi", "patch", "reduction"])
+    def test_retired_geometry_off_the_constants_fails_to_load(
+            self, tmp_path, retired, message):
+        # 11px RoIs with 7px patches give the 9/5 geometry's 5x5
+        # displacements and parameter shapes, so only the check stops them
+        model = MotionNetwork(ModelConfig.toy(), seed=12)
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, model.state_arrays(),
+                        {**model.config.to_text_dict(), **retired})
+        with pytest.raises(ValueError) as info:
+            load_model(path)
+        assert str(info.value) == message
 
     def test_plain_pooling_checkpoint_fails_to_load(self, tmp_path):
         # the retired plain-pooling head stored attention.local_proj.* in
@@ -452,11 +484,10 @@ class TestModelCheckpoint:
             load_model(path)
 
     def test_every_field_round_trips(self, tmp_path):
-        # every field off its default: 11px RoIs at stride 3 lay out the
+        # every field off its default: 9px RoIs at stride 3 lay out the
         # 8x8 stage-3 grid on the 32px stage-1 map
         config = ModelConfig(frame_extent=32, encoder_channels=(4, 8, 8, 16),
-                             downsample=(1, 2, 2, 2), lstm_hidden=6,
-                             corr_roi=11, corr_patch=3, mlp_reduction=4)
+                             downsample=(1, 2, 2, 2), lstm_hidden=6)
         defaults = ModelConfig()
         assert all(getattr(config, f.name) != getattr(defaults, f.name)
                    for f in dataclasses.fields(ModelConfig))

@@ -12,6 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pose_reference import (
+    compose,
+    from_matrix,
+    identity,
+    inverse,
+    matrix,
+    transform_to_pose,
+)
+
 from fus3d.pose import (
     ImageGeometry,
     PoseVector,
@@ -31,7 +40,6 @@ from fus3d.pose import (
     read_pose_csv,
     relative_arrays,
     stack_transforms,
-    transform_to_pose,
     write_pose_csv,
 )
 from fus3d import network
@@ -119,7 +127,7 @@ class TestPoseToTransform:
 
 class TestTransformToPose:
     def test_identity(self):
-        pose = transform_to_pose(TransformSE3.identity())
+        pose = transform_to_pose(identity())
         np.testing.assert_array_equal(pose.as_array(), np.zeros(6))
 
     def test_round_trip_1000_random_poses(self):
@@ -128,7 +136,7 @@ class TestTransformToPose:
         for pose in random_poses(rng, 1000):
             t = pose_to_transform(pose)
             back = pose_to_transform(transform_to_pose(t))
-            worst = max(worst, np.abs(back.matrix() - t.matrix()).max())
+            worst = max(worst, np.abs(matrix(back) - matrix(t)).max())
         assert worst < 1e-9
 
     def test_gimbal_lock_tie_break(self):
@@ -167,13 +175,13 @@ class TestTransformSE3:
         rng = np.random.default_rng(3)
         for pose in random_poses(rng, 50):
             t = pose_to_transform(pose)
-            ident = t.compose(t.inverse()).matrix()
+            ident = matrix(compose(t, inverse(t)))
             np.testing.assert_allclose(ident, np.eye(4), atol=1e-12)
 
     def test_matrix_round_trip(self):
         t = pose_to_transform(PoseVector(1, -2, 3, 10, 20, 30))
         np.testing.assert_allclose(
-            TransformSE3.from_matrix(t.matrix()).matrix(), t.matrix(), atol=0
+            matrix(from_matrix(matrix(t))), matrix(t), atol=0
         )
 
     def test_owns_its_arrays(self):
@@ -215,13 +223,13 @@ class TestRelativeTransform:
     def test_same_transform_gives_identity(self):
         t = pose_to_transform(PoseVector(1, 2, 3, 4, 5, 6))
         np.testing.assert_allclose(
-            relative_step(t, t).matrix(), np.eye(4), atol=1e-12
+            matrix(relative_step(t, t)), np.eye(4), atol=1e-12
         )
 
     def test_from_identity_gives_target(self):
         t = pose_to_transform(PoseVector(1, 2, 3, 4, 5, 6))
-        rel = relative_step(TransformSE3.identity(), t)
-        np.testing.assert_allclose(rel.matrix(), t.matrix(), atol=1e-12)
+        rel = relative_step(identity(), t)
+        np.testing.assert_allclose(matrix(rel), matrix(t), atol=1e-12)
 
     def test_multiply_back(self):
         rng = np.random.default_rng(11)
@@ -229,16 +237,16 @@ class TestRelativeTransform:
             t_a, t_b = pose_to_transform(p_a), pose_to_transform(p_b)
             rel = relative_step(t_a, t_b)
             np.testing.assert_allclose(
-                rel.compose(t_a).matrix(), t_b.matrix(), atol=1e-9
+                matrix(compose(rel, t_a)), matrix(t_b), atol=1e-9
             )
 
 
 class TestAccumulate:
     def test_identity_chain(self):
-        traj = accumulate([TransformSE3.identity()] * 3)
+        traj = accumulate([identity()] * 3)
         assert len(traj) == 4
         for t in traj:
-            np.testing.assert_allclose(t.matrix(), np.eye(4), atol=0)
+            np.testing.assert_allclose(matrix(t), np.eye(4), atol=0)
 
     def test_constant_elevational_steps(self):
         step = pose_to_transform(PoseVector(tz=0.2))
@@ -253,8 +261,8 @@ class TestAccumulate:
         traj = accumulate(rels)
         current = np.eye(4)
         for n, rel in enumerate(rels):
-            current = rel.matrix() @ current
-            assert np.abs(traj[n + 1].matrix() - current).max() < 1e-9
+            current = matrix(rel) @ current
+            assert np.abs(matrix(traj[n + 1]) - current).max() < 1e-9
 
     def test_split_chain_consistency(self):
         rng = np.random.default_rng(23)
@@ -267,8 +275,8 @@ class TestAccumulate:
             tail = rels[split:]
             current = head[-1]
             for offset, rel in enumerate(tail, start=split + 1):
-                current = rel.compose(current)
-                assert np.abs(current.matrix() - full[offset].matrix()).max() < 1e-9
+                current = compose(rel, current)
+                assert np.abs(matrix(current) - matrix(full[offset])).max() < 1e-9
 
     def test_relatives_round_trip(self):
         rng = np.random.default_rng(29)
@@ -278,7 +286,7 @@ class TestAccumulate:
         traj = accumulate(rels)
         again = accumulate(extract_relatives(traj))
         for a, b in zip(traj, again):
-            assert np.abs(a.matrix() - b.matrix()).max() < 1e-9
+            assert np.abs(matrix(a) - matrix(b)).max() < 1e-9
 
     def test_orthonormality_after_10000_compositions(self):
         rng = np.random.default_rng(31)
@@ -323,7 +331,7 @@ def grid_points(transforms, geom, pixels=None):
 class TestFrameGridPoints:
     def test_identity_grid_spacing(self):
         geom = ImageGeometry(2, 2, 0.1484, 0.1484)
-        pts = grid_points([TransformSE3.identity()], geom)[0]
+        pts = grid_points([identity()], geom)[0]
         assert pts.shape == (4, 3)
         np.testing.assert_allclose(pts[:, 2], 0.0, atol=0)
         # spacing between neighbors along each axis equals the pitch
@@ -333,7 +341,7 @@ class TestFrameGridPoints:
     def test_pure_translation_shifts_all_points(self):
         geom = ImageGeometry(4, 4, 0.1, 0.1)
         base, moved = grid_points(
-            [TransformSE3.identity(), pose_to_transform(PoseVector(1.0, -2.0, 3.0))],
+            [identity(), pose_to_transform(PoseVector(1.0, -2.0, 3.0))],
             geom)
         np.testing.assert_allclose(moved, base + np.array([1.0, -2.0, 3.0]),
                                    atol=1e-12)
@@ -342,7 +350,7 @@ class TestFrameGridPoints:
         geom = ImageGeometry(3, 3, 0.5, 0.5)
         corners = np.array([[0, 0], [0, 2], [2, 0], [2, 2]], dtype=float)
         base, rolled = grid_points(
-            [TransformSE3.identity(), pose_to_transform(PoseVector(rz=90.0))],
+            [identity(), pose_to_transform(PoseVector(rz=90.0))],
             geom, corners)
         # hand rotation: (x, y, 0) -> (-y, x, 0)
         expected = np.column_stack([-base[:, 1], base[:, 0], base[:, 2]])
@@ -431,7 +439,7 @@ class TestArrayPathProperties:
     @given(pose_chains())
     def test_poses_match_per_transform_extraction(self, chain):
         absolute = Trajectory(*stack_transforms(
-            [TransformSE3.identity()] + [pose_to_transform(p) for p in chain]
+            [identity()] + [pose_to_transform(p) for p in chain]
         ))
         assert_poses_identical(absolute.poses(),
                                [transform_to_pose(t) for t in absolute])
@@ -447,7 +455,7 @@ class TestArrayPathProperties:
         scan = ScanSequence(np.zeros((len(truth), 2, 2)),
                             ImageGeometry(2, 2, 0.1, 0.1), 20.0, truth)
         # the per-object relative t[i+1] ∘ t[i]^-1
-        want = [transform_to_pose(truth[i + 1].compose(truth[i].inverse()))
+        want = [transform_to_pose(compose(truth[i + 1], inverse(truth[i])))
                 for i in range(len(chain))]
         np.testing.assert_array_equal(scan.truth_motions,
                                       np.array([p.as_array() for p in want]))
@@ -481,7 +489,7 @@ class TestArrayPathProperties:
         off = TransformSE3._unchecked(np.diag([1.0, 1.0, 1.0 + 1e-6]), np.zeros(3))
         bad = TransformSE3._unchecked(np.eye(3), np.array([np.nan, 0.0, 0.0]))
         with pytest.raises(ValueError, match="not orthonormal"):
-            accumulate([TransformSE3.identity(), off, bad])
+            accumulate([identity(), off, bad])
         with pytest.raises(ValueError, match="must be finite"):
             accumulate([bad, off])
 
@@ -997,7 +1005,7 @@ class TestStackLayout:
         # an identity first, so the stacks can also form a Trajectory
         poses = [PoseVector(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
         poses += random_poses(rng, 400, trans=5.0, rot=20.0)
-        inverses = [pose_to_transform(p).inverse() for p in poses]
+        inverses = [inverse(pose_to_transform(p)) for p in poses]
         assert inverses[0].rotation.flags.f_contiguous
         rebuilt = [TransformSE3(np.ascontiguousarray(t.rotation),
                                 t.translation.copy()) for t in inverses]

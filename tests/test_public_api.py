@@ -4,7 +4,10 @@ Each ``__all__`` entry of a ``fus3d`` module must resolve to a module
 attribute and be used (loaded as a name or an attribute) somewhere in
 ``src/fus3d`` outside its own definition. So must every public method
 and property of a public class, loaded as an attribute: a local variable
-or parameter that shares the member's name is not a use.
+or parameter that shares the member's name is not a use. A member whose
+name another public class's attribute shares counts as used only through
+the reader ``SHARED_MEMBERS`` names for it, since a load of the name
+does not tell whose attribute it is.
 ``UNCALLED_BY_DESIGN`` and ``UNCALLED_MEMBERS`` list the exceptions,
 each with its reason.
 """
@@ -27,25 +30,28 @@ SOURCES = {
 UNCALLED_BY_DESIGN = {
     "read_pgm16": "reads the PGM files write_pgm16 writes; tests verify the writer with it",
     "read_volume": "reads the FVL1 files write_volume writes; tests verify the writer with it",
-    "transform_to_pose": "the one-transform form of Trajectory.poses(); the package extracts "
-                         "poses in stacks, tests invert pose_to_transform with it",
 }
 
 # Class.member -> why it is public without a caller in the package
 UNCALLED_MEMBERS = {
-    "TransformSE3.identity": "reference transform for the pose tests",
-    "TransformSE3.from_matrix": "reference constructor for the pose tests",
-    "TransformSE3.compose": "reference composition for the pose, metrics and compound tests; "
-                            "moves to a tests helper with ROADMAP item 2's array poses",
-    "TransformSE3.inverse": "reference inverse for the pose and simulator tests; moves to a "
-                            "tests helper with ROADMAP item 2's array poses",
-    "TransformSE3.matrix": "reference 4x4 form for the pose tests; moves to a tests helper "
-                           "with ROADMAP item 2's array poses",
     "VolumeGrid.mass": "the benchmark's reconstruct check compares it with the splatted mass",
     "PoseVector.as_array": "the benchmark's pose checks and the tests read pose values with it",
     "PoseVector.from_array": "the benchmark's workloads and the tests build single poses with "
                              "it; the package builds pose lists with _pose_rows",
-    "ModelConfig.paper_shape": "the published tensor shapes, checked by the network tests",
+}
+
+# Class.member -> the function ("module.name" or "module.Class.name") that
+# reads it, for a member whose name a method, property or dataclass field
+# of another public class shares
+SHARED_MEMBERS = {
+    "Module.zero_grad": "training._train_step",
+    "Tensor.zero_grad": "nn.Module.zero_grad",
+    "Module.state_arrays": "network.save_model",
+    "Adam.state_arrays": "training.train",
+    "Module.load_state_arrays": "network.load_model",
+    "Adam.load_state_arrays": "training.train",
+    "ScanSequence.n_frames": "simulate.write_scan",
+    "Tensor.shape": "network.MotionNetwork.forward_window",
 }
 
 
@@ -86,6 +92,54 @@ def has_use(name: str, module: str, span,
     return False
 
 
+def function_span(reader: str):
+    """First and last line of the function a ``SHARED_MEMBERS`` reader
+    names, or None when its module does not define it."""
+    module, *path = reader.split(".")
+    node = SOURCES.get(module)
+    for part in path:
+        node = next((n for n in getattr(node, "body", [])
+                     if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                     and n.name == part), None)
+    return (node.lineno, node.end_lineno) if isinstance(node, ast.FunctionDef) else None
+
+
+def reads_attribute(reader: str, name: str) -> bool:
+    """Whether the function ``reader`` names loads attribute ``name``."""
+    span = function_span(reader)
+    return span is not None and any(
+        isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr == name and span[0] <= node.lineno <= span[1]
+        for node in ast.walk(SOURCES[reader.split(".")[0]]))
+
+
+def shared_members() -> set:
+    """``Class.member`` of each public method or property whose name is
+    also a method, property or dataclass field of another public class."""
+    owners = {}
+    for module in MODULES:
+        names = set(public_names(module))
+        for node in SOURCES[module].body:
+            if isinstance(node, ast.ClassDef) and node.name in names:
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        owners.setdefault(item.name, set()).add(node.name)
+                    elif (isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)):
+                        owners.setdefault(item.target.id, set()).add(node.name)
+    return {member for module in MODULES for member in public_members(module)
+            if len(owners[member.split(".")[1]]) > 1}
+
+
+def member_is_used(member: str, module: str, span) -> bool:
+    """A load of the member's name outside its definition, or for a
+    shared name, a load in the reader ``SHARED_MEMBERS`` names."""
+    name = member.split(".")[1]
+    if member in SHARED:
+        return member in SHARED_MEMBERS and reads_attribute(SHARED_MEMBERS[member], name)
+    return has_use(name, module, span, ast.Attribute)
+
+
 def public_members(module: str) -> dict:
     """``Class.member`` -> definition span of each public method or
     property of the module's public classes."""
@@ -102,6 +156,7 @@ def public_members(module: str) -> dict:
 
 
 MODULES = [module for module in SOURCES if public_names(module)]
+SHARED = shared_members()
 
 
 def test_allowlisted_names_are_public():
@@ -109,6 +164,7 @@ def test_allowlisted_names_are_public():
     assert set(UNCALLED_BY_DESIGN) <= public
     members = {m for module in MODULES for m in public_members(module)}
     assert set(UNCALLED_MEMBERS) <= members
+    assert set(SHARED_MEMBERS) <= members
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -133,17 +189,21 @@ def test_public_members_have_callers(module):
     uncalled = [
         member for member, span in public_members(module).items()
         if member not in UNCALLED_MEMBERS
-        and not has_use(member.split(".")[1], module, span, ast.Attribute)
+        and not member_is_used(member, module, span)
     ]
-    assert uncalled == [], f"public in fus3d.{module} but unused in the package"
+    assert uncalled == [], (
+        f"public in fus3d.{module} but unused in the package, or sharing its "
+        f"name with another public class's attribute and not in SHARED_MEMBERS")
 
 
 # Class.field -> why a defaulted field of a public dataclass is set by no
 # call in the package or the benchmark
 UNSET_FIELDS = {
-    "ModelConfig.corr_roi": "only the tests' tiny gradcheck model sets it",
-    "ModelConfig.corr_patch": "only the tests' tiny gradcheck model sets it",
-    "ModelConfig.mlp_reduction": "only the tests' tiny gradcheck model sets it",
+    field: "the CLI and the benchmark build only the default (toy) config; "
+           "checkpoint loading (from_text_dict's cls(**values)) and the tests "
+           "build others"
+    for field in ("ModelConfig.frame_extent", "ModelConfig.encoder_channels",
+                  "ModelConfig.downsample", "ModelConfig.lstm_hidden")
 }
 
 BENCHMARK_DIR = Path(__file__).resolve().parents[1] / "perfbench"
@@ -188,7 +248,8 @@ def dataclass_fields() -> dict:
 def calls_by_class(tree, classes) -> list:
     """(class name or None, call) of the calls in ``tree`` that build one
     of ``classes`` (by name, or as ``cls`` in the class's own
-    classmethods) or that are ``dataclasses.replace`` (class None)."""
+    classmethods) or that are ``dataclasses.replace`` (class None); a
+    ``replace`` method of another object, such as ``str.replace``, is not."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name in classes:
@@ -207,7 +268,7 @@ def calls_by_class(tree, classes) -> list:
                 else func.attr if isinstance(func, ast.Attribute) else None)
         if name in classes:
             found.append((name, node))
-        elif name == "replace":
+        elif ast.unparse(func) in ("replace", "dataclasses.replace"):
             found.append((None, node))
     return found
 
@@ -246,14 +307,16 @@ def test_config_fields_are_set():
 
 def test_allowlist_entries_are_needed():
     """Every allowlist entry still names a public name or member without
-    a caller, or a field that no call sets: one that gains a use goes."""
+    a caller, a member whose name another class shares, or a field that
+    no call sets: one that gains a use, or loses its namesake, goes."""
     stale = [name for module in MODULES for name in public_names(module)
              if name in UNCALLED_BY_DESIGN
              and has_use(name, module, definition_span(module, name))]
     stale += [member for module in MODULES
               for member, span in public_members(module).items()
               if member in UNCALLED_MEMBERS
-              and has_use(member.split(".")[1], module, span, ast.Attribute)]
+              and member_is_used(member, module, span)]
+    stale += [member for member in SHARED_MEMBERS if member not in SHARED]
     found = set_fields()
     stale += [entry for entry in UNSET_FIELDS
               if entry.split(".")[1] in found[entry.split(".")[0]]]

@@ -10,6 +10,7 @@ import scipy.ndimage
 from scipy.ndimage import gaussian_filter
 
 from conftest import GEOM64, simulate_scan
+from pose_reference import compose, identity, inverse, matrix
 
 from fus3d import simulate
 from fus3d.correlation import CorrConfig, correlate_batch
@@ -249,7 +250,7 @@ class TestTrajectory:
         trajectory, relatives = make_trajectory(spec)
         rebuilt = accumulate([pose_to_transform(p) for p in relatives])
         for a, b in zip(trajectory, rebuilt):
-            assert np.abs(a.matrix() - b.matrix()).max() < 1e-9
+            assert np.abs(matrix(a) - matrix(b)).max() < 1e-9
 
     def test_monotone_elevational_progress(self):
         spec = TrajectorySpec(shape="linear", length_mm=4.0, n_frames=50,
@@ -262,19 +263,30 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="at least 2"):
             TrajectorySpec(n_frames=1)
 
+    @pytest.mark.parametrize("noise", [
+        0.05, (0.05,), (0.1, 0.1), (0.1, 0.1, 0.1, 0.1), ((0.1,) * 3,),
+    ], ids=["scalar", "one", "two", "four", "nested"])
+    @pytest.mark.parametrize("name", ["noise_translation_mm",
+                                      "noise_rotation_deg"])
+    def test_noise_needs_three_values(self, name, noise):
+        with pytest.raises(ValueError) as info:
+            TrajectorySpec(**{name: noise})
+        assert str(info.value) == (
+            f"{name} needs 3 values, one per axis, got {noise!r}")
+
     def test_starts_at_identity_even_with_jitter(self):
         spec = TrajectorySpec(shape="linear", length_mm=3.0, n_frames=10,
                               noise_translation_mm=(0.1, 0.1, 0.05),
                               noise_rotation_deg=(0.5, 0.5, 0.5), seed=13)
         trajectory, _ = make_trajectory(spec)
-        np.testing.assert_array_equal(trajectory[0].matrix(), np.eye(4))
+        np.testing.assert_array_equal(matrix(trajectory[0]), np.eye(4))
 
 
 class TestSlicing:
     def test_identical_poses_give_identical_frames(self, small_phantom):
         t = pose_to_transform(PoseVector(tz=0.7))
         trajectory = Trajectory(*stack_transforms(
-            (TransformSE3.identity(), t.compose(t.inverse()).compose(TransformSE3.identity()))
+            (identity(), compose(compose(t, inverse(t)), identity()))
         ))
         frames = slice_phantom(small_phantom, trajectory, GEOM64)
         np.testing.assert_array_equal(frames[0], frames[1])
@@ -284,7 +296,7 @@ class TestSlicing:
         base_z = np.linspace(0.0, 0.9, 21)  # average over 21 frame pairs
         curves = []
         for z0 in base_z:
-            transforms = [TransformSE3.identity()] + [
+            transforms = [identity()] + [
                 pose_to_transform(PoseVector(tz=z0 + g)) for g in [0.0] + gaps
             ]
             frames = slice_phantom(
@@ -305,7 +317,7 @@ class TestSlicing:
         )
         shifted = slice_phantom(
             small_phantom,
-            Trajectory(*stack_transforms((TransformSE3.identity(), t))),
+            Trajectory(*stack_transforms((identity(), t))),
             GEOM64,
         )[1]
         np.testing.assert_allclose(
@@ -316,7 +328,7 @@ class TestSlicing:
         far = pose_to_transform(PoseVector(tz=500.0))
         with pytest.raises(FrameOutOfBoundsError, match="frame 1"):
             slice_phantom(small_phantom,
-                          Trajectory(*stack_transforms((TransformSE3.identity(), far))),
+                          Trajectory(*stack_transforms((identity(), far))),
                           GEOM64)
 
     def test_samples_stay_in_unit_range(self):
@@ -387,7 +399,7 @@ class TestSliceBounds:
 class TestCorrelationOnSpeckle:
     def test_mean_map_drops_with_elevational_gap(self, small_phantom):
         transforms = [
-            TransformSE3.identity(),
+            identity(),
             pose_to_transform(PoseVector(tz=0.1)),
             pose_to_transform(PoseVector(tz=0.4)),
         ]
@@ -415,7 +427,7 @@ class TestScanPipeline:
         assert loaded.subject == linear_scan.subject
         assert loaded.n_frames == linear_scan.n_frames
         for a, b in zip(loaded.truth, linear_scan.truth):
-            assert np.abs(a.matrix() - b.matrix()).max() < 1e-12
+            assert np.abs(matrix(a) - matrix(b)).max() < 1e-12
 
     def test_scan_without_poses_rejected(self, linear_scan, tmp_path):
         directory = write_scan(tmp_path / "scan", linear_scan)

@@ -65,7 +65,7 @@ def digest(array: np.ndarray) -> str:
 
 def case_digests(name: str) -> dict:
     geometry, spec, phantom_seed = CASES[name]
-    wiggle = spec.lateral_amplitude_mm + 4 * max(spec.noise_translation_mm)
+    wiggle = abs(spec.lateral_amplitude_mm) + 4 * max(spec.noise_translation_mm)
     phantom = make_phantom(
         PhantomSpec.for_scan(geometry, scan_length_mm=spec.length_mm,
                              margin_mm=1.0 + wiggle, voxel_mm=0.1),
