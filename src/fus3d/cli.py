@@ -2,9 +2,16 @@
 calibrate-baseline.
 
 Every run writes a manifest (config plus seeds, no timestamps) next to
-its outputs so runs can be reproduced exactly. Exit codes: 0 success,
-1 runtime failure, 2 usage/config error. With ``FUS3D_DEBUG=1`` set, a
-failure prints its traceback before the ``error:`` line.
+its outputs so runs can be reproduced exactly. ``--config`` reads a
+file of ``key=value`` lines (``#`` starts a comment); each key must
+name an option of the subcommand exactly, with dashes or underscores.
+Its values are parsed as options placed before the command line's own
+(``--key`` for a true flag, ``--key v1 v2`` for a list written
+``v1,v2``, ``--key=value`` otherwise), so they are typed and checked
+the same way and the command line wins. Exit codes: 0 success; 2 for a
+``ValueError`` or an argparse usage error; 1 for any other failure.
+With ``FUS3D_DEBUG=1`` set, a failure prints its traceback before the
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import traceback
@@ -26,7 +34,8 @@ from .baseline import (
 from .compound import compound, write_volume
 from .losses import LossWeights
 from .metrics import METRICS_CSV_HEADER, evaluate_trajectories
-from .network import ModelConfig, MotionNetwork, load_model
+from .network import (ModelConfig, MotionNetwork, export_attention_scores,
+                       load_model)
 from .pose import (
     ImageGeometry,
     accumulate,
@@ -54,33 +63,13 @@ from .training import (
     validation_report,
 )
 
-class UsageError(ValueError):
-    """Configuration problems: mapped to exit code 2."""
-
-
-def _load_config_defaults(path) -> dict:
-    """Flat key=value file; keys match argument names (dashes or
-    underscores)."""
-    defaults = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        defaults[key.strip().replace("-", "_")] = value.strip()
-    return defaults
-
-
 def _ensure_out(path, force: bool, *names) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     for name in names:
         target = out / name
         if target.exists() and not force:
-            raise UsageError(f"{target} exists; rerun with --force to overwrite")
+            raise ValueError(f"{target} exists; rerun with --force to overwrite")
     return out
 
 
@@ -105,23 +94,26 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> No
 
 def cmd_simulate(args) -> int:
     out = _ensure_out(args.out, args.force, "frames.bin")
-    try:
-        trajectory_spec = TrajectorySpec(
-            shape=args.shape,
-            length_mm=args.length_mm,
-            n_frames=args.frames,
-            lateral_amplitude_mm=args.lateral_amplitude,
-            rotation_amplitude_deg=args.rotation_amplitude,
-            noise_translation_mm=tuple(args.noise_translation),
-            noise_rotation_deg=tuple(args.noise_rotation),
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    trajectory_spec = TrajectorySpec(
+        shape=args.shape,
+        length_mm=args.length_mm,
+        n_frames=args.frames,
+        lateral_amplitude_mm=args.lateral_amplitude,
+        rotation_amplitude_deg=args.rotation_amplitude,
+        noise_translation_mm=tuple(args.noise_translation),
+        noise_rotation_deg=tuple(args.noise_rotation),
+        seed=args.seed,
+    )
     geometry = ImageGeometry(
         args.frame_extent, args.frame_extent, args.pitch, args.pitch
     )
-    wiggle = abs(args.lateral_amplitude) + 4.0 * max(args.noise_translation)
+    # a pose tilts by at most its three Euler angles' sum (amplitude plus
+    # 4 noise sigmas each), twice that relative to the first frame; a tilt
+    # of t rad about the frame centre moves a corner t half-diagonals
+    tilt = 2.0 * math.radians(sum(abs(args.rotation_amplitude) + 4.0 * s
+                                  for s in args.noise_rotation))
+    wiggle = (abs(args.lateral_amplitude) + 4.0 * max(args.noise_translation)
+              + tilt * args.frame_extent * args.pitch / math.sqrt(2.0))
     phantom_spec = PhantomSpec.for_scan(
         geometry,
         scan_length_mm=args.length_mm,
@@ -167,7 +159,7 @@ def cmd_train(args) -> int:
         # subject tags compared as split_by_subject compares them
         shared = {s.subject for s in train_scans} & {s.subject for s in val_scans}
         if shared:
-            raise UsageError(f"--dataset and --val-dataset share subjects "
+            raise ValueError(f"--dataset and --val-dataset share subjects "
                              f"{', '.join(map(repr, sorted(shared)))}")
     else:
         train_ds, val_ds = dataset.split_by_subject(args.val_fraction, args.seed)
@@ -176,17 +168,8 @@ def cmd_train(args) -> int:
     resume_extra = None
     if args.resume:
         model, resume_extra, _ = load_model(args.resume)
-        source = f"resumed model {args.resume}"
     else:
         model = MotionNetwork(ModelConfig.toy(), seed=args.seed)
-        source = "toy model"
-    expected = model.config.frame_extent
-    geom = train_scans[0].geometry
-    if (geom.n_rows, geom.n_cols) != (expected, expected):
-        raise UsageError(
-            f"scan frames are {geom.n_rows}x{geom.n_cols} but the "
-            f"{source} expects {expected}x{expected}"
-        )
 
     result = train(
         model,
@@ -228,12 +211,12 @@ def cmd_infer(args) -> int:
     sources = sum(bool(x) for x in (args.checkpoint, args.baseline,
                                     args.identity_debug))
     if sources != 1:
-        raise UsageError(
+        raise ValueError(
             "exactly one of --checkpoint, --baseline or --identity-debug "
             "must be given"
         )
     if args.diagnostics and not args.checkpoint:
-        raise UsageError("--diagnostics needs --checkpoint: only the network "
+        raise ValueError("--diagnostics needs --checkpoint: only the network "
                          "has attention scores")
     out = _ensure_out(args.out, args.force, "pred_relative.csv")
     scan = read_scan(args.scan)
@@ -249,16 +232,8 @@ def cmd_infer(args) -> int:
         ]
     else:
         model = load_model(args.checkpoint)[0]
-        expected = model.config.frame_extent
-        if scan.geometry.n_rows != expected:
-            raise UsageError(
-                f"scan frames are {scan.geometry.n_rows}px but the model "
-                f"expects {expected}px"
-            )
         rel_poses, scores = model.infer_scan(scan.frames)
         if args.diagnostics:
-            from .network import export_attention_scores
-
             export_attention_scores(scores, out / "attention")
     _write_pose_outputs(out, rel_poses)
     _write_manifest(out, "infer", args)
@@ -300,7 +275,7 @@ def cmd_compound(args) -> int:
     scan = read_scan(args.scan)
     poses = read_pose_csv(args.poses)
     if len(poses) != scan.n_frames:
-        raise UsageError(
+        raise ValueError(
             f"{len(poses)} poses for {scan.n_frames} frames; pass the "
             "absolute pose CSV"
         )
@@ -342,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--config", type=Path, default=None,
-                       help="flat key=value file with argument defaults")
+                       help="key=value file of options, read before the "
+                            "command line's")
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
@@ -444,52 +420,49 @@ def _fail(exc: BaseException, code: int) -> int:
     return code
 
 
+def _with_config(parser, argv) -> list:
+    """``argv`` with a ``--config`` file's lines inserted after the
+    subcommand as the options they name. A probe parse finds the file in
+    every spelling argparse accepts; in its namespace a flag's value is a
+    bool and a list option's a list."""
+    probe, _ = parser.parse_known_args(argv)
+    if not probe.config:
+        return argv
+    known = vars(probe).keys() - {"command", "func"}
+    options = []
+    text = probe.config.read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        dest = key.replace("-", "_")
+        if not sep or dest not in known:
+            raise ValueError(f"{probe.config}:{lineno}: expected key=value "
+                             f"with a key naming an option of "
+                             f"{probe.command}, got {line!r}")
+        option = "--" + dest.replace("_", "-")
+        kind = getattr(probe, dest)
+        if isinstance(kind, bool):
+            options += [option] if value.lower() in ("1", "true", "yes") else []
+        elif isinstance(kind, (list, tuple)):
+            options += [option, *value.split(",")]
+        else:
+            options.append(f"{option}={value}")
+    at = argv.index(probe.command) + 1
+    return argv[:at] + options + argv[at:]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        _apply_config_defaults(parser, argv)
-    except UsageError as exc:
-        return _fail(exc, 2)
-    args = parser.parse_args(argv)
-    try:
+        args = parser.parse_args(_with_config(parser, argv))
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # bad settings and input values
         return _fail(exc, 2)
-    except (ValueError, FileNotFoundError, FileExistsError) as exc:
-        return _fail(exc, 2 if isinstance(exc, ValueError) else 1)
     except Exception as exc:  # runtime failures
         return _fail(exc, 1)
-
-
-def _apply_config_defaults(parser, argv) -> None:
-    """Make a ``--config`` file's values the subcommand's defaults; the
-    probe finds the option in every spelling argparse accepts."""
-    probe, _ = parser.parse_known_args(argv)
-    if not probe.config:
-        return
-    defaults = _load_config_defaults(probe.config)
-    subparser = parser._subparsers._group_actions[0].choices[probe.command]
-    typed = {}
-    for action in subparser._actions:
-        if action.dest in defaults:
-            raw = defaults[action.dest]
-            if action.nargs in ("+", 3):
-                typed[action.dest] = [
-                    (action.type or str)(v) for v in raw.split(",")
-                ]
-            elif isinstance(action.const, bool) or isinstance(
-                action.default, bool
-            ):
-                typed[action.dest] = raw.lower() in ("1", "true", "yes")
-            else:
-                typed[action.dest] = (action.type or str)(raw)
-    unknown = set(defaults) - {a.dest for a in subparser._actions}
-    if unknown:
-        raise UsageError(
-            f"unknown config keys: {', '.join(sorted(unknown))}"
-        )
-    subparser.set_defaults(**typed)
 
 
 if __name__ == "__main__":

@@ -2,13 +2,18 @@
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import simulate_scan
 
+import fus3d
 from fus3d import training
 from fus3d.baseline import DecorrModel
 from fus3d.cli import build_parser, main
@@ -96,6 +101,14 @@ class TestSimulate:
         assert (tmp_path / "-1.5" / "frames.bin").read_bytes() == (
             tmp_path / "1.5" / "frames.bin").read_bytes()
 
+    def test_rotation_sweep_widens_the_margin(self, tmp_path):
+        # tilted by the sweep, the frame corners reach past the lateral
+        # amplitude and the margin
+        assert run("simulate", "--shape", "c_curve", "--lateral-amplitude", 1.5,
+                   "--rotation-amplitude", 3, "--margin", 0.3,
+                   "--out", tmp_path / "scan") == 0
+        assert read_scan(tmp_path / "scan").n_frames == 50
+
     def test_overwrite_requires_force(self, tmp_path):
         args = ["simulate", "--out", tmp_path / "x", "--frames", 8,
                 "--length-mm", 1.0, "--seed", 1]
@@ -159,6 +172,16 @@ class TestInfer:
         assert ("error: frame shape (6, 6) is too small for the in-plane "
                 "search: each side needs at least 7 pixels\n"
                 in capsys.readouterr().err)
+
+    def test_frames_off_the_model_extent_fail_before_any_output(
+            self, scan_dir, tmp_path, capsys):
+        path = tmp_path / "model32.ckpt"
+        save_model(path, MotionNetwork(ModelConfig(frame_extent=32), seed=0))
+        code = run("infer", "--scan", scan_dir, "--checkpoint", path,
+                   "--out", tmp_path / "pred")
+        assert code == 2
+        assert "model expects 32px frames, got 64px" in capsys.readouterr().err
+        assert list((tmp_path / "pred").iterdir()) == []
 
     def test_checkpoint_off_the_fixed_geometry_is_usage_error(
             self, scan_dir, tmp_path, capsys):
@@ -516,6 +539,17 @@ class TestTrainCommand:
         assert run("train", "--dataset", single, "--out", tmp_path / "run",
                    "--steps", 1) == 2
 
+    def test_resumed_model_off_the_frame_extent_fails_before_any_output(
+            self, dataset_dir, tmp_path, capsys):
+        path = tmp_path / "model32.ckpt"
+        save_model(path, MotionNetwork(ModelConfig(frame_extent=32), seed=0))
+        code = run("train", "--dataset", dataset_dir, "--out", tmp_path / "run",
+                   "--resume", path, "--steps", 2, "--seq-len", 3,
+                   "--batch", 2, "--val-fraction", 0.34)
+        assert code == 2
+        assert "model expects 32px frames, got 64px" in capsys.readouterr().err
+        assert list((tmp_path / "run").iterdir()) == []
+
     def test_resume_checks_frames_against_the_checkpoint(self, tmp_path):
         # a 32 px model resumed on 32 px scans: the resumed model's frame
         # extent counts, not the 64 px of the toy model a fresh run builds
@@ -573,13 +607,67 @@ class TestConfigFile:
         ("noise_rotation", "noise_rotation_deg"),
     ])
     def test_noise_needs_three_values(self, tmp_path, capsys, key, field):
-        # the command line's nargs=3 does not check a config file's value
+        # argparse checks a config file's value as it checks the command
+        # line's, before the trajectory spec sees it
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"frames=4\nlength-mm=0.6\n{key}=0.05\n")
-        assert run("simulate", "--config", cfg, "--out", tmp_path / "scan") == 2
-        assert (f"error: {field} needs 3 values, one per axis, got (0.05,)"
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "--config", cfg, "--out", tmp_path / "scan")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        option = "--" + key.replace("_", "-")
+        assert f"error: argument {option}: expected 3 arguments" in err
+        assert field not in err
+        assert not (tmp_path / "scan" / "frames.bin").exists()
+
+    def test_bad_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("frames=abc\nlength-mm=0.6\n")
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "--config", cfg, "--out", tmp_path / "scan")
+        assert exc.value.code == 2
+        assert ("argument --frames: invalid int value: 'abc'"
                 in capsys.readouterr().err)
         assert not (tmp_path / "scan" / "frames.bin").exists()
+
+    def test_missing_file_is_runtime_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert run("simulate", "--config", missing,
+                   "--out", tmp_path / "scan") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(missing) in err
+
+    def test_choices_are_checked(self, scan_dir, tmp_path, capsys):
+        cfg = tmp_path / "compound.cfg"
+        cfg.write_text("voxel=0.1\nsource=bogus\n")
+        with pytest.raises(SystemExit) as exc:
+            run("compound", "--config", cfg, "--scan", scan_dir,
+                "--poses", scan_dir / "poses.csv", "--out", tmp_path / "vol")
+        assert exc.value.code == 2
+        assert "argument --source: invalid choice: 'bogus'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "vol" / "volume.fvl").exists()
+
+    def test_config_run_matches_command_line_run(self, tmp_path):
+        # a list key, a flag and a dashed float key; each run after the
+        # first overwrites the scan, so the file's force=yes must count
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("frames=6\nlength-mm=0.75\n"
+                       "noise_translation=0.02,0.03,0.01\nforce=yes\n")
+        out = tmp_path / "scan"
+        written = []
+        for argv in [("--config", cfg),
+                     ("--frames", 6, "--length-mm", 0.75, "--noise-translation",
+                      0.02, 0.03, 0.01, "--force"),
+                     ("--config", cfg)]:
+            assert run("simulate", *argv, "--seed", 4, "--out", out) == 0
+            written.append([(out / name).read_bytes()
+                            for name in ("manifest.json", "frames.bin")])
+        assert written[0] == written[1] == written[2]
+        manifest = json.loads(written[0][0])["arguments"]
+        assert manifest["noise_translation"] == [0.02, 0.03, 0.01]
+        assert manifest["force"] is True
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -593,3 +681,27 @@ class TestManifest:
         assert manifest["command"] == "simulate"
         assert manifest["arguments"]["seed"] == 11
         assert manifest["arguments"]["frames"] == 24
+
+
+class TestEntryPoint:
+    def test_failures_exit_with_their_code_and_no_traceback(self, tmp_path):
+        # the console script runs sys.exit(main()), which run() cannot see
+        env = {k: v for k, v in os.environ.items() if k != "FUS3D_DEBUG"}
+        env["PYTHONPATH"] = str(Path(fus3d.__file__).parents[1])
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("frames=abc\n")
+        cases = [
+            (2, ("simulate", "--config", bad, "--out", "a")),
+            (1, ("simulate", "--config", tmp_path / "missing.cfg",
+                 "--out", "b")),
+            (2, ("simulate", "--frames", 1, "--out", "c")),
+            (1, ("infer", "--scan", tmp_path / "no_scan", "--identity-debug",
+                 "--out", "d")),
+        ]
+        for code, argv in cases:
+            done = subprocess.run(
+                [sys.executable, "-m", "fus3d.cli", *map(str, argv)],
+                capture_output=True, text=True, env=env, cwd=tmp_path)
+            assert done.returncode == code, argv
+            assert "Traceback" not in done.stderr
+            assert done.stderr.strip()
