@@ -165,11 +165,18 @@ def cmd_train(args) -> int:
         train_ds, val_ds = dataset.split_by_subject(args.val_fraction, args.seed)
         train_scans, val_scans = train_ds.scans, val_ds.scans
 
+    shapes = sorted({scan.frames.shape[1:] for scan in train_scans + val_scans})
+    if len(shapes) != 1 or shapes[0][0] != shapes[0][1]:
+        raise ValueError("training and validation scans must share one square "
+                         f"frame extent, got {', '.join(map(str, shapes))}")
     resume_extra = None
     if args.resume:
+        # a checkpoint off the scans' extent fails the first validation
+        # pass, before the log or any checkpoint is written
         model, resume_extra, _ = load_model(args.resume)
     else:
-        model = MotionNetwork(ModelConfig.toy(), seed=args.seed)
+        model = MotionNetwork(ModelConfig(frame_extent=shapes[0][0]),
+                              seed=args.seed)
 
     result = train(
         model,
@@ -317,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--config", type=Path, default=None,
-                       help="key=value file of options, read before the "
-                            "command line's")
+                       help="key=value file of the options that are not "
+                            "required, read before the command line's")
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
@@ -340,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=TrajectorySpec.noise_rotation_deg,
                    metavar=("SX", "SY", "SZ"))
     p.add_argument("--frame-extent", type=int,
-                   default=ModelConfig.frame_extent)
+                   default=ModelConfig.frame_extent,
+                   help="frame side in pixels; the network trains on "
+                        "32 * 2**k (32, 64, 128, ...)")
     p.add_argument("--pitch", type=float, default=DEFAULT_PITCH_MM)
     p.add_argument("--voxel", type=float, default=0.10,
                    help="phantom voxel size (mm)")
@@ -424,7 +433,11 @@ def _with_config(parser, argv) -> list:
     """``argv`` with a ``--config`` file's lines inserted after the
     subcommand as the options they name. A probe parse finds the file in
     every spelling argparse accepts; in its namespace a flag's value is a
-    bool and a list option's a list."""
+    bool and a list option's a list. The probe already demands the
+    subcommand's required options, so those (``out``, ``dataset``,
+    ``scan``, ``truth``, ``pred``, ``poses``) stay on the command line: a
+    file that holds one, with the command line lacking it, is a usage
+    error."""
     probe, _ = parser.parse_known_args(argv)
     if not probe.config:
         return argv

@@ -12,23 +12,30 @@ The attention block is the only head, and every forward pass returns
 its per-step block scores; ``fus3d infer --diagnostics`` writes them as
 PGM grids.
 
-Shape ladder (toy scale, 64px frames / paper shape, 256px frames):
+Shape ladder (channels x extent) at 64px and 128px frames, and at the
+paper's 256px with its channels:
 
-    stage1    8 x 32 x 32      64 x 128 x 128
-    corr     25 x  8 x  8      25 x  8 x  8   (5 x 5 displacements, RoI grid)
-    stage2   16 x 16 x 16     128 x 64 x 64
-    stage3   32 x  8 x  8     256 x  8 x  8
-    stage4   64 x  4 x  4     512 x  4 x  4
+              64px            128px            256px (paper)
+    stage1    8 x 32 x 32     8 x 64 x 64      64 x 128 x 128
+    corr     25 x  8 x  8    25 x  8 x  8      25 x  8 x  8
+    stage2   16 x 16 x 16    16 x 32 x 32     128 x 64 x 64
+    stage3   32 x  8 x  8    32 x  8 x  8     256 x  8 x  8
+    stage4   64 x  4 x  4    64 x  4 x  4     512 x  4 x  4
 
-The toy config (``ModelConfig()``) is what trains on simulated scans;
-the network tests build the paper-shape column to check the published
-shapes. Both use the fixed ``CORR_ROI``, ``CORR_PATCH`` and
-``MLP_REDUCTION``.
+The corr rows are 5 x 5 displacements on the RoI grid. Stages 1, 2
+and 4 halve their input; stage 3 divides it by
+``frame_extent // 32``, so every legal extent (32 * 2**k px) keeps the
+8x8 correlation grid and the 4x4 global map. ``ModelConfig`` holds only
+the frame extent, which ``fus3d train`` takes from its scans; channels,
+LSTM width, correlation RoI and patch and the MLP reduction are the
+module constants ``ENCODER_CHANNELS``, ``LSTM_HIDDEN``, ``CORR_ROI``,
+``CORR_PATCH`` and ``MLP_REDUCTION``. The network tests patch the first
+two to build the paper-shape column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,12 +66,15 @@ __all__ = [
 # within 5 % of 16, and one 249-step chunk took 0.74 s against 0.44 s.
 INFER_CHUNK = 32
 
-# Correlation RoI and patch extents (stage-1 pixels) and the attention
-# MLPs' bottleneck ratio, the same at toy and paper shape. Older
-# checkpoints record them; loading checks that the records match.
+# Correlation RoI and patch extents (stage-1 pixels), the attention
+# MLPs' bottleneck ratio, the encoder's stage channels and the LSTM
+# width, the same at every frame extent. Checkpoints record them (older
+# ones the first three); loading checks that the records match.
 CORR_ROI = 9
 CORR_PATCH = 5
 MLP_REDUCTION = 16
+ENCODER_CHANNELS = (8, 16, 32, 64)
+LSTM_HIDDEN = 32
 
 
 @dataclass(frozen=True)
@@ -97,30 +107,34 @@ class GlaConfig:
         return (self.local_extent // self.global_extent) ** 2
 
 
+def _downsample_chain(frame_extent: int) -> tuple:
+    """Per-stage downsampling factors for ``frame_extent`` px frames:
+    2 at stages 1, 2 and 4, and ``frame_extent // 32`` at stage 3, which
+    keeps the 8x8 correlation grid and the 4x4 global map at every legal
+    extent, 32 * 2**k px."""
+    if frame_extent < 32 or frame_extent & (frame_extent - 1):
+        raise ValueError(f"frame extent must be 32 * 2**k px (stage 3 downsamples "
+                         f"by extent // 32), got {frame_extent}px")
+    return (2, 2, frame_extent // 32, 2)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    """Network hyperparameters; the defaults (``toy``) are the trainable
-    desk-scale setup.
+    """The frame extent, which fixes the rest of the network's geometry;
+    the default (``toy``) is the trainable desk-scale setup.
 
-    The encoder fixes the other extents: the correlation grid is the
-    stage-3 extent, whose maps the correlation channels join, and the
-    attention blocks take the stage-4 (global) extent."""
+    The extent sets the encoder's downsampling chain (``downsample``,
+    stage 3 by ``frame_extent // 32``). The chain fixes the other
+    extents: the correlation grid is the stage-3 extent, whose maps the
+    correlation channels join, and the attention blocks take the stage-4
+    (global) extent. Channels and LSTM width are ``ENCODER_CHANNELS`` and
+    ``LSTM_HIDDEN``."""
 
     frame_extent: int = 64
-    encoder_channels: tuple = (8, 16, 32, 64)
-    downsample: tuple = (2, 2, 2, 2)
-    lstm_hidden: int = 32
 
     def __post_init__(self) -> None:
-        if len(self.encoder_channels) != 4 or len(self.downsample) != 4:
-            raise ValueError("encoder needs 4 stages")
-        extent = self.frame_extent
-        for ds in self.downsample:
-            if extent % ds != 0:
-                raise ValueError(f"downsample chain does not divide {self.frame_extent}")
-            extent //= ds
-        # raises when no RoI stride lays out the stage-3 grid on the
-        # stage-1 map
+        # raises for an extent off the chain rule, and when no RoI stride
+        # lays out the stage-3 grid on the stage-1 map
         self.corr_config
 
     @classmethod
@@ -128,6 +142,10 @@ class ModelConfig:
         return cls()
 
     # -- derived shapes -------------------------------------------------
+    @property
+    def downsample(self) -> tuple:
+        return _downsample_chain(self.frame_extent)
+
     def stage_extent(self, stage: int) -> int:
         extent = self.frame_extent
         for ds in self.downsample[: stage + 1]:
@@ -144,53 +162,51 @@ class ModelConfig:
     @property
     def gla_config(self) -> GlaConfig:
         return GlaConfig(
-            local_channels=self.encoder_channels[1],
+            local_channels=ENCODER_CHANNELS[1],
             local_extent=self.stage_extent(1),
-            global_channels=self.encoder_channels[3],
+            global_channels=ENCODER_CHANNELS[3],
             global_extent=self.stage_extent(3),
         )
 
     # -- flat key=value serialization ------------------------------------
     def to_text_dict(self) -> dict:
-        """Tuples as comma-joined ints, the other fields as ints."""
-        text = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                text[f.name] = ",".join(str(v) for v in value)
-            else:
-                text[f.name] = str(value)
-        return text
+        """The frame extent and the channels, chain and LSTM width it
+        runs with, as comma-joined ints."""
+        return {"frame_extent": str(self.frame_extent),
+                "encoder_channels": ",".join(map(str, ENCODER_CHANNELS)),
+                "downsample": ",".join(map(str, self.downsample)),
+                "lstm_hidden": str(LSTM_HIDDEN)}
 
     @classmethod
     def from_text_dict(cls, text: dict) -> "ModelConfig":
-        """Inverse of :meth:`to_text_dict`; keys that are not fields, such
-        as those of retired settings, are ignored. A retired geometry key
-        (``corr_roi``, ``corr_patch``, ``mlp_reduction``) must record its
-        constant's value: another RoI or patch extent can give the same
-        parameter shapes and would load into the fixed geometry unnoticed."""
-        for key, fixed in (("corr_roi", CORR_ROI), ("corr_patch", CORR_PATCH),
-                           ("mlp_reduction", MLP_REDUCTION)):
-            if key in text and int(text[key]) != fixed:
+        """Inverse of :meth:`to_text_dict`. Every other recorded geometry
+        key (``encoder_channels``, ``downsample``, ``lstm_hidden`` and the
+        retired ``corr_roi``, ``corr_patch``, ``mlp_reduction``) must
+        record the value the extent and the constants fix: another RoI or
+        patch extent can give the same parameter shapes and would load
+        into the fixed geometry unnoticed. Keys of other retired settings
+        are ignored."""
+        config = cls(frame_extent=int(text["frame_extent"]))
+        fixed = {"corr_roi": str(CORR_ROI), "corr_patch": str(CORR_PATCH),
+                 "mlp_reduction": str(MLP_REDUCTION), **config.to_text_dict()}
+        for key, want in fixed.items():
+            if key in text and _ints(text[key]) != _ints(want):
                 raise ValueError(f"checkpoint records {key}={text[key]}, but "
-                                 f"the network fixes {key} at {fixed}")
-        values = {}
-        for f in fields(cls):
-            raw = text[f.name]
-            if isinstance(f.default, tuple):
-                values[f.name] = tuple(int(v) for v in raw.split(","))
-            else:
-                values[f.name] = int(raw)
-        return cls(**values)
+                                 f"the network fixes {key} at {want}")
+        return config
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(","))
 
 
 class ResidualStage(Module):
-    """Stride-2 downsampling conv(s) followed by a two-conv residual block."""
+    """Stride-2 downsampling conv(s), one per halving of the power-of-two
+    ``downsample`` (one stride-1 conv at 1), followed by a two-conv
+    residual block."""
 
     def __init__(self, in_channels: int, out_channels: int, downsample: int,
                  rng: np.random.Generator):
-        if downsample & (downsample - 1):
-            raise ValueError("downsample must be a power of two")
         steps = max(1, downsample.bit_length() - 1)
         convs = []
         ch = in_channels
@@ -301,7 +317,7 @@ class MotionNetwork(Module):
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         rng = np.random.default_rng(seed)
-        c1, c2, c3, c4 = config.encoder_channels
+        c1, c2, c3, c4 = ENCODER_CHANNELS
         ds = config.downsample
         corr_cfg = config.corr_config
         d2 = corr_cfg.displacement_extent**2
@@ -312,10 +328,10 @@ class MotionNetwork(Module):
         self.stage4 = ResidualStage(c3 + d2, c4, ds[3], rng)
         self.attention = GlobalLocalAttention(config.gla_config, rng)
         feature_size = c4 * config.stage_extent(3) ** 2
-        self.lstm_global = LSTMCell(feature_size, config.lstm_hidden, rng)
-        self.head_global = Linear(config.lstm_hidden, 6, rng)
-        self.lstm_local = LSTMCell(feature_size, config.lstm_hidden, rng)
-        self.head_local = Linear(config.lstm_hidden, 6, rng)
+        self.lstm_global = LSTMCell(feature_size, LSTM_HIDDEN, rng)
+        self.head_global = Linear(LSTM_HIDDEN, 6, rng)
+        self.lstm_local = LSTMCell(feature_size, LSTM_HIDDEN, rng)
+        self.head_local = Linear(LSTM_HIDDEN, 6, rng)
 
     def forward_window(self, frames, state=None):
         """Run a batch of consecutive-frame windows.
@@ -350,9 +366,8 @@ class MotionNetwork(Module):
             e1a = T.reshape(e1[:, :-1], (b * steps, c1, eh, ew))
             e1b = T.reshape(e1[:, 1:], (b * steps, c1, eh, ew))
             local, global_, scores = self._attend(e1a, e1b)
-        feat = self.config.encoder_channels[3] * self.config.stage_extent(3) ** 2
-        gf = T.reshape(global_, (b, steps, feat))
-        lf = T.reshape(local, (b, steps, feat))
+        gf = T.reshape(global_, (b, steps, -1))
+        lf = T.reshape(local, (b, steps, -1))
 
         if state is None:
             hg, cg = self.lstm_global.initial_state(b)

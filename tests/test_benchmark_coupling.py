@@ -1,9 +1,12 @@
-"""The names the benchmark traces still exist in the package.
+"""The names the benchmark traces and calls still exist in the package.
 
 ``perfbench/tracing.py`` wraps fus3d functions and methods by their
 dotted paths; a path that no longer resolves makes the traced benchmark
-report a missing target. The tracing module is read with ``ast``, not
-imported, so this check needs nothing from the benchmark's directory.
+report a missing target. ``perfbench/workloads.py`` calls the library
+through its ``from fus3d import ...`` module names; a chain such as
+``network.ModelConfig.toy`` that no longer resolves fails the benchmark
+run. Both files are read with ``ast``, not imported, so these checks
+need nothing from the benchmark's directory.
 """
 
 import ast
@@ -12,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+BENCHMARK_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = BENCHMARK_DIR / "tracing.py"
+WORKLOADS = BENCHMARK_DIR / "workloads.py"
 
 
 def traced_targets() -> list:
@@ -36,7 +41,41 @@ def traced_targets() -> list:
     return targets
 
 
+def workload_chains() -> list:
+    """(module, attribute path) of every attribute chain the workloads
+    load through a module imported by ``from fus3d import ...``, longest
+    chains only: ``network.ModelConfig.toy`` covers
+    ``network.ModelConfig``."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "fus3d"
+               for alias in node.names}
+    chains = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            continue
+        path, root = [], node
+        while isinstance(root, ast.Attribute):
+            path.insert(0, root.attr)
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in modules:
+            chains.add((f"fus3d.{modules[root.id]}", ".".join(path)))
+    return sorted((module, path) for module, path in chains
+                  if not any(m == module and p.startswith(path + ".")
+                             for m, p in chains))
+
+
 TARGETS = traced_targets()
+CHAINS = workload_chains()
+
+
+def resolve(module: str, path: str):
+    owner = importlib.import_module(module)
+    for part in path.split("."):
+        assert hasattr(owner, part), f"{module}.{path} is gone"
+        owner = getattr(owner, part)
+    return owner
 
 
 def test_targets_were_found():
@@ -45,11 +84,21 @@ def test_targets_were_found():
             ("fus3d.pose", "TransformSE3.__post_init__")} <= set(TARGETS)
 
 
+def test_workload_chains_were_found():
+    # the metric-name strings ("network.stage_s") are not chains
+    assert {("fus3d.network", "ModelConfig.toy"), ("fus3d.network", "load_model"),
+            ("fus3d.pose", "PoseVector.from_array"),
+            ("fus3d.training", "validation_mmae")} <= set(CHAINS)
+    assert ("fus3d.network", "stage_s") not in CHAINS
+
+
 @pytest.mark.parametrize("module, path", TARGETS,
                          ids=[f"{m}.{p}" for m, p in TARGETS])
 def test_traced_target_resolves(module, path):
-    owner = importlib.import_module(module)
-    for part in path.split("."):
-        assert hasattr(owner, part), f"{module}.{path} is gone"
-        owner = getattr(owner, part)
-    assert callable(owner)
+    assert callable(resolve(module, path))
+
+
+@pytest.mark.parametrize("module, path", CHAINS,
+                         ids=[f"{m}.{p}" for m, p in CHAINS])
+def test_workload_chain_resolves(module, path):
+    resolve(module, path)

@@ -21,6 +21,7 @@ from fus3d.compound import read_volume
 from fus3d.losses import LossWeights
 from fus3d.network import ModelConfig, MotionNetwork, save_model
 from fus3d.nn import save_checkpoint
+from fus3d.pgm import read_pgm16
 from fus3d.pose import ImageGeometry, read_pose_csv
 from fus3d.simulate import TRAJECTORY_SHAPES, TrajectorySpec, read_scan, write_scan
 from fus3d.training import ScanDataset, TrainConfig, train
@@ -183,18 +184,28 @@ class TestInfer:
         assert "model expects 32px frames, got 64px" in capsys.readouterr().err
         assert list((tmp_path / "pred").iterdir()) == []
 
+    @pytest.mark.parametrize("recorded, message", [
+        ({"corr_roi": "11", "corr_patch": "7"}, "corr_roi=11, but the network "
+         "fixes corr_roi at 9"),
+        ({"encoder_channels": "8,16,32,32"}, "encoder_channels=8,16,32,32, but "
+         "the network fixes encoder_channels at 8,16,32,64"),
+        ({"lstm_hidden": "64"}, "lstm_hidden=64, but the network fixes "
+         "lstm_hidden at 32"),
+        ({"downsample": "2,2,1,4"}, "downsample=2,2,1,4, but the network "
+         "fixes downsample at 2,2,2,2"),
+    ], ids=["corr_roi", "encoder_channels", "lstm_hidden", "downsample"])
     def test_checkpoint_off_the_fixed_geometry_is_usage_error(
-            self, scan_dir, tmp_path, capsys):
+            self, scan_dir, tmp_path, capsys, recorded, message):
         model = MotionNetwork(ModelConfig.toy(), seed=0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model.state_arrays(),
-                        {**model.config.to_text_dict(), "corr_roi": "11",
-                         "corr_patch": "7"})
+                        {**model.config.to_text_dict(), **recorded})
         code = run("infer", "--scan", scan_dir, "--checkpoint", path,
                    "--out", tmp_path / "pred")
         assert code == 2
-        assert ("error: checkpoint records corr_roi=11, but the network "
-                "fixes corr_roi at 9" in capsys.readouterr().err)
+        assert (f"error: checkpoint records {message}\n"
+                in capsys.readouterr().err)
+        assert list((tmp_path / "pred").iterdir()) == []
 
 
 class TestCalibrateBaseline:
@@ -551,8 +562,7 @@ class TestTrainCommand:
         assert list((tmp_path / "run").iterdir()) == []
 
     def test_resume_checks_frames_against_the_checkpoint(self, tmp_path):
-        # a 32 px model resumed on 32 px scans: the resumed model's frame
-        # extent counts, not the 64 px of the toy model a fresh run builds
+        # a 32 px model resumed on 32 px scans
         geometry = ImageGeometry(32, 32, 0.1484, 0.1484)
         root = tmp_path / "data32"
         for k in range(3):
@@ -575,6 +585,51 @@ class TestTrainCommand:
         assert code == 0
         report = json.loads((tmp_path / "run" / "val_report.json").read_text())
         assert report["steps"] == 2
+
+
+class TestFrameExtent:
+    """``fus3d train`` builds the network for its scans' frame extent."""
+
+    @staticmethod
+    def simulate(root, extents) -> Path:
+        for k, extent in enumerate(extents):
+            assert run("simulate", "--out", root / f"scan{k:02d}",
+                       "--frame-extent", extent, "--frames", 6,
+                       "--length-mm", 0.75, "--seed", 40 + k,
+                       "--subject", f"s{k:02d}") == 0
+        return root
+
+    def test_128px_scans_train_and_infer(self, tmp_path):
+        data = self.simulate(tmp_path / "data", [128, 128, 128])
+        assert run("train", "--dataset", data, "--out", tmp_path / "run",
+                   "--steps", 1, "--batch", 2, "--seq-len", 3,
+                   "--val-fraction", 0.34, "--seed", 1) == 0
+        code = run("infer", "--scan", data / "scan00", "--checkpoint",
+                   tmp_path / "run" / "checkpoint.ckpt", "--out",
+                   tmp_path / "pred", "--diagnostics")
+        assert code == 0
+        assert len(read_pose_csv(tmp_path / "pred" / "pred_relative.csv")) == 5
+        assert len(read_pose_csv(tmp_path / "pred" / "pred_absolute.csv")) == 6
+        # 32px local maps tiled into 4px global blocks: an 8x8 score grid
+        grid = read_pgm16(tmp_path / "pred" / "attention" / "attention_0000.pgm")
+        assert grid.shape == (8, 8)
+
+    @pytest.mark.parametrize("extents, message", [
+        ([64, 32, 64], "training and validation scans must share one square "
+                       "frame extent, got (32, 32), (64, 64)"),
+        ([96, 96, 96], "frame extent must be 32 * 2**k px (stage 3 downsamples "
+                       "by extent // 32), got 96px"),
+    ], ids=["mixed", "96px"])
+    def test_scans_off_one_legal_extent_write_nothing(
+            self, tmp_path, capsys, extents, message):
+        data = self.simulate(tmp_path / "data", extents)
+        capsys.readouterr()
+        code = run("train", "--dataset", data, "--out", tmp_path / "run",
+                   "--steps", 1, "--batch", 2, "--seq-len", 3,
+                   "--val-fraction", 0.34)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list((tmp_path / "run").iterdir()) == []
 
 
 class TestConfigFile:
@@ -629,6 +684,23 @@ class TestConfigFile:
         assert ("argument --frames: invalid int value: 'abc'"
                 in capsys.readouterr().err)
         assert not (tmp_path / "scan" / "frames.bin").exists()
+
+    @pytest.mark.parametrize("command, key", [("simulate", "out"),
+                                              ("train", "dataset")])
+    def test_required_option_stays_on_the_command_line(
+            self, tmp_path, capsys, command, key):
+        # the probe parse that finds the file demands the required
+        # options before the file is read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={tmp_path / 'named'}\n")
+        out = [] if key == "out" else ["--out", tmp_path / "run"]
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--config", cfg, *out)
+        assert exc.value.code == 2
+        assert (f"error: the following arguments are required: --{key}\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "named").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"

@@ -1,8 +1,6 @@
 """Attention-module and motion-network tests, including the full-model
 finite-difference gradient check at a minimal configuration."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from gradcheck import check_gradients
 
 import fus3d.tensor as T
 from fus3d import network
-from fus3d.correlation import _grid_layout
+from fus3d.correlation import CorrConfig, _grid_layout
 from fus3d.network import (
     GlaConfig,
     GlobalLocalAttention,
@@ -29,26 +27,32 @@ from fus3d.tensor import Tensor, backward
 TOY_GLA = GlaConfig(local_channels=16, local_extent=16,
                     global_channels=64, global_extent=4)
 
-# the published tensor shapes, built untrained to check them
-PAPER_SHAPE = ModelConfig(frame_extent=256, encoder_channels=(64, 128, 256, 512),
-                          downsample=(2, 2, 8, 2), lstm_hidden=128)
+@pytest.fixture
+def paper_shape(monkeypatch):
+    """The published tensor shapes, built untrained to check them: the
+    paper's channels and LSTM width stay patched for the test, and the
+    chain rule gives the published (2, 2, 8, 2) at 256px."""
+    monkeypatch.setattr(network, "ENCODER_CHANNELS", (64, 128, 256, 512))
+    monkeypatch.setattr(network, "LSTM_HIDDEN", 128)
+    config = ModelConfig(frame_extent=256)
+    assert config.downsample == (2, 2, 8, 2)
+    return config
 
 
 @pytest.fixture
 def tiny_model_config(monkeypatch):
-    """Smallest legal assembly, for finite-difference checking: 8px frames,
-    stage extents 4/4/2/2, a 2x2 correlation grid of 3px RoIs with 1px
-    patches and an MLP reduction of 2. The three fixed geometry constants
+    """Smallest assembly, for finite-difference checking: 8px frames,
+    stage extents 4/4/2/2 (chain (2, 1, 2, 1)), a 2x2 correlation grid of
+    3px RoIs with 1px patches, channels 2/2/2/4, an LSTM width of 4 and an
+    MLP reduction of 2. The chain rule and the fixed geometry constants
     stay patched for the test, so the config is built under them."""
+    monkeypatch.setattr(network, "_downsample_chain", lambda extent: (2, 1, 2, 1))
     monkeypatch.setattr(network, "CORR_ROI", 3)
     monkeypatch.setattr(network, "CORR_PATCH", 1)
     monkeypatch.setattr(network, "MLP_REDUCTION", 2)
-    return ModelConfig(
-        frame_extent=8,
-        encoder_channels=(2, 2, 2, 4),
-        downsample=(2, 1, 2, 1),
-        lstm_hidden=4,
-    )
+    monkeypatch.setattr(network, "ENCODER_CHANNELS", (2, 2, 2, 4))
+    monkeypatch.setattr(network, "LSTM_HIDDEN", 4)
+    return ModelConfig(frame_extent=8)
 
 
 class TestGlaConfig:
@@ -57,8 +61,8 @@ class TestGlaConfig:
         assert cfg.n_blocks * cfg.global_extent**2 == cfg.local_extent**2
         assert cfg.n_blocks == 16
 
-    def test_paper_scale_shapes(self):
-        cfg = PAPER_SHAPE.gla_config
+    def test_paper_scale_shapes(self, paper_shape):
+        cfg = paper_shape.gla_config
         assert cfg.n_blocks == 256
         assert (cfg.local_channels, cfg.global_channels) == (128, 512)
         # MLP bottlenecks: 128 <-> 8 and 512 <-> 32
@@ -74,21 +78,39 @@ class TestGlaConfig:
 
 class TestModelConfig:
     def test_grid_mismatch_quotes_the_checked_extent(self):
-        # 128px frames halve to 64/32/16/8: the correlation grid is the
-        # 16px stage-3 extent, and 9px RoIs on the 64px stage-1 map lay
-        # out 19 per side at stride 3 and 14 at stride 4
+        # a 16x16 grid of 9px RoIs on a 64px map: 19 per side at stride 3
+        # and 14 at stride 4
         with pytest.raises(ValueError) as info:
-            ModelConfig(frame_extent=128)
+            CorrConfig.for_map_extent(64, grid=16, roi_extent=9, patch_extent=5)
         assert str(info.value) == (
             "no RoI stride lays out a 16x16 grid of 9px RoIs on a 64px "
             "map: stride 3 gives 19x19"
         )
 
-    @pytest.mark.parametrize("name", ["toy", "paper", "tiny", "32px"])
+    @pytest.mark.parametrize("extent, chain", [
+        (32, (2, 2, 1, 2)), (64, (2, 2, 2, 2)), (128, (2, 2, 4, 2)),
+        (256, (2, 2, 8, 2)), (512, (2, 2, 16, 2)),
+    ])
+    def test_stage3_takes_the_extent_over_32(self, extent, chain):
+        config = ModelConfig(frame_extent=extent)
+        assert config.downsample == chain
+        assert (config.stage_extent(2), config.stage_extent(3)) == (8, 4)
+
+    @pytest.mark.parametrize("extent", [96, 6, 16, 48, 0])
+    def test_extent_off_the_rule_is_rejected(self, extent):
+        with pytest.raises(ValueError) as info:
+            ModelConfig(frame_extent=extent)
+        assert str(info.value) == (
+            f"frame extent must be 32 * 2**k px (stage 3 downsamples by "
+            f"extent // 32), got {extent}px")
+
+    @pytest.mark.parametrize("name", ["toy", "paper", "tiny", "32px", "128px",
+                                      "512px"])
     def test_correlation_grid_is_the_stage3_extent(self, name, request):
-        config = (request.getfixturevalue("tiny_model_config") if name == "tiny"
-                  else {"toy": ModelConfig.toy(), "paper": PAPER_SHAPE,
-                        "32px": ModelConfig(frame_extent=32)}[name])
+        fixture = {"paper": "paper_shape", "tiny": "tiny_model_config"}.get(name)
+        config = (request.getfixturevalue(fixture) if fixture
+                  else ModelConfig.toy() if name == "toy"
+                  else ModelConfig(frame_extent=int(name[:-2])))
         extent = config.stage_extent(0)
         rows, cols, _, _ = _grid_layout(extent, extent, config.corr_config)
         assert rows == cols == config.stage_extent(2)
@@ -455,11 +477,22 @@ class TestModelCheckpoint:
         ({"mlp_reduction": "8"},
          "checkpoint records mlp_reduction=8, but the network fixes "
          "mlp_reduction at 16"),
-    ], ids=["roi", "patch", "reduction"])
+        ({"encoder_channels": "4,8,16,32"},
+         "checkpoint records encoder_channels=4,8,16,32, but the network "
+         "fixes encoder_channels at 8,16,32,64"),
+        ({"lstm_hidden": "16"},
+         "checkpoint records lstm_hidden=16, but the network fixes "
+         "lstm_hidden at 32"),
+        ({"frame_extent": "32", "downsample": "2,2,2,2"},
+         "checkpoint records downsample=2,2,2,2, but the network fixes "
+         "downsample at 2,2,1,2"),
+    ], ids=["roi", "patch", "reduction", "channels", "lstm", "chain"])
     def test_retired_geometry_off_the_constants_fails_to_load(
             self, tmp_path, retired, message):
         # 11px RoIs with 7px patches give the 9/5 geometry's 5x5
-        # displacements and parameter shapes, so only the check stops them
+        # displacements and parameter shapes, so only the check stops them;
+        # a 32px checkpoint recording the chain (2, 2, 2, 2) fails on its
+        # chain before any parameter is read
         model = MotionNetwork(ModelConfig.toy(), seed=12)
         path = tmp_path / "old.ckpt"
         save_checkpoint(path, model.state_arrays(),
@@ -483,15 +516,24 @@ class TestModelCheckpoint:
                            match="checkpoint is missing parameter 'attention"):
             load_model(path)
 
-    def test_every_field_round_trips(self, tmp_path):
-        # every field off its default: 9px RoIs at stride 3 lay out the
-        # 8x8 stage-3 grid on the 32px stage-1 map
-        config = ModelConfig(frame_extent=32, encoder_channels=(4, 8, 8, 16),
-                             downsample=(1, 2, 2, 2), lstm_hidden=6)
-        defaults = ModelConfig()
-        assert all(getattr(config, f.name) != getattr(defaults, f.name)
-                   for f in dataclasses.fields(ModelConfig))
+    def test_toy_config_text_is_the_parents(self):
+        # checkpoints of the 64px model stay byte-identical to those
+        # written when all four were settable fields
+        assert ModelConfig.toy().to_text_dict() == {
+            "downsample": "2,2,2,2", "encoder_channels": "8,16,32,64",
+            "frame_extent": "64", "lstm_hidden": "32"}
+
+    def test_128px_round_trip(self, tmp_path):
+        model = MotionNetwork(ModelConfig(frame_extent=128), seed=13)
         path = tmp_path / "model.ckpt"
-        save_model(path, MotionNetwork(config, seed=13))
-        loaded, _, _ = load_model(path)
-        assert loaded.config == config
+        save_model(path, model)
+        loaded, _, config = load_model(path)
+        assert loaded.config == model.config
+        assert config["downsample"] == "2,2,4,2"
+        frames = np.random.default_rng(32).uniform(0, 1, (1, 3, 128, 128))
+        with T.no_grad():
+            want = model.forward_window(frames)
+            got = loaded.forward_window(frames)
+        for key in ("fused", "attention_scores"):
+            np.testing.assert_array_equal(got[key].data, want[key].data)
+        assert got["attention_scores"].shape == (1, 2, 64)
