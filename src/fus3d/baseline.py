@@ -143,9 +143,13 @@ class DecorrModel:
             if header != ["ncc", "gap_mm"]:
                 raise ValueError(f"unexpected calibration header: {header}")
             for row in reader:
-                if row:
-                    nccs.append(float(row[0]))
-                    gaps.append(float(row[1]))
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"{path}: malformed calibration row {row}, "
+                                     "expected ncc,gap_mm")
+                nccs.append(float(row[0]))
+                gaps.append(float(row[1]))
         return cls(gap_mm=np.asarray(gaps), ncc=np.asarray(nccs))
 
 

@@ -63,9 +63,12 @@ from .training import (
     validation_report,
 )
 
-def _ensure_out(path, force: bool, *names) -> Path:
+def _check_out(path, force: bool, *names) -> Path:
+    """The output directory, checked for existing outputs before any work
+    starts. It is not created here: each command makes it just before its
+    first write, so a command that fails on its inputs or settings leaves
+    no directory behind."""
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
     for name in names:
         target = out / name
         if target.exists() and not force:
@@ -93,7 +96,7 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> No
 # -- simulate -------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    out = _ensure_out(args.out, args.force, "frames.bin")
+    out = _check_out(args.out, args.force, "frames.bin")
     trajectory_spec = TrajectorySpec(
         shape=args.shape,
         length_mm=args.length_mm,
@@ -151,7 +154,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         val_every_epochs=args.val_every,
     )
-    out = _ensure_out(args.out, args.force, "checkpoint.ckpt", "train_log.csv")
+    out = _check_out(args.out, args.force, "checkpoint.ckpt", "train_log.csv")
     dataset = ScanDataset.from_directory(args.dataset)
     if args.val_dataset:
         train_scans = dataset.scans
@@ -225,7 +228,7 @@ def cmd_infer(args) -> int:
     if args.diagnostics and not args.checkpoint:
         raise ValueError("--diagnostics needs --checkpoint: only the network "
                          "has attention scores")
-    out = _ensure_out(args.out, args.force, "pred_relative.csv")
+    out = _check_out(args.out, args.force, "pred_relative.csv")
     scan = read_scan(args.scan)
     if args.identity_debug:
         rel_poses = scan.truth.relative_poses()
@@ -240,8 +243,9 @@ def cmd_infer(args) -> int:
     else:
         model = load_model(args.checkpoint)[0]
         rel_poses, scores = model.infer_scan(scan.frames)
-        if args.diagnostics:
-            export_attention_scores(scores, out / "attention")
+    out.mkdir(parents=True, exist_ok=True)
+    if args.diagnostics:
+        export_attention_scores(scores, out / "attention")
     _write_pose_outputs(out, rel_poses)
     _write_manifest(out, "infer", args)
     print(f"wrote {len(rel_poses)} relative and {len(rel_poses) + 1} "
@@ -257,13 +261,14 @@ def _trajectory_from_csv(path) -> list:
 
 
 def cmd_evaluate(args) -> int:
-    out = _ensure_out(args.out, args.force, "report.json")
+    out = _check_out(args.out, args.force, "report.json")
     truth = _trajectory_from_csv(args.truth)
     pred = _trajectory_from_csv(args.pred)
     scan = read_scan(args.scan)
     report, breakdown = evaluate_trajectories(truth, pred, scan.geometry)
     payload = report.as_json_dict()
     payload["breakdown"] = dataclasses.asdict(breakdown)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -278,7 +283,7 @@ def cmd_evaluate(args) -> int:
 # -- compound --------------------------------------------------------------------
 
 def cmd_compound(args) -> int:
-    out = _ensure_out(args.out, args.force, "volume.fvl")
+    out = _check_out(args.out, args.force, "volume.fvl")
     scan = read_scan(args.scan)
     poses = read_pose_csv(args.poses)
     if len(poses) != scan.n_frames:
@@ -288,6 +293,7 @@ def cmd_compound(args) -> int:
         )
     transforms = [pose_to_transform(p) for p in poses]
     volume = compound(scan.frames, transforms, scan.geometry, args.voxel)
+    out.mkdir(parents=True, exist_ok=True)
     write_volume(
         out / "volume.fvl",
         volume,
@@ -301,10 +307,11 @@ def cmd_compound(args) -> int:
 # -- calibrate-baseline ------------------------------------------------------------
 
 def cmd_calibrate_baseline(args) -> int:
-    out = _ensure_out(args.out, args.force, "calibration.csv")
+    out = _check_out(args.out, args.force, "calibration.csv")
     scan = read_scan(args.scan)
     pairs = calibration_pairs_from_scan(scan, lags=tuple(args.lags))
     model = calibrate(pairs)
+    out.mkdir(parents=True, exist_ok=True)
     model.save_csv(out / "calibration.csv")
     _write_manifest(out, "calibrate-baseline", args)
     print(f"calibrated {len(model.gap_mm)} knots "

@@ -5,7 +5,7 @@ Parameters, module containers, the layers the motion network needs
 and the binary checkpoint format. A :class:`Parameter` is a
 :class:`~fus3d.tensor.Tensor`: layers pass their parameters straight to
 the engine's op functions (``matmul``, ``conv2d``, ``add``, ...), and
-gradients land in each parameter's own ``grad``.
+``tensor.backward`` returns their gradients to the caller.
 """
 
 from __future__ import annotations
@@ -36,15 +36,13 @@ CHECKPOINT_VERSION = 1
 
 
 class Parameter(Tensor):
-    """A named, trainable tensor: a :class:`Tensor` with ``requires_grad``
-    set and a ``name`` slot, which ``Module.named_parameters`` fills with
-    its dotted path."""
+    """A trainable tensor: a :class:`Tensor` with ``requires_grad`` set.
+    Its name is its dotted path in ``Module.named_parameters``."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.name = ""
 
 
 class Module:
@@ -55,7 +53,6 @@ class Module:
         for key, value in vars(self).items():
             path = f"{prefix}{key}" if prefix else key
             if isinstance(value, Parameter):
-                value.name = path
                 out.append((path, value))
             elif isinstance(value, Module):
                 out.extend(value.named_parameters(prefix=path + "."))
@@ -67,13 +64,6 @@ class Module:
         if len(names) != len(set(names)):
             raise ValueError("duplicate parameter names in module tree")
         return out
-
-    def parameters(self) -> list:
-        return [p for _, p in self.named_parameters()]
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
 
     def state_arrays(self) -> dict:
         return {name: p.data.copy() for name, p in self.named_parameters()}

@@ -17,17 +17,18 @@ DECAY_EVERY = 100
 
 
 class Adam:
-    """Adam over a list of parameters.
+    """Adam over ``(name, parameter)`` pairs, as ``Module.named_parameters``
+    lists them; the names key the moments in :meth:`state_arrays`.
 
     The effective learning rate is ``lr * DECAY_FACTOR ** (epoch //
     DECAY_EVERY)``; call :meth:`set_epoch` as training advances. ``lr``
     comes from ``TrainConfig``. Moments are zero-initialized and the step
-    counter is monotone. Gradients are zeroed through
-    ``Module.zero_grad``.
+    counter is monotone. :meth:`step` takes the gradients
+    ``tensor.backward(loss, optimizer.params)`` returns.
     """
 
-    def __init__(self, params, lr: float):
-        self.params = list(params)
+    def __init__(self, named_parameters, lr: float):
+        self.names, self.params = map(list, zip(*named_parameters))
         self.base_lr = float(lr)
         self.epoch = 0
         self.step_count = 0
@@ -43,19 +44,20 @@ class Adam:
             raise ValueError("epoch must be nonnegative")
         self.epoch = int(epoch)
 
-    def step(self) -> None:
+    def step(self, grads) -> None:
+        """Apply one update from ``grads``, one array per parameter in
+        order; a None entry (a parameter the loss does not reach) is an
+        error, raised before any parameter changes."""
+        for name, grad in zip(self.names, grads, strict=True):
+            if grad is None:
+                raise RuntimeError(f"parameter {name} has no gradient: "
+                                   "the loss does not reach it")
         self.step_count += 1
         lr = self.lr
         b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
-        for p, m, v in zip(self.params, self._m, self._v):
-            grad = p.grad
-            if grad is None:
-                raise RuntimeError(
-                    f"parameter {p.name or '?'} has no gradient; "
-                    "run backward() before step()"
-                )
+        for p, m, v, grad in zip(self.params, self._m, self._v, grads):
             m *= b1
             m += (1.0 - b1) * grad
             v *= b2
@@ -68,14 +70,14 @@ class Adam:
     def state_arrays(self) -> dict:
         out = {"_optim.step": np.array(float(self.step_count)),
                "_optim.epoch": np.array(float(self.epoch))}
-        for p, m, v in zip(self.params, self._m, self._v):
-            out[f"_optim.m.{p.name}"] = m.copy()
-            out[f"_optim.v.{p.name}"] = v.copy()
+        for name, m, v in zip(self.names, self._m, self._v):
+            out[f"_optim.m.{name}"] = m.copy()
+            out[f"_optim.v.{name}"] = v.copy()
         return out
 
     def load_state_arrays(self, arrays: dict) -> None:
         self.step_count = int(np.asarray(arrays["_optim.step"]).ravel()[0])
         self.epoch = int(np.asarray(arrays["_optim.epoch"]).ravel()[0])
-        for i, p in enumerate(self.params):
-            self._m[i] = arrays[f"_optim.m.{p.name}"].copy()
-            self._v[i] = arrays[f"_optim.v.{p.name}"].copy()
+        for i, name in enumerate(self.names):
+            self._m[i] = arrays[f"_optim.m.{name}"].copy()
+            self._v[i] = arrays[f"_optim.v.{name}"].copy()

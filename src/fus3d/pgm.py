@@ -31,8 +31,10 @@ def read_pgm16(path) -> np.ndarray:
         while offset < len(blob) and blob[offset : offset + 1].isspace():
             offset += 1
         if blob[offset : offset + 1] == b"#":
-            while blob[offset : offset + 1] != b"\n":
-                offset += 1
+            offset = blob.find(b"\n", offset)
+            if offset < 0:
+                raise EOFError(f"{path}: header comment runs to the end "
+                               "of the file")
             continue
         start = offset
         while offset < len(blob) and not blob[offset : offset + 1].isspace():

@@ -2,7 +2,9 @@
 
 A small tape-based engine: every operation is a module function (``add``,
 ``matmul``, ``conv2d``, ...) that returns a new :class:`Tensor` whose
-backward closure knows how to push gradients to its parents. ``Tensor``
+backward closure knows how to push gradients to its parents.
+``backward(loss, wrt)`` sweeps that tape and returns the gradients of the
+tensors asked for; no gradient is stored on a tensor. ``Tensor``
 has no arithmetic operators or method aliases; ``x[index]`` (``take``)
 is its one method spelling of an op. ``add``, ``sub``, ``mul``,
 ``matmul`` and ``cosine_similarity`` (on its kept axes) broadcast their
@@ -78,12 +80,11 @@ def no_grad():
 class Tensor:
     """n-dimensional float64 array with optional gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
-        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._vjp: Callable | None = None
@@ -105,9 +106,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"{type(self).__name__}(shape={self.shape}{flag})"
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __getitem__(self, index):
         return take(self, index)
@@ -578,12 +576,16 @@ def cosine_similarity(a, b, axis=None) -> Tensor:
 
 # -- backward pass ------------------------------------------------------------------
 
-def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss.
+def backward(loss: Tensor, wrt: Sequence[Tensor]) -> list:
+    """Reverse-mode sweep from a scalar loss; returns the gradient of the
+    loss with respect to each tensor of ``wrt``, in order.
 
-    Populates ``grad`` on every requires_grad leaf reachable from the loss;
-    repeated calls accumulate until the leaves are zeroed. The sweep
-    lends the batched kernels a helper thread (``_workers.lend_helper``).
+    Each entry is the summed gradient array, or None for a tensor the
+    loss does not reach (one without ``requires_grad`` included). The
+    arrays are the sweep's own and may share memory with one another;
+    treat them as read-only. Nothing is stored on the tensors, so each
+    call starts from zero. The sweep lends the batched kernels a helper
+    thread (``_workers.lend_helper``).
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -606,17 +608,17 @@ def backward(loss: Tensor) -> None:
             if parent.requires_grad and id(parent) not in seen:
                 stack_.append((parent, False))
 
+    wanted = {id(t) for t in wrt}
+    swept: dict[int, np.ndarray] = {}
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     with _workers.lend_helper():
         for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
+            if id(node) in wanted:
+                swept[id(node)] = g
             if node._vjp is None:
-                # leaf (or user tensor): accumulate into .grad
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
                 continue
             parent_grads = node._vjp(g)
             for parent, pg in zip(node._parents, parent_grads):
@@ -627,3 +629,4 @@ def backward(loss: Tensor) -> None:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
+    return [swept.get(id(t)) for t in wrt]

@@ -172,9 +172,7 @@ def _train_step(model: MotionNetwork, optimizer: Adam, scans, batch,
         raise FloatingPointError(
             f"non-finite training loss at step {step}: {value}"
         )
-    model.zero_grad()
-    T.backward(loss)
-    optimizer.step()
+    optimizer.step(T.backward(loss, optimizer.params))
     return parts[0].item(), parts[1].item(), parts[2].item(), value
 
 
@@ -257,7 +255,7 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
     window = config.seq_len + 2
     train_scans = _long_enough(train_scans, window, "training")
     val_scans = _long_enough(val_scans, window, "validation")
-    optimizer = Adam(model.parameters(), lr=config.learning_rate)
+    optimizer = Adam(model.named_parameters(), lr=config.learning_rate)
     step = 0
     epoch = 0
     batch_idx = 0
@@ -283,6 +281,7 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
                 kept += [line for line in handle.readlines()[1:]
                          if line.endswith("\n")
                          and int(line.split(",", 1)[0]) <= step]
+        Path(log_path).parent.mkdir(parents=True, exist_ok=True)
         log_handle = open(log_path, "w", encoding="utf-8", newline="\n")
         log_handle.writelines(kept)
 

@@ -76,8 +76,11 @@ class TestSimulate:
             tmp_path / "b" / "poses.csv"
         ).read_bytes()
 
-    def test_single_frame_is_config_error(self, tmp_path):
+    def test_single_frame_is_config_error(self, tmp_path, capsys):
+        # the trajectory spec rejects it before the output directory exists
         assert run("simulate", "--out", tmp_path / "x", "--frames", 1) == 2
+        assert "a trajectory needs at least 2 frames" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_shape_choices_are_the_trajectory_shapes(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -182,7 +185,7 @@ class TestInfer:
                    "--out", tmp_path / "pred")
         assert code == 2
         assert "model expects 32px frames, got 64px" in capsys.readouterr().err
-        assert list((tmp_path / "pred").iterdir()) == []
+        assert not (tmp_path / "pred").exists()
 
     @pytest.mark.parametrize("recorded, message", [
         ({"corr_roi": "11", "corr_patch": "7"}, "corr_roi=11, but the network "
@@ -205,7 +208,7 @@ class TestInfer:
         assert code == 2
         assert (f"error: checkpoint records {message}\n"
                 in capsys.readouterr().err)
-        assert list((tmp_path / "pred").iterdir()) == []
+        assert not (tmp_path / "pred").exists()
 
 
 class TestCalibrateBaseline:
@@ -257,6 +260,31 @@ class TestTruncatedInputs:
         assert code == 1
         assert (f"error: {path}: truncated, expected at least {needed} bytes, "
                 f"got {keep}" in capsys.readouterr().err)
+
+    def test_short_calibration_row_is_usage_error(self, scan_dir, tmp_path,
+                                                  capsys):
+        calibration = tmp_path / "calibration.csv"
+        calibration.write_text("ncc,gap_mm\n0.9,0.1\n1.0\n")
+        code = run("infer", "--scan", scan_dir, "--baseline", calibration,
+                   "--out", tmp_path / "pred")
+        assert code == 2
+        assert (f"error: {calibration}: malformed calibration row ['1.0'], "
+                "expected ncc,gap_mm\n" in capsys.readouterr().err)
+        assert not (tmp_path / "pred").exists()
+
+    def test_pgm_comment_cut_by_the_end_of_file_raises(self, tmp_path):
+        # in a child process with a timeout, so a reader that loops on
+        # the unterminated comment fails the test instead of hanging it
+        path = tmp_path / "cut.pgm"
+        path.write_bytes(b"P5\n#")
+        env = dict(os.environ, PYTHONPATH=str(Path(fus3d.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             f"from fus3d.pgm import read_pgm16; read_pgm16({str(path)!r})"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 1
+        assert (f"EOFError: {path}: header comment runs to the end of the "
+                "file") in done.stderr
 
 
 class TestEmptyInputs:
@@ -549,6 +577,7 @@ class TestTrainCommand:
         shutil.copytree(sorted(dataset_dir.iterdir())[0], single / "scan00")
         assert run("train", "--dataset", single, "--out", tmp_path / "run",
                    "--steps", 1) == 2
+        assert not (tmp_path / "run").exists()
 
     def test_resumed_model_off_the_frame_extent_fails_before_any_output(
             self, dataset_dir, tmp_path, capsys):
@@ -559,7 +588,7 @@ class TestTrainCommand:
                    "--batch", 2, "--val-fraction", 0.34)
         assert code == 2
         assert "model expects 32px frames, got 64px" in capsys.readouterr().err
-        assert list((tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     def test_resume_checks_frames_against_the_checkpoint(self, tmp_path):
         # a 32 px model resumed on 32 px scans
@@ -629,7 +658,7 @@ class TestFrameExtent:
                    "--val-fraction", 0.34)
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
-        assert list((tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
 
 class TestConfigFile:
@@ -777,3 +806,5 @@ class TestEntryPoint:
             assert done.returncode == code, argv
             assert "Traceback" not in done.stderr
             assert done.stderr.strip()
+        # no failed command leaves its output directory behind
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]

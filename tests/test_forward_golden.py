@@ -32,14 +32,13 @@ def golden_run() -> dict:
     for key in OUTPUTS:
         weights = rng.standard_normal(out[key].shape)
         loss = T.add(loss, T.tensor_sum(T.mul(out[key], weights)))
-    model.zero_grad()
-    T.backward(loss)
     named = model.named_parameters()
+    grads = T.backward(loss, [p for _, p in named])
     arrays = {key: out[key].data for key in OUTPUTS}
     arrays["param_names"] = np.array([name for name, _ in named])
     arrays["param_sizes"] = np.array([p.data.size for _, p in named])
-    arrays["grad_sum"] = np.array([p.grad.sum() for _, p in named])
-    arrays["grad_sumsq"] = np.array([(p.grad * p.grad).sum() for _, p in named])
+    arrays["grad_sum"] = np.array([g.sum() for g in grads])
+    arrays["grad_sumsq"] = np.array([(g * g).sum() for g in grads])
     return arrays
 
 

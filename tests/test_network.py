@@ -383,12 +383,11 @@ class TestFullModelGradients:
             out = model.forward_window(frames)
             return T.tensor_sum(T.mul(out["fused"], weights))
 
-        model.zero_grad()
-        backward(loss_value())
+        named = model.named_parameters()
+        grads = backward(loss_value(), [p for _, p in named])
 
         h = 1e-5
-        for name, param in model.named_parameters():
-            analytic = param.grad
+        for (name, param), analytic in zip(named, grads):
             assert analytic is not None, f"{name} got no gradient"
             flat = param.data.ravel()
             # probe a handful of coordinates per parameter

@@ -142,6 +142,19 @@ class TestModuleTree:
         assert "w" in names
         assert len(names) == len(set(names))
 
+    def test_named_parameters_leaves_parameters_unchanged(self):
+        model = Linear(2, 2, np.random.default_rng(6))
+        params = [p for _, p in model.named_parameters()]
+        before = [[getattr(p, slot) for slot in Tensor.__slots__]
+                  for p in params]
+        named = model.named_parameters(prefix="head.")
+        assert [n for n, _ in named] == ["head.weight", "head.bias"]
+        assert all(a is b for (_, a), b in zip(named, params))
+        after = [[getattr(p, slot) for slot in Tensor.__slots__]
+                 for p in params]
+        assert all(x is y for b, a in zip(before, after) for x, y in zip(b, a))
+        assert not any(hasattr(p, "__dict__") for p in params)
+
     def test_state_round_trip(self):
         rng = np.random.default_rng(7)
         model = Linear(3, 3, rng)
@@ -152,12 +165,12 @@ class TestModuleTree:
 
     def test_load_keeps_parameters_and_stores_float64_copies(self):
         model = Linear(2, 2, np.random.default_rng(9))
-        params = model.parameters()
-        opt = Adam(params, lr=0.1)
+        params = [p for _, p in model.named_parameters()]
+        opt = Adam(model.named_parameters(), lr=0.1)
         weight = np.arange(4).reshape(2, 2)  # an integer array
         bias = np.array([0.5, -1.5])
         model.load_state_arrays({"weight": weight, "bias": bias})
-        assert all(a is b for a, b in zip(model.parameters(), params))
+        assert all(a is b for (_, a), b in zip(model.named_parameters(), params))
         assert all(a is b for a, b in zip(opt.params, params))
         assert model.weight.data.dtype == np.float64
         np.testing.assert_array_equal(model.weight.data, weight)
@@ -171,11 +184,12 @@ class TestParameterIsTensor:
         assert isinstance(p, Tensor)
         assert p.requires_grad
         assert p.data.dtype == np.float64
-        assert p.name == ""  # Module.named_parameters fills it
-        assert p.grad is None
+        assert not any(hasattr(p, name) for name in ("grad", "zero_grad", "name"))
 
     @pytest.mark.parametrize("layer", ["linear", "conv", "lstm"])
     def test_backward_fills_and_zero_grad_clears(self, layer):
+        # backward returns one gradient per parameter, and each sweep
+        # starts from zero: a second sweep returns equal values
         rng = np.random.default_rng(15)
         if layer == "linear":
             module = Linear(3, 2, rng)
@@ -188,24 +202,24 @@ class TestParameterIsTensor:
             h, c = module.initial_state(batch=2)
             gates = module.project(Tensor(rng.standard_normal((2, 3))))
             out = T.concat(list(module(gates, h, c)), axis=1)
-        backward(T.tensor_sum(T.mul(out, out)))
-        params = module.parameters()
-        assert params and all(p.grad is not None for p in params)
-        assert all(p.grad.shape == p.shape for p in params)
-        module.zero_grad()
-        assert all(p.grad is None for p in params)
+        loss = T.tensor_sum(T.mul(out, out))
+        params = [p for _, p in module.named_parameters()]
+        grads = backward(loss, params)
+        assert params and all(g is not None for g in grads)
+        assert all(g.shape == p.shape for g, p in zip(grads, params))
+        for g, again in zip(grads, backward(loss, params)):
+            np.testing.assert_array_equal(g, again)
 
 
 class TestAdam:
     def test_descent_direction(self):
         p = Parameter(np.array([1.0]))
-        opt = Adam([p], lr=0.1)
-        p.grad = np.array([1.0])
-        opt.step()
+        opt = Adam([("p", p)], lr=0.1)
+        opt.step([np.array([1.0])])
         assert p.data[0] < 1.0
 
     def test_lr_schedule_paper_values(self):
-        opt = Adam([Parameter(np.zeros(1))], lr=1e-5)
+        opt = Adam([("p", Parameter(np.zeros(1)))], lr=1e-5)
         assert opt.lr == 1e-5
         opt.set_epoch(99)
         assert opt.lr == 1e-5
@@ -215,21 +229,29 @@ class TestAdam:
         assert opt.lr == pytest.approx(6.4e-6)
 
     def test_missing_grad_is_an_error(self):
-        opt = Adam([Parameter(np.zeros(1))], lr=0.1)
-        with pytest.raises(RuntimeError, match="no gradient"):
-            opt.step()
+        w, b = Parameter(np.zeros(1)), Parameter(np.zeros(1))
+        opt = Adam([("w", w), ("b", b)], lr=0.1)
+        with pytest.raises(RuntimeError,
+                           match="parameter b has no gradient: the loss "
+                                 "does not reach it"):
+            opt.step([np.ones(1), None])
+        # raised before any update
+        assert opt.step_count == 0 and w.data[0] == 0.0
+
+    def test_gradient_count_must_match_parameters(self):
+        opt = Adam([("p", Parameter(np.zeros(1)))], lr=0.1)
+        with pytest.raises(ValueError):
+            opt.step([np.ones(1), np.ones(1)])
 
     def test_quadratic_bowl_convergence(self):
         # minimize sum((x - c)^2); closed-form minimum at c
         rng = np.random.default_rng(9)
         c = rng.standard_normal(4)
         p = Parameter(np.zeros(4))
-        opt = Adam([p], lr=0.05)
+        opt = Adam([("p", p)], lr=0.05)
         for _ in range(2000):
-            p.zero_grad()
             diff = T.sub(p, c)
-            backward(T.tensor_sum(T.mul(diff, diff)))
-            opt.step()
+            opt.step(backward(T.tensor_sum(T.mul(diff, diff)), opt.params))
         assert float(np.abs(p.data - c).max()) < 1e-6
 
     def test_state_round_trip_updates_identically(self):
@@ -238,17 +260,15 @@ class TestAdam:
         def make():
             r = np.random.default_rng(11)
             model = Linear(3, 2, r)
-            return model, Adam(model.parameters(), lr=1e-3)
+            return model, Adam(model.named_parameters(), lr=1e-3)
 
         model_a, opt_a = make()
         model_b, opt_b = make()
         x = rng.standard_normal((4, 3))
 
         def one_step(model, opt):
-            model.zero_grad()
             out = model(Tensor(x))
-            backward(T.tensor_sum(T.mul(out, out)))
-            opt.step()
+            opt.step(backward(T.tensor_sum(T.mul(out, out)), opt.params))
 
         one_step(model_a, opt_a)
         # transfer a's state to b, then both take the same second step

@@ -46,8 +46,6 @@ UNCALLED_MEMBERS = {
 # reads it, for a member whose name a method, property or dataclass field
 # of another public class shares
 SHARED_MEMBERS = {
-    "Module.zero_grad": "training._train_step",
-    "Tensor.zero_grad": "nn.Module.zero_grad",
     "Module.state_arrays": "network.save_model",
     "Adam.state_arrays": "training.train",
     "Module.load_state_arrays": "network.load_model",

@@ -89,29 +89,44 @@ class TestBroadcasting:
 class TestBackwardMechanics:
     def test_square_gradient_at_three(self):
         x = Tensor(3.0, requires_grad=True)
-        backward(T.mul(x, x))
-        assert x.grad == pytest.approx(6.0)
+        (grad,) = backward(T.mul(x, x), [x])
+        assert grad == pytest.approx(6.0)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            backward(T.mul(x, x))
+            backward(T.mul(x, x), [x])
 
-    def test_repeated_backward_accumulates(self):
+    def test_repeated_backward_returns_the_same_gradient(self):
+        # nothing accumulates between sweeps
         x = Tensor(2.0, requires_grad=True)
-        backward(T.mul(x, x))
-        first = x.grad.copy()
-        backward(T.mul(x, x))
-        np.testing.assert_array_equal(x.grad, 2.0 * first)
-        x.zero_grad()
-        assert x.grad is None
+        loss = T.mul(x, x)
+        first = backward(loss, [x])[0].copy()
+        np.testing.assert_array_equal(backward(loss, [x])[0], first)
+        np.testing.assert_array_equal(backward(T.mul(x, x), [x])[0], first)
+
+    def test_unreached_and_untracked_inputs_get_none(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        b = Tensor(np.ones(2), requires_grad=True)  # the loss does not use b
+        c = Tensor(np.full(2, 3.0))  # no requires_grad
+        loss = T.tensor_sum(T.mul(a, c))
+        grad_a, grad_b, grad_c = backward(loss, [a, b, c])
+        np.testing.assert_array_equal(grad_a, [3.0, 3.0])
+        assert grad_b is None and grad_c is None
+
+    def test_gradients_come_back_in_the_order_asked(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        w = Tensor(np.array([3.0, 5.0]), requires_grad=True)
+        loss = T.tensor_sum(T.mul(x, w))
+        grad_w, grad_x = backward(loss, [w, x])
+        np.testing.assert_array_equal(grad_w, x.data)
+        np.testing.assert_array_equal(grad_x, w.data)
 
     def test_shared_subexpression_gradient(self):
         # y = x*x used twice: d/dx (x*x + x*x) = 4x
         x = Tensor(1.5, requires_grad=True)
         y = T.mul(x, x)
-        backward(T.add(y, y))
-        assert x.grad == pytest.approx(6.0)
+        assert backward(T.add(y, y), [x])[0] == pytest.approx(6.0)
 
     def test_no_grad_suppresses_tape(self):
         x = Tensor(2.0, requires_grad=True)
@@ -119,7 +134,7 @@ class TestBackwardMechanics:
             y = T.mul(x, x)
         assert not y.requires_grad
         with pytest.raises(ValueError):
-            backward(y)
+            backward(y, [x])
 
     def test_determinism_bit_identical(self):
         def run():
@@ -127,8 +142,8 @@ class TestBackwardMechanics:
             x = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
             w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
             out = T.tanh(T.conv2d(x, w, padding=1, stride=2))
-            backward(T.tensor_sum(T.mul(out, out)))
-            return out.data.copy(), x.grad.copy(), w.grad.copy()
+            return (out.data.copy(),
+                    *backward(T.tensor_sum(T.mul(out, out)), [x, w]))
 
         first, second = run(), run()
         for a, b in zip(first, second):
@@ -272,9 +287,10 @@ class TestCosineHandDerived:
         out = T.cosine_similarity(a, b, axis=2)
         assert out.shape == (2, 3)
         np.testing.assert_array_equal(out.data, 0.0)
-        backward(T.tensor_sum(T.mul(out, rng.standard_normal((2, 3)))))
-        np.testing.assert_array_equal(a.grad, 0.0)
-        np.testing.assert_array_equal(b.grad, np.zeros((2, 1, 4)))
+        grad_a, grad_b = backward(
+            T.tensor_sum(T.mul(out, rng.standard_normal((2, 3)))), [a, b])
+        np.testing.assert_array_equal(grad_a, np.zeros((2, 3, 4)))
+        np.testing.assert_array_equal(grad_b, np.zeros((2, 1, 4)))
 
     @pytest.mark.parametrize("shapes, axis", [(((2, 3), (2, 4)), 1),
                                               (((2, 3), (2, 4)), 0),
@@ -291,9 +307,9 @@ class TestCosineHandDerived:
         # For unit-norm orthogonal a, b: d cos/da = b, d cos/db = a.
         a = Tensor(np.array([1.0, 0.0]), requires_grad=True)
         b = Tensor(np.array([0.0, 1.0]), requires_grad=True)
-        backward(T.cosine_similarity(a, b))
-        np.testing.assert_allclose(a.grad, [0.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(b.grad, [1.0, 0.0], atol=1e-12)
+        grad_a, grad_b = backward(T.cosine_similarity(a, b), [a, b])
+        np.testing.assert_allclose(grad_a, [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(grad_b, [1.0, 0.0], atol=1e-12)
 
 
 def conv2d_reference(x, w, b, stride, padding):
@@ -367,8 +383,8 @@ class TestConv2d:
         xt = Tensor(x, requires_grad=True)
         out = T.conv2d(xt, Tensor(w), padding=1)
         g = rng.standard_normal(out.shape)
-        backward(T.tensor_sum(T.mul(out, g)))
-        np.testing.assert_allclose(np.vdot(x, xt.grad), np.vdot(out.data, g),
+        (dx,) = backward(T.tensor_sum(T.mul(out, g)), [xt])
+        np.testing.assert_allclose(np.vdot(x, dx), np.vdot(out.data, g),
                                    rtol=1e-12)
 
     def test_input_without_grad_gets_no_gradient(self):
@@ -383,8 +399,8 @@ class TestConv2d:
             out = T.conv2d(xt, wt, bt, stride=2, padding=1)
             slots = out._vjp(g)
             assert (slots[0] is None) is not x_grad
-            backward(T.tensor_sum(T.mul(out, g)))
-            grads[x_grad] = (wt.grad, bt.grad)
-            assert (xt.grad is None) is not x_grad
+            dx, dw, db = backward(T.tensor_sum(T.mul(out, g)), [xt, wt, bt])
+            grads[x_grad] = (dw, db)
+            assert (dx is None) is not x_grad
         np.testing.assert_array_equal(grads[False][0], grads[True][0])
         np.testing.assert_array_equal(grads[False][1], grads[True][1])
