@@ -20,6 +20,7 @@ respect to predictions / features.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -65,12 +66,12 @@ class LossWeights:
 
     def __post_init__(self) -> None:
         alphas = (self.alpha_mmae, self.alpha_corr, self.alpha_triplet)
-        if any(a < 0 for a in alphas):
-            raise ValueError("loss weights must be nonnegative")
+        if not all(0.0 <= a < math.inf for a in alphas):
+            raise ValueError("loss weights must be finite and nonnegative")
         if not any(a > 0 for a in alphas):
             raise ValueError("at least one loss weight must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and nonnegative")
 
 
 def _as_motions(*values) -> list:

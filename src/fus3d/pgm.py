@@ -44,5 +44,9 @@ def read_pgm16(path) -> np.ndarray:
     if fields[0] != b"P5" or fields[3] != b"65535":
         raise ValueError("not a 16-bit P5 file")
     width, height = int(fields[1]), int(fields[2])
+    expected = offset + 2 * width * height
+    if len(blob) < expected:
+        raise EOFError(f"{path}: truncated, expected {expected} bytes for "
+                       f"{width}x{height} pixels, got {len(blob)}")
     data = np.frombuffer(blob, dtype=">u2", count=width * height, offset=offset)
     return data.reshape(height, width).astype(np.uint16)

@@ -480,8 +480,9 @@ class ImageGeometry:
     def __post_init__(self) -> None:
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("image extents must be positive")
-        if self.pitch_axial_mm <= 0.0 or self.pitch_lateral_mm <= 0.0:
-            raise ValueError("pixel pitch must be positive")
+        if not (0.0 < self.pitch_axial_mm < math.inf
+                and 0.0 < self.pitch_lateral_mm < math.inf):
+            raise ValueError("pixel pitch must be positive and finite")
 
     def pixel_to_plane(self, pixels: np.ndarray) -> np.ndarray:
         """In-plane mm coordinates (x_axial, y_lateral, 0) of (row, col) pixels.

@@ -305,7 +305,8 @@ class ScanSequence:
             )
         if self.frames.shape[1:] != (self.geometry.n_rows, self.geometry.n_cols):
             raise ValueError("frame shape does not match geometry")
-        if self.frames.min() < 0.0 or self.frames.max() > 1.0:
+        # written so that a NaN fails it
+        if not (self.frames.min() >= 0.0 and self.frames.max() <= 1.0):
             raise ValueError("frame intensities must lie in [0, 1]")
         motions = pose_arrays(*relative_arrays(*stack_transforms(self.truth)))
         motions.flags.writeable = False

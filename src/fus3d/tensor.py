@@ -31,6 +31,7 @@ data, which the tape holds anyway, and drops them once used.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,19 +63,20 @@ __all__ = [
     "backward",
 ]
 
-_GRAD_ENABLED = True
+# a context variable, so a no_grad block holds on its own thread only; a
+# new thread starts with the tape on
+_GRAD_ENABLED = ContextVar("fus3d_grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable tape recording inside the block (inference mode), on the
+    calling thread only."""
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.reset(token)
 
 
 class Tensor:
@@ -124,7 +126,7 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     (entries may be None for parents that do not need one).
     """
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp

@@ -3,10 +3,12 @@
 Datasets are directories of scan containers. Epochs sample one random
 window (s+2 consecutive frames) per training scan; sampling is driven
 by a stateless per-epoch generator seeded with (seed, epoch), so a
-resumed run continues bit-exactly without serialized RNG state.
-Validation runs on fixed windows; the checkpoint tracks the best
-validation motion-weighted error and carries optimizer state and
-counters for exact resume.
+resumed run continues bit-exactly without serialized RNG state. The
+optimizer's step count is the one training cursor: the epoch, the batch
+and the stepped learning-rate decay follow from it. Validation runs on
+fixed windows; the checkpoint tracks the best validation
+motion-weighted error and carries the step count and the Adam moments
+for exact resume.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ TRAIN_LOG_HEADER = "step,mmae,corr,triplet,total,lr"
 
 # fixed, evenly spaced validation windows per scan
 VAL_WINDOWS_PER_SCAN = 3
+
+# the learning rate falls by DECAY_FACTOR every DECAY_EVERY epochs (the
+# paper's 0.8 every 100): no caller selects other values
+DECAY_FACTOR = 0.8
+DECAY_EVERY = 100
 
 logger = logging.getLogger(__name__)
 
@@ -161,18 +168,19 @@ def _batch_loss(model: MotionNetwork, scans, batch, config: TrainConfig,
 
 
 def _train_step(model: MotionNetwork, optimizer: Adam, scans, batch,
-                config: TrainConfig, step: int, degenerate: Counter) -> tuple:
-    """One optimizer step on one batch; returns the (mmae, corr, triplet,
-    total) loss values as floats, so the step's autodiff graph is freed
-    before the next step builds its own. Windows with zero-norm motion
-    series are counted into ``degenerate``."""
+                config: TrainConfig, step: int, lr: float,
+                degenerate: Counter) -> tuple:
+    """One optimizer step at rate ``lr`` on one batch; returns the (mmae,
+    corr, triplet, total) loss values as floats, so the step's autodiff
+    graph is freed before the next step builds its own. Windows with
+    zero-norm motion series are counted into ``degenerate``."""
     loss, parts = _batch_loss(model, scans, batch, config, degenerate)
     value = loss.item()
     if not math.isfinite(value):
         raise FloatingPointError(
             f"non-finite training loss at step {step}: {value}"
         )
-    optimizer.step(T.backward(loss, optimizer.params))
+    optimizer.step(T.backward(loss, optimizer.params), lr)
     return parts[0].item(), parts[1].item(), parts[2].item(), value
 
 
@@ -237,17 +245,23 @@ class TrainResult:
 
 
 def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
-          log_path=None, checkpoint_path=None,
+          log_path, checkpoint_path,
           resume_extra: dict | None = None) -> TrainResult:
     """Run the training loop; returns summary statistics.
 
-    ``resume_extra`` is the non-parameter record dict of a checkpoint
-    produced by this function (optimizer moments plus counters); model
-    parameters must already be loaded. A resumed run keeps the rows of an
-    existing log up to the checkpoint's step and appends to them. Training
-    and validation scans shorter than a window are skipped with one
-    warning each; none long enough, in either set, is an error raised
-    before the first step.
+    Every epoch holds the same ``ceil(len(train_scans) / batch_size)``
+    batches, so the optimizer's step count is the one cursor: the epoch,
+    the batch within it and the decayed learning rate all follow from
+    it. Validation runs every ``val_every_epochs`` epochs and after the
+    last step; each improvement writes ``checkpoint_path`` and its
+    ``best_`` sibling, and the last step is always checkpointed.
+    ``resume_extra`` is the non-parameter record dict of such a
+    checkpoint (the step count, the Adam moments and the best validation
+    error); model parameters must already be loaded. A resumed run keeps
+    the rows of an existing log up to the checkpoint's step and appends
+    to them. Training and validation scans shorter than a window are
+    skipped with one warning each; none long enough, in either set, is
+    an error raised before the first step.
     Windows whose correlation loss meets a zero-norm series (scans without
     rotation) are counted, and one ``fus3d.losses`` warning at the end of
     the run gives the count and the components.
@@ -255,87 +269,65 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
     window = config.seq_len + 2
     train_scans = _long_enough(train_scans, window, "training")
     val_scans = _long_enough(val_scans, window, "validation")
-    optimizer = Adam(model.named_parameters(), lr=config.learning_rate)
-    step = 0
-    epoch = 0
-    batch_idx = 0
+    optimizer = Adam(model.named_parameters())
     best_val = math.inf
     if resume_extra:
         optimizer.load_state_arrays(resume_extra)
-        step = int(np.asarray(resume_extra["_train.step"]).ravel()[0])
-        epoch = int(np.asarray(resume_extra["_train.epoch"]).ravel()[0])
-        batch_idx = int(np.asarray(resume_extra["_train.batch_idx"]).ravel()[0])
         best_val = float(np.asarray(resume_extra["_train.best_val"]).ravel()[0])
+    start = optimizer.step_count
+    batches_per_epoch = math.ceil(len(train_scans) / config.batch_size)
 
     init_val = validation_mmae(model, val_scans, config)
 
+    kept = [TRAIN_LOG_HEADER + "\n"]
+    if resume_extra and Path(log_path).exists():
+        # rows a cut run logged after its last checkpoint are dropped,
+        # since the resume trains those steps again, and so is a last
+        # line cut mid-write
+        with open(log_path, encoding="utf-8", newline="\n") as handle:
+            kept += [line for line in handle.readlines()[1:]
+                     if line.endswith("\n")
+                     and int(line.split(",", 1)[0]) <= start]
+    Path(log_path).parent.mkdir(parents=True, exist_ok=True)
+
     log_rows = []
-    log_handle = None
-    if log_path is not None:
-        kept = [TRAIN_LOG_HEADER + "\n"]
-        if resume_extra and Path(log_path).exists():
-            # rows a cut run logged after its last checkpoint are dropped,
-            # since the resume trains those steps again, and so is a last
-            # line cut mid-write
-            with open(log_path, encoding="utf-8", newline="\n") as handle:
-                kept += [line for line in handle.readlines()[1:]
-                         if line.endswith("\n")
-                         and int(line.split(",", 1)[0]) <= step]
-        Path(log_path).parent.mkdir(parents=True, exist_ok=True)
-        log_handle = open(log_path, "w", encoding="utf-8", newline="\n")
-        log_handle.writelines(kept)
-
-    saved_step = None
-
-    def save(best: bool) -> None:
-        nonlocal saved_step
-        if checkpoint_path is None:
-            return
-        extra = optimizer.state_arrays()
-        extra["_train.step"] = np.array(float(step))
-        extra["_train.epoch"] = np.array(float(epoch))
-        extra["_train.batch_idx"] = np.array(float(batch_idx))
-        extra["_train.best_val"] = np.array(best_val)
-        # the log on disk holds every row up to the checkpoint's step
-        if log_handle is not None:
-            log_handle.flush()
-        target = Path(checkpoint_path)
-        save_model(target, model, extra_arrays=extra)
-        saved_step = step
-        if best:
-            save_model(target.with_name("best_" + target.name), model)
-
     final_val = init_val
     degenerate = Counter()
-    try:
-        while step < config.steps:
-            optimizer.set_epoch(epoch)
-            batches = _epoch_batches(train_scans, config, epoch)
-            while batch_idx < len(batches) and step < config.steps:
-                losses = _train_step(model, optimizer, train_scans,
-                                     batches[batch_idx], config, step, degenerate)
-                step += 1
-                batch_idx += 1
-                row = (step, *losses, optimizer.lr)
-                log_rows.append(row)
-                if log_handle is not None:
-                    log_handle.write(
-                        ",".join(repr(v) for v in row) + "\n"
-                    )
-            if batch_idx >= len(batches):
-                epoch += 1
-                batch_idx = 0
-            if epoch % config.val_every_epochs == 0 or step >= config.steps:
+    saved_step = None
+    with open(log_path, "w", encoding="utf-8", newline="\n") as log_handle:
+        log_handle.writelines(kept)
+
+        def save(best: bool) -> None:
+            nonlocal saved_step
+            extra = optimizer.state_arrays()
+            extra["_train.best_val"] = np.array(best_val)
+            # the log on disk holds every row up to the checkpoint's step
+            log_handle.flush()
+            target = Path(checkpoint_path)
+            save_model(target, model, extra_arrays=extra)
+            saved_step = optimizer.step_count
+            if best:
+                save_model(target.with_name("best_" + target.name), model)
+
+        for step in range(start, config.steps):
+            epoch, batch = divmod(step, batches_per_epoch)
+            if batch == 0 or step == start:
+                batches = _epoch_batches(train_scans, config, epoch)
+            lr = config.learning_rate * DECAY_FACTOR ** (epoch // DECAY_EVERY)
+            losses = _train_step(model, optimizer, train_scans, batches[batch],
+                                 config, step, lr, degenerate)
+            row = (step + 1, *losses, lr)
+            log_rows.append(row)
+            log_handle.write(",".join(repr(v) for v in row) + "\n")
+            if ((step + 1) % (batches_per_epoch * config.val_every_epochs) == 0
+                    or step + 1 == config.steps):
                 final_val = validation_mmae(model, val_scans, config)
                 if final_val < best_val:
                     best_val = final_val
                     save(best=True)
         # a best checkpoint at the last step is already the final one
-        if saved_step != step:
+        if saved_step != optimizer.step_count:
             save(best=False)
-    finally:
-        if log_handle is not None:
-            log_handle.close()
     if degenerate:
         losses_logger.warning(
             "correlation loss: zero-norm series in %d training window(s), "
@@ -344,7 +336,7 @@ def train(model: MotionNetwork, train_scans, val_scans, config: TrainConfig,
         )
 
     return TrainResult(
-        steps_done=step,
+        steps_done=optimizer.step_count,
         best_val_mmae=best_val,
         init_val_mmae=init_val,
         final_val_mmae=final_val,

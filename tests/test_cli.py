@@ -21,7 +21,7 @@ from fus3d.compound import read_volume
 from fus3d.losses import LossWeights
 from fus3d.network import ModelConfig, MotionNetwork, save_model
 from fus3d.nn import save_checkpoint
-from fus3d.pgm import read_pgm16
+from fus3d.pgm import read_pgm16, write_pgm16
 from fus3d.pose import ImageGeometry, read_pose_csv
 from fus3d.simulate import TRAJECTORY_SHAPES, TrajectorySpec, read_scan, write_scan
 from fus3d.training import ScanDataset, TrainConfig, train
@@ -285,6 +285,61 @@ class TestTruncatedInputs:
         assert done.returncode == 1
         assert (f"EOFError: {path}: header comment runs to the end of the "
                 "file") in done.stderr
+
+    def test_pgm_pixels_cut_by_the_end_of_file_raise(self, tmp_path):
+        path = tmp_path / "cut.pgm"
+        write_pgm16(path, np.zeros((3, 4)))
+        blob = path.read_bytes()
+        assert len(blob) == 13 + 2 * 3 * 4  # "P5\n4 3\n65535\n" + pixels
+        path.write_bytes(blob[:-1])
+        with pytest.raises(EOFError, match=f"{path}: truncated, expected 37 "
+                                           "bytes for 4x3 pixels, got 36"):
+            read_pgm16(path)
+
+
+class TestNonFiniteInputs:
+    def test_nan_frame_is_usage_error(self, scan_dir, tmp_path, capsys):
+        # a NaN in the first frame of the container fails the [0, 1]
+        # range check; "min() < 0 or max() > 1" let it through
+        shutil.copytree(scan_dir, tmp_path / "scan")
+        frames = tmp_path / "scan" / "frames.bin"
+        blob = bytearray(frames.read_bytes())
+        blob[28:32] = np.array(np.nan, dtype="<f4").tobytes()
+        frames.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"frame intensities must lie "
+                                             r"in \[0, 1\]"):
+            read_scan(tmp_path / "scan")
+        code = run("infer", "--scan", tmp_path / "scan", "--identity-debug",
+                   "--out", tmp_path / "pred")
+        assert code == 2
+        assert "frame intensities must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_pitch_is_rejected(self, scan_dir, tmp_path, value):
+        # the axial pitch is the f32 at bytes 16-19 of the header
+        shutil.copytree(scan_dir, tmp_path / "scan")
+        frames = tmp_path / "scan" / "frames.bin"
+        blob = bytearray(frames.read_bytes())
+        blob[16:20] = np.array(float(value), dtype="<f4").tobytes()
+        frames.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="pixel pitch must be positive "
+                                             "and finite"):
+            read_scan(tmp_path / "scan")
+
+    @pytest.mark.parametrize("setting", [
+        ("--alpha-corr", "nan"), ("--alpha-mmae", "inf"),
+        ("--alpha-triplet=-inf",), ("--epsilon", "nan"),
+    ], ids=["alpha-corr-nan", "alpha-mmae-inf", "alpha-triplet-neg-inf",
+            "epsilon-nan"])
+    def test_non_finite_loss_setting_is_usage_error(self, dataset_dir,
+                                                    tmp_path, capsys, setting):
+        code = run("train", "--dataset", dataset_dir, "--out", tmp_path / "run",
+                   "--steps", 1, "--seq-len", 3, "--batch", 2,
+                   "--val-fraction", 0.34, *setting)
+        assert code == 2
+        assert "must be finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestEmptyInputs:
@@ -607,7 +662,7 @@ class TestTrainCommand:
         ckpt = tmp_path / "first.ckpt"
         train(MotionNetwork(config, seed=1), scans[:2], scans[2:],
               TrainConfig(steps=1, batch_size=2, seq_len=3, seed=1),
-              checkpoint_path=ckpt)
+              log_path=tmp_path / "first.csv", checkpoint_path=ckpt)
         code = run("train", "--dataset", root, "--out", tmp_path / "run",
                    "--resume", ckpt, "--steps", 2, "--seq-len", 3,
                    "--batch", 2, "--val-fraction", 0.34, "--seed", 1)

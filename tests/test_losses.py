@@ -279,3 +279,11 @@ class TestTotalLoss:
             LossWeights(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             LossWeights(-1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["alpha_mmae", "alpha_corr",
+                                       "alpha_triplet", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            LossWeights(**{field: value})

@@ -1,6 +1,8 @@
 """Autodiff engine tests: forward semantics plus finite-difference checks
 for every primitive."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,36 @@ class TestBackwardMechanics:
         assert not y.requires_grad
         with pytest.raises(ValueError):
             backward(y, [x])
+
+    def test_no_grad_holds_on_its_own_thread_only(self):
+        # one thread sits inside no_grad while another builds a graph:
+        # only the first thread's op leaves the tape
+        x = Tensor(2.0, requires_grad=True)
+        inside, built = threading.Event(), threading.Event()
+        results = {}
+
+        def inference():
+            with no_grad():
+                inside.set()
+                built.wait(30)
+                results["inference"] = T.mul(x, x)
+
+        thread = threading.Thread(target=inference)
+        thread.start()
+        try:
+            assert inside.wait(30)
+            results["training"] = T.mul(x, x)
+        finally:
+            built.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert results["training"].requires_grad
+        assert backward(results["training"], [x])[0] == pytest.approx(4.0)
+        assert not results["inference"].requires_grad
+        # on one thread, the tape is back on once the block ends
+        with no_grad():
+            assert not T.mul(x, x).requires_grad
+        assert T.mul(x, x).requires_grad
 
     def test_determinism_bit_identical(self):
         def run():

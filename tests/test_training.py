@@ -1,6 +1,7 @@
 """Training-harness tests: dataset splits, sampling determinism, loss
 descent on a short run, bit-exact resume, and log format."""
 
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import simulate_scan
 
-from fus3d import network, optim, training
+from fus3d import network, training
 from fus3d import tensor as T
 from fus3d.losses import (
     LossWeights,
@@ -57,6 +58,13 @@ def quick_config(**overrides):
                 seed=5, val_every_epochs=1)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def fit(model, train_scans, val_scans, config, out, **kwargs):
+    """``train`` with its log and checkpoint in the directory ``out``."""
+    return train(model, train_scans, val_scans, config,
+                 log_path=out / "train_log.csv",
+                 checkpoint_path=out / "checkpoint.ckpt", **kwargs)
 
 
 class TestDataset:
@@ -118,14 +126,16 @@ class TestShortScans:
                                        scan.truth.translations[:n_frames]),
                             subject=scan.subject)
 
-    def test_short_scan_skipped_with_one_warning(self, small_dataset, caplog):
+    def test_short_scan_skipped_with_one_warning(self, small_dataset, caplog,
+                                                 tmp_path):
         cfg = quick_config(steps=3, batch_size=1)
         short = self.short_copy(small_dataset[2], cfg.seq_len + 1)
-        plain = train(MotionNetwork(ModelConfig.toy(), seed=2),
-                      small_dataset[:2], small_dataset[3:], cfg)
+        plain = fit(MotionNetwork(ModelConfig.toy(), seed=2),
+                    small_dataset[:2], small_dataset[3:], cfg, tmp_path)
         with caplog.at_level("WARNING", logger="fus3d.training"):
-            mixed = train(MotionNetwork(ModelConfig.toy(), seed=2),
-                          [short, *small_dataset[:2]], small_dataset[3:], cfg)
+            mixed = fit(MotionNetwork(ModelConfig.toy(), seed=2),
+                        [short, *small_dataset[:2]], small_dataset[3:], cfg,
+                        tmp_path)
         warnings = [r for r in caplog.records if r.name == "fus3d.training"]
         assert [r.getMessage() for r in warnings] == [
             "skipping 1 of 3 training scans shorter than a 5-frame window"
@@ -134,26 +144,27 @@ class TestShortScans:
         assert mixed.log_rows == plain.log_rows
         assert mixed.final_val_mmae == plain.final_val_mmae
 
-    def test_only_short_scans_rejected(self, small_dataset):
+    def test_only_short_scans_rejected(self, small_dataset, tmp_path):
         cfg = quick_config()
         short = self.short_copy(small_dataset[0], cfg.seq_len + 1)
         with pytest.raises(ValueError, match="every training scan is shorter"):
-            train(MotionNetwork(ModelConfig.toy(), seed=2), [short],
-                  small_dataset[3:], cfg)
+            fit(MotionNetwork(ModelConfig.toy(), seed=2), [short],
+                small_dataset[3:], cfg, tmp_path)
 
 
 class TestShortValidationScans:
     short_copy = staticmethod(TestShortScans.short_copy)
 
     def test_window_minus_one_frames_skipped_with_one_warning(self, small_dataset,
-                                                              caplog):
+                                                              caplog, tmp_path):
         cfg = quick_config(steps=2, batch_size=1)
         short = self.short_copy(small_dataset[2], cfg.seq_len + 1)
-        plain = train(MotionNetwork(ModelConfig.toy(), seed=2),
-                      small_dataset[:2], small_dataset[3:], cfg)
+        plain = fit(MotionNetwork(ModelConfig.toy(), seed=2),
+                    small_dataset[:2], small_dataset[3:], cfg, tmp_path)
         with caplog.at_level("WARNING", logger="fus3d.training"):
-            mixed = train(MotionNetwork(ModelConfig.toy(), seed=2),
-                          small_dataset[:2], [short, small_dataset[3]], cfg)
+            mixed = fit(MotionNetwork(ModelConfig.toy(), seed=2),
+                        small_dataset[:2], [short, small_dataset[3]], cfg,
+                        tmp_path)
         warnings = [r for r in caplog.records if r.name == "fus3d.training"]
         assert [r.getMessage() for r in warnings] == [
             "skipping 1 of 2 validation scans shorter than a 5-frame window"
@@ -161,15 +172,17 @@ class TestShortValidationScans:
         assert mixed.init_val_mmae == plain.init_val_mmae
         assert mixed.final_val_mmae == plain.final_val_mmae
 
-    def test_much_shorter_scan_skipped_not_crashing(self, small_dataset, caplog):
+    def test_much_shorter_scan_skipped_not_crashing(self, small_dataset, caplog,
+                                                    tmp_path):
         cfg = quick_config(steps=1, batch_size=1)
         short = self.short_copy(small_dataset[2], 2)
         model = MotionNetwork(ModelConfig.toy(), seed=2)
         alone = validation_mmae(model, small_dataset[3:], cfg)
         assert validation_mmae(model, [short, small_dataset[3]], cfg) == alone
         with caplog.at_level("WARNING", logger="fus3d.training"):
-            result = train(MotionNetwork(ModelConfig.toy(), seed=2),
-                           small_dataset[:2], [small_dataset[3], short], cfg)
+            result = fit(MotionNetwork(ModelConfig.toy(), seed=2),
+                         small_dataset[:2], [small_dataset[3], short], cfg,
+                         tmp_path)
         assert result.init_val_mmae == alone
         warnings = [r for r in caplog.records if r.name == "fus3d.training"]
         assert [r.getMessage() for r in warnings] == [
@@ -198,7 +211,7 @@ class TestShortValidationScans:
 
 class TestDegenerateSeriesWarning:
     def test_rotation_free_scans_warn_once_per_run(self, small_dataset, caplog,
-                                                   monkeypatch):
+                                                   monkeypatch, tmp_path):
         # small_dataset has no rotation: truth components 3-5 are zero in
         # every window, so each correlation loss meets zero-norm series
         cfg = quick_config(steps=3)
@@ -206,8 +219,9 @@ class TestDegenerateSeriesWarning:
         def run():
             caplog.clear()
             with caplog.at_level("WARNING", logger="fus3d.losses"):
-                result = train(MotionNetwork(ModelConfig.toy(), seed=2),
-                               small_dataset[:3], small_dataset[3:], cfg)
+                result = fit(MotionNetwork(ModelConfig.toy(), seed=2),
+                             small_dataset[:3], small_dataset[3:], cfg,
+                             tmp_path)
             return result, [r.getMessage() for r in caplog.records
                             if r.name == "fus3d.losses"]
 
@@ -234,10 +248,10 @@ class TestDegenerateSeriesWarning:
 
 
 class TestTrainLoop:
-    def test_loss_decreases_on_short_run(self, small_dataset):
+    def test_loss_decreases_on_short_run(self, small_dataset, tmp_path):
         model = MotionNetwork(ModelConfig.toy(), seed=2)
         cfg = quick_config(steps=20, learning_rate=2e-3)
-        result = train(model, small_dataset[:3], small_dataset[3:], cfg)
+        result = fit(model, small_dataset[:3], small_dataset[3:], cfg, tmp_path)
         assert result.steps_done == 20
         first = np.mean([r[4] for r in result.log_rows[:4]])
         last = np.mean([r[4] for r in result.log_rows[-4:]])
@@ -247,7 +261,7 @@ class TestTrainLoop:
         model = MotionNetwork(ModelConfig.toy(), seed=2)
         cfg = quick_config(steps=3)
         log = tmp_path / "train_log.csv"
-        train(model, small_dataset[:3], small_dataset[3:], cfg, log_path=log)
+        fit(model, small_dataset[:3], small_dataset[3:], cfg, tmp_path)
         lines = log.read_text().splitlines()
         assert lines[0] == "step,mmae,corr,triplet,total,lr"
         assert len(lines) == 4
@@ -261,41 +275,85 @@ class TestTrainLoop:
         assert total == pytest.approx(reconstructed, rel=1e-12)
         assert float(fields[5]) == pytest.approx(cfg.learning_rate)
 
-    def test_lr_column_drops_at_decay_epochs(self, small_dataset, monkeypatch):
+    def test_lr_column_drops_at_decay_epochs(self, small_dataset, monkeypatch,
+                                             tmp_path):
         # 2 scans, batch 2 -> 1 step per epoch; decay every 2 epochs (in
         # place of the paper's 100): the logged rate falls by the decay
         # factor at the boundary
-        monkeypatch.setattr(optim, "DECAY_EVERY", 2)
+        monkeypatch.setattr(training, "DECAY_EVERY", 2)
         model = MotionNetwork(ModelConfig.toy(), seed=2)
         cfg = quick_config(steps=5, batch_size=2)
-        result = train(model, small_dataset[:2], small_dataset[2:], cfg)
+        result = fit(model, small_dataset[:2], small_dataset[2:], cfg, tmp_path)
         rates = [r[5] for r in result.log_rows]
         assert rates[1] == pytest.approx(cfg.learning_rate)
         assert rates[2] == pytest.approx(cfg.learning_rate * 0.8)
         assert rates[4] == pytest.approx(cfg.learning_rate * 0.64)
 
+    def test_lr_schedule_paper_values(self, small_dataset, monkeypatch,
+                                      tmp_path):
+        # the paper's 0.8 every 100 epochs, read from the log's rate
+        # column; 1 step per epoch, with the steps themselves stubbed out
+        monkeypatch.setattr(training, "_train_step",
+                            lambda *args: (0.0, 0.0, 0.0, 0.0))
+        cfg = quick_config(steps=251, batch_size=2, learning_rate=1e-5,
+                           val_every_epochs=1000)
+        result = fit(MotionNetwork(ModelConfig.toy(), seed=2),
+                     small_dataset[:2], small_dataset[2:], cfg, tmp_path)
+        rates = [r[5] for r in result.log_rows]
+        assert rates[0] == rates[99] == 1e-5
+        assert rates[100] == rates[199] == pytest.approx(8e-6)
+        assert rates[250] == pytest.approx(6.4e-6)
+
     def test_resume_is_bit_exact(self, small_dataset, tmp_path):
-        cfg = quick_config(steps=8)
+        # 3 scans at batch 2: 2 steps per epoch, validated every 2 epochs.
+        # Cut mid-epoch (3), at an epoch end (2) and at a validation step
+        # (4), then resumed: the log and the parameters equal the
+        # straight run's. The cursor records older checkpoints carried
+        # beside the step count are ignored.
+        cfg = quick_config(steps=8, val_every_epochs=2)
 
         def fresh():
             return MotionNetwork(ModelConfig.toy(), seed=9)
 
         straight = fresh()
-        result_a = train(straight, small_dataset[:3], small_dataset[3:], cfg)
+        fit(straight, small_dataset[:3], small_dataset[3:], cfg,
+            tmp_path / "straight")
+        for cut in (3, 2, 4):
+            for legacy in (False, True):
+                out = tmp_path / f"cut{cut}-{legacy}"
+                fit(fresh(), small_dataset[:3], small_dataset[3:],
+                    dataclasses.replace(cfg, steps=cut), out)
+                resumed, extra, _ = load_model(out / "checkpoint.ckpt")
+                assert int(extra["_optim.step"]) == cut
+                if legacy:
+                    epoch, batch = divmod(cut, 2)
+                    extra.update({"_optim.epoch": np.array(float(epoch)),
+                                  "_train.step": np.array(float(cut)),
+                                  "_train.epoch": np.array(float(epoch)),
+                                  "_train.batch_idx": np.array(float(batch))})
+                result = fit(resumed, small_dataset[:3], small_dataset[3:],
+                             cfg, out, resume_extra=extra)
+                assert result.steps_done == 8
+                assert ((out / "train_log.csv").read_bytes()
+                        == (tmp_path / "straight" / "train_log.csv").read_bytes())
+                for (_, pa), (_, pb) in zip(straight.named_parameters(),
+                                            resumed.named_parameters()):
+                    np.testing.assert_array_equal(pa.data, pb.data)
 
-        half = fresh()
-        ckpt = tmp_path / "checkpoint.ckpt"
-        train(half, small_dataset[:3], small_dataset[3:],
-              quick_config(steps=4), checkpoint_path=ckpt)
-        resumed, extra, _ = load_model(ckpt)
-        result_b = train(resumed, small_dataset[:3], small_dataset[3:], cfg,
-                         resume_extra=extra)
-        # the resumed run reproduces the straight run's remaining steps
-        for row_a, row_b in zip(result_a.log_rows[4:], result_b.log_rows):
-            assert row_a == row_b
-        for (name, pa), (_, pb) in zip(straight.named_parameters(),
-                                       resumed.named_parameters()):
-            np.testing.assert_array_equal(pa.data, pb.data)
+    def test_checkpoint_records(self, small_dataset, tmp_path):
+        # beside the parameters, a training checkpoint holds the step
+        # count, the Adam moments and the best validation error; the
+        # best checkpoint holds the parameters alone
+        model = MotionNetwork(ModelConfig.toy(), seed=2)
+        fit(model, small_dataset[:3], small_dataset[3:], quick_config(steps=2),
+            tmp_path)
+        _, extra, _ = load_model(tmp_path / "checkpoint.ckpt")
+        names = [name for name, _ in model.named_parameters()]
+        assert set(extra) == {"_optim.step", "_train.best_val",
+                              *(f"_optim.{moment}.{name}"
+                                for moment in "mv" for name in names)}
+        assert int(extra["_optim.step"]) == 2
+        assert load_model(tmp_path / "best_checkpoint.ckpt")[1] == {}
 
     def test_resumed_log_has_one_header(self, small_dataset, tmp_path):
         log, ckpt = tmp_path / "train_log.csv", tmp_path / "checkpoint.ckpt"
@@ -306,7 +364,8 @@ class TestTrainLoop:
         def resume(path):
             model, extra, _ = load_model(ckpt)
             train(model, small_dataset[:3], small_dataset[3:],
-                  quick_config(steps=3), log_path=path, resume_extra=extra)
+                  quick_config(steps=3), log_path=path,
+                  checkpoint_path=path.with_suffix(".ckpt"), resume_extra=extra)
             lines = path.read_text().splitlines()
             assert lines[0] == "step,mmae,corr,triplet,total,lr"
             return [line.split(",")[0] for line in lines[1:]]
@@ -337,7 +396,7 @@ class TestTrainLoop:
                 if extra_arrays is not None:
                     rows = (directory / "train_log.csv").read_text().splitlines()
                     logged_at_save.append(
-                        (int(extra_arrays["_train.step"]), len(rows) - 1))
+                        (int(extra_arrays["_optim.step"]), len(rows) - 1))
                 save_model(path, model, extra_arrays=extra_arrays)
 
             monkeypatch.setattr(training, "save_model", recording_save)
@@ -363,7 +422,7 @@ class TestTrainLoop:
         assert log.read_text().splitlines()[-1].startswith("5,")
         monkeypatch.setattr(training, "_train_step", step_once)
         model, extra, _ = load_model(tmp_path / "cut" / "checkpoint.ckpt")
-        assert int(extra["_train.step"]) == 4
+        assert int(extra["_optim.step"]) == 4
         resumed = run(tmp_path / "cut", resume_extra=extra, model=model)
 
         assert log.read_bytes() == (tmp_path / "straight" / "train_log.csv").read_bytes()
@@ -372,33 +431,33 @@ class TestTrainLoop:
                                     resumed.named_parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
 
-    def test_determinism_across_runs(self, small_dataset):
+    def test_determinism_across_runs(self, small_dataset, tmp_path):
         cfg = quick_config(steps=5)
 
         def run():
             model = MotionNetwork(ModelConfig.toy(), seed=4)
-            return train(model, small_dataset[:3], small_dataset[3:], cfg)
+            return fit(model, small_dataset[:3], small_dataset[3:], cfg,
+                       tmp_path)
 
         assert run().log_rows == run().log_rows
 
-    def test_non_finite_loss_aborts(self, small_dataset):
+    def test_non_finite_loss_aborts(self, small_dataset, tmp_path):
         model = MotionNetwork(ModelConfig.toy(), seed=2)
         model.head_global.weight.data[:] = np.nan
         cfg = quick_config(steps=2)
         with pytest.raises(FloatingPointError, match="non-finite"):
-            train(model, small_dataset[:3], small_dataset[3:], cfg)
+            fit(model, small_dataset[:3], small_dataset[3:], cfg, tmp_path)
 
     def test_best_checkpoint_written(self, small_dataset, tmp_path):
         model = MotionNetwork(ModelConfig.toy(), seed=2)
-        ckpt = tmp_path / "checkpoint.ckpt"
-        train(model, small_dataset[:3], small_dataset[3:],
-              quick_config(steps=4), checkpoint_path=ckpt)
-        assert ckpt.exists()
+        fit(model, small_dataset[:3], small_dataset[3:], quick_config(steps=4),
+            tmp_path)
+        assert (tmp_path / "checkpoint.ckpt").exists()
         assert (tmp_path / "best_checkpoint.ckpt").exists()
 
 
 class TestOverfitOneWindow:
-    def test_adam_steps_cut_the_loss_of_one_window(self):
+    def test_adam_steps_cut_the_loss_of_one_window(self, tmp_path):
         # a training scan one window long: every step trains on the same
         # 5 frames, so the loss must fall far. Seeded, it fell 15.4x in
         # 60 steps (1.2 s on a 2-CPU host); with the sign of the conv2d
@@ -413,8 +472,8 @@ class TestOverfitOneWindow:
 
         cfg = TrainConfig(steps=60, batch_size=1, seq_len=3,
                           learning_rate=3e-3, seed=1, val_every_epochs=60)
-        result = train(MotionNetwork(ModelConfig.toy(), seed=1),
-                       [scan(61, "s00")], [scan(62, "s01")], cfg)
+        result = fit(MotionNetwork(ModelConfig.toy(), seed=1),
+                     [scan(61, "s00")], [scan(62, "s01")], cfg, tmp_path)
         totals = [row[4] for row in result.log_rows]
         assert len(totals) == 60
         assert totals[-1] < totals[0] / 5.0
@@ -438,14 +497,13 @@ class TestCheckpointWrites:
         writes = []
 
         def counting_save(path, arrays, config=None):
-            step = arrays.get("_train.step")
+            step = arrays.get("_optim.step")
             writes.append((path.name, None if step is None else int(step)))
 
         monkeypatch.setattr(network, "save_checkpoint", counting_save)
         # 3 training scans, batch 2: an epoch is 2 steps, validated after each
-        train(MotionNetwork(ModelConfig.toy(), seed=2), small_dataset[:3],
-              small_dataset[3:], quick_config(steps=4),
-              checkpoint_path=tmp_path / "checkpoint.ckpt")
+        fit(MotionNetwork(ModelConfig.toy(), seed=2), small_dataset[:3],
+            small_dataset[3:], quick_config(steps=4), tmp_path)
         assert writes == expected
 
 
@@ -535,7 +593,8 @@ def test_full_step_bits_match_the_recorded_digest():
 
 
 class TestStepMemory:
-    def test_previous_step_graph_is_released(self, small_dataset, monkeypatch):
+    def test_previous_step_graph_is_released(self, small_dataset, monkeypatch,
+                                             tmp_path):
         # live tensors as each step starts building its loss: a step's
         # autodiff graph must be gone once its log row is written
         counts = []
@@ -547,6 +606,7 @@ class TestStepMemory:
 
         monkeypatch.setattr(training, "_batch_loss", counting_batch_loss)
         model = MotionNetwork(ModelConfig.toy(), seed=2)
-        train(model, small_dataset[:3], small_dataset[3:], quick_config(steps=4))
+        fit(model, small_dataset[:3], small_dataset[3:], quick_config(steps=4),
+            tmp_path)
         assert len(counts) == 4
         assert max(counts[1:]) <= counts[0]
