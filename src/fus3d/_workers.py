@@ -17,7 +17,11 @@ A calling thread shares work with at most one helper thread, lent by
 also on a raise. :func:`halves` and :func:`in_parallel` cut work into
 two parts and :func:`run_chunks` into chunks, by shape alone, so the
 bits do not depend on which thread runs a part, nor on the CPU or BLAS
-thread count.
+thread count. Where a helper is lent, every kernel call takes it, small
+ones too: a size below which kernels stayed inline saved under 1 ms a
+training step, and counted by input values it could not tell a 1x1
+convolution from a 3x3 one (train and reconstruct read no slower
+without it on a 2-CPU host).
 """
 
 from __future__ import annotations
@@ -56,13 +60,6 @@ if _MALLOPT is not None:
 _MALLOC_TRIM = _c_function(None, "malloc_trim", ctypes.c_size_t)
 _HELPER = threading.local()
 
-# Values below which a batched kernel runs both parts on the calling
-# thread, where the helper handoff costs more than it saves. conv2d
-# forward + backward on 36 images, 2-CPU host, inline -> helper: 3x3 at
-# 18,432 values 0.70 -> 1.17 ms (8 ch, 8 px), at 36,864 1.66 -> 1.08 ms
-# (16 ch, 8 px); the attention block's 1x1 (1,152 values) 0.07 -> 0.22.
-INLINE_VALUES = 1 << 15
-
 
 def trim_heap() -> None:
     """Give the heap's free pages back to the system, where the C
@@ -90,16 +87,15 @@ def lend_helper():
         _HELPER.pool = None
 
 
-def in_parallel(first: Callable, second: Callable, values: int) -> tuple:
+def in_parallel(first: Callable, second: Callable) -> tuple:
     """``(first(), second())``, with ``first`` on the lent helper and
     ``second`` on the calling thread; both inline, in turn, where no
-    helper is lent or the work holds fewer than ``INLINE_VALUES``
-    values.
+    helper is lent.
 
     Returns once both are done. An error of ``second`` is raised in
     preference to one of ``first``."""
     pool = getattr(_HELPER, "pool", None)
-    if pool is None or values < INLINE_VALUES:
+    if pool is None:
         return first(), second()
     future = pool.submit(first)
     try:
@@ -109,12 +105,11 @@ def in_parallel(first: Callable, second: Callable, values: int) -> tuple:
     return future.result(), result
 
 
-def halves(n: int, values: int, part: Callable) -> None:
+def halves(n: int, part: Callable) -> None:
     """``part(0, n // 2)`` and ``part(n // 2, n)`` :func:`in_parallel`,
-    for a batch of ``n`` items holding ``values`` values; one
-    ``part(0, n)`` when ``n`` is 1."""
+    for a batch of ``n`` items; one ``part(0, n)`` when ``n`` is 1."""
     if n > 1:
-        in_parallel(lambda: part(0, n // 2), lambda: part(n // 2, n), values)
+        in_parallel(lambda: part(0, n // 2), lambda: part(n // 2, n))
     else:
         part(0, n)
 

@@ -99,8 +99,8 @@ class DecorrModel:
     by :func:`calibrate` starts at the (0, 1) anchor. Frames matching better
     than the first knot read as its gap, frames worse than the last knot
     clamp to the maximum calibrated gap. Tables built by hand or read from
-    CSV are checked here and raise :class:`CalibrationError` when either
-    order is broken.
+    CSV are checked here and raise :class:`CalibrationError` when a knot
+    is not finite or either order is broken.
     """
 
     gap_mm: np.ndarray
@@ -111,6 +111,9 @@ class DecorrModel:
         nccs = np.asarray(self.ncc, dtype=float)
         if gaps.shape != nccs.shape or gaps.ndim != 1 or gaps.size < 2:
             raise ValueError("calibration table needs matching 1-d arrays (>= 2 points)")
+        # the order checks below pass NaN
+        if not (np.isfinite(gaps).all() and np.isfinite(nccs).all()):
+            raise CalibrationError("calibration knots must be finite")
         if np.any(np.diff(gaps) <= 0):
             raise CalibrationError("calibration gaps must strictly increase")
         if np.any(np.diff(nccs) >= 0):

@@ -75,8 +75,8 @@ def compound(frames: np.ndarray, transforms: Sequence[TransformSE3],
         raise ValueError(
             f"{frames.shape[0]} frames but {len(transforms)} transforms"
         )
-    if voxel_mm <= 0:
-        raise ValueError("voxel size must be positive")
+    if not (np.isfinite(voxel_mm) and voxel_mm > 0):
+        raise ValueError(f"voxel size must be positive and finite, got {voxel_mm}")
 
     plane = geometry.pixel_to_plane(geometry.full_pixel_grid())
     points = plane_to_world(*stack_transforms(transforms), plane)

@@ -308,7 +308,7 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
         out *= inv_b[lo:hi]
         np.clip(out, -1.0, 1.0, out=out)
 
-    _workers.halves(n, a.data.size, forward)
+    _workers.halves(n, forward)
 
     def vjp(g):
         g = np.ascontiguousarray(g).reshape(n, d, d, gy, gx).transpose(0, 3, 4, 1, 2)
@@ -354,7 +354,7 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
             gb += mean[:, None]
             _fold(np.moveaxis(gr, 3, 0), my + center, mx + center, s, g_a[lo:hi])
 
-        _workers.halves(n, a.data.size, backward)
+        _workers.halves(n, backward)
         return g_a, g_b
 
     maps = np.ascontiguousarray(corr.transpose(0, 3, 4, 1, 2))

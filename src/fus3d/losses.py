@@ -52,8 +52,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_EPSILON = 0.1
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -62,7 +60,7 @@ class LossWeights:
     alpha_mmae: float = 1.0
     alpha_corr: float = 0.5
     alpha_triplet: float = 0.1
-    epsilon: float = DEFAULT_EPSILON
+    epsilon: float = 0.1
 
     def __post_init__(self) -> None:
         alphas = (self.alpha_mmae, self.alpha_corr, self.alpha_triplet)
@@ -86,7 +84,7 @@ def _as_motions(*values) -> list:
     return out
 
 
-def mmae(true, pred, epsilon: float = DEFAULT_EPSILON) -> Tensor:
+def mmae(true, pred, epsilon: float) -> Tensor:
     """Motion-weighted MAE: mean over series, steps and components of
     (|true| + epsilon) * |true - pred|."""
     t, p = _as_motions(true, pred)

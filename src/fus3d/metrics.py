@@ -177,6 +177,9 @@ def evaluate_trajectories(true_abs: Sequence[TransformSE3],
     Relative poses are derived per step from the trajectories, once
     each, and give rAE and rFE. Returns (MetricsReport, MetricsBreakdown).
     """
+    if len(true_abs) != len(pred_abs):
+        raise ValueError(f"frame counts differ: {len(true_abs)} true vs "
+                         f"{len(pred_abs)} predicted frames")
     true_steps = relative_arrays(*stack_transforms(true_abs))
     pred_steps = relative_arrays(*stack_transforms(pred_abs))
     true_rel, pred_rel = pose_arrays(*true_steps), pose_arrays(*pred_steps)

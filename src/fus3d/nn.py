@@ -181,7 +181,7 @@ class LSTMCell(Module):
 # lines, u32 record count, then per record: u32 name length, UTF-8 name,
 # u32 rank, u32 extents, little-endian f64 payload.
 
-def save_checkpoint(path, arrays: dict, config: dict | None = None) -> None:
+def save_checkpoint(path, arrays: dict, config: dict) -> None:
     """Write a checkpoint atomically.
 
     The bytes go to a temp file beside ``path``, are flushed to disk, and
@@ -189,7 +189,6 @@ def save_checkpoint(path, arrays: dict, config: dict | None = None) -> None:
     leaves the previous checkpoint intact. A failed write removes the
     temp file.
     """
-    config = config or {}
     config_text = "".join(f"{k}={config[k]}\n" for k in sorted(config))
     config_bytes = config_text.encode("utf-8")
     path = Path(path)

@@ -74,6 +74,15 @@ TRAJECTORY_SHAPES = ("linear", "s_curve", "c_curve")
 PSF_MM = (0.10, 0.18, 0.30)
 
 
+def _check_finite(spec, *names) -> None:
+    """Raise ``ValueError`` naming the first of the ``spec``'s settings
+    ``names`` that holds a NaN or an infinity."""
+    for name in names:
+        value = getattr(spec, name)
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class FrameOutOfBoundsError(ValueError):
     def __init__(self, frame_index: int):
         super().__init__(
@@ -85,14 +94,15 @@ class FrameOutOfBoundsError(ValueError):
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Phantom extent, voxel size and origin. Every phantom is blurred
-    by the same kernel, ``PSF_MM``."""
+    """Phantom extent, voxel size and origin (the world point of voxel
+    0), in mm. Every phantom is blurred by the same kernel, ``PSF_MM``."""
 
-    extent_mm: tuple = (20.0, 20.0, 40.0)
-    voxel_mm: float = 0.05
-    origin_mm: tuple | None = None
+    extent_mm: tuple
+    voxel_mm: float
+    origin_mm: tuple
 
     def __post_init__(self) -> None:
+        _check_finite(self, "extent_mm", "voxel_mm", "origin_mm")
         if any(e <= 0 for e in self.extent_mm):
             raise ValueError("phantom extents must be positive")
         if self.voxel_mm <= 0:
@@ -106,7 +116,7 @@ class PhantomSpec:
 
     @classmethod
     def for_scan(cls, geometry: ImageGeometry, scan_length_mm: float,
-                 margin_mm: float = 1.5, voxel_mm: float = 0.05) -> "PhantomSpec":
+                 margin_mm: float, voxel_mm: float) -> "PhantomSpec":
         """Size a phantom to cover frames of ``geometry`` swept from
         elevational 0 to ``scan_length_mm`` plus in-plane wiggle margin."""
         ex = geometry.n_rows * geometry.pitch_axial_mm + 2 * margin_mm
@@ -159,10 +169,7 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     _workers.trim_heap()
     rng = np.random.default_rng(seed)
     dims = tuple(int(np.ceil(e / spec.voxel_mm)) + 1 for e in spec.extent_mm)
-    if spec.origin_mm is None:
-        origin = np.array([-e / 2.0 for e in spec.extent_mm])
-    else:
-        origin = np.asarray(spec.origin_mm, dtype=float)
+    origin = np.asarray(spec.origin_mm, dtype=float)
 
     sigmas = tuple(s / spec.voxel_mm for s in PSF_MM)
     real = rng.standard_normal(dims)
@@ -183,7 +190,7 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     with _workers.lend_helper():
         _, imag = _workers.in_parallel(
             lambda: gaussian_filter(real, sigmas, mode="constant", output=real),
-            imaginary, real.size)
+            imaginary)
         _workers.run_chunks(lambda span: np.hypot(real[span], imag[span],
                                                   out=real[span]),
                             _spans(dims[0], _PHANTOM_CHUNKS))
@@ -222,13 +229,16 @@ class TrajectorySpec:
             raise ValueError(f"unknown trajectory shape {self.shape!r}")
         if self.n_frames < 2:
             raise ValueError("a trajectory needs at least 2 frames")
-        if self.length_mm <= 0:
-            raise ValueError("scan length must be positive")
         for name in ("noise_translation_mm", "noise_rotation_deg"):
             value = getattr(self, name)
             if np.shape(value) != (3,):
                 raise ValueError(f"{name} needs 3 values, one per axis, "
                                  f"got {value!r}")
+        _check_finite(self, "length_mm", "lateral_amplitude_mm",
+                      "rotation_amplitude_deg", "noise_translation_mm",
+                      "noise_rotation_deg")
+        if self.length_mm <= 0:
+            raise ValueError("scan length must be positive")
         if any(s < 0 for s in self.noise_translation_mm) or any(
             s < 0 for s in self.noise_rotation_deg
         ):
@@ -292,8 +302,8 @@ class ScanSequence:
     geometry: ImageGeometry
     frame_rate_hz: float
     truth: Trajectory
-    subject: str = ""
-    meta: dict = field(default_factory=dict, compare=False)
+    subject: str
+    meta: dict = field(compare=False)
     truth_motions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

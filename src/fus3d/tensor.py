@@ -475,7 +475,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         y = wmat @ _patch_matrix(xt[:, lo:hi], kh, kw, stride)
         data[lo:hi] = y.reshape(f, hi - lo, ho, wo).transpose(1, 0, 2, 3)
 
-    _workers.halves(n, x.data.size, forward)
+    _workers.halves(n, forward)
     parents = [x, weight]
     if bias is not None:
         bias = _as_tensor(bias)
@@ -526,7 +526,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
                 dx[lo : lo + step] = input_grad(lo, min(n, lo + step))
             return dx
 
-        dw, dx = (_workers.in_parallel(weight_grad, input_grads, x.data.size)
+        dw, dx = (_workers.in_parallel(weight_grad, input_grads)
                   if needs_dx else (weight_grad(), None))
         dw = dw.reshape(f, c, kh, kw)
         if bias is not None:

@@ -76,9 +76,9 @@ class TrainConfig:
         # a window of s+1 motions must hold a triplet of 3 steps
         if self.seq_len < 2:
             raise ValueError(f"seq_len must be at least 2, got {self.seq_len}")
-        if not self.learning_rate > 0.0:
-            raise ValueError(
-                f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
         if self.val_every_epochs < 1:
             raise ValueError(f"val_every_epochs must be at least 1, "
                              f"got {self.val_every_epochs}")
@@ -110,8 +110,8 @@ class ScanDataset:
         """Subject-disjoint split; subjects are shuffled deterministically.
         ``val_fraction`` must be finite and above 0."""
         if not (math.isfinite(val_fraction) and val_fraction > 0.0):
-            raise ValueError(
-                f"validation fraction must be above 0, got {val_fraction}")
+            raise ValueError(f"validation fraction must be above 0 and "
+                             f"finite, got {val_fraction}")
         subjects = self.subjects()
         if len(subjects) < 2:
             raise ValueError("need at least 2 subjects for a disjoint split")

@@ -53,6 +53,7 @@ def simulate_scan(trajectory_spec: TrajectorySpec,
         frame_rate_hz=20.0,
         truth=trajectory,
         subject=subject,
+        meta={},
     )
 
 
@@ -73,7 +74,8 @@ def geom64() -> ImageGeometry:
 
 @pytest.fixture(scope="session")
 def small_phantom():
-    spec = PhantomSpec.for_scan(GEOM64, scan_length_mm=2.0, voxel_mm=0.10)
+    spec = PhantomSpec.for_scan(GEOM64, scan_length_mm=2.0, margin_mm=1.5,
+                                voxel_mm=0.10)
     return make_phantom(spec, seed=11)
 
 

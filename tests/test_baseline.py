@@ -210,6 +210,16 @@ class TestCalibration:
         with pytest.raises(ValueError, match="at least 10"):
             calibrate([(frames[0], frames[1], 0.05)] * 9)
 
+    @pytest.mark.parametrize("row", ["nan,0.5", "0.5,nan", "0.5,inf"])
+    def test_non_finite_knot_in_csv_rejected(self, tmp_path, row):
+        # both order checks pass NaN: the table loaded, and infer searched
+        # every frame pair before its poses failed
+        path = tmp_path / "calibration.csv"
+        path.write_text(f"ncc,gap_mm\n1.0,0.0\n{row}\n0.1,0.8\n",
+                        encoding="utf-8")
+        with pytest.raises(CalibrationError, match="knots must be finite"):
+            DecorrModel.load_csv(path)
+
     def test_non_monotone_curve_rejected(self):
         with pytest.raises(CalibrationError, match="not strictly decreasing"):
             DecorrModel(gap_mm=np.array([0.0, 0.1, 0.2]),

@@ -1,11 +1,13 @@
 """CLI contract tests: command wiring, schemas, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +24,9 @@ from fus3d.losses import LossWeights
 from fus3d.network import ModelConfig, MotionNetwork, save_model
 from fus3d.nn import save_checkpoint
 from fus3d.pgm import read_pgm16, write_pgm16
-from fus3d.pose import ImageGeometry, read_pose_csv
-from fus3d.simulate import TRAJECTORY_SHAPES, TrajectorySpec, read_scan, write_scan
+from fus3d.pose import ImageGeometry, read_pose_csv, write_pose_csv
+from fus3d.simulate import (TRAJECTORY_SHAPES, TrajectorySpec, make_trajectory,
+                            read_scan, write_scan)
 from fus3d.training import ScanDataset, TrainConfig, train
 
 
@@ -297,7 +300,49 @@ class TestTruncatedInputs:
             read_pgm16(path)
 
 
+def float_options() -> list:
+    """(subcommand, option, nargs) of every ``type=float`` option of every
+    subcommand, read from the parser's actions."""
+    parser = build_parser()
+    (commands,) = [action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return [(command, action.option_strings[0], action.nargs)
+            for command, sub in commands.choices.items()
+            for action in sub._actions if action.type is float]
+
+
+# valid inputs for each subcommand that takes a float option, besides the
+# option under test (argparse keeps its last value)
+VALID_INPUTS = {
+    "simulate": lambda scan_dir, dataset_dir: [],
+    "train": lambda scan_dir, dataset_dir: [
+        "--dataset", dataset_dir, "--steps", 1, "--seq-len", 3, "--batch", 2,
+        "--val-fraction", 0.34],
+    "compound": lambda scan_dir, dataset_dir: [
+        "--scan", scan_dir, "--poses", scan_dir / "poses.csv"],
+}
+
+
 class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command, option, nargs", [
+        pytest.param(*case, id=f"{case[0]}{case[1]}") for case in float_options()])
+    def test_non_finite_option_is_usage_error(self, scan_dir, dataset_dir,
+                                              tmp_path, capsys, command,
+                                              option, nargs, value):
+        # one component of a three-value option carries the value
+        values = [value, 0, 0] if nargs == 3 else [value]
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(command, *VALID_INPUTS[command](scan_dir, dataset_dir),
+                       option, *values, "--out", out)
+        err = capsys.readouterr().err.splitlines()
+        assert (code, len(err)) == (2, 1), err
+        assert err[0].startswith("error: ") and "finite" in err[0], err
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
     def test_nan_frame_is_usage_error(self, scan_dir, tmp_path, capsys):
         # a NaN in the first frame of the container fails the [0, 1]
         # range check; "min() < 0 or max() > 1" let it through
@@ -449,6 +494,20 @@ class TestEvaluate:
         assert payload["breakdown"] == pytest.approx(
             dataclasses.asdict(breakdown), abs=1e-12
         )
+
+    def test_frame_count_mismatch_names_the_frames(self, scan_dir, tmp_path,
+                                                   capsys):
+        for n_frames in (20, 30):
+            trajectory, _ = make_trajectory(
+                TrajectorySpec(n_frames=n_frames, seed=n_frames))
+            write_pose_csv(tmp_path / f"{n_frames}.csv", trajectory.poses())
+        code = run("evaluate", "--truth", tmp_path / "20.csv",
+                   "--pred", tmp_path / "30.csv", "--scan", scan_dir,
+                   "--out", tmp_path / "eval")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: frame counts differ: 20 true vs 30 predicted frames\n")
+        assert not (tmp_path / "eval").exists()
 
     def test_csv_row(self, scan_dir, tmp_path):
         run("evaluate", "--truth", scan_dir / "poses.csv",

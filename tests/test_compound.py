@@ -1,5 +1,7 @@
 """Volume compounding tests: exact slab equalities, conservation, IO."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,16 @@ class TestCompound:
     def test_bad_voxel_rejected(self):
         with pytest.raises(ValueError, match="voxel"):
             compound(np.zeros((1, 8, 8)), [identity()], GEOM, 0.0)
+
+    @pytest.mark.parametrize("voxel", [np.nan, np.inf])
+    def test_non_finite_voxel_rejected(self, voxel):
+        # NaN passed "voxel <= 0" and reached the grid size as
+        # "invalid dims", with numpy warnings on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="voxel size must be positive "
+                                                 "and finite"):
+                compound(np.zeros((1, 8, 8)), [identity()], GEOM, voxel)
 
 
 class TestSplat:

@@ -1,8 +1,9 @@
 """The helper thread of the batched kernels (``conv2d`` and
 ``correlate_batch``): the same bytes whether their parts run on it or
-inline, and gradients that still check with it. The thread rules
-themselves (errors, the inline threshold, the BLAS pin) are tested in
-``test_workers.py``."""
+inline, and gradients that still check with it. Every call of two
+parts or more takes the helper when one is lent, whatever its size. The
+thread rules themselves (errors, the chunk runner, the BLAS pin) are
+tested in ``test_workers.py``."""
 
 import contextlib
 import hashlib
@@ -25,10 +26,7 @@ SMALL = C.CorrConfig(roi_extent=7, patch_extent=3, roi_stride=3)
 
 @pytest.fixture
 def threads_seen(monkeypatch):
-    """The threads that copied patch matrices or gathered windows. The
-    test batches are small, so the helper is made to take part in every
-    batch of two parts."""
-    monkeypatch.setattr(W, "INLINE_VALUES", 0)
+    """The threads that copied patch matrices or gathered windows."""
     seen = set()
 
     def recording(function):
@@ -95,6 +93,23 @@ class TestSameBytes:
                                            threads_seen)
         assert_same_bytes(inline, helped)
 
+    def test_conv2d_attention_1x1(self, threads_seen):
+        # the attention block's 2 -> 1 channel 1x1 convolution at a toy
+        # step's batch, the smallest the network runs
+        rng = np.random.default_rng(8)
+        x, g = rng.standard_normal((2, 36, 2, 4, 4))
+        w, b = rng.standard_normal((1, 2, 1, 1)), rng.standard_normal(1)
+
+        def run():
+            out = T.conv2d(Tensor(x, requires_grad=True),
+                           Tensor(w, requires_grad=True),
+                           Tensor(b, requires_grad=True))
+            return (out.data,) + tuple(out._vjp(g[:, :1]))
+
+        inline, helped = inline_and_helped(run, threads_seen)
+        assert_same_bytes(inline, helped)
+        assert len(threads_seen) == 2
+
     def test_conv2d_single_image_is_one_part(self, threads_seen):
         inline, helped = inline_and_helped(conv_run(1, 8, 1, seed=2),
                                            threads_seen)
@@ -137,10 +152,6 @@ class TestSameBytes:
 
 
 class TestGradientsWithHelper:
-    @pytest.fixture(autouse=True)
-    def helper_takes_part(self, monkeypatch):
-        monkeypatch.setattr(W, "INLINE_VALUES", 0)
-
     def test_conv2d(self, monkeypatch):
         monkeypatch.setattr(T, "_DX_CHUNK", 1)
         rng = np.random.default_rng(3)
@@ -161,11 +172,10 @@ class TestGradientsWithHelper:
                              rng.random((3, 2, 10, 10))])
 
 
-def test_concurrent_callers_each_get_their_own_helper(monkeypatch):
+def test_concurrent_callers_each_get_their_own_helper():
     # three calling threads on a 2-CPU host, each lending its kernels a
     # helper, with thread switches forced often: every result must still
     # be the inline bytes, so no half is lost or written by another caller
-    monkeypatch.setattr(W, "INLINE_VALUES", 0)
     runs = [conv_run(5, 3, stride, seed=stride) for stride in (1, 2, 1)]
     expected = [run() for run in runs]
     results = [[] for _ in runs]

@@ -32,7 +32,8 @@ from fus3d.pose import ImageGeometry
 from fus3d.simulate import (Phantom, PhantomSpec, TrajectorySpec,
                             make_trajectory, slice_phantom)
 geometry = ImageGeometry(8, 6, 0.1, 0.1)
-spec = PhantomSpec.for_scan(geometry, scan_length_mm=1.0, voxel_mm=0.1)
+spec = PhantomSpec.for_scan(geometry, scan_length_mm=1.0, margin_mm=1.5,
+                            voxel_mm=0.1)
 dims = tuple(int(np.ceil(e / spec.voxel_mm)) + 1 for e in spec.extent_mm)
 field = np.linspace(0.0, 1.0, int(np.prod(dims))).reshape(dims)
 phantom = Phantom(field=field, voxel_mm=spec.voxel_mm,
@@ -43,7 +44,8 @@ trajectory, _ = make_trajectory(TrajectorySpec(
 
 PHANTOM_CASE = ("""
 from fus3d.simulate import PhantomSpec, make_phantom
-spec = PhantomSpec(extent_mm=(3.0, 3.0, 2.0), voxel_mm=0.1)
+spec = PhantomSpec(extent_mm=(3.0, 3.0, 2.0), voxel_mm=0.1,
+                   origin_mm=(0.0, 0.0, 0.0))
 """, "make_phantom(spec, seed=5).field")
 
 

@@ -20,7 +20,7 @@ class TestMmae:
     def test_equal_inputs_give_zero(self):
         rng = np.random.default_rng(0)
         motions = rng.standard_normal((5, 6))
-        assert mmae(motions, motions).item() == 0.0
+        assert mmae(motions, motions, 0.1).item() == 0.0
 
     def test_hand_case(self):
         # one step, unit error on one component, eps 0.1:
@@ -33,8 +33,10 @@ class TestMmae:
     def test_weight_grows_with_true_motion(self):
         # doubling the true motion (pred fixed at zero) more than doubles
         # the loss because the weight grows with the motion magnitude
-        small = mmae(np.array([[0.5, 0, 0, 0, 0, 0.0]]), np.zeros((1, 6))).item()
-        large = mmae(np.array([[1.0, 0, 0, 0, 0, 0.0]]), np.zeros((1, 6))).item()
+        small = mmae(np.array([[0.5, 0, 0, 0, 0, 0.0]]), np.zeros((1, 6)),
+                     0.1).item()
+        large = mmae(np.array([[1.0, 0, 0, 0, 0, 0.0]]), np.zeros((1, 6)),
+                     0.1).item()
         assert large > 2.0 * small
 
     def test_positive_unless_equal(self):
@@ -42,16 +44,16 @@ class TestMmae:
         true = rng.standard_normal((4, 6))
         pred = true.copy()
         pred[2, 3] += 1e-3
-        assert mmae(true, pred).item() > 0.0
+        assert mmae(true, pred, 0.1).item() > 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            mmae(np.zeros((3, 6)), np.zeros((2, 6)))
+            mmae(np.zeros((3, 6)), np.zeros((2, 6)), 0.1)
 
     def test_gradient_flows_to_predictions(self):
         rng = np.random.default_rng(2)
         pred = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-        (grad,) = backward(mmae(rng.standard_normal((3, 6)), pred), [pred])
+        (grad,) = backward(mmae(rng.standard_normal((3, 6)), pred, 0.1), [pred])
         assert grad is not None and np.abs(grad).max() > 0
 
 
@@ -233,7 +235,7 @@ class TestBatchedTerms:
             features = rng.standard_normal((b, n, 6))
             if name == "mmae":
                 def term(pred, labels):
-                    return mmae(labels, pred)
+                    return mmae(labels, pred, 0.1)
             elif name == "correlation":
                 def term(pred, labels):
                     return correlation_loss(labels, pred, Counter())

@@ -453,7 +453,7 @@ class TestArrayPathProperties:
     def test_cached_truth_motions_match_per_transform_relatives(self, chain):
         truth = accumulate([pose_to_transform(p) for p in chain])
         scan = ScanSequence(np.zeros((len(truth), 2, 2)),
-                            ImageGeometry(2, 2, 0.1, 0.1), 20.0, truth)
+                            ImageGeometry(2, 2, 0.1, 0.1), 20.0, truth, "", {})
         # the per-object relative t[i+1] ∘ t[i]^-1
         want = [transform_to_pose(compose(truth[i + 1], inverse(truth[i])))
                 for i in range(len(chain))]

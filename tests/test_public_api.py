@@ -8,8 +8,15 @@ or parameter that shares the member's name is not a use. A member whose
 name another public class's attribute shares counts as used only through
 the reader ``SHARED_MEMBERS`` names for it, since a load of the name
 does not tell whose attribute it is.
-``UNCALLED_BY_DESIGN`` and ``UNCALLED_MEMBERS`` list the exceptions,
-each with its reason.
+Every defaulted field of a public dataclass must be set by some call in
+the package or the benchmark, and every default of a public function,
+method, constructor or dataclass field must be relied on by one: a call
+that leaves it in place, a read of it as a class attribute, or a
+``default_factory``. A default only tests rely on is a second source of
+truth beside the CLI's.
+``UNCALLED_BY_DESIGN``, ``UNCALLED_MEMBERS``, ``UNSET_FIELDS``,
+``UNUSED_DEFAULTS`` and ``DEFAULTS_EXEMPT`` list the exceptions, each with
+its reason.
 """
 
 import ast
@@ -223,6 +230,15 @@ def init_field(item) -> bool:
                         and k.value.value is False for k in item.value.keywords))
 
 
+def has_default(item: ast.AnnAssign) -> bool:
+    """Whether a constructor field has a default: a value that is not a
+    ``field(...)`` call, or one with ``default`` or ``default_factory``."""
+    value = item.value
+    if not (isinstance(value, ast.Call) and ast.unparse(value.func) == "field"):
+        return value is not None
+    return any(k.arg in ("default", "default_factory") for k in value.keywords)
+
+
 def dataclass_fields() -> dict:
     """Class name -> (constructor fields in order, names of the
     defaulted ones) of every public dataclass of the package."""
@@ -235,7 +251,7 @@ def dataclass_fields() -> dict:
                 continue
             fields = [item for item in node.body if init_field(item)]
             out[node.name] = ([f.target.id for f in fields],
-                              {f.target.id for f in fields if f.value is not None})
+                              {f.target.id for f in fields if has_default(f)})
     return out
 
 
@@ -267,16 +283,20 @@ def calls_by_class(tree, classes) -> list:
     return found
 
 
+def caller_trees() -> list:
+    """The parsed sources of the package and of the benchmark."""
+    return list(SOURCES.values()) + [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(BENCHMARK_DIR.glob("*.py"))]
+
+
 def set_fields() -> dict:
     """Class name -> the field names some call sets; a ``*`` argument
     sets every field, and a ``**`` argument none, since its keys are
     not in the source."""
     classes = dataclass_fields()
-    trees = list(SOURCES.values()) + [
-        ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(BENCHMARK_DIR.glob("*.py"))]
     out = {name: set() for name in classes}
-    for tree in trees:
+    for tree in caller_trees():
         for name, call in calls_by_class(tree, classes):
             targets = [name] if name else list(classes)
             starred = any(isinstance(a, ast.Starred) for a in call.args)
@@ -299,10 +319,129 @@ def test_config_fields_are_set():
         "benchmark sets")
 
 
+# "module.function(p=)", "Class.method(p=)" or "Class(p=)" -> why a
+# default that no call in the package or the benchmark relies on stays
+UNUSED_DEFAULTS = {
+    **dict.fromkeys(
+        ("PoseVector(tx=)", "PoseVector(ty=)", "PoseVector(tz=)"),
+        "the translations keep the zero default of the rotations, which the "
+        "baseline's step relies on, so the six components default alike; "
+        "poses as arrays end to end would retire the class, with the "
+        "benchmark change that needs"),
+    "TrajectorySpec(seed=)": "the last field, after seven whose defaults fus3d "
+                             "simulate reads as class attributes, so it needs one "
+                             "too; the CLI's --seed defaults to the same 0",
+}
+
+# module -> why the defaults of its public functions need no caller
+DEFAULTS_EXEMPT = {
+    "tensor": "its ops keep numpy's signature conventions (axis=, keepdims=)",
+}
+
+
+def parameters(function: ast.FunctionDef, bound: bool):
+    """(the parameters a call's positional arguments fill, in order; the
+    defaulted parameters) of ``function``. ``bound`` drops the first
+    parameter, which a call on an object or a class fills."""
+    args = function.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None]
+    return positional[1:] if bound else positional, defaulted
+
+
+def defaulted_parameters() -> dict:
+    """Entry -> (callee, whether the callee is a class, positional order,
+    parameter) of each defaulted parameter of a public function, or of a
+    public method or constructor of a public class, and of each defaulted
+    field of a public dataclass, outside ``DEFAULTS_EXEMPT``."""
+    out = {}
+    fields = dataclass_fields()
+    for module in MODULES:
+        names = set(public_names(module))
+        for node in SOURCES[module].body:
+            if getattr(node, "name", None) not in names:
+                continue
+            if isinstance(node, ast.FunctionDef) and module not in DEFAULTS_EXEMPT:
+                order, defaulted = parameters(node, bound=False)
+                out.update({f"{module}.{node.name}({p}=)":
+                            (node.name, False, order, p) for p in defaulted})
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if node.name in fields:
+                order, defaulted = fields[node.name]
+                out.update({f"{node.name}({p}=)": (node.name, True, order, p)
+                            for p in defaulted})
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or (
+                        item.name.startswith("_") and item.name != "__init__"):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                order, defaulted = parameters(item, bound=not static)
+                if item.name == "__init__":
+                    out.update({f"{node.name}({p}=)": (node.name, True, order, p)
+                                for p in defaulted})
+                else:
+                    out.update({f"{node.name}.{item.name}({p}=)":
+                                (item.name, False, order, p) for p in defaulted})
+    return out
+
+
+def leaves_default(call: ast.Call, order: list, parameter: str) -> bool:
+    """Whether ``call`` leaves ``parameter`` at its default: no ``*`` or
+    ``**`` argument, whose lengths and keys are not in the source, no
+    keyword of that name, and too few positional arguments to reach it."""
+    keywords = [k.arg for k in call.keywords]
+    return (not any(isinstance(a, ast.Starred) for a in call.args)
+            and None not in keywords and parameter not in keywords
+            and parameter not in order[: len(call.args)])
+
+
+def defaults_in_use(entries: dict) -> set:
+    """The entries that some call in the package or the benchmark leaves
+    at their default. A function or method is matched by name. A class's
+    default also counts as used where it is read as a class attribute
+    (``default=TrainConfig.steps``), or where the class is a
+    ``default_factory``, which builds it from its defaults."""
+    classes = {callee for callee, is_class, _, _ in entries.values() if is_class}
+    used = set()
+    for tree in caller_trees():
+        nodes = list(ast.walk(tree))
+        built = calls_by_class(tree, classes)
+        calls = [node for node in nodes if isinstance(node, ast.Call)]
+        read = {(node.value.id, node.attr) for node in nodes
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)}
+        factories = {k.value.id for call in calls for k in call.keywords
+                     if k.arg == "default_factory" and isinstance(k.value, ast.Name)}
+        for entry, (callee, is_class, order, parameter) in entries.items():
+            if is_class:
+                reaching = [call for name, call in built if name == callee]
+                if callee in factories or (callee, parameter) in read:
+                    used.add(entry)
+            else:
+                reaching = [call for call in calls if callee in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None))]
+            if any(leaves_default(call, order, parameter) for call in reaching):
+                used.add(entry)
+    return used
+
+
+def test_defaults_have_a_caller():
+    entries = defaulted_parameters()
+    unused = sorted(set(entries) - defaults_in_use(entries))
+    assert unused == sorted(UNUSED_DEFAULTS), (
+        "defaults that no call in the package or the benchmark relies on")
+
+
 def test_allowlist_entries_are_needed():
     """Every allowlist entry still names a public name or member without
-    a caller, a member whose name another class shares, or a field that
-    no call sets: one that gains a use, or loses its namesake, goes."""
+    a caller, a member whose name another class shares, a field that no
+    call sets, a default that no call relies on, or a module with
+    defaulted public functions: one that gains a use, or loses its
+    namesake, goes."""
     stale = [name for module in MODULES for name in public_names(module)
              if name in UNCALLED_BY_DESIGN
              and has_use(name, module, definition_span(module, name))]
@@ -314,4 +453,11 @@ def test_allowlist_entries_are_needed():
     found = set_fields()
     stale += [entry for entry in UNSET_FIELDS
               if entry.split(".")[1] in found[entry.split(".")[0]]]
+    entries = defaulted_parameters()
+    in_use = defaults_in_use(entries)
+    stale += [entry for entry in UNUSED_DEFAULTS
+              if entry not in entries or entry in in_use]
+    stale += [module for module in DEFAULTS_EXEMPT if not any(
+        isinstance(node, ast.FunctionDef) and node.name in public_names(module)
+        and parameters(node, bound=False)[1] for node in SOURCES[module].body)]
     assert stale == []

@@ -40,6 +40,11 @@ from fus3d.simulate import (
 from fus3d.tensor import Tensor
 
 
+# the origin of the phantoms whose field alone is tested: it does not
+# enter the field
+ORIGIN = (0.0, 0.0, 0.0)
+
+
 def frame_ncc(a: np.ndarray, b: np.ndarray) -> float:
     ac, bc = a - a.mean(), b - b.mean()
     return float((ac * bc).sum() / np.sqrt((ac * ac).sum() * (bc * bc).sum()))
@@ -47,7 +52,7 @@ def frame_ncc(a: np.ndarray, b: np.ndarray) -> float:
 
 class TestPhantom:
     def test_determinism(self):
-        spec = PhantomSpec(extent_mm=(6, 6, 3), voxel_mm=0.1)
+        spec = PhantomSpec((6, 6, 3), 0.1, ORIGIN)
         a = make_phantom(spec, seed=5)
         b = make_phantom(spec, seed=5)
         np.testing.assert_array_equal(a.field, b.field)
@@ -55,7 +60,7 @@ class TestPhantom:
         assert np.any(c.field != a.field)
 
     def test_rayleigh_statistics(self):
-        spec = PhantomSpec(extent_mm=(8, 8, 4), voxel_mm=0.05)
+        spec = PhantomSpec((8, 8, 4), 0.05, ORIGIN)
         phantom = make_phantom(spec, seed=1)
         interior = phantom.field[20:-20, 20:-20, 20:-20]
         ratio = interior.mean() / interior.std()
@@ -64,7 +69,16 @@ class TestPhantom:
     def test_extent_smaller_than_kernel_rejected(self):
         # elevational kernel sigma 0.30 mm needs >= 1.2 mm of extent
         with pytest.raises(ValueError, match="kernel"):
-            PhantomSpec(extent_mm=(6.0, 6.0, 1.0), voxel_mm=0.05)
+            PhantomSpec((6.0, 6.0, 1.0), 0.05, ORIGIN)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["extent_mm", "voxel_mm", "origin_mm"])
+    def test_non_finite_setting_rejected(self, name, value):
+        settings = {"extent_mm": (6.0, 6.0, 3.0), "voxel_mm": 0.1,
+                    "origin_mm": ORIGIN}
+        settings[name] = value if name == "voxel_mm" else (0.0, value, 0.0)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            PhantomSpec(**settings)
 
     def test_values_in_unit_range(self, small_phantom):
         assert small_phantom.field.min() >= 0.0
@@ -74,7 +88,7 @@ class TestPhantom:
         # numpy reports its allocations to tracemalloc; the real and
         # imaginary scatterer fields are the only field-sized arrays, and
         # the blur and envelope chunks work in place on views of them
-        spec = PhantomSpec(extent_mm=(12.45, 12.45, 7.95), voxel_mm=0.1)
+        spec = PhantomSpec((12.45, 12.45, 7.95), 0.1, ORIGIN)
         tracemalloc.start()
         try:
             phantom = make_phantom(spec, seed=2)
@@ -132,7 +146,7 @@ class TestThreadedPhantom:
                                                  ((6.05, 5.05, 3.0), 62),
                                                  ((0.4, 0.72, 1.2), 5)])
     def test_matches_serial_reference(self, extent_mm, rows):
-        spec = PhantomSpec(extent_mm=extent_mm, voxel_mm=0.1)
+        spec = PhantomSpec(extent_mm, 0.1, ORIGIN)
         field = make_phantom(spec, seed=9).field
         assert field.shape[0] == rows
         np.testing.assert_array_equal(field, serial_phantom_field(spec, 9))
@@ -143,7 +157,7 @@ class TestThreadedPhantom:
         monkeypatch.setattr(scipy.ndimage, "gaussian_filter", failing_off_main(
             scipy.ndimage.gaussian_filter, "blur failed"))
         with pytest.raises(RuntimeError, match="blur failed"):
-            make_phantom(PhantomSpec(extent_mm=(6, 6, 3), voxel_mm=0.1), seed=4)
+            make_phantom(PhantomSpec((6, 6, 3), 0.1, ORIGIN), seed=4)
 
     # a chunk of the imaginary field's blur and of the envelope, on
     # whichever thread takes it
@@ -153,7 +167,7 @@ class TestThreadedPhantom:
         monkeypatch.setattr(owner, name, failing_after_first(
             getattr(owner, name), f"{name} failed"))
         with pytest.raises(RuntimeError, match=f"{name} failed"):
-            make_phantom(PhantomSpec(extent_mm=(6, 6, 3), voxel_mm=0.1), seed=4)
+            make_phantom(PhantomSpec((6, 6, 3), 0.1, ORIGIN), seed=4)
 
 
 def serial_slices(phantom: Phantom, trajectory: Trajectory,
@@ -263,6 +277,18 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="at least 2"):
             TrajectorySpec(n_frames=1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["length_mm", "lateral_amplitude_mm",
+                                      "rotation_amplitude_deg",
+                                      "noise_translation_mm",
+                                      "noise_rotation_deg"])
+    def test_non_finite_setting_rejected(self, name, value):
+        # NaN passes every comparison check; an infinite amplitude reached
+        # the phantom sizing as "cannot convert float infinity to integer"
+        setting = (0.0, value, 0.0) if name.startswith("noise") else value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            TrajectorySpec(**{name: setting})
+
     @pytest.mark.parametrize("noise", [
         0.05, (0.05,), (0.1, 0.1), (0.1, 0.1, 0.1, 0.1), ((0.1,) * 3,),
     ], ids=["scalar", "one", "two", "four", "nested"])
@@ -352,7 +378,7 @@ class TestSliceBounds:
     @pytest.fixture(scope="class")
     def phantom(self):
         phantom = make_phantom(
-            PhantomSpec(extent_mm=(4.0, 4.0, 4.0), voxel_mm=0.25), seed=3)
+            PhantomSpec((4.0, 4.0, 4.0), 0.25, (-2.0, -2.0, -2.0)), seed=3)
         assert phantom.field.shape == (17, 17, 17)
         return phantom
 

@@ -124,7 +124,7 @@ class TestShortScans:
                             scan.frame_rate_hz,
                             Trajectory(scan.truth.rotations[:n_frames],
                                        scan.truth.translations[:n_frames]),
-                            subject=scan.subject)
+                            subject=scan.subject, meta=scan.meta)
 
     def test_short_scan_skipped_with_one_warning(self, small_dataset, caplog,
                                                  tmp_path):
@@ -512,6 +512,7 @@ class TestConfigValidation:
         ("val_every_epochs", 0),
         ("seq_len", 1), ("learning_rate", 0.0),
         ("learning_rate", -1e-3), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
     ])
     def test_rejected_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -578,7 +579,7 @@ def test_full_step_bits_match_the_recorded_digest():
     truth = rng.normal(0.0, 0.05, (2, 9, 6))
     model = MotionNetwork(ModelConfig.toy(), seed=37)
     out = model.forward_window(frames)
-    parts = (mmae(truth, out["fused"]),
+    parts = (mmae(truth, out["fused"], LossWeights().epsilon),
              correlation_loss(truth, out["fused"], Counter()),
              triplet_loss(out["embeddings"], select_triplets(truth)))
     assert parts[2].item() > 0.0  # the triplet hinge is active

@@ -1,8 +1,9 @@
 """The thread and heap rules of ``fus3d._workers``: errors that reach the
-caller with no thread left behind, the chunk runner's order, the size
-below which the kernels stay on one thread, one malloc arena, the same
-bits at any BLAS thread count, and no other module of the package that
-touches threads or the C library."""
+caller with no thread left behind, the chunk runner's order, one malloc
+arena, the same bits at any BLAS thread count, and no other module of
+the package that touches threads or the C library. That a kernel's bits
+do not depend on whether the helper takes part is tested in
+``test_kernel_helper.py``."""
 
 import ast
 import ctypes
@@ -18,7 +19,6 @@ import numpy as np
 import pytest
 
 import fus3d._workers as W
-import fus3d.correlation as C
 import fus3d.tensor as T
 from fus3d.network import ModelConfig, MotionNetwork
 from fus3d.tensor import Tensor
@@ -36,10 +36,6 @@ def failing_off(thread_id, function, message):
 
 
 class TestErrors:
-    @pytest.fixture(autouse=True)
-    def helper_takes_part(self, monkeypatch):
-        monkeypatch.setattr(W, "INLINE_VALUES", 0)
-
     def test_helper_error_reaches_the_caller(self, monkeypatch):
         before = threading.active_count()
         monkeypatch.setattr(T, "_patch_matrix", failing_off(
@@ -74,44 +70,8 @@ class TestErrors:
 
         with W.lend_helper():
             with pytest.raises(ValueError, match="calling part failed"):
-                W.in_parallel(slow, failing, W.INLINE_VALUES)
+                W.in_parallel(slow, failing)
             assert done == [True]
-
-
-class TestInlineBelowTheConstant:
-    """Below ``INLINE_VALUES`` a kernel's two parts run in turn on the
-    calling thread, and its bits are those of the helper path."""
-
-    @staticmethod
-    def conv():
-        # the attention block's 1x1 convolution at the toy step's batch
-        rng = np.random.default_rng(8)
-        x = Tensor(rng.standard_normal((36, 2, 4, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((1, 2, 1, 1)), requires_grad=True)
-        out = T.conv2d(x, w, Tensor(rng.standard_normal(1), requires_grad=True))
-        return (out.data,) + tuple(out._vjp(rng.standard_normal(out.shape)))
-
-    @staticmethod
-    def correlation():
-        rng = np.random.default_rng(9)
-        a, b = rng.random((2, 4, 2, 10, 10))
-        cfg = C.CorrConfig(roi_extent=7, patch_extent=3, roi_stride=3)
-        out = C.correlate_batch(Tensor(a, requires_grad=True),
-                                Tensor(b, requires_grad=True), cfg)
-        return (out.data,) + tuple(out._vjp(rng.standard_normal(out.shape)))
-
-    @pytest.mark.parametrize("kernel", ["conv", "correlation"])
-    def test_no_helper_starts_and_the_bits_hold(self, kernel, monkeypatch):
-        run = getattr(self, kernel)
-        before = threading.active_count()
-        with W.lend_helper():
-            inline = run()
-            assert threading.active_count() == before
-            monkeypatch.setattr(W, "INLINE_VALUES", 0)
-            helped = run()
-            assert threading.active_count() == before + 1
-        for a, b in zip(inline, helped):
-            assert a.tobytes() == b.tobytes()
 
 
 class TestRunChunks:
