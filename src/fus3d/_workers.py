@@ -17,11 +17,14 @@ A calling thread shares work with at most one helper thread, lent by
 also on a raise. :func:`halves` and :func:`in_parallel` cut work into
 two parts and :func:`run_chunks` into chunks, by shape alone, so the
 bits do not depend on which thread runs a part, nor on the CPU or BLAS
-thread count. Where a helper is lent, every kernel call takes it, small
-ones too: a size below which kernels stayed inline saved under 1 ms a
-training step, and counted by input values it could not tell a 1x1
-convolution from a 3x3 one (train and reconstruct read no slower
-without it on a 2-CPU host).
+thread count. :func:`run_windows` adds an ordered stage in front of
+the chunks: each thread fills a window of its own in item order, which
+keeps a random generator's draws in their serial order, and passes rows
+on from one window to the next. Where a helper is lent, every kernel
+call takes it, small ones too: a size below which kernels stayed inline
+saved under 1 ms a training step, and counted by input values it could
+not tell a 1x1 convolution from a 3x3 one (train and reconstruct read no
+slower without it on a 2-CPU host).
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Callable, Iterable
+
+import numpy as np
 
 
 def _c_function(library, name: str, *argtypes, restype=ctypes.c_int):
@@ -119,21 +124,80 @@ def run_chunks(task: Callable, items: Iterable) -> None:
     helper it lends, each taking the next item in order. Once a task
     raises, no further item is taken; the first error in item order is
     raised, and every item before that one is finished."""
+    run_windows(items, (0,), 0, lambda item, window: window,
+                lambda item, rows, after: task(item))
+
+
+class _Cancelled(Exception):
+    """Ends a wait for an item that will not finish: an item failed."""
+
+
+def run_windows(items: Iterable, shape: tuple, carry: int,
+                fill: Callable, task: Callable) -> None:
+    """``task(item, rows, after)`` for every item, on the calling thread
+    and on the helper it lends, each taking the next item in order and
+    owning one window, a float array of ``shape`` made on its first item.
+
+    The thread that takes an item fills its window under a turn that
+    passes in item order: it copies the ``carry`` rows kept from the
+    previous item into the window's first rows (not for the first item),
+    then ``fill(item, window)`` writes what it needs and returns the
+    leading rows it filled, ``rows``, whose last ``carry`` rows are kept
+    for the next item. So ``fill`` runs alone and in item order. Off the
+    turn, ``task`` works on ``rows`` while the other thread fills;
+    ``after(index)`` returns once the task of the earlier item ``index``
+    has finished (a wait on an earlier item cannot deadlock: the other
+    thread is running it, or has run it).
+
+    Once a fill or task raises, no further item is taken and every
+    ``after`` returns by raising; the first error in item order is
+    raised once both threads are done."""
     taken = enumerate(items)
     errors = {}
-    lock = threading.Lock()
+    finished = set()
+    turn = threading.Lock()
+    state = threading.Condition()
+    kept = np.empty((carry,) + tuple(shape[1:]))
+
+    def after(index: int) -> None:
+        with state:
+            state.wait_for(lambda: index in finished or errors)
+            if index not in finished:
+                raise _Cancelled
+
+    def fail(index: int, error: BaseException) -> None:
+        with state:
+            errors[index] = error
+            state.notify_all()
 
     def take() -> None:
+        window = None
         while True:
-            with lock:
-                index, item = (None, None) if errors else next(taken, (None, None))
-            if index is None:
-                return
+            with turn:
+                with state:
+                    index, item = (None, None) if errors else next(taken, (None, None))
+                if index is None:
+                    return
+                try:
+                    if window is None:
+                        window = np.empty(shape)
+                    if index:
+                        window[:carry] = kept
+                    rows = fill(item, window)
+                    kept[...] = rows[len(rows) - carry:]
+                except BaseException as error:
+                    fail(index, error)
+                    return
             try:
-                task(item)
+                task(item, rows, after)
+            except _Cancelled:
+                return
             except BaseException as error:
-                with lock:
-                    errors[index] = error
+                fail(index, error)
+                return
+            with state:
+                finished.add(index)
+                state.notify_all()
 
     with lend_helper():
         helper = _HELPER.pool.submit(take)

@@ -15,6 +15,15 @@ scipy is loaded on first use, by :func:`make_phantom` and
 :func:`slice_phantom`, so processes that only read scans or poses never
 load it. Both share their work with a lent helper thread, cut by shape
 alone; ``fus3d._workers`` states the thread and heap rules.
+
+:func:`make_phantom` streams the scatterer field slab by slab along axis
+0, so the envelope field is the only field-sized array it holds. Each
+slab is drawn, in the generator's serial order, into a window with the
+axis-0 kernel radius (the halo) of raw rows on either side; the 2 halo
+rows that consecutive windows share are carried over, not drawn again.
+One thread draws the next slab while the other blurs an earlier one,
+and the field is bit-identical to blurring whole drawn fields, because
+a constant-mode blur row reads only its window.
 """
 
 from __future__ import annotations
@@ -64,21 +73,20 @@ RAYLEIGH_SNR = float(np.sqrt(np.pi / (4.0 - np.pi)))
 # frames of 64x64 pixels, so a 250-frame sweep is 8 chunks for its two
 # threads
 SLICE_BLOCK_POINTS = 1 << 17
-# chunks per pass when make_phantom's two threads share the imaginary
-# field's blur and the envelope: enough that the helper that finishes
-# the real field's blur still finds chunks left to take
-_PHANTOM_CHUNKS = 16
+# rows along axis 0 of one slab of make_phantom: smaller slabs lower
+# peak memory but blur the 2 halo rows of each window along axis 0 once
+# more per slab
+_SLAB_ROWS = 8
 TRAJECTORY_SHAPES = ("linear", "s_curve", "c_curve")
 # the blur kernel: one Gaussian sigma in mm per axis (axial, lateral,
 # elevational)
 PSF_MM = (0.10, 0.18, 0.30)
 
 
-def _check_finite(spec, *names) -> None:
-    """Raise ``ValueError`` naming the first of the ``spec``'s settings
-    ``names`` that holds a NaN or an infinity."""
-    for name in names:
-        value = getattr(spec, name)
+def _check_finite(**settings) -> None:
+    """Raise ``ValueError`` naming the first of the ``settings`` that
+    holds a NaN or an infinity."""
+    for name, value in settings.items():
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value!r}")
 
@@ -102,7 +110,8 @@ class PhantomSpec:
     origin_mm: tuple
 
     def __post_init__(self) -> None:
-        _check_finite(self, "extent_mm", "voxel_mm", "origin_mm")
+        _check_finite(extent_mm=self.extent_mm, voxel_mm=self.voxel_mm,
+                      origin_mm=self.origin_mm)
         if any(e <= 0 for e in self.extent_mm):
             raise ValueError("phantom extents must be positive")
         if self.voxel_mm <= 0:
@@ -119,6 +128,7 @@ class PhantomSpec:
                  margin_mm: float, voxel_mm: float) -> "PhantomSpec":
         """Size a phantom to cover frames of ``geometry`` swept from
         elevational 0 to ``scan_length_mm`` plus in-plane wiggle margin."""
+        _check_finite(scan_length_mm=scan_length_mm, margin_mm=margin_mm)
         ex = geometry.n_rows * geometry.pitch_axial_mm + 2 * margin_mm
         ey = geometry.n_cols * geometry.pitch_lateral_mm + 2 * margin_mm
         ez = scan_length_mm + 2 * margin_mm
@@ -142,72 +152,85 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     """Fully developed speckle: complex white scatterers blurred by the
     anisotropic kernel, envelope-detected and scaled into [0, 1].
 
-    At most two field-sized arrays are live: the real and imaginary
-    scatterer fields, each blurred in place (``correlate1d`` buffers
-    every line, so in-place filtering is exact). The envelope is written
-    over the real part, then scaled and clipped in place.
+    The field is the only field-sized array. Each part of the scatterer
+    field, all of the real part and then all of the imaginary part, is
+    drawn in slabs of ``_SLAB_ROWS`` rows along axis 0. A slab is drawn
+    into a window that adds ``halo`` rows on either side, scipy's axis-0
+    kernel radius ``int(4 sigma + 0.5)``: rows outside the field are
+    zero, and the ``2 halo`` raw rows the next window shares are carried
+    over to it, not drawn again. The window is blurred along axis 0, then
+    the slab's own rows along axes 1 and 2. A real slab is written into
+    the field; an imaginary slab is folded into it with ``np.hypot``,
+    once the real slab with the same rows has been written. The field is
+    then scaled and clipped in place.
 
-    The calling thread and a lent helper share the work
-    (``fus3d._workers``). The calling thread draws the real field and
-    hands its blur, one ``gaussian_filter`` call, to the helper; it then
-    draws the imaginary field. Each of the imaginary field's three
-    ``gaussian_filter1d`` passes is cut into ``_PHANTOM_CHUNKS`` chunks
-    along an axis that pass does not filter, and the envelope
-    ``np.hypot`` into chunks along the first axis; both threads take the
-    chunks in order, the helper once it has finished the real blur. The
-    generator, ``gaussian_filter1d`` and ``np.hypot`` release the GIL.
+    The calling thread and a lent helper share the slabs
+    (``fus3d._workers.run_windows``): each thread draws its next slab in
+    slab order, one thread at a time, then blurs it while the other
+    thread draws. The generator, ``gaussian_filter1d`` and ``np.hypot``
+    release the GIL.
 
-    The bits cannot change: only the calling thread uses the generator,
-    in the serial order; every chunk holds whole filter lines, and each
-    line is filtered alone, by the same passes in the same order as in
-    ``gaussian_filter``; ``hypot`` is elementwise; and the mean stays
-    one call over the whole field, since a split pairwise sum would
-    round differently.
+    The bits cannot change. The draws, one ``standard_normal`` call a
+    window, follow the generator's serial order, and draws into
+    consecutive rows equal one draw of the whole part. Under
+    ``mode="constant"`` an axis-0 output row reads only the raw rows
+    within ``halo`` of it, all of them in its window, with zeros where a
+    whole-field pass reads its constant; every line along axes 1 and 2
+    is filtered alone, by the same passes in the same order as in
+    ``gaussian_filter``, and in place, which is exact because
+    ``correlate1d`` buffers every line; ``hypot`` is elementwise; and the
+    mean stays one call over the whole field, since a split pairwise sum
+    would round differently.
     """
-    from scipy.ndimage import gaussian_filter, gaussian_filter1d
+    from scipy.ndimage import gaussian_filter1d
 
     _workers.trim_heap()
     rng = np.random.default_rng(seed)
     dims = tuple(int(np.ceil(e / spec.voxel_mm)) + 1 for e in spec.extent_mm)
     origin = np.asarray(spec.origin_mm, dtype=float)
-
     sigmas = tuple(s / spec.voxel_mm for s in PSF_MM)
-    real = rng.standard_normal(dims)
+    n = dims[0]
+    halo = int(4.0 * sigmas[0] + 0.5)
+    spans = [slice(a, min(a + _SLAB_ROWS, n)) for a in range(0, n, _SLAB_ROWS)]
+    # (part, slab number, rows): the real part's slabs, then the
+    # imaginary part's
+    slabs = [(part, k, rows) for part in (0, 1) for k, rows in enumerate(spans)]
+    envelope = np.empty(dims)
 
-    def imaginary() -> np.ndarray:
-        imag = rng.standard_normal(dims)
-        for axis, sigma in enumerate(sigmas):
-            across = 1 if axis == 0 else 0
+    def draw(slab, window):
+        # the window holds rows [lo, hi) of the part, zero outside
+        # [0, n); a part's first window draws all of them, a later one
+        # all but the 2 halo rows carried over from the window before
+        _, k, rows = slab
+        lo, hi = rows.start - halo, rows.stop + halo
+        window = window[:hi - lo]
+        new = lo + 2 * halo if k else lo
+        drawn = slice(max(new, 0) - lo, max(min(hi, n), new) - lo)
+        window[new - lo:drawn.start] = 0.0
+        rng.standard_normal(out=window[drawn])
+        window[drawn.stop:] = 0.0
+        return window
 
-            def blur(span, axis=axis, sigma=sigma, across=across):
-                view = imag[(slice(None),) * across + (span,)]
-                gaussian_filter1d(view, sigma, axis, output=view,
-                                  mode="constant")
+    def blur(slab, window, after):
+        part, k, rows = slab
+        gaussian_filter1d(window, sigmas[0], 0, output=window, mode="constant")
+        own = window[halo:len(window) - halo]
+        gaussian_filter1d(own, sigmas[1], 1, output=own, mode="constant")
+        if part == 0:
+            gaussian_filter1d(own, sigmas[2], 2, output=envelope[rows],
+                              mode="constant")
+            return
+        gaussian_filter1d(own, sigmas[2], 2, output=own, mode="constant")
+        after(k)
+        np.hypot(envelope[rows], own, out=envelope[rows])
 
-            _workers.run_chunks(blur, _spans(dims[across], _PHANTOM_CHUNKS))
-        return imag
-
-    with _workers.lend_helper():
-        _, imag = _workers.in_parallel(
-            lambda: gaussian_filter(real, sigmas, mode="constant", output=real),
-            imaginary)
-        _workers.run_chunks(lambda span: np.hypot(real[span], imag[span],
-                                                  out=real[span]),
-                            _spans(dims[0], _PHANTOM_CHUNKS))
-    del imag
-    envelope = real
+    window_shape = (min(_SLAB_ROWS, n) + 2 * halo,) + dims[1:]
+    _workers.run_windows(slabs, window_shape, 2 * halo, draw, blur)
     # scale so the speckle mean sits at 0.25; the Rayleigh tail beyond 1
     # is ~1e-6 of voxels and is clipped
     envelope *= 0.25 / envelope.mean()
     np.clip(envelope, 0.0, 1.0, out=envelope)
     return Phantom(field=envelope, voxel_mm=spec.voxel_mm, origin_mm=origin)
-
-
-def _spans(n: int, parts: int) -> list:
-    """At most ``parts`` nonempty slices of near-equal length that
-    cover ``range(n)`` in order."""
-    cuts = [n * i // parts for i in range(parts + 1)]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 @dataclass(frozen=True)
@@ -234,9 +257,11 @@ class TrajectorySpec:
             if np.shape(value) != (3,):
                 raise ValueError(f"{name} needs 3 values, one per axis, "
                                  f"got {value!r}")
-        _check_finite(self, "length_mm", "lateral_amplitude_mm",
-                      "rotation_amplitude_deg", "noise_translation_mm",
-                      "noise_rotation_deg")
+        _check_finite(length_mm=self.length_mm,
+                      lateral_amplitude_mm=self.lateral_amplitude_mm,
+                      rotation_amplitude_deg=self.rotation_amplitude_deg,
+                      noise_translation_mm=self.noise_translation_mm,
+                      noise_rotation_deg=self.noise_rotation_deg)
         if self.length_mm <= 0:
             raise ValueError("scan length must be positive")
         if any(s < 0 for s in self.noise_translation_mm) or any(

@@ -1,8 +1,12 @@
 """Shared fixtures: cached phantoms and simulated scans, a guard against
-threads left running, and the Hypothesis profile every property test
-runs under."""
+threads left running, a child interpreter for tests that could hang, and
+the Hypothesis profile every property test runs under."""
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,34 @@ settings.register_profile("tier1", derandomize=True, database=None,
 settings.load_profile("tier1")
 
 GEOM64 = ImageGeometry(64, 64, 0.1484, 0.1484)
+TESTS = Path(__file__).resolve().parent
+
+
+def run_in_child(statement: str, timeout: float = 60.0) -> str:
+    """What ``statement`` prints when a fresh interpreter, which imports
+    from the package and from the test modules, runs it. A child still
+    running after ``timeout`` seconds is killed and the test fails, so a
+    deadlock fails one test and does not hang the run."""
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    done = subprocess.run([sys.executable, "-c", statement],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def print_error(call) -> None:
+    """Print the error ``call()`` raises, or "no error", and then how
+    many of the threads it started are still running; the child's half
+    of a :func:`run_in_child` test."""
+    before = threading.active_count()
+    try:
+        call()
+    except Exception as error:
+        print(f"{type(error).__name__}: {error}")
+    else:
+        print("no error")
+    print(f"threads left: {threading.active_count() - before}")
 
 
 def simulate_scan(trajectory_spec: TrajectorySpec,

@@ -323,6 +323,17 @@ VALID_INPUTS = {
 }
 
 
+# the setting that the error of each simulate option names: the margin
+# is checked by its own name, not as the phantom extent it widens
+SIMULATE_SETTINGS = {
+    "--length-mm": "length_mm", "--lateral-amplitude": "lateral_amplitude_mm",
+    "--rotation-amplitude": "rotation_amplitude_deg",
+    "--noise-translation": "noise_translation_mm",
+    "--noise-rotation": "noise_rotation_deg", "--pitch": "pixel pitch",
+    "--voxel": "voxel_mm", "--margin": "margin_mm",
+}
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command, option, nargs", [
@@ -340,6 +351,8 @@ class TestNonFiniteInputs:
         err = capsys.readouterr().err.splitlines()
         assert (code, len(err)) == (2, 1), err
         assert err[0].startswith("error: ") and "finite" in err[0], err
+        if command == "simulate":
+            assert SIMULATE_SETTINGS[option] in err[0], err
         assert [str(w.message) for w in caught] == []
         assert not out.exists()
 

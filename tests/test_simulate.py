@@ -1,5 +1,6 @@
 """Simulator tests: speckle statistics, trajectories, slicing, container IO."""
 
+import importlib
 import threading
 import time
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 import scipy.ndimage
 from scipy.ndimage import gaussian_filter
 
-from conftest import GEOM64, simulate_scan
+from conftest import GEOM64, print_error, run_in_child, simulate_scan
 from pose_reference import compose, identity, inverse, matrix
 
 from fus3d import simulate
@@ -80,14 +81,22 @@ class TestPhantom:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             PhantomSpec(**settings)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["scan_length_mm", "margin_mm"])
+    def test_non_finite_scan_setting_rejected(self, name, value):
+        settings = {"scan_length_mm": 2.0, "margin_mm": 1.5, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            PhantomSpec.for_scan(GEOM64, voxel_mm=0.1, **settings)
+
     def test_values_in_unit_range(self, small_phantom):
         assert small_phantom.field.min() >= 0.0
         assert small_phantom.field.max() <= 1.0
 
-    def test_peak_memory_is_two_fields(self):
-        # numpy reports its allocations to tracemalloc; the real and
-        # imaginary scatterer fields are the only field-sized arrays, and
-        # the blur and envelope chunks work in place on views of them
+    def test_peak_memory_is_one_field_and_the_windows(self):
+        # numpy reports its allocations to tracemalloc; the field is the
+        # only field-sized array, beside the two threads' windows of a
+        # slab and 2 halo rows and the 2 halo rows carried between them;
+        # 64 KiB cover the kernels and the slab list
         spec = PhantomSpec((12.45, 12.45, 7.95), 0.1, ORIGIN)
         tracemalloc.start()
         try:
@@ -96,7 +105,10 @@ class TestPhantom:
         finally:
             tracemalloc.stop()
         assert phantom.field.shape == (126, 126, 81)
-        assert peak <= 2 * phantom.field.nbytes * 1.05
+        halo = int(4.0 * PSF_MM[0] / 0.1 + 0.5)
+        row = phantom.field[0].nbytes
+        windows = 2 * (simulate._SLAB_ROWS + 2 * halo) + 2 * halo
+        assert peak <= phantom.field.nbytes + windows * row + (64 << 10)
 
 
 def serial_phantom_field(spec: PhantomSpec, seed: int) -> np.ndarray:
@@ -135,39 +147,139 @@ def failing_after_first(function, message):
     return wrapper
 
 
+def draws_failing_after_first(default_rng, message):
+    """``default_rng``, except that every draw after the first from a
+    generator it makes raises, whichever thread makes it."""
+    class Draws:
+        def __init__(self, seed):
+            self.standard_normal = failing_after_first(
+                default_rng(seed).standard_normal, message)
+    return Draws
+
+
+def slowed(function, on_main: bool):
+    """``function``, except that it sleeps 5 ms first when called on the
+    main thread (``on_main``) or off it."""
+    def wrapper(*args, **kwargs):
+        if (threading.current_thread() is threading.main_thread()) == on_main:
+            time.sleep(0.005)
+        return function(*args, **kwargs)
+    return wrapper
+
+
+def small_phantom_error(patch) -> None:
+    """Make a 61-row phantom with ``patch()`` in place; print the error
+    and the threads left. The child's half of the error tests."""
+    patch()
+    print_error(lambda: make_phantom(PhantomSpec((6, 6, 3), 0.1, ORIGIN),
+                                     seed=4))
+
+
+def helper_blur_fails() -> None:
+    blur = scipy.ndimage.gaussian_filter1d
+    # slowed on the calling thread, so the helper surely takes a slab
+    scipy.ndimage.gaussian_filter1d = slowed(
+        failing_off_main(blur, "blur failed"), on_main=True)
+
+
+def fails_after_first(owner: str, name: str) -> None:
+    module = importlib.import_module(owner)
+    wrap = (draws_failing_after_first if name == "default_rng"
+            else failing_after_first)
+    setattr(module, name, wrap(getattr(module, name), f"{name} failed"))
+
+
+def real_slab_fails_while_waited_for() -> None:
+    """One slab a part: the thread that draws the real slab fails its
+    blur after 0.2 s, while the other thread, which draws the imaginary
+    slab, waits for the real one to be written; print the error and the
+    threads left."""
+    drawers = []
+    default_rng, blur = np.random.default_rng, scipy.ndimage.gaussian_filter1d
+
+    class Draws:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, **kwargs):
+            drawers.append(threading.get_ident())
+            return self.rng.standard_normal(**kwargs)
+
+    def real_blur_fails(*args, **kwargs):
+        if threading.get_ident() == drawers[0]:
+            time.sleep(0.2)
+            raise RuntimeError("real slab failed")
+        return blur(*args, **kwargs)
+
+    np.random.default_rng = Draws
+    scipy.ndimage.gaussian_filter1d = real_blur_fails
+    print_error(lambda: make_phantom(
+        PhantomSpec((0.4, 0.72, 1.2), 0.1, ORIGIN), seed=4))
+
+
+def assert_fails_in_child(statement: str, message: str) -> None:
+    out = run_in_child(f"import test_simulate as t; {statement}")
+    assert out.splitlines() == [f"RuntimeError: {message}", "threads left: 0"]
+
+
 class TestThreadedPhantom:
-    # the imaginary blur's first pass is cut along axis 1, its other
-    # passes and the envelope along axis 0: 61 and 62 rows by 51 and 52
-    # columns, and the smallest legal phantom (5 x 9 x 13 voxels), whose
-    # 5 rows give fewer chunks than make_phantom asks for
+    # the slabs hold 8 rows and the 0.1 mm windows 4 halo rows on either
+    # side: 61 and 62 rows by 51 and 52 columns; the smallest legal
+    # phantom (5 x 9 x 13 voxels), one slab shorter than the slab
+    # length; one slab of exactly the slab length; and a last slab of
+    # one row, shorter than the halo
     @pytest.mark.parametrize("extent_mm, rows", [((6.0, 5.0, 3.0), 61),
                                                  ((6.05, 5.0, 3.0), 62),
                                                  ((6.0, 5.05, 3.0), 61),
                                                  ((6.05, 5.05, 3.0), 62),
-                                                 ((0.4, 0.72, 1.2), 5)])
+                                                 ((0.4, 0.72, 1.2), 5),
+                                                 ((0.7, 0.72, 1.2), 8),
+                                                 ((5.6, 3.0, 2.0), 57)])
     def test_matches_serial_reference(self, extent_mm, rows):
         spec = PhantomSpec(extent_mm, 0.1, ORIGIN)
         field = make_phantom(spec, seed=9).field
         assert field.shape[0] == rows
         np.testing.assert_array_equal(field, serial_phantom_field(spec, 9))
 
-    def test_helper_error_reaches_the_caller(self, monkeypatch):
-        # make_phantom imports gaussian_filter when it is called, so the
-        # patch goes on the name it reads there
-        monkeypatch.setattr(scipy.ndimage, "gaussian_filter", failing_off_main(
-            scipy.ndimage.gaussian_filter, "blur failed"))
-        with pytest.raises(RuntimeError, match="blur failed"):
-            make_phantom(PhantomSpec((6, 6, 3), 0.1, ORIGIN), seed=4)
+    def test_matches_serial_reference_at_a_finer_voxel(self):
+        # 0.05 mm voxels: 8 halo rows, as many as a slab holds
+        spec = PhantomSpec((3.0, 2.0, 1.5), 0.05, ORIGIN)
+        field = make_phantom(spec, seed=9).field
+        assert field.shape == (61, 41, 31)
+        np.testing.assert_array_equal(field, serial_phantom_field(spec, 9))
 
-    # a chunk of the imaginary field's blur and of the envelope, on
-    # whichever thread takes it
-    @pytest.mark.parametrize("owner, name", [(scipy.ndimage, "gaussian_filter1d"),
-                                             (np, "hypot")])
-    def test_chunk_error_reaches_the_caller(self, monkeypatch, owner, name):
-        monkeypatch.setattr(owner, name, failing_after_first(
-            getattr(owner, name), f"{name} failed"))
-        with pytest.raises(RuntimeError, match=f"{name} failed"):
-            make_phantom(PhantomSpec((6, 6, 3), 0.1, ORIGIN), seed=4)
+    # either thread slowed, so the other takes most slabs, or neither
+    @pytest.mark.parametrize("slow", ["helper", "calling thread", None])
+    def test_matches_serial_reference_whichever_thread_is_slow(
+            self, monkeypatch, slow):
+        if slow is not None:
+            monkeypatch.setattr(scipy.ndimage, "gaussian_filter1d", slowed(
+                scipy.ndimage.gaussian_filter1d, slow == "calling thread"))
+        spec = PhantomSpec((6.0, 5.0, 3.0), 0.1, ORIGIN)
+        field = make_phantom(spec, seed=9).field
+        np.testing.assert_array_equal(field, serial_phantom_field(spec, 9))
+
+    # the error tests each run in a child interpreter with a timeout: a
+    # thread left waiting on the turn to draw, or on a real slab, fails
+    # the test and does not hang the run
+    def test_helper_error_reaches_the_caller(self):
+        assert_fails_in_child(
+            "t.small_phantom_error(t.helper_blur_fails)", "blur failed")
+
+    # a draw, a blur pass and an envelope fold, on whichever thread
+    # takes the slab
+    @pytest.mark.parametrize("owner, name", [("scipy.ndimage", "gaussian_filter1d"),
+                                             ("numpy", "hypot"),
+                                             ("numpy.random", "default_rng")])
+    def test_chunk_error_reaches_the_caller(self, owner, name):
+        message = f"{name} failed"
+        assert_fails_in_child(
+            "t.small_phantom_error(lambda: "
+            f"t.fails_after_first({owner!r}, {name!r}))", message)
+
+    def test_real_slab_error_ends_the_wait_for_it(self):
+        assert_fails_in_child("t.real_slab_fails_while_waited_for()",
+                              "real slab failed")
 
 
 def serial_slices(phantom: Phantom, trajectory: Trajectory,

@@ -1,9 +1,9 @@
 """The thread and heap rules of ``fus3d._workers``: errors that reach the
-caller with no thread left behind, the chunk runner's order, one malloc
-arena, the same bits at any BLAS thread count, and no other module of
-the package that touches threads or the C library. That a kernel's bits
-do not depend on whether the helper takes part is tested in
-``test_kernel_helper.py``."""
+caller with no thread left behind, the order of the chunk runner and of
+the window runner's ordered stage, one malloc arena, the same bits at
+any BLAS thread count, and no other module of the package that touches
+threads or the C library. That a kernel's bits do not depend on whether
+the helper takes part is tested in ``test_kernel_helper.py``."""
 
 import ast
 import ctypes
@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from conftest import print_error, run_in_child
 
 import fus3d._workers as W
 import fus3d.tensor as T
@@ -126,6 +128,175 @@ class TestRunChunks:
         with pytest.raises(KeyError):
             W.run_chunks(task, range(4))
         assert threading.active_count() == before
+        assert getattr(W._HELPER, "pool", None) is None
+
+
+def hold_until_both_threads(seen: dict) -> None:
+    """Wait until ``seen`` maps items to two threads, or 30 s."""
+    deadline = time.monotonic() + 30
+    while len(set(seen.values())) < 2 and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+class TestRunWindows:
+    def test_fills_one_at_a_time_in_item_order_with_the_carry(self):
+        # each fill writes its item number into the rows after the two
+        # carried ones; odd items return a shorter window
+        fills, carried, seen, busy = [], {}, {}, []
+
+        def fill(item, window):
+            busy.append(item)
+            assert len(busy) == 1, "two fills at once"
+            seen[item] = threading.get_ident()
+            carried[item] = window[:2, 0].tolist()
+            window[2:] = item
+            fills.append(item)
+            busy.pop()
+            return window[:4] if item % 2 else window
+
+        def task(item, rows, after):
+            hold_until_both_threads(seen)
+            assert rows.shape == ((4, 3) if item % 2 else (5, 3))
+
+        W.run_windows(range(12), (5, 3), 2, fill, task)
+        assert fills == list(range(12))
+        assert len(set(seen.values())) == 2
+        # item i gets the last two rows item i - 1 returned
+        assert all(carried[i] == [i - 1, i - 1] for i in range(2, 12))
+        assert carried[1] == [0, 0]
+
+    def test_after_returns_once_the_earlier_task_finished(self):
+        finished, seen = set(), {}
+
+        def fill(item, window):
+            seen[item] = threading.get_ident()
+            return window
+
+        def task(item, rows, after):
+            hold_until_both_threads(seen)
+            if item % 2:
+                after(item - 1)
+                assert item - 1 in finished
+            else:
+                time.sleep(0.01)
+            finished.add(item)
+
+        W.run_windows(range(8), (1, 1), 0, fill, task)
+        assert finished == set(range(8))
+        assert len(set(seen.values())) == 2
+
+    def test_order_and_carry_hold_under_fast_thread_switches(self):
+        # in a child interpreter with a timeout, like the error tests
+        out = run_in_child("import test_workers; "
+                           "test_workers.windows_under_fast_switches(50)")
+        assert out.splitlines() == ["wrong rounds: []"]
+
+
+def windows_failing(stage: str, thread: str) -> None:
+    """Run ``run_windows`` over six items on both threads, where the
+    first ``stage`` ("fill" or "task") run on the ``thread`` ("calling" or
+    "helper") raises; print the error and the threads left."""
+    seen = {}
+
+    def fails(here: str) -> bool:
+        on_main = threading.current_thread() is threading.main_thread()
+        return here == stage and on_main == (thread == "calling")
+
+    def fill(item, window):
+        seen[item] = threading.get_ident()
+        if fails("fill"):
+            raise ValueError(f"fill {item} failed")
+        return window
+
+    def task(item, rows, after):
+        hold_until_both_threads(seen)
+        if fails("task"):
+            raise ValueError(f"task {item} failed")
+
+    print_error(lambda: W.run_windows(range(6), (2, 2), 1, fill, task))
+
+
+def windows_failing_while_waited_for() -> None:
+    """Run ``run_windows`` where item 1 waits for item 0, which raises
+    once item 1 waits; print the error and the threads left."""
+    waiting = threading.Event()
+
+    def task(item, rows, after):
+        if item == 0:
+            waiting.wait(30)
+            raise ValueError("task 0 failed")
+        waiting.set()
+        after(0)
+
+    print_error(lambda: W.run_windows(range(2), (2, 2), 1,
+                                      lambda item, window: window, task))
+
+
+def windows_under_fast_switches(rounds: int) -> None:
+    """Run ``run_windows`` ``rounds`` times with the interpreter
+    switching threads every microsecond, each task waiting for the one
+    before it; print the rounds whose fill order, carry or finished set
+    went wrong."""
+    wrong = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(rounds):
+            fills, carried, finished = [], [], set()
+
+            def fill(item, window):
+                carried.append(window[0, 0] if item else -1.0)
+                window[:] = item
+                fills.append(item)
+                return window
+
+            def task(item, rows, after):
+                if item:
+                    after(item - 1)
+                finished.add(item)
+
+            W.run_windows(range(40), (2, 1), 1, fill, task)
+            if (fills != list(range(40)) or carried != list(range(-1, 39))
+                    or finished != set(range(40))):
+                wrong.append(round_)
+    finally:
+        sys.setswitchinterval(interval)
+    print(f"wrong rounds: {wrong}")
+
+
+class TestRunWindowsErrors:
+    # each in a child interpreter with a timeout: a thread left waiting
+    # on the turn or on an earlier item fails the test, not the run
+    @pytest.mark.parametrize("thread", ["calling", "helper"])
+    @pytest.mark.parametrize("stage", ["fill", "task"])
+    def test_error_reaches_the_caller(self, stage, thread):
+        out = run_in_child("import test_workers; "
+                           f"test_workers.windows_failing({stage!r}, {thread!r})")
+        assert out.startswith(f"ValueError: {stage} ")
+        assert out.splitlines()[1] == "threads left: 0"
+
+    def test_error_ends_a_wait_for_the_failed_item(self):
+        out = run_in_child("import test_workers; "
+                           "test_workers.windows_failing_while_waited_for()")
+        assert out.splitlines() == ["ValueError: task 0 failed",
+                                    "threads left: 0"]
+
+    def test_first_error_in_item_order(self):
+        seen = {}
+
+        def fill(item, window):
+            seen[item] = threading.get_ident()
+            return window
+
+        def task(item, rows, after):
+            if item == 1:
+                raise ValueError("task 1 failed")
+            hold_until_both_threads(seen)
+            time.sleep(0.05)
+            raise ValueError(f"task {item} failed")
+
+        with pytest.raises(ValueError, match="task 0 failed"):
+            W.run_windows(range(4), (2, 2), 1, fill, task)
         assert getattr(W._HELPER, "pool", None) is None
 
 
