@@ -14,16 +14,19 @@ arena a helper may allocate what it writes. A C library without
 
 A calling thread shares work with at most one helper thread, lent by
 :func:`lend_helper` and joined before the block that lent it is left,
-also on a raise. :func:`halves` and :func:`in_parallel` cut work into
-two parts and :func:`run_chunks` into chunks, by shape alone, so the
-bits do not depend on which thread runs a part, nor on the CPU or BLAS
-thread count. :func:`run_windows` adds an ordered stage in front of
-the chunks: each thread fills a window of its own in item order, which
-keeps a random generator's draws in their serial order, and passes rows
-on from one window to the next. Where a helper is lent, every kernel
-call takes it, small ones too: a size below which kernels stayed inline
-saved under 1 ms a training step, and counted by input values it could
-not tell a 1x1 convolution from a 3x3 one (train and reconstruct read no
+also on a raise. :func:`run_chunks` is the one way a kernel shares its
+work: the kernel cuts it into items by shape alone, and the calling
+thread and the helper each take the next item in order, so a thread
+that finishes early takes more of them, and the bits do not depend on
+which thread runs an item, nor on the CPU or BLAS thread count. Where
+no helper is lent, the calling thread takes every item itself.
+:func:`run_windows` adds an ordered stage in front of the items: each
+thread fills a window of its own in item order, which keeps a random
+generator's draws in their serial order, and passes rows on from one
+window to the next. Where a helper is lent, every kernel call offers it
+items, small ones too: a size below which kernels stayed inline saved
+under 1 ms a training step, and counted by input values it could not
+tell a 1x1 convolution from a 3x3 one (train and reconstruct read no
 slower without it on a 2-CPU host).
 """
 
@@ -92,36 +95,9 @@ def lend_helper():
         _HELPER.pool = None
 
 
-def in_parallel(first: Callable, second: Callable) -> tuple:
-    """``(first(), second())``, with ``first`` on the lent helper and
-    ``second`` on the calling thread; both inline, in turn, where no
-    helper is lent.
-
-    Returns once both are done. An error of ``second`` is raised in
-    preference to one of ``first``."""
-    pool = getattr(_HELPER, "pool", None)
-    if pool is None:
-        return first(), second()
-    future = pool.submit(first)
-    try:
-        result = second()
-    finally:
-        wait((future,))
-    return future.result(), result
-
-
-def halves(n: int, part: Callable) -> None:
-    """``part(0, n // 2)`` and ``part(n // 2, n)`` :func:`in_parallel`,
-    for a batch of ``n`` items; one ``part(0, n)`` when ``n`` is 1."""
-    if n > 1:
-        in_parallel(lambda: part(0, n // 2), lambda: part(n // 2, n))
-    else:
-        part(0, n)
-
-
 def run_chunks(task: Callable, items: Iterable) -> None:
     """``task(item)`` for every item, on the calling thread and on the
-    helper it lends, each taking the next item in order. Once a task
+    lent helper, if any, each taking the next item in order. Once a task
     raises, no further item is taken; the first error in item order is
     raised, and every item before that one is finished."""
     run_windows(items, (0,), 0, lambda item, window: window,
@@ -135,7 +111,7 @@ class _Cancelled(Exception):
 def run_windows(items: Iterable, shape: tuple, carry: int,
                 fill: Callable, task: Callable) -> None:
     """``task(item, rows, after)`` for every item, on the calling thread
-    and on the helper it lends, each taking the next item in order and
+    and on the lent helper, if any, each taking the next item in order and
     owning one window, a float array of ``shape`` made on its first item.
 
     The thread that takes an item fills its window under a turn that
@@ -199,13 +175,13 @@ def run_windows(items: Iterable, shape: tuple, carry: int,
                 finished.add(index)
                 state.notify_all()
 
-    with lend_helper():
-        helper = _HELPER.pool.submit(take)
-        try:
-            take()
-        finally:
-            # a helper still busy with earlier work need not join in
-            if not helper.cancel():
-                wait((helper,))
+    pool = getattr(_HELPER, "pool", None)
+    helper = None if pool is None else pool.submit(take)
+    try:
+        take()
+    finally:
+        # a helper still busy with earlier work need not join in
+        if helper is not None and not helper.cancel():
+            wait((helper,))
     if errors:
         raise errors[min(errors)]

@@ -135,6 +135,9 @@ def read_volume(path):
     if len(blob) < expected:
         raise EOFError(f"{path}: truncated, expected {expected} bytes for a "
                        f"{dims[0]}x{dims[1]}x{dims[2]} volume, got {len(blob)}")
+    if len(blob) > expected:
+        raise ValueError(f"{path}: trailing bytes, expected {expected} bytes for a "
+                         f"{dims[0]}x{dims[1]}x{dims[2]} volume, got {len(blob)}")
     (voxel_mm,) = struct.unpack_from("<f", blob, 16)
     origin = np.array(struct.unpack_from("<fff", blob, 20))
     voxels = np.frombuffer(blob, dtype="<f4", count=count,

@@ -14,8 +14,9 @@ live in [-1, 1] and a stationary pair peaks at exactly 1 at the center.
 Zero-variance patches correlate as 0.
 
 The operation is differentiable and registered on the autodiff tape.
-It does its pairs in two halves, cut by shape alone, one of them on a
-lent helper thread; ``fus3d._workers`` states the thread and heap rules.
+It cuts its pairs into a first and a second half by shape alone, which
+the calling thread and a lent helper thread take (``fus3d._workers``
+states the thread and heap rules).
 """
 
 from __future__ import annotations
@@ -226,13 +227,14 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
     ``a`` with the ``b`` patch whose top-left corner sits at RoI top-left
     + (u, v).
 
-    The forward and the backward do the pairs in two halves, one of
-    them on a lent helper thread (``fus3d._workers``). Every step is per
-    pair, so a half's values do not depend on the other half; each half
-    writes its slice of the whole-batch results. The work runs on an
-    RoI-major (n, gy, gx, d, d) volume; the backward reads the upstream
-    gradient in that order from a C-order copy, so its bits do not depend
-    on the layout the caller hands it.
+    The forward and the backward each hand the first and the second
+    half of the pairs to ``_workers.run_chunks`` as two items, which the
+    calling thread and a lent helper take. Every step is per pair, so a
+    half's values do not depend on the other half, nor on the thread
+    that takes it; each half writes its slice of the whole-batch
+    results. The work runs on an RoI-major (n, gy, gx, d, d) volume; the
+    backward reads the upstream gradient in that order from a C-order
+    copy, so its bits do not depend on the layout the caller hands it.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
@@ -308,7 +310,8 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
         out *= inv_b[lo:hi]
         np.clip(out, -1.0, 1.0, out=out)
 
-    _workers.halves(n, forward)
+    parts = ((0, n // 2), (n // 2, n))
+    _workers.run_chunks(lambda pairs: forward(*pairs), parts)
 
     def vjp(g):
         g = np.ascontiguousarray(g).reshape(n, d, d, gy, gx).transpose(0, 3, 4, 1, 2)
@@ -354,7 +357,7 @@ def correlate_batch(a: Tensor, b: Tensor, cfg: CorrConfig) -> Tensor:
             gb += mean[:, None]
             _fold(np.moveaxis(gr, 3, 0), my + center, mx + center, s, g_a[lo:hi])
 
-        _workers.halves(n, backward)
+        _workers.run_chunks(lambda pairs: backward(*pairs), parts)
         return g_a, g_b
 
     maps = np.ascontiguousarray(corr.transpose(0, 3, 4, 1, 2))

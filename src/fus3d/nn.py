@@ -222,7 +222,8 @@ def save_checkpoint(path, arrays: dict, config: dict) -> None:
 def load_checkpoint(path):
     """Read a checkpoint, returning (arrays, config).
 
-    Raises EOFError when the file ends before a field its header promises.
+    Raises EOFError when the file ends before a field its header
+    promises, and ValueError when bytes follow the last one.
     """
     with open(path, "rb") as handle:
         blob = handle.read()
@@ -265,4 +266,7 @@ def load_checkpoint(path):
         payload = np.frombuffer(blob, dtype="<f8", count=count,
                                 offset=take(count * 8))
         arrays[name] = payload.reshape(shape).astype(np.float64)
+    if offset != len(blob):
+        raise ValueError(f"{path}: trailing bytes, expected {offset} bytes, "
+                         f"got {len(blob)}")
     return arrays, config

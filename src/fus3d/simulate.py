@@ -13,8 +13,9 @@ and ``manifest.json`` with the subject tag and generation parameters.
 
 scipy is loaded on first use, by :func:`make_phantom` and
 :func:`slice_phantom`, so processes that only read scans or poses never
-load it. Both share their work with a lent helper thread, cut by shape
-alone; ``fus3d._workers`` states the thread and heap rules.
+load it. Both lend themselves a helper thread and share their work with
+it, cut by shape alone; ``fus3d._workers`` states the thread and heap
+rules.
 
 :func:`make_phantom` streams the scatterer field slab by slab along axis
 0, so the envelope field is the only field-sized array it holds. Each
@@ -225,7 +226,8 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
         np.hypot(envelope[rows], own, out=envelope[rows])
 
     window_shape = (min(_SLAB_ROWS, n) + 2 * halo,) + dims[1:]
-    _workers.run_windows(slabs, window_shape, 2 * halo, draw, blur)
+    with _workers.lend_helper():
+        _workers.run_windows(slabs, window_shape, 2 * halo, draw, blur)
     # scale so the speckle mean sits at 0.25; the Rayleigh tail beyond 1
     # is ~1e-6 of voxels and is clipped
     envelope *= 0.25 / envelope.mean()
@@ -233,7 +235,7 @@ def make_phantom(spec: PhantomSpec, seed: int) -> Phantom:
     return Phantom(field=envelope, voxel_mm=spec.voxel_mm, origin_mm=origin)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrajectorySpec:
     """Parametric probe path: monotone elevational progress with an
     optional lateral curve, slow rotation sweep, and per-frame jitter."""
@@ -245,7 +247,7 @@ class TrajectorySpec:
     rotation_amplitude_deg: float = 0.0
     noise_translation_mm: tuple = (0.0, 0.0, 0.0)
     noise_rotation_deg: tuple = (0.0, 0.0, 0.0)
-    seed: int = 0
+    seed: int
 
     def __post_init__(self) -> None:
         if self.shape not in TRAJECTORY_SHAPES:
@@ -390,7 +392,8 @@ def slice_phantom(phantom: Phantom, trajectory: Trajectory,
                         order=1, mode="nearest")
         np.clip(out, 0.0, 1.0, out=out)
 
-    _workers.run_chunks(sample, range(0, len(rotations), step))
+    with _workers.lend_helper():
+        _workers.run_chunks(sample, range(0, len(rotations), step))
     return frames
 
 
@@ -440,6 +443,9 @@ def read_scan(directory) -> ScanSequence:
     if len(blob) < expected:
         raise EOFError(f"{path}: truncated, expected {expected} bytes for "
                        f"{n} {rows}x{cols} frames, got {len(blob)}")
+    if len(blob) > expected:
+        raise ValueError(f"{path}: trailing bytes, expected {expected} bytes "
+                         f"for {n} {rows}x{cols} frames, got {len(blob)}")
     pitch_a, pitch_l, rate = struct.unpack_from("<fff", blob, 16)
     frames = np.frombuffer(blob, dtype="<f4", count=n * rows * cols,
                            offset=FRAMES_HEADER_BYTES)

@@ -17,10 +17,11 @@ or BLAS thread count and whether a kernel's parts run on a helper
 thread or inline.
 
 Threads: the batched kernels (``conv2d`` forward and backward, and
-``correlation.correlate_batch``) do their work in two parts, cut by
-shape alone. ``backward`` and the network's ``forward_window`` lend
-them a helper thread that takes one part while the calling thread does
-the other. ``fus3d._workers`` states the thread and heap rules.
+``correlation.correlate_batch``) cut their work into items by shape
+alone and hand them to ``_workers.run_chunks``. ``backward`` and the
+network's ``forward_window`` lend them a helper thread; it and the
+calling thread each take the next item. ``fus3d._workers`` states the
+thread and heap rules.
 
 Memory: each closure keeps what its backward reads. Copies that are
 many times their input, such as ``conv2d``'s ``(C*kh*kw, N*Ho*Wo)``
@@ -408,8 +409,8 @@ def _patch_matrix(xt: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 
 
 # Values in the patch matrix of one slice of images in conv2d's dx (2 MB).
-# dx is formed slice by slice while the helper holds the whole batch's
-# cols. With half the batch per slice, a toy training step's transient
+# dx is formed slice by slice while one thread holds the whole batch's
+# cols for dW. With half the batch per slice, a toy training step's transient
 # heap outgrew glibc's trim threshold, so each step gave its heap top
 # back and faulted it in again: 35,000 page faults per benchmark train
 # operation (2-CPU host), against about 100 with slices of 1 to 4 MB.
@@ -425,35 +426,34 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     strided window view of a channel-major, zero-padded ``(C, N, Hp,
     Wp)`` copy of the input. The forward is ``W.reshape(F, -1) @ cols``
     followed by one transpose back to NCHW, done for each half of the
-    images (``_workers.halves``). Inputs and outputs stay NCHW; the
-    channel-major layout never leaves this function.
+    images, which pads and copies its own images. Inputs and outputs
+    stay NCHW; the channel-major layout never leaves this function.
 
     The tape keeps no ``cols``: it is kh*kw times the input. The
     backward forms the upstream gradient as ``g_f`` of shape ``(F,
-    N*Ho*Wo)``. Side by side (``_workers.in_parallel``), the helper copies
-    ``cols`` again, bit for bit, from the input's data, which the tape
-    holds as a parent, and forms ``dW = g_f @ cols.T`` as one GEMM, while
-    the calling thread forms ``dx``. ``dW`` stays one GEMM because cut
-    along its inner axis it would sum in another order, and cut along
-    its channels it rounds differently in some columns (28 + 29 of 57
-    channels changed 420 of 32,832 entries). Only
-    when ``x`` requires gradients is ``dx`` formed; an input without
-    ``requires_grad``, such as the frames, gets ``None`` in its gradient
-    slot. ``dx`` is formed for a few images at a time, each slice's
-    patch matrix at most ``_DX_CHUNK`` values. At stride 1, ``dx`` is a
-    transposed convolution done as one more GEMM: the channel-major
-    upstream gradient, zero-padded by ``kh-1-padding`` (cropped where
-    that is negative), gives a patch matrix of shape ``(F*kh*kw,
-    N*H*W)``, and the flipped, transposed weights ``(C, F*kh*kw)``
-    multiply it. At larger strides that
+    N*Ho*Wo)``. Its items are ``dW`` and then each slice of ``dx``,
+    a few images at a time, each slice's patch matrix at most
+    ``_DX_CHUNK`` values; an input without ``requires_grad``, such as
+    the frames, has no slices and gets ``None`` in its gradient slot.
+    The ``dW`` item copies ``cols`` again, bit for bit, from the input's
+    data, which the tape holds as a parent, and forms ``dW = g_f @
+    cols.T`` as one GEMM, while the other thread forms slices of ``dx``.
+    ``dW`` stays one GEMM because cut along its inner axis it would sum
+    in another order, and cut along its channels it rounds differently
+    in some columns (28 + 29 of 57 channels changed 420 of 32,832
+    entries). At stride 1, ``dx`` is a transposed convolution done as
+    one more GEMM: the channel-major upstream gradient, zero-padded by
+    ``kh-1-padding`` (cropped where that is negative), gives a patch
+    matrix of shape ``(F*kh*kw, N*H*W)``, and the flipped, transposed
+    weights ``(C, F*kh*kw)`` multiply it. At larger strides that
     gradient would first need zeros stuffed between its pixels, which
     makes the patch matrix and the GEMM stride² times larger: on the toy
     network's stride-2 layers (36 images, 3x3, 2-CPU host) it took 4.9
     vs 2.4 ms at 16 to 32 channels on 16 px, and 16 vs 7.1 ms at 16 to
     16 channels on 32 px. So there ``dcols = W.T @ g_f`` is added back
     into a ``(C, N, Hp, Wp)`` buffer with kh*kw strided slice adds (the
-    adjoint of the patch copy). Every cut (halves, slices) depends on
-    the shapes alone.
+    adjoint of the patch copy). Every cut (the two forward parts, the
+    slices) depends on the shapes alone.
     """
     x, weight = _as_tensor(x), _as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
@@ -468,14 +468,14 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     wmat = weight.data.reshape(f, c * kh * kw)
-    xt = _channel_major(x.data, padding, padding)
     data = np.empty((n, f, ho, wo))
 
     def forward(lo, hi):
-        y = wmat @ _patch_matrix(xt[:, lo:hi], kh, kw, stride)
+        xt = _channel_major(x.data[lo:hi], padding, padding)
+        y = wmat @ _patch_matrix(xt, kh, kw, stride)
         data[lo:hi] = y.reshape(f, hi - lo, ho, wo).transpose(1, 0, 2, 3)
 
-    _workers.halves(n, forward)
+    _workers.run_chunks(lambda images: forward(*images), ((0, n // 2), (n // 2, n)))
     parents = [x, weight]
     if bias is not None:
         bias = _as_tensor(bias)
@@ -483,15 +483,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
             raise ValueError(f"conv2d: shape mismatch {bias.shape} vs ({f},)")
         data += bias.data.reshape(1, f, 1, 1)
         parents.append(bias)
-    needs_dx = x.requires_grad
 
     def vjp(g):
         g_f = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
-
-        def weight_grad():
-            xt = _channel_major(x.data, padding, padding)
-            return g_f @ _patch_matrix(xt, kh, kw, stride).T
-
         if stride == 1:
             w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(
                 c, f * kh * kw)
@@ -519,16 +513,20 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
                 return dxt[:, :, padding : padding + h,
                            padding : padding + w].transpose(1, 0, 2, 3)
 
-        def input_grads():
-            dx = np.empty(x.shape)
-            step = max(1, _DX_CHUNK // per_image)
-            for lo in range(0, n, step):
-                dx[lo : lo + step] = input_grad(lo, min(n, lo + step))
-            return dx
+        dw = np.empty(weight.shape)
+        dx = np.empty(x.shape) if x.requires_grad else None
+        step = max(1, _DX_CHUNK // per_image)
 
-        dw, dx = (_workers.in_parallel(weight_grad, input_grads)
-                  if needs_dx else (weight_grad(), None))
-        dw = dw.reshape(f, c, kh, kw)
+        def grad(images):
+            if images is None:  # dW
+                xt = _channel_major(x.data, padding, padding)
+                # a view: dw is contiguous
+                dw.reshape(f, -1)[...] = g_f @ _patch_matrix(xt, kh, kw, stride).T
+            else:
+                dx[slice(*images)] = input_grad(*images)
+
+        slices = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+        _workers.run_chunks(grad, [None] + (slices if x.requires_grad else []))
         if bias is not None:
             return dx, dw, g_f.sum(axis=1)
         return dx, dw

@@ -1,6 +1,7 @@
 """Shared fixtures: cached phantoms and simulated scans, a guard against
-threads left running, a child interpreter for tests that could hang, and
-the Hypothesis profile every property test runs under."""
+threads left running, a child interpreter for tests that could hang, a
+way to have the lent helper take a call's first items, and the
+Hypothesis profile every property test runs under."""
 
 import os
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import fus3d._workers as W
 from fus3d.pose import ImageGeometry
 from fus3d.simulate import (
     PhantomSpec,
@@ -58,6 +60,63 @@ def print_error(call) -> None:
     else:
         print("no error")
     print(f"threads left: {threading.active_count() - before}")
+
+
+class _HeldBack:
+    """The lent helper's pool as one ``run_windows`` call sees it:
+    ``submit`` returns once the helper has finished ``first`` items, or
+    has stopped taking them, so the calling thread takes none before."""
+
+    def __init__(self, pool, first: int):
+        self.pool, self.first = pool, first
+        self.finished, self.returned = 0, False
+        self.state = threading.Condition()
+
+    def finish(self) -> None:
+        with self.state:
+            self.finished += 1
+            self.state.notify_all()
+
+    def submit(self, take):
+        def helper_take():
+            try:
+                take()
+            finally:
+                with self.state:
+                    self.returned = True
+                    self.state.notify_all()
+
+        future = self.pool.submit(helper_take)
+        with self.state:
+            self.state.wait_for(
+                lambda: self.returned or self.finished >= self.first, 30)
+        return future
+
+
+def hold_back_the_caller(monkeypatch, first: int) -> None:
+    """Where a helper is lent, let it take the first ``first`` items of
+    every ``run_chunks`` and ``run_windows`` call (every item of a
+    shorter one) while the calling thread waits; then both take items as
+    usual."""
+    run_windows = W.run_windows
+
+    def held(items, shape, carry, fill, task):
+        pool = getattr(W._HELPER, "pool", None)
+        if pool is None:
+            return run_windows(items, shape, carry, fill, task)
+        held_back = _HeldBack(pool, first)
+
+        def counted(item, rows, after):
+            task(item, rows, after)
+            held_back.finish()
+
+        W._HELPER.pool = held_back
+        try:
+            return run_windows(items, shape, carry, fill, counted)
+        finally:
+            W._HELPER.pool = pool
+
+    monkeypatch.setattr(W, "run_windows", held)
 
 
 def simulate_scan(trajectory_spec: TrajectorySpec,

@@ -248,6 +248,17 @@ class TestTruncatedInputs:
         assert (f"error: {frames}: truncated, expected {expected}, got {keep}"
                 in capsys.readouterr().err)
 
+    def test_long_frames_file_is_usage_error(self, scan_dir, tmp_path,
+                                             capsys):
+        shutil.copytree(scan_dir, tmp_path / "scan")
+        frames = tmp_path / "scan" / "frames.bin"
+        frames.write_bytes(frames.read_bytes() + b"junk")
+        code = run("infer", "--scan", tmp_path / "scan", "--identity-debug",
+                   "--out", tmp_path / "pred")
+        assert code == 2
+        assert f"error: {frames}: trailing bytes" in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
+
     @pytest.mark.parametrize("cut", ["header", "payload"])
     def test_short_checkpoint_is_runtime_error(self, scan_dir, tmp_path,
                                                capsys, cut):

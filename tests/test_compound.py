@@ -205,6 +205,17 @@ class TestVolumeIO:
         with pytest.raises(ValueError, match="magic"):
             read_volume(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        vol = VolumeGrid(np.ones((4, 4, 4)), np.ones((4, 4, 4), dtype=np.int64),
+                         np.zeros(3), 0.5)
+        path = tmp_path / "long.fvl"
+        write_volume(path, vol)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ValueError) as caught:
+            read_volume(path)
+        assert str(caught.value) == (f"{path}: trailing bytes, expected 288 "
+                                     f"bytes for a 4x4x4 volume, got 292")
+
     @pytest.mark.parametrize("keep", [20, 100])
     def test_truncated_volume_raises_eof(self, tmp_path, keep):
         vol = VolumeGrid(np.ones((4, 4, 4)), np.ones((4, 4, 4), dtype=np.int64),

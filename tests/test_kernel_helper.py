@@ -1,9 +1,11 @@
 """The helper thread of the batched kernels (``conv2d`` and
-``correlate_batch``): the same bytes whether their parts run on it or
-inline, and gradients that still check with it. Every call of two
-parts or more takes the helper when one is lent, whatever its size. The
-thread rules themselves (errors, the chunk runner, the BLAS pin) are
-tested in ``test_workers.py``."""
+``correlate_batch``): the same bytes whichever thread takes which of
+their items, and gradients that still check with it. Where no helper is
+lent the calling thread takes every item; the helped runs here hold the
+calling thread back until the helper has finished the first items, so
+the helper takes part in every call, whatever its size. The thread
+rules themselves (errors, the chunk runner, the BLAS pin) are tested in
+``test_workers.py``."""
 
 import contextlib
 import hashlib
@@ -13,6 +15,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import hold_back_the_caller
 from gradcheck import check_gradients
 
 import fus3d._workers as W
@@ -40,14 +43,18 @@ def threads_seen(monkeypatch):
     return seen
 
 
-def inline_and_helped(run, threads_seen):
-    """``run()``'s arrays inline and with a helper lent; the helper must
-    take part where there are two parts."""
+def inline_and_helped(run, threads_seen, monkeypatch, first=1):
+    """``run()``'s arrays with no helper lent, where the calling thread
+    takes every item, and with a lent helper that takes the first
+    ``first`` items of every call before the calling thread takes any."""
+    caller = threading.get_ident()
     inline = run()
-    assert threads_seen == {threading.get_ident()}
+    assert threads_seen == {caller}
     threads_seen.clear()
+    hold_back_the_caller(monkeypatch, first)
     with W.lend_helper():
         helped = run()
+    assert threads_seen - {caller}, "the helper took no item"
     return inline, helped
 
 
@@ -77,23 +84,41 @@ def conv_run(n, c, stride, seed=0):
     return run
 
 
+def correlation_run(n):
+    rng = np.random.default_rng(n)
+    a = rng.random((n, 4, 16, 16))
+    b = rng.random((n, 4, 16, 16))
+    # constant blocks give degenerate windows in every pair
+    a[:, :, 5:8, 5:8] = 0.5
+    b[:, :, 8:14, 8:14] = 0.25
+    g = rng.standard_normal((n, 25, 4, 4))
+
+    def run():
+        out = C.correlate_batch(Tensor(a, requires_grad=True),
+                                Tensor(b, requires_grad=True), SMALL)
+        return (out.data,) + tuple(out._vjp(g))
+
+    return run
+
+
 class TestSameBytes:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("c", [1, 8, 57])
-    def test_conv2d_forward_and_gradients(self, c, stride, threads_seen):
-        inline, helped = inline_and_helped(conv_run(5, c, stride), threads_seen)
+    def test_conv2d_forward_and_gradients(self, c, stride, threads_seen,
+                                          monkeypatch):
+        inline, helped = inline_and_helped(conv_run(5, c, stride), threads_seen,
+                                           monkeypatch)
         assert_same_bytes(inline, helped)
-        assert len(threads_seen) == 2
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_conv2d_dx_one_image_at_a_time(self, stride, threads_seen,
                                             monkeypatch):
         monkeypatch.setattr(T, "_DX_CHUNK", 1)
         inline, helped = inline_and_helped(conv_run(5, 8, stride, seed=1),
-                                           threads_seen)
+                                           threads_seen, monkeypatch)
         assert_same_bytes(inline, helped)
 
-    def test_conv2d_attention_1x1(self, threads_seen):
+    def test_conv2d_attention_1x1(self, threads_seen, monkeypatch):
         # the attention block's 2 -> 1 channel 1x1 convolution at a toy
         # step's batch, the smallest the network runs
         rng = np.random.default_rng(8)
@@ -106,33 +131,21 @@ class TestSameBytes:
                            Tensor(b, requires_grad=True))
             return (out.data,) + tuple(out._vjp(g[:, :1]))
 
-        inline, helped = inline_and_helped(run, threads_seen)
+        inline, helped = inline_and_helped(run, threads_seen, monkeypatch)
         assert_same_bytes(inline, helped)
-        assert len(threads_seen) == 2
 
-    def test_conv2d_single_image_is_one_part(self, threads_seen):
+    def test_conv2d_single_image(self, threads_seen, monkeypatch):
+        # the first half of one image is empty
         inline, helped = inline_and_helped(conv_run(1, 8, 1, seed=2),
-                                           threads_seen)
+                                           threads_seen, monkeypatch)
         assert_same_bytes(inline, helped)
 
     @pytest.mark.parametrize("n", [1, 4, 5])
-    def test_correlation_forward_and_gradients(self, n, threads_seen):
-        rng = np.random.default_rng(n)
-        a = rng.random((n, 4, 16, 16))
-        b = rng.random((n, 4, 16, 16))
-        # constant blocks give degenerate windows in every pair
-        a[:, :, 5:8, 5:8] = 0.5
-        b[:, :, 8:14, 8:14] = 0.25
-        g = rng.standard_normal((n, 25, 4, 4))
-
-        def run():
-            out = C.correlate_batch(Tensor(a, requires_grad=True),
-                                    Tensor(b, requires_grad=True), SMALL)
-            return (out.data,) + tuple(out._vjp(g))
-
-        inline, helped = inline_and_helped(run, threads_seen)
+    def test_correlation_forward_and_gradients(self, n, threads_seen,
+                                               monkeypatch):
+        inline, helped = inline_and_helped(correlation_run(n), threads_seen,
+                                           monkeypatch)
         assert_same_bytes(inline, helped)
-        assert len(threads_seen) == (1 if n == 1 else 2)
 
     def test_toy_forward_window_and_backward(self, monkeypatch):
         def run():
@@ -149,6 +162,25 @@ class TestSameBytes:
         helped = run()
         monkeypatch.setattr(W, "lend_helper", contextlib.nullcontext)
         assert_same_bytes(run(), helped)
+
+
+class TestWhichThreadTakesWhichItem:
+    # the helper takes the first item (and then races the calling thread
+    # for the rest), the first two, or every item of each call
+    @pytest.mark.parametrize("first", [1, 2, 99])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d(self, stride, first, threads_seen, monkeypatch):
+        # dW, then dx in slices of 2 images at stride 1 and 4 at stride 2
+        monkeypatch.setattr(T, "_DX_CHUNK", 2 * 6 * 9 * 9 * 9)
+        inline, helped = inline_and_helped(conv_run(5, 8, stride, seed=6),
+                                           threads_seen, monkeypatch, first)
+        assert_same_bytes(inline, helped)
+
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_correlation(self, first, threads_seen, monkeypatch):
+        inline, helped = inline_and_helped(correlation_run(5), threads_seen,
+                                           monkeypatch, first)
+        assert_same_bytes(inline, helped)
 
 
 class TestGradientsWithHelper:

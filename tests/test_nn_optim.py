@@ -298,6 +298,16 @@ class TestCheckpointFormat:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
 
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.zeros((2, 2))}, config={})
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ValueError) as caught:
+            load_checkpoint(path)
+        assert str(caught.value) == (f"{path}: trailing bytes, expected "
+                                     f"{size} bytes, got {size + 4}")
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         import builtins
 

@@ -328,9 +328,6 @@ UNUSED_DEFAULTS = {
         "baseline's step relies on, so the six components default alike; "
         "poses as arrays end to end would retire the class, with the "
         "benchmark change that needs"),
-    "TrajectorySpec(seed=)": "the last field, after seven whose defaults fus3d "
-                             "simulate reads as class attributes, so it needs one "
-                             "too; the CLI's --seed defaults to the same 0",
 }
 
 # module -> why the defaults of its public functions need no caller

@@ -8,12 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.ndimage
+import scipy.special
 from scipy.ndimage import gaussian_filter
 
 from conftest import GEOM64, print_error, run_in_child, simulate_scan
 from pose_reference import compose, identity, inverse, matrix
 
 from fus3d import simulate
+from fus3d.baseline import mean_patch_ncc
 from fus3d.correlation import CorrConfig, correlate_batch
 from fus3d.pose import (
     ImageGeometry,
@@ -353,7 +355,8 @@ class TestThreadedSlicing:
 
 class TestTrajectory:
     def test_linear_steps(self):
-        spec = TrajectorySpec(shape="linear", length_mm=2.0, n_frames=11)
+        spec = TrajectorySpec(shape="linear", length_mm=2.0, n_frames=11,
+                              seed=0)
         trajectory, relatives = make_trajectory(spec)
         np.testing.assert_allclose(
             trajectory[-1].translation, [0.0, 0.0, 2.0], atol=1e-12
@@ -362,7 +365,7 @@ class TestTrajectory:
 
     def test_s_curve_amplitude(self):
         spec = TrajectorySpec(shape="s_curve", length_mm=8.0, n_frames=41,
-                              lateral_amplitude_mm=1.25)
+                              lateral_amplitude_mm=1.25, seed=0)
         trajectory, _ = make_trajectory(spec)
         ty = np.array([t.translation[1] for t in trajectory])
         assert np.abs(ty).max() == pytest.approx(1.25, rel=1e-12)
@@ -387,7 +390,7 @@ class TestTrajectory:
 
     def test_too_few_frames_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            TrajectorySpec(n_frames=1)
+            TrajectorySpec(n_frames=1, seed=0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["length_mm", "lateral_amplitude_mm",
@@ -399,7 +402,7 @@ class TestTrajectory:
         # the phantom sizing as "cannot convert float infinity to integer"
         setting = (0.0, value, 0.0) if name.startswith("noise") else value
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            TrajectorySpec(**{name: setting})
+            TrajectorySpec(**{name: setting}, seed=0)
 
     @pytest.mark.parametrize("noise", [
         0.05, (0.05,), (0.1, 0.1), (0.1, 0.1, 0.1, 0.1), ((0.1,) * 3,),
@@ -408,7 +411,7 @@ class TestTrajectory:
                                       "noise_rotation_deg"])
     def test_noise_needs_three_values(self, name, noise):
         with pytest.raises(ValueError) as info:
-            TrajectorySpec(**{name: noise})
+            TrajectorySpec(**{name: noise}, seed=0)
         assert str(info.value) == (
             f"{name} needs 3 values, one per axis, got {noise!r}")
 
@@ -446,6 +449,28 @@ class TestSlicing:
         assert np.all(np.diff(mean_curve) < 0)
         assert mean_curve[0] > 0.9
         assert mean_curve[-1] < 0.3
+
+    def test_decorrelation_follows_the_elevational_psf(self):
+        # The complex scatterer field blurred by a Gaussian of sigma_z
+        # correlates as rho(gap), with |rho|^2 = exp(-gap^2 / 2 sigma_z^2).
+        # The frames hold its Rayleigh envelope, whose correlation is
+        # (2F1(-1/2, -1/2; 1; |rho|^2) - 1) / (4/pi - 1), 0.026 below
+        # |rho|^2 at gap = sigma_z. The frames lie on voxel planes, so
+        # slicing does not interpolate along z.
+        gaps = np.arange(1, 7)  # 0.1 to 0.6 mm
+        rho2 = np.exp(-(0.1 * gaps) ** 2 / (2.0 * PSF_MM[2] ** 2))
+        expected = ((scipy.special.hyp2f1(-0.5, -0.5, 1.0, rho2) - 1.0)
+                    / (4.0 / np.pi - 1.0))
+        ncc = {gap: [] for gap in gaps}
+        for seed in (0, 1):
+            spec = TrajectorySpec(shape="linear", length_mm=4.0, n_frames=41,
+                                  seed=seed)
+            frames = simulate_scan(spec, phantom_seed=seed, margin_mm=1.0).frames
+            for gap in gaps:
+                ncc[gap] += [mean_patch_ncc(a, b)
+                             for a, b in zip(frames, frames[gap:])]
+        measured = [np.mean(ncc[gap]) for gap in gaps]
+        np.testing.assert_allclose(measured, expected, rtol=0, atol=0.02)
 
     def test_lateral_shift_matches_shifted_frame(self, small_phantom):
         shift_px = 3
@@ -583,6 +608,18 @@ class TestScanPipeline:
         cols = int.from_bytes(blob[12:16], "little")
         assert (n, rows, cols) == (40, 64, 64)
         assert len(blob) == 28 + 4 * n * rows * cols
+
+    def test_trailing_bytes_rejected(self, linear_scan, tmp_path):
+        # three frames' worth of extra bytes must not read as a scan
+        directory = write_scan(tmp_path / "scan", linear_scan)
+        frames = directory / "frames.bin"
+        blob = frames.read_bytes()
+        frames.write_bytes(blob + bytes(3 * 4 * 64 * 64))
+        with pytest.raises(ValueError) as caught:
+            read_scan(directory)
+        assert str(caught.value) == (
+            f"{frames}: trailing bytes, expected {len(blob)} bytes for 40 "
+            f"64x64 frames, got {len(blob) + 3 * 4 * 64 * 64}")
 
     def test_overwrite_needs_force(self, linear_scan, tmp_path):
         write_scan(tmp_path / "scan", linear_scan)

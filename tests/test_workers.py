@@ -1,9 +1,10 @@
 """The thread and heap rules of ``fus3d._workers``: errors that reach the
 caller with no thread left behind, the order of the chunk runner and of
-the window runner's ordered stage, one malloc arena, the same bits at
-any BLAS thread count, and no other module of the package that touches
-threads or the C library. That a kernel's bits do not depend on whether
-the helper takes part is tested in ``test_kernel_helper.py``."""
+the window runner's ordered stage, the calling thread alone where no
+helper is lent, one malloc arena, the same bits at any BLAS thread
+count, and no other module of the package that touches threads or the C
+library. That a kernel's bits do not depend on which thread takes which
+item is tested in ``test_kernel_helper.py``."""
 
 import ast
 import ctypes
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import print_error, run_in_child
+from conftest import hold_back_the_caller, print_error, run_in_child
 
 import fus3d._workers as W
 import fus3d.tensor as T
@@ -40,6 +41,7 @@ def failing_off(thread_id, function, message):
 class TestErrors:
     def test_helper_error_reaches_the_caller(self, monkeypatch):
         before = threading.active_count()
+        hold_back_the_caller(monkeypatch, 1)
         monkeypatch.setattr(T, "_patch_matrix", failing_off(
             threading.get_ident(), T._patch_matrix, "helper part failed"))
         model = MotionNetwork(ModelConfig.toy(), seed=1)
@@ -54,6 +56,7 @@ class TestErrors:
                    requires_grad=True)
         w = Tensor(np.ones((2, 3, 3, 3)), requires_grad=True)
         loss = T.tensor_sum(T.conv2d(x, w, padding=1))
+        hold_back_the_caller(monkeypatch, 1)
         monkeypatch.setattr(T, "_patch_matrix", failing_off(
             threading.get_ident(), T._patch_matrix, "helper part failed"))
         with pytest.raises(RuntimeError, match="helper part failed"):
@@ -61,19 +64,23 @@ class TestErrors:
         assert threading.active_count() == before
 
     def test_calling_thread_error_waits_for_the_helper(self):
-        done = []
+        # the calling thread raises once the helper runs an item; the
+        # error reaches the caller after the helper's item is done
+        caller = threading.get_ident()
+        started, done = threading.Event(), []
 
-        def slow():
+        def task(item):
+            if threading.get_ident() == caller:
+                started.wait(30)
+                raise ValueError("calling part failed")
+            started.set()
             time.sleep(0.05)
-            done.append(True)
-
-        def failing():
-            raise ValueError("calling part failed")
+            done.append(item)
 
         with W.lend_helper():
             with pytest.raises(ValueError, match="calling part failed"):
-                W.in_parallel(slow, failing)
-            assert done == [True]
+                W.run_chunks(task, range(2))
+            assert len(done) == 1
 
 
 class TestRunChunks:
@@ -87,7 +94,7 @@ class TestRunChunks:
             while len(set(seen.values())) < 2 and time.monotonic() < deadline:
                 time.sleep(0.001)
 
-        W.run_chunks(task, range(20))
+        lent(W.run_chunks, task, range(20))
         assert sorted(seen) == list(range(20))
         assert len(set(seen.values())) == 2
 
@@ -104,7 +111,7 @@ class TestRunChunks:
             done.append(item)
 
         with pytest.raises(ValueError, match="item 1 failed"):
-            W.run_chunks(task, range(6))
+            lent(W.run_chunks, task, range(6))
         assert done == [0]
 
     def test_a_busy_helper_is_not_waited_for(self):
@@ -126,9 +133,22 @@ class TestRunChunks:
             raise KeyError(item)
 
         with pytest.raises(KeyError):
-            W.run_chunks(task, range(4))
+            lent(W.run_chunks, task, range(4))
         assert threading.active_count() == before
         assert getattr(W._HELPER, "pool", None) is None
+
+    def test_without_a_helper_the_calling_thread_takes_every_item(self):
+        seen = []
+        W.run_chunks(lambda item: seen.append((item, threading.get_ident())),
+                     range(5))
+        assert seen == [(item, threading.get_ident()) for item in range(5)]
+
+
+def lent(run, *args) -> None:
+    """``run(*args)`` with a helper lent, as the package's callers lend
+    one."""
+    with W.lend_helper():
+        run(*args)
 
 
 def hold_until_both_threads(seen: dict) -> None:
@@ -158,7 +178,7 @@ class TestRunWindows:
             hold_until_both_threads(seen)
             assert rows.shape == ((4, 3) if item % 2 else (5, 3))
 
-        W.run_windows(range(12), (5, 3), 2, fill, task)
+        lent(W.run_windows, range(12), (5, 3), 2, fill, task)
         assert fills == list(range(12))
         assert len(set(seen.values())) == 2
         # item i gets the last two rows item i - 1 returned
@@ -181,7 +201,7 @@ class TestRunWindows:
                 time.sleep(0.01)
             finished.add(item)
 
-        W.run_windows(range(8), (1, 1), 0, fill, task)
+        lent(W.run_windows, range(8), (1, 1), 0, fill, task)
         assert finished == set(range(8))
         assert len(set(seen.values())) == 2
 
@@ -213,7 +233,7 @@ def windows_failing(stage: str, thread: str) -> None:
         if fails("task"):
             raise ValueError(f"task {item} failed")
 
-    print_error(lambda: W.run_windows(range(6), (2, 2), 1, fill, task))
+    print_error(lambda: lent(W.run_windows, range(6), (2, 2), 1, fill, task))
 
 
 def windows_failing_while_waited_for() -> None:
@@ -228,8 +248,8 @@ def windows_failing_while_waited_for() -> None:
         waiting.set()
         after(0)
 
-    print_error(lambda: W.run_windows(range(2), (2, 2), 1,
-                                      lambda item, window: window, task))
+    print_error(lambda: lent(W.run_windows, range(2), (2, 2), 1,
+                                 lambda item, window: window, task))
 
 
 def windows_under_fast_switches(rounds: int) -> None:
@@ -255,7 +275,7 @@ def windows_under_fast_switches(rounds: int) -> None:
                     after(item - 1)
                 finished.add(item)
 
-            W.run_windows(range(40), (2, 1), 1, fill, task)
+            lent(W.run_windows, range(40), (2, 1), 1, fill, task)
             if (fills != list(range(40)) or carried != list(range(-1, 39))
                     or finished != set(range(40))):
                 wrong.append(round_)
@@ -296,7 +316,7 @@ class TestRunWindowsErrors:
             raise ValueError(f"task {item} failed")
 
         with pytest.raises(ValueError, match="task 0 failed"):
-            W.run_windows(range(4), (2, 2), 1, fill, task)
+            lent(W.run_windows, range(4), (2, 2), 1, fill, task)
         assert getattr(W._HELPER, "pool", None) is None
 
 
