@@ -1,17 +1,27 @@
 """Command-line pipeline: simulate, train, infer, evaluate, compound,
 calibrate-baseline.
 
-Every run writes a manifest (config plus seeds, no timestamps) next to
-its outputs so runs can be reproduced exactly. ``--config`` reads a
-file of ``key=value`` lines (``#`` starts a comment); each key must
-name an option of the subcommand exactly, with dashes or underscores.
-Its values are parsed as options placed before the command line's own
-(``--key`` for a true flag, ``--key v1 v2`` for a list written
-``v1,v2``, ``--key=value`` otherwise), so they are typed and checked
-the same way and the command line wins. Exit codes: 0 success; 2 for a
-``ValueError`` or an argparse usage error; 1 for any other failure.
-With ``FUS3D_DEBUG=1`` set, a failure prints its traceback before the
-``error:`` line.
+Every command runs one lifecycle in ``main``:
+1. Before any work, refuse outputs that already exist, ``manifest.json``
+   among them, unless ``--force`` is given. This check comes before a
+   command's own setting checks, so a run with both faults reports the
+   existing output.
+2. Run the command. It creates the output directory just before its
+   first write, so a command that fails leaves no directory behind, and
+   returns a one-line message.
+3. Only after it succeeds, write the manifest (config plus seeds, no
+   timestamps) next to the outputs, so runs can be reproduced exactly,
+   and print the message.
+
+``--config`` reads a file of ``key=value`` lines (``#`` starts a
+comment); each key must name an option of the subcommand exactly, with
+dashes or underscores. Its values are parsed as options placed before
+the command line's own (``--key`` for a true flag, ``--key v1 v2`` for
+a list written ``v1,v2``, ``--key=value`` otherwise), so they are typed
+and checked the same way and the command line wins. Exit codes: 0
+success; 2 for a ``ValueError`` or an argparse usage error; 1 for any
+other failure. With ``FUS3D_DEBUG=1`` set, a failure prints its
+traceback before the ``error:`` line.
 """
 
 from __future__ import annotations
@@ -63,40 +73,35 @@ from .training import (
     validation_report,
 )
 
-def _check_out(path, force: bool, *names) -> Path:
-    """The output directory, checked for existing outputs before any work
-    starts. It is not created here: each command makes it just before its
-    first write, so a command that fails on its inputs or settings leaves
-    no directory behind."""
-    out = Path(path)
-    for name in names:
-        target = out / name
-        if target.exists() and not force:
-            raise ValueError(f"{target} exists; rerun with --force to overwrite")
-    return out
 
-
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> None:
-    skip = {"func", "config"}
-    path = out_dir / "manifest.json"
-    payload = {}
-    if path.exists():  # keep container metadata (subject tag etc.)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["command"] = command
-    payload["arguments"] = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in sorted(vars(args).items())
-        if k not in skip and not callable(v)
-    }
+def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
+def _write_manifest(args: argparse.Namespace) -> None:
+    skip = {"func", "config", "outputs"}
+    path = args.out / "manifest.json"
+    payload = {}
+    if path.exists():  # keep container metadata (subject tag etc.)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["command"] = args.command
+    payload["arguments"] = {
+        k: (str(v) if isinstance(v, Path) else v)
+        for k, v in sorted(vars(args).items())
+        if k not in skip and not callable(v)
+    }
+    _write_json(path, payload)
+
+
+def _trajectory_from_csv(path) -> list:
+    return [pose_to_transform(p) for p in read_pose_csv(path)]
+
+
 # -- simulate -------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
-    out = _check_out(args.out, args.force, "frames.bin")
+def cmd_simulate(args) -> str:
     trajectory_spec = TrajectorySpec(
         shape=args.shape,
         length_mm=args.length_mm,
@@ -134,15 +139,13 @@ def cmd_simulate(args) -> int:
         subject=args.subject,
         meta={"seed": args.seed, "shape": args.shape},
     )
-    write_scan(out, scan, force=True)
-    _write_manifest(out, "simulate", args)
-    print(f"wrote {scan.n_frames}-frame scan to {out}")
-    return 0
+    write_scan(args.out, scan, force=True)
+    return f"wrote {scan.n_frames}-frame scan to {args.out}"
 
 
 # -- train ---------------------------------------------------------------------
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> str:
     # a bad setting fails here, before any scan is read or step is run
     config = TrainConfig(
         steps=args.steps,
@@ -154,7 +157,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         val_every_epochs=args.val_every,
     )
-    out = _check_out(args.out, args.force, "checkpoint.ckpt", "train_log.csv")
+    out = args.out
     dataset = ScanDataset.from_directory(args.dataset)
     if args.val_dataset:
         train_scans = dataset.scans
@@ -198,15 +201,9 @@ def cmd_train(args) -> int:
     report["best_val_mmae"] = result.best_val_mmae
     report["final_val_mmae"] = result.final_val_mmae
     report["steps"] = result.steps_done
-    with open(out / "val_report.json", "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    _write_manifest(out, "train", args)
-    print(
-        f"trained {result.steps_done} steps; validation mmae "
-        f"{result.init_val_mmae:.5f} -> best {result.best_val_mmae:.5f}"
-    )
-    return 0
+    _write_json(out / "val_report.json", report)
+    return (f"trained {result.steps_done} steps; validation mmae "
+            f"{result.init_val_mmae:.5f} -> best {result.best_val_mmae:.5f}")
 
 
 # -- infer ---------------------------------------------------------------------
@@ -217,7 +214,7 @@ def _write_pose_outputs(out: Path, rel_poses) -> None:
     write_pose_csv(out / "pred_absolute.csv", trajectory.poses())
 
 
-def cmd_infer(args) -> int:
+def cmd_infer(args) -> str:
     sources = sum(bool(x) for x in (args.checkpoint, args.baseline,
                                     args.identity_debug))
     if sources != 1:
@@ -228,7 +225,7 @@ def cmd_infer(args) -> int:
     if args.diagnostics and not args.checkpoint:
         raise ValueError("--diagnostics needs --checkpoint: only the network "
                          "has attention scores")
-    out = _check_out(args.out, args.force, "pred_relative.csv")
+    out = args.out
     scan = read_scan(args.scan)
     if args.identity_debug:
         rel_poses = scan.truth.relative_poses()
@@ -247,21 +244,14 @@ def cmd_infer(args) -> int:
     if args.diagnostics:
         export_attention_scores(scores, out / "attention")
     _write_pose_outputs(out, rel_poses)
-    _write_manifest(out, "infer", args)
-    print(f"wrote {len(rel_poses)} relative and {len(rel_poses) + 1} "
-          f"absolute poses to {out}")
-    return 0
+    return (f"wrote {len(rel_poses)} relative and {len(rel_poses) + 1} "
+            f"absolute poses to {out}")
 
 
 # -- evaluate --------------------------------------------------------------------
 
-def _trajectory_from_csv(path) -> list:
-    poses = read_pose_csv(path)
-    return [pose_to_transform(p) for p in poses]
-
-
-def cmd_evaluate(args) -> int:
-    out = _check_out(args.out, args.force, "report.json")
+def cmd_evaluate(args) -> str:
+    out = args.out
     truth = _trajectory_from_csv(args.truth)
     pred = _trajectory_from_csv(args.pred)
     scan = read_scan(args.scan)
@@ -269,29 +259,24 @@ def cmd_evaluate(args) -> int:
     payload = report.as_json_dict()
     payload["breakdown"] = dataclasses.asdict(breakdown)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(out / "report.json", payload)
     with open(out / "report.csv", "w", encoding="utf-8", newline="\n") as handle:
         handle.write(METRICS_CSV_HEADER + "\n")
         handle.write(report.csv_row() + "\n")
-    _write_manifest(out, "evaluate", args)
-    print(json.dumps(payload, sort_keys=True))
-    return 0
+    return json.dumps(payload, sort_keys=True)
 
 
 # -- compound --------------------------------------------------------------------
 
-def cmd_compound(args) -> int:
-    out = _check_out(args.out, args.force, "volume.fvl")
+def cmd_compound(args) -> str:
+    out = args.out
     scan = read_scan(args.scan)
-    poses = read_pose_csv(args.poses)
-    if len(poses) != scan.n_frames:
+    transforms = _trajectory_from_csv(args.poses)
+    if len(transforms) != scan.n_frames:
         raise ValueError(
-            f"{len(poses)} poses for {scan.n_frames} frames; pass the "
+            f"{len(transforms)} poses for {scan.n_frames} frames; pass the "
             "absolute pose CSV"
         )
-    transforms = [pose_to_transform(p) for p in poses]
     volume = compound(scan.frames, transforms, scan.geometry, args.voxel)
     out.mkdir(parents=True, exist_ok=True)
     write_volume(
@@ -299,24 +284,20 @@ def cmd_compound(args) -> int:
         volume,
         provenance={"scan": str(args.scan), "source": args.source},
     )
-    _write_manifest(out, "compound", args)
-    print(f"wrote volume {volume.dims} (occupancy {volume.occupancy:.3f}) to {out}")
-    return 0
+    return f"wrote volume {volume.dims} (occupancy {volume.occupancy:.3f}) to {out}"
 
 
 # -- calibrate-baseline ------------------------------------------------------------
 
-def cmd_calibrate_baseline(args) -> int:
-    out = _check_out(args.out, args.force, "calibration.csv")
+def cmd_calibrate_baseline(args) -> str:
+    out = args.out
     scan = read_scan(args.scan)
     pairs = calibration_pairs_from_scan(scan, lags=tuple(args.lags))
     model = calibrate(pairs)
     out.mkdir(parents=True, exist_ok=True)
     model.save_csv(out / "calibration.csv")
-    _write_manifest(out, "calibrate-baseline", args)
-    print(f"calibrated {len(model.gap_mm)} knots "
-          f"(gaps {model.gap_mm[0]:.3f}..{model.gap_mm[-1]:.3f} mm)")
-    return 0
+    return (f"calibrated {len(model.gap_mm)} knots "
+            f"(gaps {model.gap_mm[0]:.3f}..{model.gap_mm[-1]:.3f} mm)")
 
 
 # -- parser ---------------------------------------------------------------------
@@ -362,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="phantom voxel size (mm)")
     p.add_argument("--margin", type=float, default=2.0)
     p.add_argument("--subject", default="s00")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, outputs=("frames.bin",))
 
     p = sub.add_parser("train", help="train the motion network")
     common(p)
@@ -382,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-every", type=int, default=TrainConfig.val_every_epochs,
                    help="validate every N epochs")
     p.add_argument("--resume", type=Path, default=None)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train,
+                   outputs=("checkpoint.ckpt", "train_log.csv"))
 
     p = sub.add_parser("infer", help="estimate scan motion")
     common(p)
@@ -395,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "accumulate/extract path")
     p.add_argument("--diagnostics", action="store_true",
                    help="export attention-score grids")
-    p.set_defaults(func=cmd_infer)
+    p.set_defaults(func=cmd_infer, outputs=("pred_relative.csv",))
 
     p = sub.add_parser("evaluate", help="compare predicted and true poses")
     common(p)
@@ -405,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="predicted absolute pose CSV")
     p.add_argument("--scan", type=Path, required=True,
                    help="scan directory (for frame geometry)")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, outputs=("report.json",))
 
     p = sub.add_parser("compound", help="splat frames into a voxel volume")
     common(p)
@@ -415,14 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--voxel", type=float, default=DEFAULT_PITCH_MM)
     p.add_argument("--source", choices=["truth", "predicted", "baseline"],
                    default="truth")
-    p.set_defaults(func=cmd_compound)
+    p.set_defaults(func=cmd_compound, outputs=("volume.fvl",))
 
     p = sub.add_parser("calibrate-baseline",
                        help="fit the NCC-vs-distance lookup from a scan")
     common(p)
     p.add_argument("--scan", type=Path, required=True)
     p.add_argument("--lags", type=int, nargs="+", default=[1, 2, 4, 6, 8, 10])
-    p.set_defaults(func=cmd_calibrate_baseline)
+    p.set_defaults(func=cmd_calibrate_baseline,
+                   outputs=("calibration.csv",))
 
     return parser
 
@@ -448,7 +431,7 @@ def _with_config(parser, argv) -> list:
     probe, _ = parser.parse_known_args(argv)
     if not probe.config:
         return argv
-    known = vars(probe).keys() - {"command", "func"}
+    known = vars(probe).keys() - {"command", "func", "outputs"}
     options = []
     text = probe.config.read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -478,7 +461,14 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(_with_config(parser, argv))
-        return args.func(args)
+        for name in ("manifest.json", *args.outputs):
+            if (args.out / name).exists() and not args.force:
+                raise ValueError(f"{args.out / name} exists; rerun with "
+                                 "--force to overwrite")
+        message = args.func(args)
+        _write_manifest(args)
+        print(message)
+        return 0
     except ValueError as exc:  # bad settings and input values
         return _fail(exc, 2)
     except Exception as exc:  # runtime failures

@@ -71,6 +71,9 @@ def compound(frames: np.ndarray, transforms: Sequence[TransformSE3],
     frames = np.asarray(frames, dtype=float)
     if frames.ndim != 3 or frames.shape[0] == 0:
         raise ValueError(f"need a non-empty (n, h, w) frame stack, got {frames.shape}")
+    if frames.shape[1:] != (geometry.n_rows, geometry.n_cols):
+        raise ValueError(f"frames of shape {frames.shape[1:]} do not match the "
+                         f"geometry's {(geometry.n_rows, geometry.n_cols)}")
     if len(transforms) != frames.shape[0]:
         raise ValueError(
             f"{frames.shape[0]} frames but {len(transforms)} transforms"

@@ -30,7 +30,6 @@ from .pose import (
 __all__ = [
     "MetricsReport",
     "MetricsBreakdown",
-    "relative_errors",
     "frame_error_series",
     "accumulated_errors",
     "evaluate_trajectories",
@@ -83,20 +82,6 @@ class MetricsBreakdown:
     rae_rotation_deg: float
     aae_translation_mm: float
     aae_rotation_deg: float
-
-
-def relative_errors(true_rel, pred_rel) -> float:
-    """rAE: mean absolute error over all steps and all six components.
-
-    Each argument is an (n, 6) array of pose vectors.
-    """
-    if len(true_rel) != len(pred_rel):
-        raise ValueError(
-            f"length mismatch: {len(true_rel)} true vs {len(pred_rel)} predicted"
-        )
-    if len(true_rel) == 0:
-        raise ValueError("relative_errors needs at least one step")
-    return float(np.abs(true_rel - pred_rel).mean())
 
 
 def _plane(geometry: ImageGeometry) -> np.ndarray:
@@ -175,19 +160,20 @@ def evaluate_trajectories(true_abs: Sequence[TransformSE3],
     """Full report for a pair of absolute trajectories.
 
     Relative poses are derived per step from the trajectories, once
-    each, and give rAE and rFE. Returns (MetricsReport, MetricsBreakdown).
+    each, and give rAE (the mean absolute error over all steps and all
+    six components) and rFE. Returns (MetricsReport, MetricsBreakdown).
     """
     if len(true_abs) != len(pred_abs):
         raise ValueError(f"frame counts differ: {len(true_abs)} true vs "
                          f"{len(pred_abs)} predicted frames")
-    true_steps = relative_arrays(*stack_transforms(true_abs))
-    pred_steps = relative_arrays(*stack_transforms(pred_abs))
-    true_rel, pred_rel = pose_arrays(*true_steps), pose_arrays(*pred_steps)
-    rae = relative_errors(true_rel, pred_rel)
-    rel_err = np.abs(true_rel - pred_rel)
+    # first, so fewer than two frames fail before any mean of no steps
     (aae, afe, fd, fdr, corr), (aae_t, aae_r) = accumulated_errors(
         true_abs, pred_abs, geometry
     )
+    true_steps = relative_arrays(*stack_transforms(true_abs))
+    pred_steps = relative_arrays(*stack_transforms(pred_abs))
+    rel_err = np.abs(pose_arrays(*true_steps) - pose_arrays(*pred_steps))
+    rae = float(rel_err.mean())
     rfe = float(_point_errors(true_steps, pred_steps, _plane(geometry)).mean())
     report = MetricsReport(rae, aae, rfe, afe, corr, fd, fdr)
     breakdown = MetricsBreakdown(

@@ -68,8 +68,6 @@ FRAMES_MAGIC = b"FUS1"
 FRAMES_HEADER_BYTES = 28
 DEFAULT_PITCH_MM = 0.1484
 DEFAULT_FRAME_RATE_HZ = 20.0
-# Rayleigh envelope from fully developed speckle: mean/std = sqrt(pi/(4-pi))
-RAYLEIGH_SNR = float(np.sqrt(np.pi / (4.0 - np.pi)))
 # points per chunk in slice_phantom, one map_coordinates call each: 32
 # frames of 64x64 pixels, so a 250-frame sweep is 8 chunks for its two
 # threads

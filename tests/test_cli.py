@@ -921,6 +921,32 @@ class TestManifest:
         assert manifest["arguments"]["seed"] == 11
         assert manifest["arguments"]["frames"] == 24
 
+    def test_other_commands_keep_a_scans_manifest(self, scan_dir, tmp_path,
+                                                  capsys):
+        scan = tmp_path / "scan"
+        shutil.copytree(scan_dir, scan)
+        before = (scan / "manifest.json").read_bytes()
+        args = ["evaluate", "--truth", scan / "poses.csv",
+                "--pred", scan / "poses.csv", "--scan", scan, "--out", scan]
+        assert run(*args) == 2
+        assert capsys.readouterr().err == (
+            f"error: {scan / 'manifest.json'} exists; rerun with --force to "
+            "overwrite\n")
+        assert (scan / "manifest.json").read_bytes() == before
+        assert not (scan / "report.json").exists()
+        assert run(*args, "--force") == 0
+        manifest = json.loads((scan / "manifest.json").read_text())
+        assert manifest["command"] == "evaluate"
+        assert manifest["subject"] == "s42"
+
+    def test_existing_output_is_reported_before_a_bad_setting(
+            self, scan_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "pred_relative.csv").write_text("")
+        assert run("infer", "--scan", scan_dir, "--out", out) == 2
+        assert "pred_relative.csv exists" in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_failures_exit_with_their_code_and_no_traceback(self, tmp_path):

@@ -1,5 +1,6 @@
 """Volume compounding tests: exact slab equalities, conservation, IO."""
 
+import re
 import warnings
 
 import numpy as np
@@ -114,6 +115,15 @@ class TestCompound:
     def test_empty_scan_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             compound(np.zeros((0, 8, 8)), [], GEOM, voxel_mm=0.1)
+
+    # 4x16 frames hold as many pixels as the 8x8 geometry and were
+    # splatted onto the wrong plane points; 6x6 frames failed in
+    # np.bincount on the weights' length
+    @pytest.mark.parametrize("shape", [(4, 16), (6, 6)])
+    def test_frames_off_the_geometry_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"frames of shape {shape} do not match the geometry's (8, 8)")):
+            compound(np.ones((3, *shape)), [identity()] * 3, GEOM, 0.1)
 
     def test_bad_voxel_rejected(self):
         with pytest.raises(ValueError, match="voxel"):

@@ -1,5 +1,7 @@
 """Metric tests against an explicit grid-point brute-force oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from fus3d.metrics import (
     accumulated_errors,
     evaluate_trajectories,
     frame_error_series,
-    relative_errors,
 )
 from fus3d.pose import (
     ImageGeometry,
@@ -122,30 +123,32 @@ def oracle_metrics(true_abs, pred_abs, geom):
 
 class TestRelativeErrors:
     def test_identical_is_zero(self):
-        rng = np.random.default_rng(0)
-        poses = rng.standard_normal((5, 6))
-        assert relative_errors(poses, poses) == 0.0
+        traj = random_trajectory(np.random.default_rng(0), 6)
+        report, breakdown = evaluate_trajectories(traj, traj, GEOM)
+        assert report.rae == 0.0
+        assert breakdown.rae_translation_mm == breakdown.rae_rotation_deg == 0.0
 
     def test_constant_offset_single_component(self):
-        true = np.zeros((4, 6))
-        pred = np.zeros((4, 6))
-        pred[:, 0] = 0.1
-        assert relative_errors(true, pred) == pytest.approx(0.1 / 6.0, abs=1e-15)
-
-    def test_matches_double_loop(self):
-        rng = np.random.default_rng(1)
-        true = rng.standard_normal((9, 6))
-        pred = rng.standard_normal((9, 6))
-        expected = 0.0
-        for a, b in zip(true, pred):
-            for x, y in zip(a, b):
-                expected += abs(x - y)
-        expected /= 9 * 6
-        assert relative_errors(true, pred) == pytest.approx(expected, abs=1e-12)
+        # every predicted step moves 0.1 mm further along x: one of six
+        # components off by 0.1 in every step
+        true = accumulate([pose_to_transform(PoseVector(tz=0.2))] * 4)
+        pred = accumulate([pose_to_transform(PoseVector(tx=0.1, tz=0.2))] * 4)
+        report, breakdown = evaluate_trajectories(true, pred, GEOM)
+        assert report.rae == pytest.approx(0.1 / 6.0, abs=1e-15)
+        assert breakdown.rae_translation_mm == pytest.approx(0.1 / 3.0, abs=1e-15)
+        assert breakdown.rae_rotation_deg == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            relative_errors(np.zeros((1, 6)), np.zeros((2, 6)))
+        traj = random_trajectory(np.random.default_rng(1), 3)
+        with pytest.raises(ValueError, match="frame counts differ"):
+            evaluate_trajectories(list(traj)[:2], traj, GEOM)
+
+    def test_single_frame_fails_without_a_warning(self):
+        one = [identity()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least two frames"):
+                evaluate_trajectories(one, one, GEOM)
 
 
 class TestPerfectPrediction:

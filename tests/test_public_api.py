@@ -8,6 +8,10 @@ or parameter that shares the member's name is not a use. A member whose
 name another public class's attribute shares counts as used only through
 the reader ``SHARED_MEMBERS`` names for it, since a load of the name
 does not tell whose attribute it is.
+Every top-level function, class and assigned name of every module,
+private ones included, must be loaded somewhere in ``src/fus3d`` or
+``perfbench/`` outside its own definition: a name that only tests
+read is code the package does not need.
 Every defaulted field of a public dataclass must be set by some call in
 the package or the benchmark, and every default of a public function,
 method, constructor or dataclass field must be relied on by one: a call
@@ -71,16 +75,26 @@ def public_names(module: str) -> list:
     return []
 
 
+def top_level_names(module: str) -> dict:
+    """Name -> first and last line of the top-level function, class or
+    assignment that binds it, for every name ``module`` binds there."""
+    spans = {}
+    for node in SOURCES[module].body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            spans.setdefault(name, (node.lineno, node.end_lineno))
+    return spans
+
+
 def definition_span(module: str, name: str):
     """First and last line of the top-level statement that binds ``name``."""
-    for node in SOURCES[module].body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
-            return node.lineno, node.end_lineno
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == name for t in node.targets
-        ):
-            return node.lineno, node.end_lineno
-    return None
+    return top_level_names(module).get(name)
 
 
 def has_use(name: str, module: str, span,
@@ -208,6 +222,26 @@ def test_public_members_have_callers(module):
 UNSET_FIELDS = {}
 
 BENCHMARK_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+# the names the benchmark loads, as a name or an attribute
+BENCHMARK_LOADS = {
+    node.attr if isinstance(node, ast.Attribute) else node.id
+    for path in sorted(BENCHMARK_DIR.glob("*.py"))
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+}
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_module_level_names_are_loaded(module):
+    assert BENCHMARK_LOADS
+    unused = [name for name, span in top_level_names(module).items()
+              if not (name.startswith("__") and name.endswith("__"))
+              and name not in UNCALLED_BY_DESIGN and name not in BENCHMARK_LOADS
+              and not has_use(name, module, span)]
+    assert unused == [], (f"bound at the top level of fus3d.{module} but "
+                          "loaded nowhere in the package or the benchmark")
 
 
 def is_dataclass_node(node: ast.ClassDef) -> bool:

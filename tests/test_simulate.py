@@ -29,7 +29,6 @@ from fus3d.pose import (
 )
 from fus3d.simulate import (
     PSF_MM,
-    RAYLEIGH_SNR,
     FrameOutOfBoundsError,
     Phantom,
     PhantomSpec,
@@ -46,6 +45,8 @@ from fus3d.tensor import Tensor
 # the origin of the phantoms whose field alone is tested: it does not
 # enter the field
 ORIGIN = (0.0, 0.0, 0.0)
+# the Rayleigh envelope of fully developed speckle: mean/std = sqrt(pi/(4-pi))
+RAYLEIGH_SNR = float(np.sqrt(np.pi / (4.0 - np.pi)))
 
 
 def frame_ncc(a: np.ndarray, b: np.ndarray) -> float:
