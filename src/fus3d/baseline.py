@@ -151,8 +151,11 @@ class DecorrModel:
                 if len(row) != 2:
                     raise ValueError(f"{path}: malformed calibration row {row}, "
                                      "expected ncc,gap_mm")
-                nccs.append(float(row[0]))
-                gaps.append(float(row[1]))
+                try:
+                    nccs.append(float(row[0]))
+                    gaps.append(float(row[1]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: calibration row {row}: {exc}") from None
         return cls(gap_mm=np.asarray(gaps), ncc=np.asarray(nccs))
 
 

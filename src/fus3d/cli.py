@@ -310,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--config", type=Path, default=None,
                        help="key=value file of the options that are not "
                             "required, read before the command line's")
@@ -320,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic speckle scan")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--shape", choices=TRAJECTORY_SHAPES,
                    default=TrajectorySpec.shape)
     p.add_argument("--frames", type=int, default=TrajectorySpec.n_frames)
@@ -347,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the motion network")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--val-dataset", type=Path, default=None)
     p.add_argument("--val-fraction", type=float, default=0.25)

@@ -8,7 +8,8 @@ transformed frames with a one-voxel margin, so every pixel lands in it.
 
 Volume file (FVL1, little-endian): magic "FVL1", u32 dims x3, f32
 voxel_mm, f32 origin x3, then f32 voxels with x fastest; a JSON sidecar
-carries provenance.
+carries provenance. The package writes this format and never reads it
+back; the tests pin ``write_volume``'s bytes against this layout.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ import numpy as np
 
 from .pose import ImageGeometry, TransformSE3, plane_to_world, stack_transforms
 
-__all__ = ["VolumeGrid", "compound", "write_volume", "read_volume"]
+__all__ = ["VolumeGrid", "compound", "write_volume"]
 
 VOLUME_MAGIC = b"FVL1"
-VOLUME_HEADER_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -121,33 +121,3 @@ def write_volume(path, volume: VolumeGrid, provenance: dict | None = None) -> Pa
         handle.write("\n")
     return path
 
-
-def read_volume(path):
-    """Read an FVL1 volume; returns (intensity, origin_mm, voxel_mm, sidecar)."""
-    path = Path(path)
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if len(blob) < VOLUME_HEADER_BYTES:
-        raise EOFError(f"{path}: truncated, expected at least "
-                       f"{VOLUME_HEADER_BYTES} bytes, got {len(blob)}")
-    if blob[:4] != VOLUME_MAGIC:
-        raise ValueError(f"{path}: bad volume magic")
-    dims = struct.unpack_from("<III", blob, 4)
-    count = dims[0] * dims[1] * dims[2]
-    expected = VOLUME_HEADER_BYTES + 4 * count
-    if len(blob) < expected:
-        raise EOFError(f"{path}: truncated, expected {expected} bytes for a "
-                       f"{dims[0]}x{dims[1]}x{dims[2]} volume, got {len(blob)}")
-    if len(blob) > expected:
-        raise ValueError(f"{path}: trailing bytes, expected {expected} bytes for a "
-                         f"{dims[0]}x{dims[1]}x{dims[2]} volume, got {len(blob)}")
-    (voxel_mm,) = struct.unpack_from("<f", blob, 16)
-    origin = np.array(struct.unpack_from("<fff", blob, 20))
-    voxels = np.frombuffer(blob, dtype="<f4", count=count,
-                           offset=VOLUME_HEADER_BYTES)
-    intensity = voxels.reshape(dims, order="F").astype(np.float64)
-    sidecar_path = path.with_suffix(path.suffix + ".json")
-    sidecar = {}
-    if sidecar_path.exists():
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    return intensity, origin, float(voxel_mm), sidecar

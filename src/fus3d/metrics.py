@@ -36,9 +36,6 @@ __all__ = [
     "METRICS_CSV_HEADER",
 ]
 
-METRICS_CSV_HEADER = "rAE,aAE,rFE,aFE,corr,fd,fdr"
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     rae: float
@@ -68,10 +65,12 @@ class MetricsReport:
         }
 
     def csv_row(self) -> str:
-        return ",".join(
-            repr(v) for v in (self.rae, self.aae, self.rfe, self.afe,
-                              self.corr, self.fd, self.fdr)
-        )
+        """The values of :meth:`as_json_dict` as a ``repr`` CSV row, in
+        the order of ``METRICS_CSV_HEADER``."""
+        return ",".join(map(repr, self.as_json_dict().values()))
+
+
+METRICS_CSV_HEADER = ",".join(MetricsReport(0, 0, 0, 0, 0, 0, 0).as_json_dict())
 
 
 @dataclass(frozen=True)

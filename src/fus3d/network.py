@@ -10,7 +10,8 @@ per-step 6-DoF motion with two LSTM estimators (one on the global
 summary, one on the local one) whose outputs are fused by averaging.
 The attention block is the only head, and every forward pass returns
 its per-step block scores; ``fus3d infer --diagnostics`` writes them as
-PGM grids.
+16-bit PGM grids (``write_pgm16``). The package writes PGM and never
+reads it back; the tests pin the writer's bytes.
 
 Shape ladder (channels x extent) at 64px and 128px frames, and at the
 paper's 256px with its channels:
@@ -36,6 +37,7 @@ two to build the paper-shape column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from . import tensor as T
 from .correlation import CorrConfig, correlate_batch
 from .nn import Conv2d, Linear, LSTMCell, Module, Parameter, kaiming_uniform
 from .nn import load_checkpoint, save_checkpoint
-from .pgm import write_pgm16
 from .pose import _pose_rows
 from .tensor import Tensor
 
@@ -54,6 +55,7 @@ __all__ = [
     "GlobalLocalAttention",
     "MotionNetwork",
     "export_attention_scores",
+    "write_pgm16",
     "save_model",
     "load_model",
 ]
@@ -432,13 +434,25 @@ class MotionNetwork(Module):
         return poses, np.concatenate(score_rows, axis=0)
 
 
+def write_pgm16(path, values: np.ndarray) -> None:
+    """Write a 2-D array as 16-bit binary PGM: the header
+    ``P5\\n{width} {height}\\n65535\\n``, then big-endian u16 pixels row
+    by row, mapping [-1, 1] (the range of the attention block scores)
+    onto [0, 65535]."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"PGM needs a 2-d array, got shape {arr.shape}")
+    scaled = np.clip((arr + 1.0) / 2.0, 0.0, 1.0)
+    pixels = np.round(scaled * 65535.0).astype(">u2")
+    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n65535\n".encode("ascii")
+    Path(path).write_bytes(header + pixels.tobytes())
+
+
 def export_attention_scores(scores: np.ndarray, directory) -> list:
     """Write per-step block-score grids as 16-bit PGM images.
 
     ``scores`` is (steps, n_blocks); each row becomes a sqrt(n_blocks)
     square grid mapped from ``write_pgm16``'s range [-1, 1]."""
-    from pathlib import Path
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     steps, nb = scores.shape
@@ -467,11 +481,19 @@ def load_model(path):
     """Rebuild a MotionNetwork from a checkpoint.
 
     Returns (model, extra_arrays, config) where extra_arrays holds any
-    non-parameter records (optimizer state, counters)."""
+    non-parameter records (optimizer state, counters). A checkpoint
+    without a positive integer ``frame_extent`` record, or without one
+    of the model's parameters, raises ValueError naming the file."""
     arrays, config = load_checkpoint(path)
-    model_cfg = ModelConfig.from_text_dict(config)
-    model = MotionNetwork(model_cfg)
+    extent = config.get("frame_extent")
+    if extent is None or not extent.isdecimal():
+        raise ValueError(f"{path}: checkpoint needs a frame_extent record "
+                         f"holding a positive integer, got {extent!r}")
+    model = MotionNetwork(ModelConfig.from_text_dict(config))
     params = {name for name, _ in model.named_parameters()}
-    model.load_state_arrays({k: v for k, v in arrays.items() if k in params})
+    try:
+        model.load_state_arrays({k: v for k, v in arrays.items() if k in params})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     extra = {k: v for k, v in arrays.items() if k not in params}
     return model, extra, config

@@ -71,7 +71,7 @@ class Module:
     def load_state_arrays(self, arrays: dict) -> None:
         for name, p in self.named_parameters():
             if name not in arrays:
-                raise KeyError(f"checkpoint is missing parameter {name!r}")
+                raise ValueError(f"checkpoint is missing parameter {name!r}")
             value = arrays[name]
             if value.shape != p.data.shape:
                 raise ValueError(

@@ -555,10 +555,14 @@ def _read_pose_rows(path) -> np.ndarray:
             if not row:
                 continue
             if len(row) != 7:
-                raise ValueError(f"malformed pose CSV row: {row}")
+                raise ValueError(f"{path}: malformed pose CSV row {row}, "
+                                 f"expected {','.join(POSE_CSV_HEADER)}")
             if row[0] != str(frame):
                 raise ValueError(f"{path}: pose CSV row {row} has frame "
                                  f"{row[0]!r}, expected {frame}")
-            values.extend(map(float, row[1:]))
+            try:
+                values.extend(map(float, row[1:]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: pose CSV row {row}: {exc}") from None
             frame += 1
     return np.array(values).reshape(-1, 6)

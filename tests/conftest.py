@@ -1,9 +1,11 @@
 """Shared fixtures: cached phantoms and simulated scans, a guard against
 threads left running, a child interpreter for tests that could hang, a
-way to have the lent helper take a call's first items, and the
-Hypothesis profile every property test runs under."""
+way to have the lent helper take a call's first items, the exact bytes
+of the package's two write-only formats, and the Hypothesis profile
+every property test runs under."""
 
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -46,6 +48,26 @@ def run_in_child(statement: str, timeout: float = 60.0) -> str:
                           capture_output=True, text=True, timeout=timeout)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def fvl1_bytes(volume) -> bytes:
+    """The FVL1 file of ``volume``: magic ``FVL1``, the ``<III f fff``
+    header (dims, voxel size, origin) and the intensity as ``<f4`` with
+    x fastest."""
+    header = struct.pack("<IIIffff", *volume.dims, volume.voxel_mm,
+                         *volume.origin_mm)
+    return b"FVL1" + header + volume.intensity.astype("<f4").tobytes(order="F")
+
+
+def pgm16_pixels(path, width: int, height: int) -> np.ndarray:
+    """The (height, width) pixels of a 16-bit PGM file, which must hold
+    the header ``P5\\n{width} {height}\\n65535\\n`` and then exactly
+    width * height big-endian u16 values."""
+    blob = Path(path).read_bytes()
+    header = f"P5\n{width} {height}\n65535\n".encode("ascii")
+    assert blob[: len(header)] == header
+    assert len(blob) == len(header) + 2 * width * height
+    return np.frombuffer(blob, dtype=">u2", offset=len(header)).reshape(height, width)
 
 
 def print_error(call) -> None:

@@ -13,18 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import simulate_scan
+from conftest import fvl1_bytes, pgm16_pixels, simulate_scan
 
 import fus3d
 from fus3d import training
 from fus3d.baseline import DecorrModel
 from fus3d.cli import build_parser, main
-from fus3d.compound import read_volume
+from fus3d.compound import compound
 from fus3d.losses import LossWeights
 from fus3d.network import ModelConfig, MotionNetwork, save_model
 from fus3d.nn import save_checkpoint
-from fus3d.pgm import read_pgm16, write_pgm16
-from fus3d.pose import ImageGeometry, read_pose_csv, write_pose_csv
+from fus3d.pose import (ImageGeometry, pose_to_transform, read_pose_csv,
+                        write_pose_csv)
 from fus3d.simulate import (TRAJECTORY_SHAPES, TrajectorySpec, make_trajectory,
                             read_scan, write_scan)
 from fus3d.training import ScanDataset, TrainConfig, train
@@ -213,6 +213,31 @@ class TestInfer:
                 in capsys.readouterr().err)
         assert not (tmp_path / "pred").exists()
 
+    @pytest.mark.parametrize("case", ["no_extent", "extent_abc", "no_param"])
+    def test_malformed_checkpoint_is_usage_error_naming_the_file(
+            self, scan_dir, tmp_path, capsys, case):
+        model = MotionNetwork(ModelConfig.toy(), seed=0)
+        arrays, text = model.state_arrays(), model.config.to_text_dict()
+        last = list(arrays)[-1]
+        if case == "no_extent":
+            del text["frame_extent"]
+            message = ("checkpoint needs a frame_extent record holding a "
+                       "positive integer, got None")
+        elif case == "extent_abc":
+            text["frame_extent"] = "abc"
+            message = ("checkpoint needs a frame_extent record holding a "
+                       "positive integer, got 'abc'")
+        else:
+            del arrays[last]
+            message = f"checkpoint is missing parameter {last!r}"
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, arrays, text)
+        code = run("infer", "--scan", scan_dir, "--checkpoint", path,
+                   "--out", tmp_path / "pred")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "pred").exists()
+
 
 class TestCalibrateBaseline:
     @pytest.mark.parametrize("lags", [(1, 2, 0), (1, -2)],
@@ -286,29 +311,36 @@ class TestTruncatedInputs:
                 "expected ncc,gap_mm\n" in capsys.readouterr().err)
         assert not (tmp_path / "pred").exists()
 
-    def test_pgm_comment_cut_by_the_end_of_file_raises(self, tmp_path):
-        # in a child process with a timeout, so a reader that loops on
-        # the unterminated comment fails the test instead of hanging it
-        path = tmp_path / "cut.pgm"
-        path.write_bytes(b"P5\n#")
-        env = dict(os.environ, PYTHONPATH=str(Path(fus3d.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c",
-             f"from fus3d.pgm import read_pgm16; read_pgm16({str(path)!r})"],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert done.returncode == 1
-        assert (f"EOFError: {path}: header comment runs to the end of the "
-                "file") in done.stderr
+    def test_non_numeric_calibration_row_names_the_file(self, scan_dir,
+                                                        tmp_path, capsys):
+        calibration = tmp_path / "calibration.csv"
+        calibration.write_text("ncc,gap_mm\nx,0.1\n")
+        code = run("infer", "--scan", scan_dir, "--baseline", calibration,
+                   "--out", tmp_path / "pred")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {calibration}: calibration row ['x', '0.1']: could not "
+            "convert string to float: 'x'\n")
+        assert not (tmp_path / "pred").exists()
 
-    def test_pgm_pixels_cut_by_the_end_of_file_raise(self, tmp_path):
-        path = tmp_path / "cut.pgm"
-        write_pgm16(path, np.zeros((3, 4)))
-        blob = path.read_bytes()
-        assert len(blob) == 13 + 2 * 3 * 4  # "P5\n4 3\n65535\n" + pixels
-        path.write_bytes(blob[:-1])
-        with pytest.raises(EOFError, match=f"{path}: truncated, expected 37 "
-                                           "bytes for 4x3 pixels, got 36"):
-            read_pgm16(path)
+    @pytest.mark.parametrize("field, message", [
+        ("abc", "pose CSV row {row}: could not convert string to float: 'abc'"),
+        ("0.0,0.0", "malformed pose CSV row {row}, expected frame,tx_mm,"
+                    "ty_mm,tz_mm,rx_deg,ry_deg,rz_deg"),
+    ], ids=["non_numeric", "eight_fields"])
+    def test_bad_pose_row_names_the_file_and_row(self, scan_dir, tmp_path,
+                                                 capsys, field, message):
+        lines = (scan_dir / "poses.csv").read_text().splitlines()
+        row = lines[3].split(",")[:-1] + field.split(",")
+        lines[3] = ",".join(row)
+        pred = tmp_path / "pred.csv"
+        pred.write_text("\n".join(lines) + "\n")
+        code = run("evaluate", "--truth", scan_dir / "poses.csv",
+                   "--pred", pred, "--scan", scan_dir, "--out", tmp_path / "eval")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {pred}: {message.format(row=row)}\n")
+        assert not (tmp_path / "eval").exists()
 
 
 def float_options() -> list:
@@ -548,13 +580,15 @@ class TestCompound:
                    "--poses", scan_dir / "poses.csv", "--voxel", 0.1484,
                    "--source", "truth", "--out", tmp_path / "vol")
         assert code == 0
-        intensity, origin, voxel, sidecar = read_volume(
-            tmp_path / "vol" / "volume.fvl"
-        )
-        assert intensity.ndim == 3
-        assert voxel == pytest.approx(0.1484)
-        assert sidecar["source"] == "truth"
-        assert sidecar["scan"] == str(scan_dir)
+        scan = read_scan(scan_dir)
+        transforms = [pose_to_transform(p)
+                      for p in read_pose_csv(scan_dir / "poses.csv")]
+        volume = compound(scan.frames, transforms, scan.geometry, 0.1484)
+        assert (tmp_path / "vol" / "volume.fvl").read_bytes() == fvl1_bytes(volume)
+        sidecar = {"dims": list(volume.dims), "scan": str(scan_dir),
+                   "source": "truth", "voxel_mm": 0.1484}
+        assert (tmp_path / "vol" / "volume.fvl.json").read_text() == (
+            json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
     def test_pose_count_mismatch_is_usage_error(self, scan_dir, dataset_dir,
                                                 tmp_path):
@@ -778,8 +812,7 @@ class TestFrameExtent:
         assert len(read_pose_csv(tmp_path / "pred" / "pred_relative.csv")) == 5
         assert len(read_pose_csv(tmp_path / "pred" / "pred_absolute.csv")) == 6
         # 32px local maps tiled into 4px global blocks: an 8x8 score grid
-        grid = read_pgm16(tmp_path / "pred" / "attention" / "attention_0000.pgm")
-        assert grid.shape == (8, 8)
+        pgm16_pixels(tmp_path / "pred" / "attention" / "attention_0000.pgm", 8, 8)
 
     @pytest.mark.parametrize("extents, message", [
         ([64, 32, 64], "training and validation scans must share one square "
@@ -912,6 +945,28 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("frames=9\nbogus_key=1\n")
         assert run("simulate", "--config", cfg, "--out", tmp_path / "scan") == 2
+
+    @pytest.mark.parametrize("command, required", [
+        ("infer", ("--scan", "s")),
+        ("evaluate", ("--truth", "t.csv", "--pred", "p.csv", "--scan", "s")),
+        ("compound", ("--scan", "s", "--poses", "p.csv")),
+        ("calibrate-baseline", ("--scan", "s")),
+    ])
+    def test_seed_only_where_it_is_read(self, tmp_path, capsys, command,
+                                        required):
+        # only simulate and train read a seed; elsewhere it is an unknown
+        # key in a config file and an unknown option on the command line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\n")
+        out = ("--out", tmp_path / "run")
+        assert run(command, "--config", cfg, *required, *out) == 2
+        assert (f"{cfg}:1: expected key=value with a key naming an option of "
+                f"{command}, got 'seed=5'" in capsys.readouterr().err)
+        with pytest.raises(SystemExit) as exc:
+            run(command, *required, *out, "--seed", 5)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestManifest:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pgm16_pixels
 from gradcheck import check_gradients
 
 from fus3d.correlation import CorrConfig, correlate_batch
-from fus3d.pgm import read_pgm16
+from fus3d.network import write_pgm16
 from fus3d.tensor import Tensor, backward, mul, reshape, tensor_sum, transpose
 
 
@@ -370,10 +371,8 @@ class TestMeanMap:
         assert np.abs(grid).max() < 0.25
 
     def test_pgm_value_mapping(self, tmp_path):
-        from fus3d.pgm import write_pgm16
-
         path = tmp_path / "ramp.pgm"
         write_pgm16(path, np.array([[-1.0, 0.0, 1.0], [-2.0, 2.0, 0.0]]))
-        img = read_pgm16(path)
+        img = pgm16_pixels(path, 3, 2)
         # [-1, 1] maps affinely onto [0, 65535]; outside values clip
         np.testing.assert_array_equal(img, [[0, 32768, 65535], [0, 65535, 32768]])

@@ -751,7 +751,18 @@ class TestPoseCsvReader:
         with pytest.raises(ValueError) as short:
             read_pose_csv(path)
         assert str(short.value) == (
-            "malformed pose CSV row: ['1', '0.5', '-1.0', '2.0', '10.0', '-20.0']")
+            f"{path}: malformed pose CSV row ['1', '0.5', '-1.0', '2.0', "
+            "'10.0', '-20.0'], expected frame,tx_mm,ty_mm,tz_mm,rx_deg,ry_deg,"
+            "rz_deg")
+
+    def test_non_numeric_field_names_the_file_and_row(self, tmp_path):
+        path = tmp_path / "poses.csv"
+        path.write_text(csv_text(["0"]) + "1,0.5,abc,2.0,10.0,-20.0,190.0\n")
+        with pytest.raises(ValueError) as error:
+            read_pose_csv(path)
+        assert str(error.value) == (
+            f"{path}: pose CSV row ['1', '0.5', 'abc', '2.0', '10.0', "
+            "'-20.0', '190.0']: could not convert string to float: 'abc'")
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "poses.csv"

@@ -18,9 +18,9 @@ method, constructor or dataclass field must be relied on by one: a call
 that leaves it in place, a read of it as a class attribute, or a
 ``default_factory``. A default only tests rely on is a second source of
 truth beside the CLI's.
-``UNCALLED_BY_DESIGN``, ``UNCALLED_MEMBERS``, ``UNSET_FIELDS``,
-``UNUSED_DEFAULTS`` and ``DEFAULTS_EXEMPT`` list the exceptions, each with
-its reason.
+``UNCALLED_MEMBERS``, ``UNSET_FIELDS``, ``UNUSED_DEFAULTS`` and
+``DEFAULTS_EXEMPT`` list the exceptions, each with its reason; a public
+name has none.
 """
 
 import ast
@@ -35,12 +35,6 @@ PACKAGE_DIR = Path(fus3d.__file__).parent
 SOURCES = {
     path.stem: ast.parse(path.read_text(encoding="utf-8"))
     for path in sorted(PACKAGE_DIR.glob("*.py"))
-}
-
-# name -> why it is public without a caller in the package
-UNCALLED_BY_DESIGN = {
-    "read_pgm16": "reads the PGM files write_pgm16 writes; tests verify the writer with it",
-    "read_volume": "reads the FVL1 files write_volume writes; tests verify the writer with it",
 }
 
 # Class.member -> why it is public without a caller in the package
@@ -181,8 +175,6 @@ SHARED = shared_members()
 
 
 def test_allowlisted_names_are_public():
-    public = {name for module in MODULES for name in public_names(module)}
-    assert set(UNCALLED_BY_DESIGN) <= public
     members = {m for module in MODULES for m in public_members(module)}
     assert set(UNCALLED_MEMBERS) <= members
     assert set(SHARED_MEMBERS) <= members
@@ -200,7 +192,7 @@ def test_public_names_have_callers(module):
     for name in public_names(module):
         span = definition_span(module, name)
         assert span is not None, f"{module}.{name} is not defined at top level"
-        if name not in UNCALLED_BY_DESIGN and not has_use(name, module, span):
+        if not has_use(name, module, span):
             uncalled.append(name)
     assert uncalled == [], f"public in fus3d.{module} but unused in the package"
 
@@ -238,7 +230,7 @@ def test_module_level_names_are_loaded(module):
     assert BENCHMARK_LOADS
     unused = [name for name, span in top_level_names(module).items()
               if not (name.startswith("__") and name.endswith("__"))
-              and name not in UNCALLED_BY_DESIGN and name not in BENCHMARK_LOADS
+              and name not in BENCHMARK_LOADS
               and not has_use(name, module, span)]
     assert unused == [], (f"bound at the top level of fus3d.{module} but "
                           "loaded nowhere in the package or the benchmark")
@@ -468,15 +460,12 @@ def test_defaults_have_a_caller():
 
 
 def test_allowlist_entries_are_needed():
-    """Every allowlist entry still names a public name or member without
-    a caller, a member whose name another class shares, a field that no
+    """Every allowlist entry still names a public member without a
+    caller, a member whose name another class shares, a field that no
     call sets, a default that no call relies on, or a module with
     defaulted public functions: one that gains a use, or loses its
     namesake, goes."""
-    stale = [name for module in MODULES for name in public_names(module)
-             if name in UNCALLED_BY_DESIGN
-             and has_use(name, module, definition_span(module, name))]
-    stale += [member for module in MODULES
+    stale = [member for module in MODULES
               for member, span in public_members(module).items()
               if member in UNCALLED_MEMBERS
               and member_is_used(member, module, span)]
